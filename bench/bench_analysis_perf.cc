@@ -329,23 +329,18 @@ std::string EditedDefinition() {
 }
 
 // ---------------------------------------------------------------------------
-// Frontend A/B: arena vs per-node-heap AST. Runs parse+sema (the stages the
-// arena refactor targets) over the 8x400 corpus in each allocation mode and
-// FATAL-checks that every function fingerprint is identical — a faster arena
-// that perturbs fingerprints would silently break incremental dirty bits.
+// Frontend: parse+sema over the 8x400 corpus into the arena-backed AST.
 // ---------------------------------------------------------------------------
 
 struct FrontendTiming {
   double parse_ms = 0;
   double sema_ms = 0;
-  size_t ast_bytes = 0;  // arena mode: slabs+bump; heap mode: per-node blocks
+  size_t ast_bytes = 0;  // slabs + bump arena
 };
 
-// One module lexed ahead of time: token streams don't depend on the AST
-// allocation mode, so lexing stays outside the timed region and parse_us
-// measures parsing proper (the stage the arena changes).
+// One module lexed ahead of time, so lexing stays outside the timed region
+// and parse_us measures parsing proper.
 struct LexedModule {
-  std::string name;
   std::unique_ptr<ivy::SourceManager> sm = std::make_unique<ivy::SourceManager>();
   std::unique_ptr<ivy::DiagEngine> diags;
   std::vector<std::vector<ivy::Token>> tokens;  // prelude first
@@ -356,7 +351,6 @@ std::vector<std::unique_ptr<LexedModule>> LexCorpus(
   std::vector<std::unique_ptr<LexedModule>> out;
   for (const ivy::ModuleSources& m : corpus) {
     auto lm = std::make_unique<LexedModule>();
-    lm->name = m.name;
     lm->diags = std::make_unique<ivy::DiagEngine>(lm->sm.get());
     auto lex_file = [&lm](int32_t id) {
       ivy::Lexer lex(*lm->sm, id, lm->diags.get());
@@ -371,12 +365,10 @@ std::vector<std::unique_ptr<LexedModule>> LexCorpus(
   return out;
 }
 
-FrontendTiming FrontendPass(const std::vector<std::unique_ptr<LexedModule>>& corpus,
-                            ivy::AstAllocMode mode,
-                            std::map<std::string, uint64_t>* fps) {
+FrontendTiming FrontendPass(const std::vector<std::unique_ptr<LexedModule>>& corpus) {
   FrontendTiming t;
   for (const std::unique_ptr<LexedModule>& m : corpus) {
-    ivy::Program prog(mode);
+    ivy::Program prog;
     const uint64_t p0 = ivy::MonotonicNowNs();
     for (const std::vector<ivy::Token>& toks : m->tokens) {
       ivy::Parser parser(&prog, &toks, m->diags.get());
@@ -394,30 +386,14 @@ FrontendTiming FrontendPass(const std::vector<std::unique_ptr<LexedModule>>& cor
     t.parse_ms += static_cast<double>(p1 - p0) / 1e6;
     t.sema_ms += static_cast<double>(p2 - p1) / 1e6;
     t.ast_bytes += prog.arena().TotalBytes();
-    if (fps != nullptr) {
-      for (const ivy::FuncDecl* fn : prog.funcs) {
-        if (fn->body != nullptr) {
-          (*fps)[m->name + "/" + fn->name] = ivy::FingerprintFunction(prog, fn);
-        }
-      }
-    }
   }
   return t;
 }
 
-void BM_ParseSemaHeap(benchmark::State& state) {
-  auto lexed = LexCorpus(SessionCorpus());
-  for (auto _ : state) {
-    FrontendTiming t = FrontendPass(lexed, ivy::AstAllocMode::kHeap, nullptr);
-    benchmark::DoNotOptimize(t.ast_bytes);
-  }
-}
-BENCHMARK(BM_ParseSemaHeap);
-
 void BM_ParseSemaArena(benchmark::State& state) {
   auto lexed = LexCorpus(SessionCorpus());
   for (auto _ : state) {
-    FrontendTiming t = FrontendPass(lexed, ivy::AstAllocMode::kArena, nullptr);
+    FrontendTiming t = FrontendPass(lexed);
     benchmark::DoNotOptimize(t.ast_bytes);
   }
 }
@@ -1080,55 +1056,23 @@ ivy::Json TracingOverheadJson() {
   return t;
 }
 
-// The "frontend" section of BENCH_pipeline.json: parse/sema wall time per
-// allocation mode, AST footprint, the fingerprint cost (full corpus and the
-// per-edit refingerprint an incremental session pays), and the process peak
-// RSS. Fingerprint identity across modes is FATAL-checked — an arena result
-// only counts if it is bit-for-bit the same analysis input.
+// The "frontend" section of BENCH_pipeline.json: parse/sema wall time, AST
+// footprint, the fingerprint cost (full corpus and the per-edit
+// refingerprint an incremental session pays), and the process peak RSS.
 ivy::Json FrontendBenchJson() {
   std::vector<ivy::ModuleSources> corpus = SessionCorpus();
   auto lexed = LexCorpus(corpus);
 
-  auto min_timing = [&lexed](ivy::AstAllocMode mode, int reps = 5) {
-    FrontendTiming best;
-    for (int i = 0; i < reps; ++i) {
-      FrontendTiming t = FrontendPass(lexed, mode, nullptr);
-      if (i == 0 || t.parse_ms + t.sema_ms < best.parse_ms + best.sema_ms) {
-        best = t;
-      }
+  FrontendTiming arena;
+  for (int i = 0; i < 5; ++i) {
+    FrontendTiming t = FrontendPass(lexed);
+    if (i == 0 || t.parse_ms + t.sema_ms < arena.parse_ms + arena.sema_ms) {
+      arena = t;
     }
-    return best;
-  };
-  // Arena first, heap second: ru_maxrss is a monotonic high-water mark, so
-  // the peak only moves during the heap passes if per-node allocation
-  // genuinely has the larger footprint (malloc headers + chunk slack).
-  auto peak_rss = [] {
-    struct rusage ru;
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<int64_t>(ru.ru_maxrss) * 1024;
-  };
-  FrontendTiming arena = min_timing(ivy::AstAllocMode::kArena);
-  const int64_t rss_after_arena = peak_rss();
-  FrontendTiming heap = min_timing(ivy::AstAllocMode::kHeap);
-  const int64_t rss_after_heap = peak_rss();
-
-  std::map<std::string, uint64_t> fps_heap;
-  std::map<std::string, uint64_t> fps_arena;
-  FrontendPass(lexed, ivy::AstAllocMode::kHeap, &fps_heap);
-  FrontendPass(lexed, ivy::AstAllocMode::kArena, &fps_arena);
-  if (fps_heap != fps_arena) {
-    std::fprintf(stderr, "FATAL: heap-vs-arena function fingerprints diverge\n");
-    std::abort();
   }
-  double speedup = (arena.parse_ms + arena.sema_ms) > 0
-                       ? (heap.parse_ms + heap.sema_ms) / (arena.parse_ms + arena.sema_ms)
-                       : 0;
-  if (speedup < 1.3) {
-    std::fprintf(stderr,
-                 "WARNING: arena parse+sema speedup %.2fx below the 1.3x target "
-                 "(heap=%.1fms arena=%.1fms)\n",
-                 speedup, heap.parse_ms + heap.sema_ms, arena.parse_ms + arena.sema_ms);
-  }
+  struct rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  const int64_t peak_rss = static_cast<int64_t>(ru.ru_maxrss) * 1024;
 
   // Fingerprint cost over a compiled module kept warm (what AnalysisSession
   // pays per Run), and the per-edit refingerprint: recompile one module with
@@ -1170,34 +1114,18 @@ ivy::Json FrontendBenchJson() {
   benchmark::DoNotOptimize(fp_sink);
 
   ivy::Json j = ivy::Json::MakeObject();
-  ivy::Json h = ivy::Json::MakeObject();
-  h["parse_us"] = ivy::Json::MakeInt(static_cast<int64_t>(heap.parse_ms * 1000));
-  h["sema_us"] = ivy::Json::MakeInt(static_cast<int64_t>(heap.sema_ms * 1000));
-  h["ast_bytes"] = ivy::Json::MakeInt(static_cast<int64_t>(heap.ast_bytes));
-  j["heap"] = std::move(h);
-  ivy::Json a = ivy::Json::MakeObject();
-  a["parse_us"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.parse_ms * 1000));
-  a["sema_us"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.sema_ms * 1000));
-  a["ast_bytes"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.ast_bytes));
-  j["arena"] = std::move(a);
   j["parse_us"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.parse_ms * 1000));
   j["sema_us"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.sema_ms * 1000));
   j["arena_bytes"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.ast_bytes));
   j["fingerprint_us"] = ivy::Json::MakeInt(static_cast<int64_t>(fingerprint_ms * 1000));
   j["refingerprint_after_edit_us"] =
       ivy::Json::MakeInt(static_cast<int64_t>(refingerprint_ms * 1000));
-  j["parse_sema_speedup"] = ivy::Json::MakeDouble(speedup);
-  j["peak_rss_bytes"] = ivy::Json::MakeInt(rss_after_arena);
-  j["peak_rss_after_heap_bytes"] = ivy::Json::MakeInt(rss_after_heap);
-  j["identical_fingerprints"] = ivy::Json::MakeBool(true);
+  j["peak_rss_bytes"] = ivy::Json::MakeInt(peak_rss);
   std::fprintf(stderr,
-               "frontend: heap parse+sema=%.1fms arena=%.1fms (%.2fx) "
-               "arena_bytes=%zu heap_bytes=%zu fingerprint=%.2fms "
-               "peak_rss arena=%lld heap=%lld\n",
-               heap.parse_ms + heap.sema_ms, arena.parse_ms + arena.sema_ms, speedup,
-               arena.ast_bytes, heap.ast_bytes, fingerprint_ms,
-               static_cast<long long>(rss_after_arena),
-               static_cast<long long>(rss_after_heap));
+               "frontend: parse+sema=%.1fms arena_bytes=%zu fingerprint=%.2fms "
+               "peak_rss=%lld\n",
+               arena.parse_ms + arena.sema_ms, arena.ast_bytes, fingerprint_ms,
+               static_cast<long long>(peak_rss));
   return j;
 }
 
@@ -1206,9 +1134,9 @@ void WriteBenchPipelineJson() {
   if (out_path == nullptr || out_path[0] == '\0') {
     return;  // interactive run: skip the corpus workload
   }
-  // Frontend A/B first: ru_maxrss is a process-lifetime high-water mark, so
-  // the arena-vs-heap RSS comparison is only visible before the session
-  // workloads below raise the ambient peak past anything parse+sema touches.
+  // Frontend first: ru_maxrss is a process-lifetime high-water mark, so the
+  // frontend's own peak is only visible before the session workloads below
+  // raise it past anything parse+sema touches.
   ivy::Json frontend_j = FrontendBenchJson();
 
   std::vector<ivy::ModuleSources> corpus = SessionCorpus();
@@ -1291,11 +1219,8 @@ void WriteBenchPipelineJson() {
   j["corpus"] = std::move(corpus_j);
   j["sequential_us"] = ivy::Json::MakeInt(static_cast<int64_t>(sequential_ms * 1000));
   j["batched_us"] = ivy::Json::MakeInt(static_cast<int64_t>(batched_ms * 1000));
-  // The pre-session world re-analyzes the whole corpus after any edit
-  // ("an edited module invalidates everything"); a session re-analyzes one
-  // module — cold at module granularity, or warm with the solver seeds.
-  j["edit_rerun_without_session_us"] =
-      ivy::Json::MakeInt(static_cast<int64_t>(sequential_ms * 1000));
+  // A session re-analyzes one module after an edit — cold at module
+  // granularity, or warm with the solver seeds.
   j["edit_rerun_session_cold_us"] = ivy::Json::MakeInt(static_cast<int64_t>(cold_ms * 1000));
   j["edit_rerun_session_warm_us"] =
       ivy::Json::MakeInt(static_cast<int64_t>(incremental_ms * 1000));

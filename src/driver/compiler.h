@@ -44,7 +44,6 @@ struct ToolConfig {
   bool track_locals = false;
   int rc_width_bits = 8;
   bool include_prelude = true;
-  bool heap_ast = false;  // per-node heap AST (A/B baseline; see PipelineBuilder::HeapAst)
 };
 
 // One compiled program: owns every stage's artifacts.

@@ -19,12 +19,6 @@
 //   - Everything a slab or the bump arena owns is trivially destructible
 //     (static_asserted in ast.h), so dropping the arena frees the whole AST
 //     in O(chunks) — error-path parses cannot leak by construction.
-//
-// AstAllocMode::kHeap preserves the pre-arena allocation strategy (one
-// individually-owned heap object per node / list / string, no interning
-// dedup) behind the same API. It exists for the BM_ParseSema{Heap,Arena}
-// benchmark pair and the heap-vs-arena identity tests; ids, spans and
-// fingerprints behave identically in both modes.
 #ifndef SRC_MC_ARENA_H_
 #define SRC_MC_ARENA_H_
 
@@ -65,8 +59,6 @@ struct DeclId {
   bool valid() const { return v != kNoNode; }
 };
 
-enum class AstAllocMode { kArena, kHeap };
-
 // Length-tagged FNV-1a over string content. The value the interner caches
 // per StrId and the only way string content enters a fingerprint.
 inline uint64_t StrContentHash(std::string_view s) {
@@ -84,20 +76,17 @@ inline uint64_t StrContentHash(std::string_view s) {
 }
 
 // Chunked byte arena for child-list arrays and interned string bytes.
-// Addresses are stable; nothing is ever freed individually. In kHeap mode
-// every allocation is its own heap block (the pre-arena cost model).
+// Addresses are stable; nothing is ever freed individually.
 class BumpArena {
  public:
   static constexpr size_t kChunkBytes = 64 * 1024;
-
-  explicit BumpArena(AstAllocMode mode = AstAllocMode::kArena) : mode_(mode) {}
 
   void* Alloc(size_t n, size_t align) {
     if (n == 0) {
       return nullptr;
     }
     used_ += n;
-    if (mode_ == AstAllocMode::kHeap || n > kChunkBytes / 4) {
+    if (n > kChunkBytes / 4) {
       chunks_.emplace_back(new char[n]);
       reserved_ += n;
       return chunks_.back().get();
@@ -127,7 +116,6 @@ class BumpArena {
   size_t reserved_bytes() const { return reserved_; }
 
  private:
-  AstAllocMode mode_;
   std::vector<std::unique_ptr<char[]>> chunks_;
   char* cur_ = nullptr;
   size_t cur_off_ = 0;
@@ -135,10 +123,8 @@ class BumpArena {
   size_t reserved_ = 0;
 };
 
-// A stable-address slab of T with dense uint32_t indices. Arena mode packs
-// nodes into 512-element chunks (id -> chunk[id >> 9][id & 511]); heap mode
-// allocates each node individually, mimicking the old one-make_unique-per-
-// node parser.
+// A stable-address slab of T with dense uint32_t indices, packed into
+// 512-element chunks (id -> chunk[id >> 9][id & 511]).
 template <typename T>
 class NodeSlab {
  public:
@@ -146,14 +132,7 @@ class NodeSlab {
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr uint32_t kChunkMask = kChunkSize - 1;
 
-  explicit NodeSlab(AstAllocMode mode = AstAllocMode::kArena) : mode_(mode) {}
-
   T* New() {
-    if (mode_ == AstAllocMode::kHeap) {
-      singles_.push_back(std::make_unique<T>());
-      ++count_;
-      return singles_.back().get();
-    }
     if ((count_ & kChunkMask) == 0) {
       chunks_.emplace_back(new T[kChunkSize]);
     }
@@ -162,28 +141,16 @@ class NodeSlab {
     return p;
   }
 
-  T* At(uint32_t id) {
-    if (mode_ == AstAllocMode::kHeap) {
-      return singles_[id].get();
-    }
-    return &chunks_[id >> kChunkShift][id & kChunkMask];
-  }
-  const T* At(uint32_t id) const { return const_cast<NodeSlab*>(this)->At(id); }
+  T* At(uint32_t id) { return &chunks_[id >> kChunkShift][id & kChunkMask]; }
+  const T* At(uint32_t id) const { return &chunks_[id >> kChunkShift][id & kChunkMask]; }
 
   uint32_t size() const { return count_; }
 
-  size_t bytes() const {
-    if (mode_ == AstAllocMode::kHeap) {
-      return static_cast<size_t>(count_) * (sizeof(T) + sizeof(void*));
-    }
-    return chunks_.size() * kChunkSize * sizeof(T);
-  }
+  size_t bytes() const { return chunks_.size() * kChunkSize * sizeof(T); }
 
  private:
-  AstAllocMode mode_;
   uint32_t count_ = 0;
-  std::vector<std::unique_ptr<T[]>> chunks_;    // kArena
-  std::vector<std::unique_ptr<T>> singles_;     // kHeap
+  std::vector<std::unique_ptr<T[]>> chunks_;
 };
 
 // An interned string: a stable view of the bytes plus the dense id whose
@@ -205,28 +172,21 @@ struct InternSnapshot {
   std::vector<uint64_t> hashes;                      // content hash per id
 };
 
-// Deduplicating string interner with per-id content hashes. In kHeap mode
-// dedup is disabled (every call copies, like the old per-node std::string),
-// but ids and hashes still behave the same for fingerprinting.
+// Deduplicating string interner with per-id content hashes.
 class StringInterner {
  public:
-  explicit StringInterner(AstAllocMode mode, BumpArena* bytes)
-      : mode_(mode), bytes_(bytes) {}
+  explicit StringInterner(BumpArena* bytes) : bytes_(bytes) {}
 
   StrRef Intern(std::string_view s) {
-    if (mode_ == AstAllocMode::kArena) {
-      auto it = map_.find(s);
-      if (it != map_.end()) {
-        return StrRef{views_[it->second], it->second};
-      }
+    auto it = map_.find(s);
+    if (it != map_.end()) {
+      return StrRef{views_[it->second], it->second};
     }
     std::string_view stored = bytes_->CopyString(s);
     uint32_t id = static_cast<uint32_t>(views_.size());
     views_.push_back(stored);
     hashes_.push_back(StrContentHash(stored));
-    if (mode_ == AstAllocMode::kArena) {
-      map_.emplace(stored, id);
-    }
+    map_.emplace(stored, id);
     return StrRef{stored, id};
   }
 
@@ -237,7 +197,7 @@ class StringInterner {
   // Seeds this (empty) interner from a snapshot. The snapshot's byte buffer
   // is shared, not copied; `base` keeps it alive for the arena's lifetime.
   void Seed(std::shared_ptr<const InternSnapshot> base) {
-    if (base == nullptr || size() != 0 || mode_ != AstAllocMode::kArena) {
+    if (base == nullptr || size() != 0) {
       return;
     }
     views_.reserve(base->spans.size());
@@ -268,7 +228,6 @@ class StringInterner {
   }
 
  private:
-  AstAllocMode mode_;
   BumpArena* bytes_;
   std::vector<std::string_view> views_;
   std::vector<uint64_t> hashes_;

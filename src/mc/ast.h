@@ -243,9 +243,10 @@ struct FuncDecl {
 // Node + list + string storage for one module's AST. Dropping it frees the
 // whole tree in O(chunks); see src/mc/arena.h for the layout.
 struct AstArena {
-  explicit AstArena(AstAllocMode m)
-      : mode(m), bytes(m), exprs(m), stmts(m), decls(m), interner(m, &bytes) {}
-  AstAllocMode mode;
+  AstArena() : interner(&bytes) {}
+  AstArena(const AstArena&) = delete;
+  AstArena& operator=(const AstArena&) = delete;
+
   BumpArena bytes;        // child lists + interned string bytes
   NodeSlab<Expr> exprs;
   NodeSlab<Stmt> stmts;
@@ -262,17 +263,9 @@ struct AstArena {
 // Parser, completed by Sema, then read-only.
 class Program {
  public:
-  explicit Program(AstAllocMode mode = AstAllocMode::kArena)
-      : arena_(std::make_unique<AstArena>(mode)) {}
+  Program() = default;
   Program(const Program&) = delete;
   Program& operator=(const Program&) = delete;
-
-  // Swaps the allocation strategy. Only legal before anything is allocated
-  // (the pipeline calls it first thing when ToolConfig::heap_ast is set).
-  void SetAllocMode(AstAllocMode mode) {
-    arena_ = std::make_unique<AstArena>(mode);
-  }
-  AstAllocMode alloc_mode() const { return arena_->mode; }
 
   Expr* NewExpr(ExprKind kind, SourceLoc loc);
   Stmt* NewStmt(StmtKind kind, SourceLoc loc);
@@ -283,24 +276,24 @@ class Program {
   Symbol* NewSymbol();
 
   // Index access: id <-> node. Ids are dense, assigned in parse order.
-  Expr* ExprAt(ExprId id) { return arena_->exprs.At(id.v); }
-  const Expr* ExprAt(ExprId id) const { return arena_->exprs.At(id.v); }
-  Stmt* StmtAt(StmtId id) { return arena_->stmts.At(id.v); }
-  const Stmt* StmtAt(StmtId id) const { return arena_->stmts.At(id.v); }
-  VarDecl* DeclAt(DeclId id) { return arena_->decls.At(id.v); }
-  const VarDecl* DeclAt(DeclId id) const { return arena_->decls.At(id.v); }
-  uint32_t expr_count() const { return arena_->exprs.size(); }
-  uint32_t stmt_count() const { return arena_->stmts.size(); }
-  uint32_t decl_count() const { return arena_->decls.size(); }
+  Expr* ExprAt(ExprId id) { return arena_.exprs.At(id.v); }
+  const Expr* ExprAt(ExprId id) const { return arena_.exprs.At(id.v); }
+  Stmt* StmtAt(StmtId id) { return arena_.stmts.At(id.v); }
+  const Stmt* StmtAt(StmtId id) const { return arena_.stmts.At(id.v); }
+  VarDecl* DeclAt(DeclId id) { return arena_.decls.At(id.v); }
+  const VarDecl* DeclAt(DeclId id) const { return arena_.decls.At(id.v); }
+  uint32_t expr_count() const { return arena_.exprs.size(); }
+  uint32_t stmt_count() const { return arena_.stmts.size(); }
+  uint32_t decl_count() const { return arena_.decls.size(); }
 
   // String interning. StrHash is the cached content hash fingerprints mix.
-  StrRef Intern(std::string_view s) { return arena_->interner.Intern(s); }
+  StrRef Intern(std::string_view s) { return arena_.interner.Intern(s); }
   uint64_t StrHash(uint32_t str_id) const {
-    return arena_->interner.Hash(str_id);
+    return arena_.interner.Hash(str_id);
   }
-  const StringInterner& interner() const { return arena_->interner; }
+  const StringInterner& interner() const { return arena_.interner; }
   void SeedInterner(std::shared_ptr<const InternSnapshot> base) {
-    arena_->interner.Seed(std::move(base));
+    arena_.interner.Seed(std::move(base));
   }
 
   // Copies a scratch vector into an arena-owned array.
@@ -311,7 +304,7 @@ class Program {
   // node (excluded from reference collection; see Expr::no_refs).
   void MarkExprsNoRefs(uint32_t begin);
 
-  const AstArena& arena() const { return *arena_; }
+  const AstArena& arena() const { return arena_; }
 
   // Canonical primitive types.
   const Type* IntType();
@@ -339,7 +332,7 @@ class Program {
     return pool->back().get();
   }
 
-  std::unique_ptr<AstArena> arena_;
+  AstArena arena_;
   std::vector<std::unique_ptr<Type>> type_pool_;
   std::vector<std::unique_ptr<RecordDecl>> record_pool_;
   std::vector<std::unique_ptr<FuncDecl>> func_pool_;

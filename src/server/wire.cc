@@ -1,5 +1,6 @@
 #include "src/server/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ivy {
@@ -208,9 +209,20 @@ int ReadFrame(Socket& sock, Frame* out, std::string* err) {
   if (!DecodeFrameHeader(header, &out->type, &len, err)) {
     return -1;
   }
-  out->payload.resize(len);
-  if (len > 0 && !sock.ReadFull(&out->payload[0], len, nullptr, err)) {
-    return -1;
+  // The length is untrusted until the bytes arrive: read the body in
+  // geometrically growing steps (64 KiB first), so a header that lies and
+  // then stalls or hangs up pins at most twice what the peer really sent,
+  // while an honest large frame costs O(log n) reallocations.
+  constexpr size_t kFirstChunk = size_t{64} << 10;
+  out->payload.clear();
+  size_t have = 0;
+  while (have < len) {
+    const size_t want = std::min<size_t>(len, have == 0 ? kFirstChunk : have * 2);
+    out->payload.resize(want);
+    if (!sock.ReadFull(&out->payload[have], want - have, nullptr, err)) {
+      return -1;
+    }
+    have = want;
   }
   return 1;
 }

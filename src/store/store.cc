@@ -1,8 +1,6 @@
 #include "src/store/store.h"
 
 #include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -27,6 +25,21 @@ void SetErrno(std::string* err, const std::string& what) {
   if (err != nullptr) {
     *err = what + ": " + std::strerror(errno);
   }
+}
+
+bool WriteAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    off += static_cast<size_t>(n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -265,81 +278,45 @@ bool ReadStoreFile(const std::string& path, StoreFile* out, std::string* err) {
 
 bool WriteStoreFile(const std::string& path, const StoreFile& sf, std::string* err) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      SetErr(err, "cannot create '" + tmp + "'");
-      return false;
-    }
-    const std::string bytes = EncodeStore(sf);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      SetErr(err, "write error on '" + tmp + "'");
-      std::remove(tmp.c_str());
-      return false;
-    }
+  const std::string bytes = EncodeStore(sf);
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    SetErrno(err, "cannot create '" + tmp + "'");
+    return false;
+  }
+  // The file's bytes must be on disk before the rename publishes them;
+  // otherwise a power loss can leave `path` naming an empty file.
+  if (!WriteAll(fd, bytes) || ::fsync(fd) != 0) {
+    SetErrno(err, "write error on '" + tmp + "'");
+    ::close(fd);
+    std::remove(tmp.c_str());
+    return false;
+  }
+  if (::close(fd) != 0) {
+    SetErrno(err, "close('" + tmp + "')");
+    std::remove(tmp.c_str());
+    return false;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     SetErrno(err, "rename('" + tmp + "' -> '" + path + "')");
     std::remove(tmp.c_str());
     return false;
   }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// StoreLock
-// ---------------------------------------------------------------------------
-
-bool StoreLock::Acquire(const std::string& store_path, std::string* err) {
-  Release();
-  const std::string lock_path = store_path + ".lock";
-  int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    SetErrno(err, "open('" + lock_path + "')");
+  // And the rename itself must reach the directory on disk.
+  const size_t slash = path.rfind('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : (slash == 0 ? "/" : path.substr(0, slash));
+  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) {
+    SetErrno(err, "open directory '" + dir + "'");
     return false;
   }
-  // Blocking: workers queue up behind each other's merge cycles; a cycle is
-  // one read + one rename, so the wait is short.
-  int rc;
-  do {
-    rc = ::flock(fd, LOCK_EX);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    SetErrno(err, "flock('" + lock_path + "')");
-    ::close(fd);
-    return false;
+  const bool synced = ::fsync(dfd) == 0;
+  if (!synced) {
+    SetErrno(err, "fsync directory '" + dir + "'");
   }
-  fd_ = fd;
-  return true;
-}
-
-void StoreLock::Release() {
-  if (fd_ >= 0) {
-    ::flock(fd_, LOCK_UN);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool UpdateStoreFileLocked(const std::string& path, bool (*fn)(StoreFile*, void*),
-                           void* arg, std::string* err) {
-  StoreLock lock;
-  if (!lock.Acquire(path, err)) {
-    return false;
-  }
-  StoreFile sf;
-  struct stat st{};
-  if (::stat(path.c_str(), &st) == 0) {
-    if (!ReadStoreFile(path, &sf, err)) {
-      return false;
-    }
-  }
-  if (!fn(&sf, arg)) {
-    return false;  // fn sets *err (or aborts deliberately)
-  }
-  return WriteStoreFile(path, sf, err);
+  ::close(dfd);
+  return synced;
 }
 
 }  // namespace ivy

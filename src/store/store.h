@@ -2,8 +2,7 @@
 // session's converged facts, so a fresh process warm-starts from the
 // previous run's fixpoint instead of paying a full cold analysis — the
 // paper's "analysis cost scales with the edit" property extended across
-// process restarts, and the exchange medium for multi-process distributed
-// relink (tools/annolink).
+// process restarts (tools/annolink, tools/annod).
 //
 // File layout (little-endian):
 //
@@ -38,12 +37,13 @@
 // version mismatch rejects the file — a store is a cache of re-derivable
 // facts, so the correct fallback is always a cold run, never a migration.
 //
-// Concurrency: the store file is shared by annolink's worker processes.
-// Writers take an advisory flock on `<path>.lock` (StoreLock), write
-// `<path>.tmp.<pid>`, and rename() over `<path>` — readers of the plain
-// path therefore always see a complete file (append-then-swap), and a
-// worker killed mid-merge leaves either the old or the new store, never a
-// torn one.
+// Concurrency: one writer per store path. The process that owns a store
+// (annolink for its run, annod for its lifetime) is its only writer; there
+// is no locking. Writes are atomic replaces: write `<path>.tmp.<pid>`,
+// fsync it, rename() it over `<path>`, fsync the directory. Readers of the
+// plain path therefore always see a complete file, and a crash or power
+// loss at any point leaves either the old or the new store, never a torn or
+// empty one.
 #ifndef SRC_STORE_STORE_H_
 #define SRC_STORE_STORE_H_
 
@@ -107,33 +107,10 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err);
 // files, or any decode failure.
 bool ReadStoreFile(const std::string& path, StoreFile* out, std::string* err);
 
-// Atomic replace: write `<path>.tmp.<pid>`, rename() over `<path>`. Does
-// NOT take the lock — for callers that already hold a StoreLock (the
-// worker merge) or own the file exclusively (a coordinator, a daemon).
+// Durable atomic replace: write and fsync `<path>.tmp.<pid>`, rename() it
+// over `<path>`, fsync the containing directory. The caller must be the
+// path's only writer (see "Concurrency" above).
 bool WriteStoreFile(const std::string& path, const StoreFile& sf, std::string* err);
-
-// RAII advisory lock on `<path>.lock` — serializes the workers'
-// read-merge-write cycles against each other. Blocks until acquired.
-class StoreLock {
- public:
-  StoreLock() = default;
-  ~StoreLock() { Release(); }
-  StoreLock(const StoreLock&) = delete;
-  StoreLock& operator=(const StoreLock&) = delete;
-
-  bool Acquire(const std::string& store_path, std::string* err);
-  void Release();
-  bool held() const { return fd_ >= 0; }
-
- private:
-  int fd_ = -1;
-};
-
-// Locked read-modify-write convenience: lock, read-or-empty, mutate via
-// `fn`, write, unlock. `fn` returns false to abort without writing.
-bool UpdateStoreFileLocked(const std::string& path,
-                           bool (*fn)(StoreFile*, void*), void* arg,
-                           std::string* err);
 
 // FNV-1a 64 over length-framed (name, text) pairs — the per-module source
 // identity the warm-start check compares.

@@ -2,7 +2,7 @@
 //
 // Two facilities behind one global on/off gate:
 //
-//  * Scoped spans — `TRACE_SPAN("relink.round", {"round", i})` records a
+//  * Scoped spans — `TRACE_SPAN("session.link_round", {"round", i})` records a
 //    named interval (steady-clock timebase, up to two integer args) into a
 //    per-thread ring buffer. `TraceSink::WriteJson` exports every ring as
 //    Chrome `trace_event` / Perfetto-compatible JSON ("X" complete events),
@@ -165,7 +165,7 @@ class Counter {
   std::atomic<uint64_t> v_{0};
 };
 
-// Last-writer-wins instantaneous value (queue depth, fleet size). RecordMax
+// Last-writer-wins instantaneous value (queue depth, connection count). RecordMax
 // keeps a high-water mark instead.
 class Gauge {
  public:

@@ -99,16 +99,17 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
   auto comp = std::make_unique<Compilation>();
   comp->config = config_;
   comp->diags = std::make_unique<DiagEngine>(&comp->sm);
-  if (config_.heap_ast) {
-    comp->prog.SetAllocMode(AstAllocMode::kHeap);
-  } else if (cache != nullptr && cache->prelude_interns != nullptr) {
+  if (cache != nullptr && cache->prelude_interns != nullptr) {
     // Later corpus module: pre-load the prelude's interned strings so every
     // module shares one copy of the bytes (and the same string ids).
     comp->prog.SeedInterner(cache->prelude_interns);
     ++cache->intern_seeds;
   }
 
-  const uint64_t parse_t0 = MonotonicNowNs();
+  // Frontend timings are metrics only: with tracing off, no clock read and
+  // no registry lookup (the handles are cached once per process).
+  const bool traced = trace::Enabled();
+  const uint64_t parse_t0 = traced ? MonotonicNowNs() : 0;
 
   // Lex + parse every file into one Program (whole-program merge). The
   // prelude is always the first file registered, so its token stream —
@@ -131,7 +132,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
       // Borrowed, not copied: the cached stream outlives the parser.
       Parser parser(&comp->prog, cache->prelude_tokens.get(), comp->diags.get());
       parser.ParseTranslationUnit();
-      if (cache->prelude_interns == nullptr && !config_.heap_ast) {
+      if (cache->prelude_interns == nullptr) {
         // First corpus module: everything interned so far is prelude text.
         cache->prelude_interns = comp->prog.interner().Snapshot();
       }
@@ -142,8 +143,11 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
   for (const SourceFile& f : files) {
     parse_file(comp->sm.AddFile(f.name, f.text));
   }
-  const uint64_t parse_t1 = MonotonicNowNs();
-  trace::GetHistogram("frontend.parse_us")->Record((parse_t1 - parse_t0) / 1000);
+  const uint64_t parse_t1 = traced ? MonotonicNowNs() : 0;
+  if (traced) {
+    static trace::Histogram* const parse_us = trace::GetHistogram("frontend.parse_us");
+    parse_us->Record((parse_t1 - parse_t0) / 1000);
+  }
   if (!comp->diags->ok()) {
     return comp;
   }
@@ -153,9 +157,12 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
                                         return BuiltinIdForName(name);
                                       });
   bool sema_ok = comp->sema->Run();
-  trace::GetHistogram("frontend.sema_us")->Record((MonotonicNowNs() - parse_t1) / 1000);
-  trace::GetGauge("arena.bytes")->RecordMax(
-      static_cast<int64_t>(comp->prog.arena().TotalBytes()));
+  if (traced) {
+    static trace::Histogram* const sema_us = trace::GetHistogram("frontend.sema_us");
+    static trace::Gauge* const arena_bytes = trace::GetGauge("arena.bytes");
+    sema_us->Record((MonotonicNowNs() - parse_t1) / 1000);
+    arena_bytes->RecordMax(static_cast<int64_t>(comp->prog.arena().TotalBytes()));
+  }
   if (!sema_ok) {
     return comp;
   }
@@ -553,11 +560,6 @@ PipelineBuilder& PipelineBuilder::RcWidthBits(int bits) {
 
 PipelineBuilder& PipelineBuilder::IncludePrelude(bool on) {
   pipeline_.config_.include_prelude = on;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::HeapAst(bool on) {
-  pipeline_.config_.heap_ast = on;
   return *this;
 }
 

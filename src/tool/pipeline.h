@@ -53,7 +53,7 @@ struct FrontendCache {
   int64_t prelude_reuses = 0;
   // Interned prelude strings, snapshotted after the first module's prelude
   // parse and seeded into every later module's interner (same ids, one copy
-  // of the bytes). Arena mode only — heap-mode interners don't deduplicate.
+  // of the bytes).
   std::shared_ptr<const InternSnapshot> prelude_interns;
   int64_t intern_seeds = 0;
 };
@@ -167,11 +167,6 @@ class PipelineBuilder {
   PipelineBuilder& TrackLocals(bool on);
   PipelineBuilder& RcWidthBits(int bits);
   PipelineBuilder& IncludePrelude(bool on);
-  // A/B knob: allocate AST nodes individually on the heap instead of in the
-  // per-module arena (the pre-arena cost model). Analyses and fingerprints
-  // are byte-identical either way; only allocation behaviour differs.
-  PipelineBuilder& HeapAst(bool on);
-
   // Maps the legacy flat config onto a builder (the Compile() shim).
   static PipelineBuilder FromToolConfig(const ToolConfig& config);
 

@@ -298,7 +298,8 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
   std::map<std::string, uint64_t> sigs;
   std::map<std::string, std::set<std::string>> refs;
   if (track_incremental_) {
-    const uint64_t fp_t0 = MonotonicNowNs();
+    const bool traced = trace::Enabled();
+    const uint64_t fp_t0 = traced ? MonotonicNowNs() : 0;
     preamble = FingerprintPreamble(comp->prog);
     for (const auto& [fname, fn] : comp->sema->func_map()) {
       if (fn->body == nullptr || fn->func_id < 0) {
@@ -310,7 +311,11 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
       sigs[key] = fingerprint.sig;
       refs[key] = std::move(fingerprint.refs);
     }
-    trace::GetHistogram("frontend.fingerprint_us")->Record((MonotonicNowNs() - fp_t0) / 1000);
+    if (traced) {
+      static trace::Histogram* const fingerprint_us =
+          trace::GetHistogram("frontend.fingerprint_us");
+      fingerprint_us->Record((MonotonicNowNs() - fp_t0) / 1000);
+    }
   }
 
   // Cross-module imports: seed this compilation's AST (and the points-to
@@ -549,10 +554,6 @@ SessionResult AnalysisSession::Run() {
   }
 
   // Phase C — deterministic corpus merge, in sorted-module-name order.
-  return MergeResult(cancelled);
-}
-
-SessionResult AnalysisSession::MergeResult(bool cancelled) const {
   SessionResult out;
   out.cancelled = cancelled;
   for (const auto& [name, st] : modules_) {
@@ -828,35 +829,6 @@ std::set<std::string> AnalysisSession::LinkedComponentOf(
   return out;
 }
 
-void AnalysisSession::PrepareLinkedRun() {
-  link_stats_ = LinkStats{};
-
-  // Retraction safety. A monotone fixpoint cannot un-derive facts, and a
-  // stale "f may block" row can keep supporting itself around a
-  // cross-module cycle after the edit that justified it is gone. So every
-  // edit clears the whole cross-module dependency component containing the
-  // edited modules — their rows are re-derived from below, while modules
-  // outside the component keep their converged facts and cached results.
-  std::set<std::string> source_dirty;
-  for (auto& [name, st] : modules_) {
-    if (st->dirty) {
-      source_dirty.insert(name);
-    }
-  }
-  if (!linked_ever_) {
-    link_table_ = AnnoDb();
-    for (auto& [name, st] : modules_) {
-      (void)name;
-      st->dirty = true;
-    }
-  } else if (!source_dirty.empty()) {
-    for (const std::string& m : LinkedComponentOf(source_dirty)) {
-      link_table_.RetractModule(m);
-      Invalidate(m);
-    }
-  }
-}
-
 AnalysisSession::LinkTableSnapshot AnalysisSession::SnapshotLinkTable() const {
   LinkTableSnapshot snap;
   for (const auto& [key, row] : link_table_.summaries()) {
@@ -915,47 +887,33 @@ std::set<std::string> AnalysisSession::DiffLinkTable(const LinkTableSnapshot& be
   return dirty;
 }
 
-void AnalysisSession::FinishLinkedRun(int max_rounds, SessionResult* result) {
-  link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
-  for (const auto& [mname, st] : modules_) {
-    if (!st->have_link_names) {
-      continue;
-    }
-    for (const auto& [nname, nst] : modules_) {
-      if (mname == nname || !nst->have_link_names) {
-        continue;
-      }
-      for (const std::string& f : st->extern_refs) {
-        if (nst->defined_names.count(f) != 0) {
-          ++link_stats_.cross_edges;
-          break;
-        }
-      }
-    }
-  }
-  linked_ever_ = true;
-
-  if (!link_stats_.converged && !link_stats_.cancelled) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "cross-module link fixpoint did not converge within " +
-                std::to_string(max_rounds) + " rounds";
-    result->findings.push_back(std::move(f));
-  }
-  for (const std::string& fname : link_conflicts_) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "function '" + fname +
-                "' is defined in multiple modules; linking used the first definer's facts";
-    f.witness = {fname};
-    result->findings.push_back(std::move(f));
-  }
-}
-
 SessionResult AnalysisSession::RunLinked() {
-  PrepareLinkedRun();
+  link_stats_ = LinkStats{};
+
+  // Retraction safety. A monotone fixpoint cannot un-derive facts, and a
+  // stale "f may block" row can keep supporting itself around a
+  // cross-module cycle after the edit that justified it is gone. So every
+  // edit clears the whole cross-module dependency component containing the
+  // edited modules — their rows are re-derived from below, while modules
+  // outside the component keep their converged facts and cached results.
+  std::set<std::string> source_dirty;
+  for (auto& [name, st] : modules_) {
+    if (st->dirty) {
+      source_dirty.insert(name);
+    }
+  }
+  if (!linked_ever_) {
+    link_table_ = AnnoDb();
+    for (auto& [name, st] : modules_) {
+      (void)name;
+      st->dirty = true;
+    }
+  } else if (!source_dirty.empty()) {
+    for (const std::string& m : LinkedComponentOf(source_dirty)) {
+      link_table_.RetractModule(m);
+      Invalidate(m);
+    }
+  }
 
   // Safety cap: facts grow monotonically within a linked run, so the
   // fixpoint terminates on its own; the cap only guards against a future
@@ -1021,7 +979,42 @@ SessionResult AnalysisSession::RunLinked() {
     }
   }
 
-  FinishLinkedRun(max_rounds, &result);
+  link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
+  for (const auto& [mname, st] : modules_) {
+    if (!st->have_link_names) {
+      continue;
+    }
+    for (const auto& [nname, nst] : modules_) {
+      if (mname == nname || !nst->have_link_names) {
+        continue;
+      }
+      for (const std::string& f : st->extern_refs) {
+        if (nst->defined_names.count(f) != 0) {
+          ++link_stats_.cross_edges;
+          break;
+        }
+      }
+    }
+  }
+  linked_ever_ = true;
+
+  if (!link_stats_.converged && !link_stats_.cancelled) {
+    Finding f;
+    f.tool = "session";
+    f.severity = FindingSeverity::kError;
+    f.message = "cross-module link fixpoint did not converge within " +
+                std::to_string(max_rounds) + " rounds";
+    result.findings.push_back(std::move(f));
+  }
+  for (const std::string& fname : link_conflicts_) {
+    Finding f;
+    f.tool = "session";
+    f.severity = FindingSeverity::kError;
+    f.message = "function '" + fname +
+                "' is defined in multiple modules; linking used the first definer's facts";
+    f.witness = {fname};
+    result.findings.push_back(std::move(f));
+  }
   return result;
 }
 

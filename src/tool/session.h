@@ -35,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -49,8 +48,7 @@
 
 namespace ivy {
 
-struct StoreFile;    // src/store/store.h
-struct StoreModule;
+struct StoreModule;  // src/store/store.h
 
 // Per-module outcome of one Run(). `result` is the module's pass output with
 // unstamped findings — byte-identical to an independent single-module
@@ -91,24 +89,6 @@ struct LinkStats {
   int cross_edges = 0;         // (importer, definer) module pairs
   bool converged = false;      // false if the safety cap fired or cancelled
   bool cancelled = false;      // RequestCancel() aborted the fixpoint
-};
-
-// Multi-process distributed relink (see RunLinkedDistributed). The
-// coordinator shards each round's dirty modules across `workers` processes
-// that exchange summary deltas through the shared store file at
-// `store_path` (src/store/store.h: advisory-locked append-then-swap).
-struct DistributedLinkOptions {
-  std::string store_path;
-  int workers = 3;
-  // The binary to exec per shard; it must handle
-  //   <worker_argv0> --worker --store <store_path> --modules a,b,c
-  // by calling AnalysisSession::RunStoreWorker (tools/annolink does).
-  std::string worker_argv0;
-  // Test hook: when set, dispatch runs this in-process instead of spawning
-  // a process — the distributed protocol becomes unit-testable (and
-  // TSan-able) without binary paths.
-  std::function<bool(const std::vector<std::string>& modules, std::string* err)>
-      run_worker;
 };
 
 // Solver-effort counters from a module's most recent analysis — how much of
@@ -189,25 +169,6 @@ class AnalysisSession {
   SessionResult RunLinked();
   const LinkStats& link_stats() const { return link_stats_; }
 
-  // RunLinked() split across processes: the same diff-driven round
-  // scheduler, but each round's dirty modules are partitioned across
-  // worker processes that analyze their shard cold (exact by the
-  // determinism contract) and merge summary deltas into the shared store.
-  // Converged findings are byte-identical to single-process RunLinked()
-  // regardless of worker count and module assignment; a worker failure
-  // aborts the round with an error finding, leaves the fixpoint resumable
-  // (dirty modules stay dirty, the store stays consistent), and reports
-  // converged=false.
-  SessionResult RunLinkedDistributed(const DistributedLinkOptions& opts);
-
-  // The worker side of RunLinkedDistributed: reads the coordinator's
-  // round snapshot (`store_path + ".round"`), analyzes `modules` against
-  // the snapshot's summary table, and merges the resulting records + rows
-  // into `store_path` under the store lock.
-  static bool RunStoreWorker(Pipeline pipeline, const std::string& store_path,
-                             const std::vector<std::string>& modules,
-                             std::string* err);
-
   // Persistent warm start (src/store/store.h). SaveStore snapshots every
   // module's sources + incremental state + findings and the link table;
   // LoadStore restores them into a fresh session, so the next RunLinked()
@@ -273,28 +234,15 @@ class AnalysisSession {
 
   WorkQueue* pool();
   void Analyze(const std::string& name, ModuleState* st);
-  // Phase C of Run(): the deterministic corpus merge over the current
-  // module states (shared by Run and the distributed coordinator, which
-  // imports worker results into the states instead of analyzing).
-  SessionResult MergeResult(bool cancelled) const;
-  // RunLinked()'s retraction preamble: reset stats, clear or
-  // component-retract the table for source-dirty modules.
-  void PrepareLinkedRun();
   LinkTableSnapshot SnapshotLinkTable() const;
   // Importers of changed facts between two snapshots — the modules the
   // next round must re-analyze.
   std::set<std::string> DiffLinkTable(const LinkTableSnapshot& before,
                                       const LinkTableSnapshot& after) const;
-  // RunLinked()'s trailer: row/edge counters, non-convergence and
-  // multiply-defined-function findings.
-  void FinishLinkedRun(int max_rounds, SessionResult* result);
 
-  // Store plumbing (session_store.cc). BuildStoreSnapshot serializes the
-  // whole session; ImportStoreRecord restores one module's persisted state
-  // (warm starts and the distributed coordinator share it — the coordinator
-  // imports worker records instead of analyzing).
-  StoreFile BuildStoreSnapshot(bool linked, bool converged) const;
-  bool ImportStoreRecord(const StoreModule& rec, std::string* err);
+  // LoadStore's per-module restore (session_store.cc): adopts one analyzed
+  // record's persisted state and its already-parsed findings.
+  void ImportStoreRecord(const StoreModule& rec, std::vector<Finding> findings);
   // Rebuilds a module's exported summary rows from its last analysis.
   std::vector<FuncSummary> ExtractSummaries(const std::string& name, ModuleState& st) const;
   // Corpus-level stack facts over the current table (condensation of the

@@ -1,6 +1,6 @@
 // AnalysisSession's per-module state — split out of session.cc so the
 // persistent-store half of the session (session_store.cc: SaveStore /
-// LoadStore / distributed relink) can share it. Private to the session
+// LoadStore) can share it. Private to the session
 // implementation; nothing outside src/tool should include this.
 #ifndef SRC_TOOL_SESSION_STATE_H_
 #define SRC_TOOL_SESSION_STATE_H_

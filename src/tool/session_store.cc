@@ -1,25 +1,17 @@
-// The persistent half of AnalysisSession: SaveStore/LoadStore (warm starts
-// across process restarts) and the multi-process distributed relink
-// (RunLinkedDistributed / RunStoreWorker). Split from session.cc so the
-// in-memory pipeline code stays independent of src/store.
+// The persistent half of AnalysisSession: SaveStore/LoadStore, warm starts
+// across process restarts. Split from session.cc so the in-memory pipeline
+// code stays independent of src/store.
 //
-// Soundness of the warm start and of cold worker re-analysis both reduce to
-// the determinism contract: analysis is a pure function of (sources, recipe,
-// imported facts), so restored state is byte-identical to what re-analysis
-// would produce, and a worker that re-analyzes a module cold against the
-// coordinator's round table exports exactly the rows an in-process round
-// would have. Crash recovery rests on the fixpoint being monotone from a
-// retracted base: any store written mid-run holds a table ≤ the least
-// fixpoint, and the fixpoint is source-determined, so reloading an
-// unconverged store with every module dirty converges to identical bytes.
-#include <cstdio>
-#include <future>
+// Soundness of the warm start reduces to the determinism contract: analysis
+// is a pure function of (sources, recipe, imported facts), so restored state
+// is byte-identical to what re-analysis would produce. Crash recovery rests
+// on the fixpoint being monotone from a retracted base: any store written
+// mid-run holds a table ≤ the least fixpoint, and the fixpoint is
+// source-determined, so reloading an unconverged store with every module
+// dirty converges to identical bytes.
 #include <utility>
 
 #include "src/store/store.h"
-#include "src/support/clock.h"
-#include "src/support/subprocess.h"
-#include "src/support/trace.h"
 #include "src/tool/session.h"
 #include "src/tool/session_state.h"
 
@@ -130,11 +122,11 @@ uint64_t AnalysisSession::CorpusDigest() const {
 // Snapshot / restore
 // ---------------------------------------------------------------------------
 
-StoreFile AnalysisSession::BuildStoreSnapshot(bool linked, bool converged) const {
+bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const {
   StoreFile sf;
   sf.corpus_digest = CorpusDigest();
-  sf.linked = linked;
-  sf.converged = converged;
+  sf.linked = linked_ever_;
+  sf.converged = linked_ever_ && link_stats_.converged;
   for (const auto& [name, st] : modules_) {
     StoreModule m;
     m.name = name;
@@ -159,7 +151,7 @@ StoreFile AnalysisSession::BuildStoreSnapshot(bool linked, bool converged) const
       if (st->ok) {
         for (const Finding& f : st->result.findings) {
           // Unstamped, location-raw canonical form — exactly the per-module
-          // cache MergeResult stamps, so a restored module merges
+          // cache Run() stamps, so a restored module merges
           // byte-identically.
           m.findings_canon.push_back(f.ToJson(nullptr).Dump(-1));
         }
@@ -170,20 +162,11 @@ StoreFile AnalysisSession::BuildStoreSnapshot(bool linked, bool converged) const
   for (const auto& [key, row] : link_table_.summaries()) {
     sf.summaries[key] = row.Canonical();
   }
-  return sf;
+  return WriteStoreFile(path, sf, err);
 }
 
-bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err) {
-  if (!rec.analyzed) {
-    SetErr(err, "module '" + rec.name + "' has no analysis state to import");
-    return false;
-  }
-  // Parse everything before touching state, so a malformed record never
-  // leaves a half-imported module behind.
-  std::vector<Finding> findings;
-  if (rec.ok && !ParseFindings(rec, &findings, err)) {
-    return false;
-  }
+void AnalysisSession::ImportStoreRecord(const StoreModule& rec,
+                                        std::vector<Finding> findings) {
   auto& st = modules_[rec.name];
   if (st == nullptr) {
     st = std::make_unique<ModuleState>();
@@ -192,9 +175,6 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
     for (const auto& [fname, text] : rec.files) {
       st->files.push_back(SourceFile{fname, text});
     }
-  } else if (SourcesDigest(FilePairs(st->files)) != rec.source_digest) {
-    SetErr(err, "module '" + rec.name + "': record sources differ from the session's");
-    return false;
   }
 
   const bool keep_names = !rec.has_link_names && st->have_link_names;
@@ -225,9 +205,9 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
   st->import_sig = rec.import_sig;
   st->link_seeds.clear();
   if (!keep_names) {
-    // A compile-failed worker record carries no names; the coordinator
-    // keeps the module's previous edge structure — exactly what the
-    // in-process path does when Analyze never runs.
+    // A compile-failed record carries no names; keep the module's previous
+    // edge structure — exactly what the in-process path does when Analyze
+    // never runs.
     st->have_link_names = rec.has_link_names;
     st->defined_names =
         std::set<std::string>(rec.defined_names.begin(), rec.defined_names.end());
@@ -238,12 +218,6 @@ bool AnalysisSession::ImportStoreRecord(const StoreModule& rec, std::string* err
   st->hints = IncrementalHints{};
   st->result = PipelineResult{};
   st->result.findings = std::move(findings);
-  return true;
-}
-
-bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const {
-  const bool converged = linked_ever_ && link_stats_.converged;
-  return WriteStoreFile(path, BuildStoreSnapshot(linked_ever_, converged), err);
 }
 
 bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
@@ -266,10 +240,9 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     }
     rows.push_back(std::move(s));
   }
+  std::map<std::string, std::vector<Finding>> findings;
   for (const auto& [name, rec] : sf.modules) {
-    (void)name;
-    std::vector<Finding> scratch;
-    if (rec.analyzed && rec.ok && !ParseFindings(rec, &scratch, err)) {
+    if (rec.analyzed && rec.ok && !ParseFindings(rec, &findings[name], err)) {
       return false;
     }
   }
@@ -308,9 +281,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
       }
       continue;
     }
-    if (!ImportStoreRecord(rec, err)) {
-      return false;
-    }
+    ImportStoreRecord(rec, std::move(findings[name]));
   }
 
   link_table_ = AnnoDb();
@@ -328,7 +299,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     // of the canonical rows), so a warm RunLinked sees no diff.
     ComputeLinkStackFacts();
     if (!sf.converged) {
-      // The store was written mid-fixpoint (a crash, a killed worker). The
+      // The store was written mid-fixpoint (a crash, a cancelled run). The
       // table is ≤ the least fixpoint but possibly mixed-round; the one
       // safe warm start is "everything dirty": a monotone re-derivation
       // from the retracted base converges to the same source-determined
@@ -340,319 +311,6 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     }
   }
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Distributed relink
-// ---------------------------------------------------------------------------
-
-SessionResult AnalysisSession::RunLinkedDistributed(const DistributedLinkOptions& opts) {
-  PrepareLinkedRun();
-  const int max_rounds = static_cast<int>(modules_.size()) * 4 + 8;
-  const std::string round_path = opts.store_path + ".round";
-  SessionResult result;
-  std::string err;
-  bool failed = false;
-
-  for (;;) {
-    if (cancel_requested()) {
-      link_stats_.cancelled = true;
-      result.cancelled = true;
-      break;
-    }
-    ++link_stats_.rounds;
-
-    std::vector<std::string> dirty_names;
-    for (auto& [name, st] : modules_) {
-      st->analyzed_now = false;
-      if (st->dirty) {
-        dirty_names.push_back(name);
-      }
-    }
-    // Fleet observability: one span per coordinator round, one
-    // "relink.worker_us" histogram sample per worker (spawn→join for
-    // subprocess workers, call duration for in-process ones) — the skew
-    // between the fastest and slowest worker is the fleet's idle cost.
-    trace::Span round_span("relink.round",
-                           {"round", static_cast<int64_t>(link_stats_.rounds)},
-                           {"dirty", static_cast<int64_t>(dirty_names.size())});
-
-    if (!dirty_names.empty()) {
-      // Publish the round base. Workers read the immutable `.round`
-      // snapshot — never the live store — so every worker in a round
-      // imports the same pre-round table regardless of sibling merge
-      // order; the live store is the merge target they fold deltas into.
-      const StoreFile base = BuildStoreSnapshot(/*linked=*/true, /*converged=*/false);
-      if (!WriteStoreFile(opts.store_path, base, &err) ||
-          !WriteStoreFile(round_path, base, &err)) {
-        failed = true;
-        break;
-      }
-
-      // Deterministic assignment: round-robin over the sorted dirty list.
-      // Byte-identity across worker counts is a tested property, so the
-      // assignment is a performance choice, not a correctness one.
-      const int nworkers =
-          std::min<int>(std::max(1, opts.workers), static_cast<int>(dirty_names.size()));
-      std::vector<std::vector<std::string>> shards(static_cast<size_t>(nworkers));
-      for (size_t i = 0; i < dirty_names.size(); ++i) {
-        shards[i % static_cast<size_t>(nworkers)].push_back(dirty_names[i]);
-      }
-
-      if (opts.run_worker) {
-        std::vector<std::future<std::pair<bool, std::string>>> futures;
-        futures.reserve(shards.size());
-        for (const std::vector<std::string>& shard : shards) {
-          futures.push_back(std::async(std::launch::async, [&opts, shard] {
-            trace::Span wspan("relink.worker",
-                             {"modules", static_cast<int64_t>(shard.size())});
-            const uint64_t t0 = trace::Enabled() ? MonotonicNowNs() : 0;
-            std::string werr;
-            bool ok = opts.run_worker(shard, &werr);
-            if (trace::Enabled()) {
-              trace::GetHistogram("relink.worker_us")
-                  ->Record((MonotonicNowNs() - t0) / 1000);
-            }
-            return std::make_pair(ok, werr);
-          }));
-        }
-        for (auto& f : futures) {
-          auto [ok, werr] = f.get();
-          if (!ok && !failed) {
-            failed = true;
-            err = werr;
-          }
-        }
-      } else {
-        std::vector<Subprocess> procs(shards.size());
-        // Subprocess workers trace in their own address space; their rings
-        // are invisible here. The coordinator emits one relink.worker span
-        // per child covering its observed lifetime (spawn -> join), heap-
-        // held so the RAII scope can straddle the two loops.
-        std::vector<std::unique_ptr<trace::Span>> wspans(shards.size());
-        const uint64_t spawn_t0 = trace::Enabled() ? MonotonicNowNs() : 0;
-        for (size_t s = 0; s < shards.size(); ++s) {
-          std::string mods;
-          for (const std::string& m : shards[s]) {
-            if (!mods.empty()) {
-              mods += ',';
-            }
-            mods += m;
-          }
-          std::vector<std::string> argv = {opts.worker_argv0, "--worker",
-                                           "--store", opts.store_path,
-                                           "--modules", mods};
-          wspans[s] = std::make_unique<trace::Span>(
-              "relink.worker",
-              trace::SpanArg{"modules", static_cast<int64_t>(shards[s].size())});
-          if (!SpawnProcess(argv, &procs[s], &err)) {
-            failed = true;
-            break;
-          }
-        }
-        // Join every spawned worker even after a failure — no zombies, and
-        // the store is quiescent before we decide anything.
-        for (size_t s = 0; s < procs.size(); ++s) {
-          Subprocess& p = procs[s];
-          if (p.pid < 0) {
-            wspans[s].reset();
-            continue;
-          }
-          std::string werr;
-          bool ok = WaitProcess(&p, &werr);
-          wspans[s].reset();
-          if (trace::Enabled()) {
-            trace::GetHistogram("relink.worker_us")
-                ->Record((MonotonicNowNs() - spawn_t0) / 1000);
-          }
-          if (!ok && !failed) {
-            failed = true;
-            err = werr;
-          }
-        }
-      }
-      if (failed) {
-        break;
-      }
-
-      StoreFile merged;
-      if (!ReadStoreFile(opts.store_path, &merged, &err)) {
-        failed = true;
-        break;
-      }
-      LinkTableSnapshot before = SnapshotLinkTable();
-      for (const std::string& name : dirty_names) {
-        auto rec = merged.modules.find(name);
-        if (rec == merged.modules.end() || !rec->second.analyzed) {
-          err = "worker produced no result for module '" + name + "'";
-          failed = true;
-          break;
-        }
-        if (!ImportStoreRecord(rec->second, &err)) {
-          failed = true;
-          break;
-        }
-        modules_[name]->analyzed_now = true;
-        link_table_.RetractModule(name);
-        for (auto it = merged.summaries.lower_bound({name, std::string()});
-             it != merged.summaries.end() && it->first.first == name; ++it) {
-          FuncSummary s;
-          if (!ParseSummaryRow(it->first, it->second, &s, &err)) {
-            failed = true;
-            break;
-          }
-          link_table_.AddSummary(std::move(s));
-        }
-        if (failed) {
-          break;
-        }
-      }
-      if (failed) {
-        break;
-      }
-      link_stats_.module_analyses += static_cast<int>(dirty_names.size());
-      ComputeLinkStackFacts();
-      std::set<std::string> dirty = DiffLinkTable(before, SnapshotLinkTable());
-      result = MergeResult(false);
-      if (dirty.empty()) {
-        link_stats_.converged = true;
-        break;
-      }
-      for (const std::string& m : dirty) {
-        Invalidate(m);
-      }
-      if (link_stats_.rounds >= max_rounds) {
-        break;
-      }
-      continue;
-    }
-
-    // Idle round (warm start, or nothing changed): mirror the in-process
-    // round shape — recompute stack facts, diff, converge on no change.
-    LinkTableSnapshot before = SnapshotLinkTable();
-    ComputeLinkStackFacts();
-    std::set<std::string> dirty = DiffLinkTable(before, SnapshotLinkTable());
-    result = MergeResult(false);
-    if (dirty.empty()) {
-      link_stats_.converged = true;
-      break;
-    }
-    for (const std::string& m : dirty) {
-      Invalidate(m);
-    }
-    if (link_stats_.rounds >= max_rounds) {
-      break;
-    }
-  }
-
-  if (failed) {
-    result = MergeResult(false);
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "distributed relink failed: " + err;
-    result.findings.push_back(std::move(f));
-  }
-  FinishLinkedRun(max_rounds, &result);
-
-  // Persist the outcome (converged or resumable-unconverged) and drop the
-  // round snapshot. A failure to write is reported but does not poison the
-  // in-memory result.
-  std::string werr;
-  if (!result.cancelled && !SaveStore(opts.store_path, &werr)) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "distributed relink: cannot write store: " + werr;
-    result.findings.push_back(std::move(f));
-  }
-  std::remove(round_path.c_str());
-  return result;
-}
-
-bool AnalysisSession::RunStoreWorker(Pipeline pipeline, const std::string& store_path,
-                                     const std::vector<std::string>& modules,
-                                     std::string* err) {
-  StoreFile round;
-  if (!ReadStoreFile(store_path + ".round", &round, err)) {
-    return false;
-  }
-  AnalysisSession session(std::move(pipeline));
-  if (session.CorpusDigest() != round.corpus_digest) {
-    SetErr(err, "round snapshot has a different corpus digest");
-    return false;
-  }
-  // Only the assigned shard is registered; the rest of the corpus is
-  // visible solely through the summary table — which is the whole point of
-  // summary-based linking (a worker's memory footprint is its shard).
-  for (const std::string& name : modules) {
-    auto it = round.modules.find(name);
-    if (it == round.modules.end()) {
-      SetErr(err, "module '" + name + "' is not in the round snapshot");
-      return false;
-    }
-    std::vector<SourceFile> files;
-    for (const auto& [fname, text] : it->second.files) {
-      files.push_back(SourceFile{fname, text});
-    }
-    session.AddModule(name, std::move(files));
-  }
-  for (const auto& [key, canon] : round.summaries) {
-    FuncSummary s;
-    if (!ParseSummaryRow(key, canon, &s, err)) {
-      return false;
-    }
-    session.link_table_.AddSummary(std::move(s));
-  }
-
-  // Plain Run(), not RunLinked: the coordinator owns the fixpoint; a worker
-  // contributes exactly one round's worth of analysis. Cold re-analysis is
-  // exact by the determinism contract.
-  SessionResult r = session.Run();
-  if (r.cancelled) {
-    SetErr(err, "worker run was cancelled");
-    return false;
-  }
-
-  // Build the delta: this shard's records + fresh summary rows.
-  StoreFile snap = session.BuildStoreSnapshot(/*linked=*/false, /*converged=*/false);
-  std::map<std::string, StoreModule> records;
-  std::map<std::pair<std::string, std::string>, std::string> rows;
-  for (const std::string& name : modules) {
-    auto rec = snap.modules.find(name);
-    if (rec == snap.modules.end()) {
-      SetErr(err, "internal: no snapshot record for '" + name + "'");
-      return false;
-    }
-    records.emplace(name, std::move(rec->second));
-    ModuleState* st = session.modules_.find(name)->second.get();
-    for (const FuncSummary& row : session.ExtractSummaries(name, *st)) {
-      rows[{row.module, row.function}] = row.Canonical();
-    }
-  }
-
-  // Merge into the live store under the advisory lock: replace our own
-  // records and our modules' summary rows, leave everything else (sibling
-  // deltas included) untouched, write-temp + rename.
-  StoreLock lock;
-  if (!lock.Acquire(store_path, err)) {
-    return false;
-  }
-  StoreFile cur;
-  if (!ReadStoreFile(store_path, &cur, err)) {
-    return false;
-  }
-  for (auto& [name, rec] : records) {
-    for (auto it = cur.summaries.lower_bound({name, std::string()});
-         it != cur.summaries.end() && it->first.first == name;) {
-      it = cur.summaries.erase(it);
-    }
-    cur.modules[name] = std::move(rec);
-  }
-  for (auto& [key, canon] : rows) {
-    cur.summaries[key] = std::move(canon);
-  }
-  return WriteStoreFile(store_path, cur, err);
 }
 
 }  // namespace ivy

@@ -1,6 +1,6 @@
 // Arena-backed AST invariants: slab layout, per-function id spans, string
-// interning, the linear-slab fingerprint (heap-vs-arena identity, location
-// insensitivity), and parse-error robustness (leak-freedom is by
+// interning, the linear-slab fingerprint (content hashes rather than intern
+// ids, location insensitivity), and parse-error robustness (leak-freedom is by
 // construction — POD nodes in an arena — so the fuzz loop here runs under
 // the sanitizer jobs to prove no error path crashes or double-builds).
 #include <gtest/gtest.h>
@@ -18,14 +18,12 @@
 namespace ivy {
 namespace {
 
-std::unique_ptr<Compilation> CompileMode(const std::string& text, bool heap) {
-  PipelineBuilder b;
-  b.HeapAst(heap);
-  return b.Build().Compile({SourceFile{"t.mc", text}});
+std::unique_ptr<Compilation> Compile(const std::string& text, FrontendCache* cache = nullptr) {
+  return PipelineBuilder().Build().Compile({SourceFile{"t.mc", text}}, cache);
 }
 
-std::unique_ptr<Compilation> CompileOk(const std::string& text, bool heap = false) {
-  auto comp = CompileMode(text, heap);
+std::unique_ptr<Compilation> CompileOk(const std::string& text, FrontendCache* cache = nullptr) {
+  auto comp = Compile(text, cache);
   EXPECT_TRUE(comp->ok) << comp->Errors();
   return comp;
 }
@@ -152,30 +150,50 @@ TEST(AstArena, InterningDeduplicates) {
   EXPECT_GT(idents, static_cast<int>(id_of.size()));  // dedup actually fired
 }
 
-// The same source compiled in arena and per-node-heap mode yields identical
-// fingerprints (full, signature, preamble) and identical referenced-name
-// sets — the arena must be invisible to the incremental dirty-bit layer.
-TEST(AstArena, FingerprintsIdenticalAcrossAllocModes) {
+// Fingerprints mix string content hashes, never intern ids. Seeding the
+// interner with an unrelated module's strings shifts every id the source's
+// own spellings get, yet the fingerprints (full, signature, preamble) and
+// referenced-name sets must match an unseeded compile exactly.
+TEST(AstArena, FingerprintsIgnoreInternIds) {
   SynthCorpusOptions opt;
   opt.functions = 40;
   opt.seed = 99;
   const std::string text = GenerateSynthCorpus(opt);
-  auto arena = CompileOk(text, /*heap=*/false);
-  auto heap = CompileOk(text, /*heap=*/true);
-  EXPECT_EQ(FingerprintPreamble(arena->prog), FingerprintPreamble(heap->prog));
-  ASSERT_EQ(arena->prog.funcs.size(), heap->prog.funcs.size());
-  for (size_t i = 0; i < arena->prog.funcs.size(); ++i) {
-    const FuncDecl* fa = arena->prog.funcs[i];
-    const FuncDecl* fh = heap->prog.funcs[i];
-    ASSERT_EQ(fa->name, fh->name);
-    if (fa->body == nullptr) {
+  SynthCorpusOptions other_opt;
+  other_opt.functions = 25;
+  other_opt.seed = 5;
+  auto other = CompileOk("int zz_unrelated(int q) { return q; }\n" +
+                         GenerateSynthCorpus(other_opt));
+  FrontendCache cache;
+  cache.prelude_interns = other->prog.interner().Snapshot();
+
+  auto plain = CompileOk(text);
+  auto seeded = CompileOk(text, &cache);
+  ASSERT_EQ(cache.intern_seeds, 1);
+  EXPECT_EQ(FingerprintPreamble(plain->prog), FingerprintPreamble(seeded->prog));
+  // Seeding allocates no nodes, so expression ids line up one to one.
+  ASSERT_EQ(plain->prog.expr_count(), seeded->prog.expr_count());
+  int shifted_ids = 0;
+  for (uint32_t i = 0; i < plain->prog.expr_count(); ++i) {
+    const Expr* ep = plain->prog.ExprAt(ExprId{i});
+    const Expr* es = seeded->prog.ExprAt(ExprId{i});
+    ASSERT_EQ(ep->str_val, es->str_val);
+    shifted_ids += ep->str_id != es->str_id;
+  }
+  EXPECT_GT(shifted_ids, 0) << "seeding did not change any intern id";
+  ASSERT_EQ(plain->prog.funcs.size(), seeded->prog.funcs.size());
+  for (size_t i = 0; i < plain->prog.funcs.size(); ++i) {
+    const FuncDecl* fp = plain->prog.funcs[i];
+    const FuncDecl* fs = seeded->prog.funcs[i];
+    ASSERT_EQ(fp->name, fs->name);
+    if (fp->body == nullptr) {
       continue;
     }
-    FunctionFingerprint a = FingerprintFunctionFull(arena->prog, fa);
-    FunctionFingerprint h = FingerprintFunctionFull(heap->prog, fh);
-    EXPECT_EQ(a.full, h.full) << fa->name;
-    EXPECT_EQ(a.sig, h.sig) << fa->name;
-    EXPECT_EQ(a.refs, h.refs) << fa->name;
+    FunctionFingerprint a = FingerprintFunctionFull(plain->prog, fp);
+    FunctionFingerprint b = FingerprintFunctionFull(seeded->prog, fs);
+    EXPECT_EQ(a.full, b.full) << fp->name;
+    EXPECT_EQ(a.sig, b.sig) << fp->name;
+    EXPECT_EQ(a.refs, b.refs) << fp->name;
   }
 }
 
@@ -303,8 +321,8 @@ TEST(AstArena, ParseErrorFuzzIsCrashFreeAndDeterministic) {
         text[next() % text.size()] = kJunk[next() % (sizeof(kJunk) - 1)];
       }
     }
-    auto one = CompileMode(text, /*heap=*/false);
-    auto two = CompileMode(text, /*heap=*/false);
+    auto one = Compile(text);
+    auto two = Compile(text);
     EXPECT_EQ(one->Errors(), two->Errors()) << "diagnostics not deterministic";
   }
 }

@@ -1,5 +1,5 @@
 // The persistent analysis store (src/store/store.h) and the session
-// plumbing over it (SaveStore/LoadStore, RunLinkedDistributed):
+// plumbing over it (SaveStore/LoadStore):
 //
 //   1. Format totality, wire_test-style: encode/decode round trips, every
 //      strict prefix rejected, bad magic/version/flag bytes rejected, and
@@ -9,9 +9,6 @@
 //      findings; a warm session + edit equals a cold session + same edit.
 //   3. Crash recovery: an unconverged store loads with every module dirty
 //      and re-derives the identical fixpoint.
-//   4. Distributed relink (in-process run_worker hook): byte-identical to
-//      single-process RunLinked across worker counts; a failed worker
-//      leaves the run resumable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,22 +52,17 @@ std::vector<ModuleSources> SmallCorpus() {
   return GenerateLinkedCorpus(opt);
 }
 
-// A store path in the test temp dir, with its sidecar files scrubbed.
+// A store path in the test temp dir, removed before and after the test.
 class StorePath {
  public:
   explicit StorePath(const std::string& name)
       : path_(::testing::TempDir() + "ivy_store_test_" + name + ".store") {
-    Scrub();
+    std::remove(path_.c_str());
   }
-  ~StorePath() { Scrub(); }
+  ~StorePath() { std::remove(path_.c_str()); }
   const std::string& get() const { return path_; }
 
  private:
-  void Scrub() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".lock").c_str());
-    std::remove((path_ + ".round").c_str());
-  }
   std::string path_;
 };
 
@@ -221,6 +213,10 @@ TEST(StoreFormat, FileRoundTripAndMissingFile) {
   EXPECT_EQ(EncodeStore(back), EncodeStore(sf));
   StoreFile missing;
   EXPECT_FALSE(ReadStoreFile(path.get() + ".nope", &missing, &err));
+  // A write into a missing directory fails with an error, not a crash.
+  err.clear();
+  EXPECT_FALSE(WriteStoreFile(path.get() + ".nope/x.store", sf, &err));
+  EXPECT_FALSE(err.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -358,85 +354,6 @@ TEST(StoreSession, UnconvergedStoreRecoversIdentically) {
   ASSERT_TRUE(warm.link_stats().converged);
   EXPECT_GT(warm.link_stats().module_analyses, 0) << "recovery must re-derive";
   EXPECT_EQ(Dump(recovered.findings), Dump(cold_result.findings));
-}
-
-// ---------------------------------------------------------------------------
-// Distributed relink (in-process workers via the run_worker hook)
-// ---------------------------------------------------------------------------
-
-DistributedLinkOptions InProcessOptions(const std::string& store, int workers) {
-  DistributedLinkOptions opts;
-  opts.store_path = store;
-  opts.workers = workers;
-  opts.run_worker = [store](const std::vector<std::string>& modules, std::string* err) {
-    return AnalysisSession::RunStoreWorker(LinkedPipeline().Build(), store, modules, err);
-  };
-  return opts;
-}
-
-TEST(StoreDistributed, MatchesSingleProcessAcrossWorkerCounts) {
-  std::vector<ModuleSources> corpus = SmallCorpus();
-  AnalysisSession single = LinkedPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult golden = single.RunLinked();
-  ASSERT_TRUE(single.link_stats().converged);
-
-  for (int workers : {1, 2, 3}) {
-    StorePath path("dist_w" + std::to_string(workers));
-    AnalysisSession dist = LinkedPipeline().ForEachModule(corpus).BuildSession();
-    SessionResult result = dist.RunLinkedDistributed(InProcessOptions(path.get(), workers));
-    ASSERT_TRUE(dist.link_stats().converged) << "workers=" << workers;
-    EXPECT_EQ(Dump(result.findings), Dump(golden.findings)) << "workers=" << workers;
-    EXPECT_EQ(dist.link_stats().rounds, single.link_stats().rounds);
-    EXPECT_EQ(dist.link_stats().module_analyses, single.link_stats().module_analyses);
-    EXPECT_EQ(dist.link_stats().summary_rows, single.link_stats().summary_rows);
-    // The saved store is itself a valid warm start.
-    AnalysisSession warm = LinkedPipeline().ForEachModule(corpus).BuildSession();
-    std::string err;
-    ASSERT_TRUE(warm.LoadStore(path.get(), &err)) << err;
-    SessionResult rewarm = warm.RunLinked();
-    EXPECT_EQ(warm.link_stats().module_analyses, 0);
-    EXPECT_EQ(Dump(rewarm.findings), Dump(golden.findings));
-  }
-}
-
-TEST(StoreDistributed, WorkerFailureLeavesRunResumable) {
-  StorePath path("dist_fail");
-  std::vector<ModuleSources> corpus = SmallCorpus();
-  AnalysisSession single = LinkedPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult golden = single.RunLinked();
-
-  AnalysisSession dist = LinkedPipeline().ForEachModule(corpus).BuildSession();
-  DistributedLinkOptions failing = InProcessOptions(path.get(), 3);
-  failing.run_worker = [&path](const std::vector<std::string>& modules, std::string* err) {
-    for (const std::string& m : modules) {
-      if (m == "mod_01") {
-        *err = "worker died (test hook)";
-        return false;  // deterministic mid-round death, shard unreported
-      }
-    }
-    return AnalysisSession::RunStoreWorker(LinkedPipeline().Build(), path.get(), modules, err);
-  };
-  SessionResult failed = dist.RunLinkedDistributed(failing);
-  EXPECT_FALSE(dist.link_stats().converged);
-  bool reported = false;
-  for (const Finding& f : failed.findings) {
-    reported = reported || f.message.find("distributed relink failed") != std::string::npos;
-  }
-  EXPECT_TRUE(reported) << "a worker failure must surface as a finding";
-
-  // Same session retries: dirty modules stayed dirty, the store stayed
-  // consistent — the rerun converges to the canonical bytes.
-  SessionResult retried = dist.RunLinkedDistributed(InProcessOptions(path.get(), 2));
-  ASSERT_TRUE(dist.link_stats().converged);
-  EXPECT_EQ(Dump(retried.findings), Dump(golden.findings));
-
-  // And so does a cold process pointed at the store the failure left behind.
-  AnalysisSession fresh = LinkedPipeline().ForEachModule(corpus).BuildSession();
-  std::string err;
-  ASSERT_TRUE(fresh.LoadStore(path.get(), &err)) << err;
-  SessionResult resumed = fresh.RunLinked();
-  ASSERT_TRUE(fresh.link_stats().converged);
-  EXPECT_EQ(Dump(resumed.findings), Dump(golden.findings));
 }
 
 }  // namespace

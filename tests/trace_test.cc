@@ -369,5 +369,39 @@ TEST(TraceDeterminism, TracedRunActuallyRecordsSessionSpans) {
             0u);
 }
 
+// The cost contract on the compile path: with tracing off, compiling and
+// fingerprinting record nothing — the histograms' counts do not move. The
+// same work traced does record, so the silence comes from the gate.
+TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
+  TraceGuard guard;
+  const char* const kNames[] = {"frontend.parse_us", "frontend.sema_us",
+                                "frontend.fingerprint_us"};
+  auto counts = [&kNames] {
+    std::vector<uint64_t> out;
+    for (const char* name : kNames) {
+      out.push_back(trace::GetHistogram(name)->Count());
+    }
+    return out;
+  };
+  trace::SetEnabled(false);
+  const std::vector<uint64_t> before = counts();
+  auto comp = SynthServePipeline().Build().Compile(
+      {SourceFile{"t.mc", "int f(int n) { return n + 1; }\n"}});
+  ASSERT_TRUE(comp->ok) << comp->Errors();
+  CanonicalRun(PropertyCorpus(5));  // session compiles + fingerprints
+  const std::vector<uint64_t> untraced = counts();
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(untraced[i], before[i]) << kNames[i];
+  }
+
+  trace::SetEnabled(true);
+  CanonicalRun(PropertyCorpus(5));
+  trace::SetEnabled(false);
+  const std::vector<uint64_t> traced = counts();
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_GT(traced[i], untraced[i]) << kNames[i];
+  }
+}
+
 }  // namespace
 }  // namespace ivy

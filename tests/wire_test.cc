@@ -384,5 +384,54 @@ TEST(WireFrameIO, CleanEofAndFrameRoundTripOverSocket) {
   EXPECT_EQ(ReadFrame(server, &got, &err), 0);  // clean EOF between frames
 }
 
+// A header's length is a claim, not an allocation: a peer that announces
+// the maximum payload, sends 16 bytes and hangs up must not make the reader
+// reserve anywhere near the claimed 64 MiB.
+TEST(WireFrameIO, OversizedClaimIsNotPreallocated) {
+  ListenSocket listener;
+  std::string err;
+  ASSERT_TRUE(listener.Listen("127.0.0.1:0", &err)) << err;
+  Socket client = ConnectTo(listener.bound_address(), &err);
+  ASSERT_TRUE(client.valid()) << err;
+  Socket server = listener.Accept(&err);
+  ASSERT_TRUE(server.valid()) << err;
+
+  std::string frame = EncodeFrame(MsgType::kSync, std::string(16, 'x'));
+  for (int i = 0; i < 4; ++i) {
+    frame[4 + i] = static_cast<char>((kMaxFramePayload >> (8 * i)) & 0xFF);
+  }
+  ASSERT_TRUE(client.WriteFull(frame.data(), frame.size(), &err)) << err;
+  client.Close();
+
+  Frame got;
+  EXPECT_EQ(ReadFrame(server, &got, &err), -1);
+  EXPECT_LT(got.payload.capacity(), size_t{1} << 20);
+}
+
+// An honest frame larger than the first read step arrives intact through
+// the growing buffer.
+TEST(WireFrameIO, LargeFrameRoundTrip) {
+  ListenSocket listener;
+  std::string err;
+  ASSERT_TRUE(listener.Listen("127.0.0.1:0", &err)) << err;
+  Socket client = ConnectTo(listener.bound_address(), &err);
+  ASSERT_TRUE(client.valid()) << err;
+  Socket server = listener.Accept(&err);
+  ASSERT_TRUE(server.valid()) << err;
+
+  std::string payload(3 * 1024 * 1024 + 17, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 131 + 7);
+  }
+  std::thread writer([&client, &payload] {
+    WriteFrame(client, MsgType::kSync, payload, nullptr);
+  });
+  Frame got;
+  EXPECT_EQ(ReadFrame(server, &got, &err), 1) << err;
+  writer.join();
+  EXPECT_EQ(got.type, MsgType::kSync);
+  EXPECT_TRUE(got.payload == payload);
+}
+
 }  // namespace
 }  // namespace ivy

@@ -1,32 +1,18 @@
-// annolink: the multi-process distributed relink coordinator (and, with
-// --worker, the worker half it spawns). Shards each round's dirty modules
-// across N worker processes that exchange summary deltas through the shared
-// store file (src/store/store.h) — the paper's cluster-scale analysis made
-// concrete as processes around one advisory-locked file.
+// annolink: batch cross-module analysis of a synthetic linked corpus with a
+// persistent store. Runs the link fixpoint (AnalysisSession::RunLinked) in
+// this process, saves the converged facts to the store, and prints them.
 //
-//   annolink --synth 6:48 --store /tmp/corpus.store              # 3 workers
-//   annolink --synth 6:48 --store /tmp/corpus.store --workers 5
-//   annolink --synth 6:48 --store /tmp/corpus.store --single     # reference
+//   annolink --synth 6:48 --store /tmp/corpus.store
+//   annolink --synth 6:48 --store /tmp/corpus.store --metrics --trace-out t.json
 //
-// Byte-identity contract: stdout (canonical summary rows, then stamped
-// findings) is identical across --single and any --workers count — CI diffs
-// them. A rerun over an existing store warm-starts (stderr reports
-// module_analyses=0 when nothing changed); a rerun over a store torn by a
-// killed worker re-derives the same bytes from the unconverged table.
-//
-// Worker mode (spawned by the coordinator, not for direct use):
-//   annolink --worker --store <path> --modules a,b,c
-//
-// --test-worker-fail <module> (CI only): the worker assigned that module
-// exits 1 before analyzing — a deterministic mid-round death. The flag
-// travels to workers via the ANNOLINK_TEST_FAIL_MODULE environment variable.
+// stdout is the byte-identity surface: canonical summary rows, then stamped
+// findings. A rerun over an existing store warm-starts (stderr reports
+// module_analyses=0 when nothing changed) and prints the same bytes; a store
+// left unconverged by an interrupted run re-derives them from scratch.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "src/store/store.h"
-#include "src/support/numbers.h"
 #include "src/support/trace.h"
 #include "src/tool/session.h"
 #include "tools/synth_common.h"
@@ -36,55 +22,11 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: annolink --synth M:N[:seed] --store <path>\n"
-               "                [--workers <n>] [--single] [--test-worker-fail <module>]\n"
-               "                [--trace-out <file>] [--metrics] [--heap-ast]\n"
-               "       annolink --worker --store <path> --modules a,b,c\n");
+               "                [--trace-out <file>] [--metrics]\n");
 }
 
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < s.size()) {
-        out.push_back(s.substr(start));
-      }
-      break;
-    }
-    if (comma > start) {
-      out.push_back(s.substr(start, comma - start));
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
-int RunWorker(const std::string& store, const std::string& modules_csv) {
-  std::vector<std::string> modules = SplitCommas(modules_csv);
-  if (store.empty() || modules.empty()) {
-    Usage();
-    return 1;
-  }
-  if (const char* fail = std::getenv("ANNOLINK_TEST_FAIL_MODULE")) {
-    for (const std::string& m : modules) {
-      if (m == fail) {
-        std::fprintf(stderr, "annolink[worker]: failing on '%s' (test hook)\n", fail);
-        return 1;
-      }
-    }
-  }
-  std::string err;
-  if (!ivy::AnalysisSession::RunStoreWorker(ivy::SynthServePipeline().Build(), store,
-                                            modules, &err)) {
-    std::fprintf(stderr, "annolink[worker]: %s\n", err.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-// One line per converged artifact, canonical forms — identical bytes across
-// --single and every worker count, which is what CI diffs.
+// One line per converged artifact, canonical forms — identical bytes on a
+// cold run and a warm restart, which is what CI diffs.
 void PrintResult(const ivy::AnalysisSession& session, const ivy::SessionResult& result) {
   for (const auto& [key, row] : session.link_table().summaries()) {
     std::printf("%s\n", row.Canonical().c_str());
@@ -101,14 +43,8 @@ void PrintResult(const ivy::AnalysisSession& session, const ivy::SessionResult& 
 int main(int argc, char** argv) {
   std::string synth_spec;
   std::string store;
-  std::string modules_csv;
-  std::string fail_module;
   std::string trace_out;
-  int workers = 3;
-  bool single = false;
-  bool worker_mode = false;
   bool metrics = false;
-  bool heap_ast = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -127,38 +63,12 @@ int main(int argc, char** argv) {
       const char* v = next("--store");
       if (v == nullptr) return 1;
       store = v;
-    } else if (arg == "--modules") {
-      const char* v = next("--modules");
-      if (v == nullptr) return 1;
-      modules_csv = v;
-    } else if (arg == "--workers") {
-      const char* v = next("--workers");
-      if (v == nullptr) return 1;
-      int64_t n = 0;
-      if (!ivy::ParseInt64Strict(v, 1, 256, &n)) {
-        std::fprintf(stderr, "annolink: --workers wants an integer in [1, 256], got '%s'\n", v);
-        Usage();
-        return 1;
-      }
-      workers = static_cast<int>(n);
-    } else if (arg == "--single") {
-      single = true;
-    } else if (arg == "--worker") {
-      worker_mode = true;
-    } else if (arg == "--test-worker-fail") {
-      const char* v = next("--test-worker-fail");
-      if (v == nullptr) return 1;
-      fail_module = v;
     } else if (arg == "--trace-out") {
       const char* v = next("--trace-out");
       if (v == nullptr) return 1;
       trace_out = v;
     } else if (arg == "--metrics") {
       metrics = true;
-    } else if (arg == "--heap-ast") {
-      // A/B baseline: per-node heap AST. Output must be byte-identical to
-      // the default arena mode — CI diffs the two.
-      heap_ast = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -169,16 +79,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (worker_mode) {
-    return RunWorker(store, modules_csv);
-  }
   if (synth_spec.empty() || store.empty()) {
     Usage();
     return 1;
   }
   // Observability never touches stdout here: stdout is the byte-identity
-  // surface CI diffs across worker counts. Traces go to a file, metrics to
-  // stderr.
+  // surface CI diffs. Traces go to a file, metrics to stderr.
   if (!trace_out.empty() || metrics) {
     ivy::trace::SetEnabled(true);
   }
@@ -189,12 +95,8 @@ int main(int argc, char** argv) {
                  synth_spec.c_str());
     return 1;
   }
-  if (!fail_module.empty()) {
-    ::setenv("ANNOLINK_TEST_FAIL_MODULE", fail_module.c_str(), 1);
-  }
 
   ivy::AnalysisSession session = ivy::SynthServePipeline()
-                                     .HeapAst(heap_ast)
                                      .ForEachModule(ivy::GenerateLinkedCorpus(opt))
                                      .BuildSession();
   // Warm start: adopt the previous run's facts when the store matches this
@@ -209,20 +111,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  ivy::SessionResult result;
-  if (single) {
-    result = session.RunLinked();
-    std::string serr;
-    if (!session.SaveStore(store, &serr)) {
-      std::fprintf(stderr, "annolink: cannot write store: %s\n", serr.c_str());
-      return 1;
-    }
-  } else {
-    ivy::DistributedLinkOptions dopts;
-    dopts.store_path = store;
-    dopts.workers = workers;
-    dopts.worker_argv0 = argv[0];
-    result = session.RunLinkedDistributed(dopts);
+  ivy::SessionResult result = session.RunLinked();
+  std::string serr;
+  if (!session.SaveStore(store, &serr)) {
+    std::fprintf(stderr, "annolink: cannot write store: %s\n", serr.c_str());
+    return 1;
   }
 
   const ivy::LinkStats& ls = session.link_stats();
