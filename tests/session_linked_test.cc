@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -30,6 +31,7 @@
 #include "src/tool/pipeline.h"
 #include "src/tool/session.h"
 #include "tests/synth_corpus.h"
+#include "tools/synth_common.h"
 
 namespace ivy {
 namespace {
@@ -78,6 +80,116 @@ std::vector<std::string> LinkedCanon(AnalysisSession& session, const SessionResu
   }
   std::sort(all.begin(), all.end());
   return all;
+}
+
+// FNV-1a 64 over a byte string: the digest the pinned-bytes test compares.
+uint64_t Fnv1a64Of(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The exact bytes a linked run produces — findings as stamped JSON, summary
+// rows in canonical form — pinned by digest. Any change to what RunLinked()
+// reports, or to how it attributes findings to modules, moves a digest.
+TEST(SessionLinked, GoldenBytesPinned) {
+  struct Case {
+    int modules;
+    int functions;
+    uint64_t seed;
+    uint64_t findings;
+    uint64_t summaries;
+  };
+  const Case cases[] = {
+      {3, 24, 21, 0x193e1152da332855ull, 0x22d81c694c3e547cull},
+      {4, 32, 3, 0x5df93fcf9c1c62f5ull, 0x85dec2ee6c7aab60ull},
+  };
+  for (const Case& c : cases) {
+    LinkedCorpusOptions opt;
+    opt.modules = c.modules;
+    opt.functions = c.functions;
+    opt.seed = c.seed;
+    AnalysisSession session =
+        SynthServePipeline().ForEachModule(GenerateLinkedCorpus(opt)).BuildSession();
+    SessionResult result = session.RunLinked();
+    std::string findings;
+    for (const Finding& f : result.findings) {
+      findings += f.ToJson().Dump();
+      findings += '\n';
+    }
+    std::string summaries;
+    for (const auto& [key, row] : session.link_table().summaries()) {
+      summaries += row.Canonical();
+      summaries += '\n';
+    }
+    EXPECT_EQ(Fnv1a64Of(findings), c.findings) << c.modules << "x" << c.functions;
+    EXPECT_EQ(Fnv1a64Of(summaries), c.summaries) << c.modules << "x" << c.functions;
+  }
+}
+
+// A module that does not compile drops out of the link; the rest of the
+// corpus is analyzed exactly as if the module had never been added.
+TEST(SessionLinked, CompileFailureDropsOnlyThatModule) {
+  LinkedCorpusOptions opt;
+  opt.modules = 3;
+  opt.functions = 24;
+  opt.seed = 21;
+  std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
+  std::vector<ModuleSources> broken = corpus;
+  broken[1].files[0].text += "void broken_fn(int n {\n";
+
+  AnalysisSession session = LinkedPipeline().ForEachModule(broken).BuildSession();
+  SessionResult result = session.RunLinked();
+  EXPECT_EQ(result.compile_failures, 1);
+  std::vector<Finding> rest;
+  int failures = 0;
+  for (const Finding& f : result.findings) {
+    if (f.tool == "session") {
+      EXPECT_EQ(f.message, "module 'mod_01' failed to compile");
+      ++failures;
+    } else {
+      rest.push_back(f);
+    }
+  }
+  EXPECT_EQ(failures, 1);
+
+  std::vector<ModuleSources> without = {corpus[0], corpus[2]};
+  AnalysisSession reference = LinkedPipeline().ForEachModule(without).BuildSession();
+  EXPECT_EQ(Dump(rest), Dump(reference.RunLinked().findings));
+}
+
+// Two modules defining one function: the link reports the conflict once and
+// the outcome does not depend on the order the modules were added in.
+TEST(SessionLinked, DuplicateDefinitionReportedOnceInAnyOrder) {
+  const std::vector<ModuleSources> corpus = {
+      {"dup_a",
+       {SourceFile{"dup_a.mc",
+                   "int a_x;\nvoid shared_fn(int n) {\n  a_x = n;\n  msleep(n);\n}\n"}}},
+      {"dup_b",
+       {SourceFile{"dup_b.mc",
+                   "int b_x;\nvoid shared_fn(int n) {\n  b_x = n + 1;\n}\n"
+                   "void b_use(int n) {\n  shared_fn(n);\n}\n"}}},
+  };
+  AnalysisSession forward = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  SessionResult result = forward.RunLinked();
+  int conflicts = 0;
+  for (const Finding& f : result.findings) {
+    if (f.tool == "session") {
+      EXPECT_EQ(f.message,
+                "function 'shared_fn' is defined in multiple modules; linking used the first "
+                "definer's facts");
+      EXPECT_EQ(f.witness, std::vector<std::string>{"shared_fn"});
+      ++conflicts;
+    }
+  }
+  EXPECT_EQ(conflicts, 1);
+
+  std::vector<ModuleSources> reversed(corpus.rbegin(), corpus.rend());
+  AnalysisSession backward = LinkedPipeline().ForEachModule(reversed).BuildSession();
+  EXPECT_EQ(Dump(backward.RunLinked().findings), Dump(result.findings));
 }
 
 TEST(SessionLinked, LinkedMatchesMergedSource) {
