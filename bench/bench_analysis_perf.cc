@@ -451,7 +451,7 @@ void BM_SessionIncrementalEdit(benchmark::State& state) {
 BENCHMARK(BM_SessionIncrementalEdit);
 
 // Linked-corpus workload: cross-module calls through extern declarations,
-// analyzed by the RunLinked summary fixpoint vs one merged-source program.
+// analyzed by RunLinked vs compiled and analyzed as one merged-source program.
 std::vector<ivy::ModuleSources> LinkedBenchCorpus() {
   ivy::LinkedCorpusOptions opt;
   opt.modules = 6;
@@ -460,11 +460,8 @@ std::vector<ivy::ModuleSources> LinkedBenchCorpus() {
   return ivy::GenerateLinkedCorpus(opt);
 }
 
-// StackCheck's budget-overrun finding is one record *per report*: a linked
-// corpus produces one report per module, a merged program exactly one, so
-// with a reachable budget the shapes cannot match (the depths still do —
-// see tests/session_linked_test.cc). The identity-checked linked workload
-// runs with an unreachable budget, like the property test.
+// The four-pass recipe of the linked workloads, StackCheck's budget opened
+// wide like the property test's.
 ivy::PipelineBuilder LinkedSessionPipeline() {
   ivy::PipelineBuilder b;
   ivy::ToolOptions sc;
@@ -723,8 +720,7 @@ ivy::Json ServerBenchJson() {
 // Persistent-store warm start: a cold RunLinked() + SaveStore, then a fresh
 // session (the restart shape: same corpus re-registered) LoadStore +
 // RunLinked. The warm restart is FATAL-checked byte-identical to the cold
-// fixpoint with zero module analyses — it must cost about one incremental
-// relink, not a cold corpus run.
+// run with zero module analyses.
 ivy::Json StoreBenchJson(const std::string& out_path) {
   const std::string spath = out_path + ".store.tmp";
   std::remove(spath.c_str());
@@ -1233,11 +1229,13 @@ void WriteBenchPipelineJson() {
   counters["identical_to_cold"] = ivy::Json::MakeBool(true);
   j["incremental"] = std::move(counters);
 
-  // Linked-corpus fixpoint: rounds to converge, linked vs merged-source
-  // wall time, and the incremental relink after one edit. The canonical
-  // finding sets (rendered locations, module stamps stripped, sorted) must
-  // match between the linked fixpoint and the merged program — a faster but
-  // diverging link stage must never post a winning time.
+  // Linked corpus: linked vs merged-source wall time, and the relink after
+  // one edit. The canonical finding sets (rendered locations, module stamps
+  // stripped, sorted) must match between the link stage and the merged
+  // program — a faster but diverging link stage must never post a winning
+  // time. The link is one corpus run: one round that analyzes every module.
+  // The time ratios are printed, not gated: timing gates flake on shared
+  // machines.
   std::vector<ivy::ModuleSources> linked_corpus = LinkedBenchCorpus();
   ivy::PipelineBuilder linked_b = LinkedSessionPipeline();
   linked_b.ForEachModule(linked_corpus);
@@ -1254,6 +1252,13 @@ void WriteBenchPipelineJson() {
       3);
   linked_result = linked_session.RunLinked();
   int linked_rounds = linked_session.link_stats().rounds;
+  if (linked_rounds != 1 ||
+      linked_session.link_stats().module_analyses != static_cast<int>(linked_corpus.size())) {
+    std::fprintf(stderr, "FATAL: cold link took %d rounds and %d module analyses (want 1, %zu)\n",
+                 linked_rounds, linked_session.link_stats().module_analyses,
+                 linked_corpus.size());
+    std::abort();
+  }
 
   ivy::Pipeline merged_p = LinkedSessionPipeline().Build();
   std::vector<ivy::SourceFile> merged_files = ivy::MergedLinkedSources(linked_corpus);
@@ -1282,11 +1287,11 @@ void WriteBenchPipelineJson() {
   std::sort(linked_canon.begin(), linked_canon.end());
   std::sort(merged_canon.begin(), merged_canon.end());
   if (linked_canon != merged_canon) {
-    std::fprintf(stderr, "FATAL: linked fixpoint findings diverge from merged source\n");
+    std::fprintf(stderr, "FATAL: linked findings diverge from merged source\n");
     std::abort();
   }
 
-  // Incremental relink: one edit inside the linked component.
+  // Relink after one edit.
   const std::string linked_fn = ivy::SynthFuncName(ivy::LinkedModulePrefix(1), 5);
   bool relink_flip = false;
   double relink_ms = MedianMs(
@@ -1340,9 +1345,9 @@ void WriteBenchPipelineJson() {
   std::fprintf(stderr,
                "BENCH_pipeline.json: sequential=%.1fms batched=%.1fms cold_rerun=%.1fms "
                "incremental_rerun=%.1fms linked=%.1fms (%d rounds) merged=%.1fms "
-               "relink=%.1fms -> %s\n",
+               "relink=%.1fms linked/merged=%.2f relink/merged=%.2f -> %s\n",
                sequential_ms, batched_ms, cold_ms, incremental_ms, linked_ms, linked_rounds,
-               merged_ms, relink_ms, path.c_str());
+               merged_ms, relink_ms, linked_ms / merged_ms, relink_ms / merged_ms, path.c_str());
 }
 
 }  // namespace

@@ -6,11 +6,6 @@ namespace ivy {
 
 namespace {
 const char kGlobalsOrigin[] = "<globals>";
-// Origin stamped on imported cross-module facts: never a function name, so
-// fingerprint-derived dirty sets cannot taint it — link facts survive warm
-// re-solves for as long as the session's import set is unchanged (an import
-// change cold-solves the module instead).
-const char kLinkOrigin[] = "<link>";
 }  // namespace
 
 PointsTo::PointsTo(const Program* prog, const Sema* sema, bool field_sensitive)
@@ -22,8 +17,6 @@ void PointsTo::EnableIncremental(const PointsToSnapshot* prev,
   prev_ = prev;
   dirty_ = dirty_origins;
 }
-
-void PointsTo::SetLinkSeeds(const PointsToLinkSeeds* seeds) { link_seeds_ = seeds; }
 
 int PointsTo::NewNode() {
   node_funcs_.emplace_back();
@@ -377,38 +370,6 @@ void PointsTo::Solve() {
     }
   }
 
-  // Cross-module link seeds: facts another module proved about parameter and
-  // return cells of functions this module shares with it. Applied before the
-  // fixpoint so they propagate like any locally-generated fact.
-  if (link_seeds_ != nullptr) {
-    if (track_) {
-      gen_origins_ = {OriginId(kLinkOrigin)};
-    }
-    for (const auto& [cell, names] : *link_seeds_) {
-      auto fit = sema_->func_map().find(cell.first);
-      if (fit == sema_->func_map().end() || fit->second == nullptr) {
-        continue;
-      }
-      const FuncDecl* fn = fit->second;
-      int node = -1;
-      if (cell.second < 0) {
-        node = RetNode(fn);
-      } else if (static_cast<size_t>(cell.second) < fn->params.size()) {
-        node = VarNode(fn->params[static_cast<size_t>(cell.second)], fn);
-      }
-      if (node < 0) {
-        continue;
-      }
-      for (const std::string& name : names) {
-        auto tit = sema_->func_map().find(name);
-        if (tit != sema_->func_map().end()) {
-          AddFunc(node, tit->second);
-        }
-      }
-    }
-    gen_origins_.clear();
-  }
-
   // Warm start: adopt the previous solution outside the dirty region. Every
   // seeded fact is re-derivable from clean constraints, so the fixpoint
   // below converges to exactly the cold least fixpoint — it just skips
@@ -525,30 +486,65 @@ const std::vector<const FuncDecl*>& PointsTo::HandlerTargets(const Expr* handler
   return TargetsOf(handler_expr);
 }
 
-std::vector<std::string> PointsTo::FuncNamesInCell(const FuncDecl* fn, int slot) const {
+std::vector<std::string> PointsTo::ReturnFuncNames(const FuncDecl* fn) const {
   std::vector<std::string> out;
-  if (fn == nullptr) {
-    return out;
-  }
-  int node = -1;
-  if (slot < 0) {
-    auto it = ret_nodes_.find(fn);
-    node = it == ret_nodes_.end() ? -1 : it->second;
-  } else if (static_cast<size_t>(slot) < fn->params.size()) {
-    auto it = var_nodes_.find(fn->params[static_cast<size_t>(slot)]);
-    node = it == var_nodes_.end() ? -1 : it->second;
-  }
-  if (node < 0) {
-    return out;
-  }
-  for (int fid : node_funcs_[static_cast<size_t>(node)]) {
-    const FuncDecl* f = funcs_by_id_[static_cast<size_t>(fid)];
-    if (f != nullptr) {
-      out.push_back(f->name);
+  auto it = ret_nodes_.find(fn);
+  if (it != ret_nodes_.end()) {
+    for (int fid : node_funcs_[static_cast<size_t>(it->second)]) {
+      out.push_back(funcs_by_id_[static_cast<size_t>(fid)]->name);
     }
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void PointsTo::FuncNamesOfExpr(const Expr* e, std::set<std::string>* out) const {
+  // FlowInto's reading of `e`, looking cells up instead of creating them.
+  if (e == nullptr) {
+    return;
+  }
+  if (const FuncDecl* named = AsFunctionName(e)) {
+    out->insert(named->name);
+    return;
+  }
+  if (e->kind == ExprKind::kCond) {
+    FuncNamesOfExpr(e->b, out);
+    FuncNamesOfExpr(e->c, out);
+    return;
+  }
+  if (e->kind == ExprKind::kCast || e->kind == ExprKind::kAssign) {
+    FuncNamesOfExpr(e->kind == ExprKind::kCast ? e->a : e->b, out);
+    return;
+  }
+  int node = -1;
+  if (e->kind == ExprKind::kCall) {
+    const FuncDecl* callee = AsFunctionName(e->a);
+    auto ret = ret_nodes_.find(callee);
+    auto site = site_of_expr_.find(e);
+    if (callee != nullptr && ret != ret_nodes_.end()) {
+      node = ret->second;
+    } else if (callee == nullptr && site != site_of_expr_.end()) {
+      node = sites_[static_cast<size_t>(site->second)].ret_node;
+    }
+  } else {
+    // NodeOfExpr: indexing, dereference and casts read their operand's cell.
+    while (e->a != nullptr && (e->kind == ExprKind::kIndex || e->kind == ExprKind::kDeref ||
+                               e->kind == ExprKind::kCast)) {
+      e = e->a;
+    }
+    auto var = e->kind == ExprKind::kIdent && e->sym != nullptr ? var_nodes_.find(e->sym)
+                                                                  : var_nodes_.end();
+    auto field = e->kind == ExprKind::kMember && e->field != nullptr && e->field_record != nullptr
+                     ? field_nodes_.find({e->field_record, field_sensitive_ ? e->field->index : -1})
+                     : field_nodes_.end();
+    node = var != var_nodes_.end() ? var->second
+                                   : (field != field_nodes_.end() ? field->second : -1);
+  }
+  if (node >= 0) {
+    for (int fid : node_funcs_[static_cast<size_t>(node)]) {
+      out->insert(funcs_by_id_[static_cast<size_t>(fid)]->name);
+    }
+  }
 }
 
 }  // namespace ivy

@@ -50,13 +50,6 @@ struct PointsToCellSnap {
 };
 using PointsToSnapshot = std::map<std::string, PointsToCellSnap>;
 
-// Cross-module link seeds: function names known (from another module's
-// summaries) to flow into a parameter cell ((function, param index)) or a
-// return cell ((function, -1)). Names that resolve to nothing in this
-// compilation (not even an extern declaration) are dropped — a repository
-// consumer that wants those facts must declare the functions it imports.
-using PointsToLinkSeeds = std::map<std::pair<std::string, int>, std::set<std::string>>;
-
 class PointsTo {
  public:
   PointsTo(const Program* prog, const Sema* sema, bool field_sensitive);
@@ -68,13 +61,6 @@ class PointsTo {
   // `prev` and `dirty_origins` must outlive Solve().
   void EnableIncremental(const PointsToSnapshot* prev,
                          const std::set<std::string>* dirty_origins);
-
-  // Cross-module import: seeds the named parameter/return cells before the
-  // fixpoint runs (AnalysisSession's link stage). Must be called before
-  // Solve(); `seeds` must outlive it. Seeded facts carry the reserved
-  // "<link>" origin, so incremental snapshots keep them clean across warm
-  // re-solves with an unchanged import set.
-  void SetLinkSeeds(const PointsToLinkSeeds* seeds);
 
   // Builds constraints from every function body and solves to fixpoint.
   void Solve();
@@ -93,10 +79,12 @@ class PointsTo {
   // Functions whose address is ever taken (flow into some cell).
   const std::set<const FuncDecl*>& address_taken() const { return address_taken_; }
 
-  // Post-solve cell reads for the link-stage summary export: the sorted
-  // function names in a parameter cell ((fn, index)) or return cell
-  // ((fn, -1)). Empty if the cell was never materialized.
-  std::vector<std::string> FuncNamesInCell(const FuncDecl* fn, int slot) const;
+  // Post-solve reads for the link table's summary rows, materializing no
+  // cell: the sorted names of the functions `fn` may return, and the names
+  // an expression's value may carry, read the way the solve flows it into a
+  // destination cell (a call argument, say).
+  std::vector<std::string> ReturnFuncNames(const FuncDecl* fn) const;
+  void FuncNamesOfExpr(const Expr* e, std::set<std::string>* out) const;
 
   int node_count() const { return static_cast<int>(node_funcs_.size()); }
   int64_t solve_iterations() const { return iterations_; }
@@ -165,7 +153,6 @@ class PointsTo {
   bool track_ = false;
   const PointsToSnapshot* prev_ = nullptr;
   const std::set<std::string>* dirty_ = nullptr;
-  const PointsToLinkSeeds* link_seeds_ = nullptr;
   std::vector<std::string> node_keys_;                 // node -> stable key
   std::unordered_map<std::string, int> key_to_node_;
   std::vector<std::set<int>> node_origins_;            // node -> origin ids

@@ -201,7 +201,7 @@ bool FuncSummary::FromJson(const Json& j, FuncSummary* out, std::string* error) 
     for (const auto& [key, names] : v->object()) {
       // The writer emits std::to_string(idx) keys; anything else ("abc",
       // "01", "7x") used to atoi-alias onto parameter 0 and corrupt the
-      // imported escape sets. 4095 comfortably exceeds any real arity.
+      // escape sets. 4095 comfortably exceeds any real arity.
       int idx = 0;
       if (!ParseIndexStrict(key, 4095, &idx)) {
         if (error != nullptr) {
@@ -417,8 +417,7 @@ int AnnoDb::RetractModule(const std::string& module) {
                   findings_.end());
   int retracted = static_cast<int>(before - findings_.size());
   // Attribute and summary entries carry the same provenance — a retracted
-  // module must not leave stale facts behind (they would keep seeding
-  // imports after the module left the corpus).
+  // module must not leave stale facts behind.
   for (auto it = funcs_.begin(); it != funcs_.end();) {
     if (it->second.module == module) {
       it = funcs_.erase(it);
@@ -498,134 +497,6 @@ void AnnoDb::StampModule(const std::string& module) {
       facts.module = module;
     }
   }
-}
-
-int AnnoDb::ApplyAttributes(Program* prog, const ImportOptions& opts) const {
-  // The canonical signature records every row this import *read*, so a
-  // session comparing signatures across rounds sees exactly the changes
-  // that could alter this module's analysis.
-  std::string sig;
-  auto note = [&opts, &sig](const FuncSummary& row) {
-    if (opts.out_signature != nullptr) {
-      sig += row.Canonical();
-      sig += '\n';
-    }
-  };
-
-  // Per-function view of the table: one pass over the rows, then O(lookup)
-  // per program function — the table is scanned per module per link round,
-  // so a corpus-sized inner loop per function would go quadratic. Vectors
-  // keep the sorted-by-module row order, so first-definer-match stays
-  // deterministic.
-  std::map<std::string, std::vector<const FuncSummary*>> rows_by_func;
-  for (const auto& [key, row] : summaries_) {
-    rows_by_func[key.second].push_back(&row);
-  }
-  static const std::vector<const FuncSummary*> kNoRows;
-
-  int updated = 0;
-  for (FuncDecl* fn : prog->funcs) {
-    if (fn->func_id < 0 || fn->is_builtin) {
-      continue;
-    }
-    auto rows_it = rows_by_func.find(fn->name);
-    const std::vector<const FuncSummary*>& fn_rows =
-        rows_it == rows_by_func.end() ? kNoRows : rows_it->second;
-    bool changed = false;
-    if (fn->body == nullptr) {
-      // Extern declaration: adopt the defining module's bottom-up summary.
-      // Rows are in sorted-module order; at most one definer row per
-      // function exists in a well-formed corpus (duplicate definitions are a
-      // link error the session reports), so first-match is deterministic.
-      for (const FuncSummary* row_ptr : fn_rows) {
-        const FuncSummary& row = *row_ptr;
-        if (!row.defined || row.module == opts.importer) {
-          continue;
-        }
-        note(row);
-        if ((row.may_block || row.blocking) && !fn->attrs.blocking) {
-          fn->attrs.blocking = true;
-          changed = true;
-        }
-        if (!row.block_witness.empty() && fn->attrs.block_witness.empty()) {
-          fn->attrs.block_witness = row.block_witness;
-          changed = true;
-        }
-        if (row.noblock && !fn->attrs.noblock) {
-          fn->attrs.noblock = true;
-          changed = true;
-        }
-        if (row.blocking_if_param >= 0 && fn->attrs.blocking_if_param < 0) {
-          fn->attrs.blocking_if_param = row.blocking_if_param;
-          changed = true;
-        }
-        if (row.returns_error && !fn->attrs.returns_error) {
-          fn->attrs.returns_error = true;
-          changed = true;
-        }
-        if (!row.errcodes.empty() && fn->attrs.errcodes.empty()) {
-          fn->attrs.errcodes = row.errcodes;
-          changed = true;
-        }
-        if (row.stack_below >= 0 && fn->attrs.stack_below < 0) {
-          fn->attrs.stack_below = row.stack_below;
-          changed = true;
-        }
-        if (opts.out_seeds != nullptr && !row.returns_points.empty()) {
-          (*opts.out_seeds)[{fn->name, -1}].insert(row.returns_points.begin(),
-                                                   row.returns_points.end());
-        }
-        break;
-      }
-    } else {
-      // Defined function: adopt the top-down usage facts other modules
-      // observed about it, plus the link stage's corpus-level stack facts
-      // (stored on this module's own definer row).
-      for (const FuncSummary* row_ptr : fn_rows) {
-        const FuncSummary& row = *row_ptr;
-        if (row.defined) {
-          if (row.module == opts.importer) {
-            if (row.cross_recursive && !fn->attrs.cross_recursive) {
-              fn->attrs.cross_recursive = true;
-              changed = true;
-            }
-            if (row.cross_recursive && row.stack_below >= 0 && fn->attrs.stack_below < 0) {
-              fn->attrs.stack_below = row.stack_below;
-              changed = true;
-            }
-            if (row.cross_recursive) {
-              note(row);
-            }
-          }
-          continue;
-        }
-        if (row.module == opts.importer) {
-          continue;
-        }
-        note(row);
-        if (row.entered_atomic && !fn->attrs.noblock && !fn->attrs.entered_atomic) {
-          fn->attrs.entered_atomic = true;
-          changed = true;
-        }
-        if (row.entered_in_irq && !fn->attrs.entered_in_irq) {
-          fn->attrs.entered_in_irq = true;
-          changed = true;
-        }
-        if (opts.out_seeds != nullptr) {
-          for (const auto& [idx, names] : row.param_points) {
-            (*opts.out_seeds)[{fn->name, idx}].insert(names.begin(), names.end());
-          }
-        }
-      }
-    }
-    if (changed) {
-      ++updated;
-    }
-  }
-  if (opts.out_signature != nullptr) {
-    *opts.out_signature = std::move(sig);
-  }
-  return updated;
 }
 
 }  // namespace ivy

@@ -55,11 +55,11 @@ struct RecordFacts {
 
 // One function's cross-module summary — the link-stage fact table, keyed by
 // (module, function). A row is either a *definer* row (defined == true:
-// bottom-up facts the defining module proved about its own function) or a
-// *usage* row (defined == false: top-down facts a calling module observed
-// about an extern-declared function). AnalysisSession::RunLinked exports
-// these after every analysis round and re-imports them into dependent
-// modules until the table stops changing.
+// bottom-up facts about a function the module defines) or a *usage* row
+// (defined == false: top-down facts about how the module's own code calls a
+// function it declares extern). AnalysisSession::RunLinked derives every
+// row from one whole-corpus analysis; the table is an export-only view of
+// that run (the §3.2 repository), never fed back into an analysis.
 struct FuncSummary {
   std::string module;    // exporting module
   std::string function;
@@ -95,8 +95,8 @@ struct FuncSummary {
   // parameter 0. On failure *out holds the fields parsed so far; callers
   // must discard it.
   static bool FromJson(const Json& j, FuncSummary* out, std::string* error);
-  // Canonical byte form — what the link fixpoint diffs and import
-  // signatures hash. Json objects are sorted maps, so this is stable.
+  // Canonical byte form — what the store persists and annolink prints.
+  // Json objects are sorted maps, so this is stable.
   std::string Canonical() const { return ToJson().Dump(-1); }
 };
 
@@ -137,25 +137,6 @@ class AnnoDb {
   // lack them (incremental porting of unannotated modules). Returns the
   // number of functions updated.
   int ApplyAttributes(Program* prog) const;
-
-  // The cross-module import path (AnalysisSession's link stage). Seeds
-  // extern-declared functions of `prog` with definer-row summaries from
-  // other modules (may-block + witness, noblock, blocking_if, errcodes,
-  // error-return bit, corpus stack depth) and defined functions with
-  // usage-row facts other modules observed about them (atomic entry,
-  // irq-reachability, cross-recursion). Rows exported by `importer` itself
-  // are skipped — a module never imports its own facts, except the
-  // link-stage stack facts stored on its definer rows.
-  struct ImportOptions {
-    std::string importer;
-    // Optional out-params: the points-to seeds implied by the summary table
-    // (returns_points of extern callees, param_points of own functions) and
-    // a canonical signature of everything applied, so a session can detect
-    // "imports changed" without re-running an analysis.
-    PointsToLinkSeeds* out_seeds = nullptr;
-    std::string* out_signature = nullptr;
-  };
-  int ApplyAttributes(Program* prog, const ImportOptions& opts) const;
 
   // The summary fact table, keyed by (module, function). AddSummary
   // replaces any existing row with the same key.

@@ -74,15 +74,7 @@ bool BlockStop::CallMayBlock(const FuncDecl* callee, const ExprList& args,
 
 std::string BlockStop::WitnessFor(const FuncDecl* fn) const {
   auto it = witness_.find(fn);
-  if (it != witness_.end()) {
-    return it->second;
-  }
-  // Extern-declared callee with an imported may-block bit: render the
-  // defining module's witness, exactly what a merged-source run would say.
-  if (!fn->attrs.block_witness.empty()) {
-    return fn->attrs.block_witness;
-  }
-  return "annotated blocking";
+  return it != witness_.end() ? it->second : "annotated blocking";
 }
 
 const FuncDecl* BlockStop::BlockingCauseOf(const FuncDecl* fn) const {
@@ -386,6 +378,16 @@ BlockStop::EntryEffects BlockStop::EvaluateEntry(const FuncDecl* fn, uint8_t ent
   return out;
 }
 
+void BlockStop::NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee,
+                                   uint8_t bits, BlockStopReport* report) {
+  // An OR over every evaluated (function, entry-bit) pair: both strategies
+  // evaluate the same pairs, so the order they do it in cannot matter.
+  if (!callee->is_builtin &&
+      (callee->body == nullptr || callee->loc.file != caller->loc.file)) {
+    report->cross_file_entry_bits[{caller->loc.file, callee->name}] |= bits;
+  }
+}
+
 BlockStopReport BlockStop::ReportShell() const {
   BlockStopReport report;
   report.num_defined_funcs = static_cast<int>(cg_->DefinedFuncs().size());
@@ -431,12 +433,6 @@ BlockStopReport BlockStop::Run() {
   std::map<const FuncDecl*, uint8_t> contexts;
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     contexts[fn] = 1;
-    // Imported top-down fact: some other module of a linked corpus may enter
-    // this function atomically. The exporter already applied the noblock
-    // mask, but stay defensive — a noblock body asserts non-atomic entry.
-    if (fn->attrs.entered_atomic && !fn->attrs.noblock) {
-      contexts[fn] |= 2;
-    }
   }
   for (const FuncDecl* fn : cg_->irq_entries()) {
     if (!fn->attrs.noblock) {
@@ -457,6 +453,7 @@ BlockStopReport BlockStop::Run() {
         }
         EntryEffects effects = EvaluateEntry(fn, entry_bit);
         for (auto& [callee, add] : effects.callee_bits) {
+          NoteCrossFileEntry(fn, callee, add, &report);
           uint8_t& bits = contexts[callee];
           if ((bits | add) != bits) {
             bits |= add;
@@ -470,13 +467,6 @@ BlockStopReport BlockStop::Run() {
           silenced.emplace(expr, std::move(v));
         }
       }
-    }
-  }
-  // Context bits that landed on extern-declared callees: the top-down link
-  // export. (The map iterates by pointer, but the name-keyed copy sorts.)
-  for (const auto& [fn, bits] : contexts) {
-    if (fn->body == nullptr && !fn->is_builtin && bits != 0) {
-      report.extern_entry_bits[fn->name] |= bits;
     }
   }
   FinishReport(&report, std::move(reported), std::move(silenced));
@@ -533,12 +523,6 @@ BlockStopReport BlockStop::Run(const FunctionSharder& sharder, WorkQueue& wq) {
       }
     }
   }
-  // Imported atomic-entry facts seed exactly like irq entries do.
-  for (size_t i = 0; i < n; ++i) {
-    if (funcs[i]->attrs.entered_atomic && !funcs[i]->attrs.noblock) {
-      irq_atomic.insert(i);
-    }
-  }
   for (size_t i : irq_atomic) {
     contexts[i] |= 2;
     frontier.push_back({i, uint8_t{2}});
@@ -558,18 +542,15 @@ BlockStopReport BlockStop::Run(const FunctionSharder& sharder, WorkQueue& wq) {
           return out;
         });
     std::vector<std::pair<size_t, uint8_t>> next;
+    size_t pair = 0;  // chunks concatenate back to frontier order
     for (std::vector<EntryEffects>& chunk : per_chunk) {
       for (EntryEffects& effects : chunk) {
+        const FuncDecl* caller = funcs[frontier[pair++].first];
         for (auto& [callee, add] : effects.callee_bits) {
+          NoteCrossFileEntry(caller, callee, add, &report);
           size_t ci = sharder.IndexOf(callee);
           if (ci >= n) {
-            // Declared-only callee: never walked here, but the observed
-            // entry bits are the top-down link export (an OR, so chunk
-            // order cannot matter).
-            if (callee->body == nullptr && !callee->is_builtin) {
-              report.extern_entry_bits[callee->name] |= add;
-            }
-            continue;
+            continue;  // declared-only callee: never walked here
           }
           uint8_t newbits = static_cast<uint8_t>(add & ~contexts[ci]);
           if (newbits == 0) {

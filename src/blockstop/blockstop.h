@@ -30,9 +30,11 @@
 #ifndef SRC_BLOCKSTOP_BLOCKSTOP_H_
 #define SRC_BLOCKSTOP_BLOCKSTOP_H_
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/callgraph.h"
@@ -67,15 +69,16 @@ struct BlockStopReport {
   // is the solver counter the session's dirty-region tests assert on.
   // Strategy- and seed-dependent observability; findings never depend on it.
   int64_t mayblock_evals = 0;
-  // Link-stage exports (AnalysisSession::RunLinked). `mayblock_witness` is
-  // the per-function witness under the final may-block set — what an
-  // importer renders for violations that resolve into this module.
-  // `extern_entry_bits` are the context bits observed at calls into
-  // extern-declared (defined-elsewhere) functions: bit 1 = may be entered in
-  // process context with irqs on, bit 2 = may be entered atomically — the
-  // top-down half of the summary exchange. Both are strategy-independent.
+  // Summary exports (AnalysisSession's link table). `mayblock_witness` is
+  // the per-function witness under the final may-block set.
+  // `cross_file_entry_bits` are the context bits the functions of one
+  // source file pass into a callee declared or defined outside that file,
+  // keyed by (caller's file id, callee name): bit 1 = may be entered in
+  // process context with irqs on, bit 2 = may be entered atomically. The
+  // link stage ORs a module's files into its usage rows. Both are
+  // strategy-independent.
   std::map<std::string, std::string> mayblock_witness;
-  std::map<std::string, uint8_t> extern_entry_bits;
+  std::map<std::pair<int32_t, std::string>, uint8_t> cross_file_entry_bits;
 
   std::string ToString() const;
 
@@ -146,6 +149,8 @@ class BlockStop {
   // Witnesses derived from the *final* may-block set: first cause in site
   // order. Strategy-independent by construction.
   void AssignWitnesses();
+  static void NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee,
+                                 uint8_t bits, BlockStopReport* report);
   BlockStopReport ReportShell() const;
   void FinishReport(BlockStopReport* report,
                     std::map<const Expr*, BlockingViolation> reported,

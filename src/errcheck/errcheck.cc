@@ -7,15 +7,6 @@ namespace ivy {
 ErrCheck::ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg)
     : prog_(prog), sema_(sema), cg_(cg) {}
 
-void ErrCheck::ClassifyImported() {
-  for (const auto& [name, fn] : sema_->func_map()) {
-    (void)name;
-    if (fn->body == nullptr && !fn->is_builtin && fn->attrs.returns_error) {
-      err_funcs_.insert(fn);
-    }
-  }
-}
-
 bool ErrCheck::ReturnsNegativeConstant(const Stmt* s) const {
   if (s == nullptr) {
     return false;
@@ -149,7 +140,6 @@ ErrCheckReport ErrCheck::Run() {
   for (const FuncDecl* fn : err_funcs_) {
     report.err_funcs.insert(fn->name);
   }
-  ClassifyImported();
   report.err_returning_funcs = static_cast<int>(err_funcs_.size());
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     ScanStmt(fn, fn->body, fn->body, &report);
@@ -194,7 +184,6 @@ ErrCheckReport ErrCheck::Run(const FunctionSharder& sharder, WorkQueue& wq) {
   for (const FuncDecl* fn : err_funcs_) {
     report.err_funcs.insert(fn->name);
   }
-  ClassifyImported();
   report.err_returning_funcs = static_cast<int>(err_funcs_.size());
 
   // Phase 2: per-function call-site scans against the now-frozen err set

@@ -42,9 +42,7 @@ struct ErrCheckReport {
   int inferred_funcs = 0;
   int checked_sites = 0;         // call sites that do test the result
   // Names of the *defined* error-returning functions (annotated or
-  // inferred) — the bottom-up link export, so another module's call sites
-  // into this one can be checked. Extern callees whose err bit was itself
-  // imported are excluded (their definer exports them).
+  // inferred) — the summary rows' returns_error facts.
   std::set<std::string> err_funcs;
 
   std::string ToString() const;
@@ -68,9 +66,6 @@ class ErrCheck {
   ErrCheckReport Run(const FunctionSharder& sharder, WorkQueue& wq);
 
  private:
-  // Extern-declared functions whose defining module exported an
-  // error-returning fact (AnnoDb import path sets attrs.returns_error).
-  void ClassifyImported();
   bool ReturnsNegativeConstant(const Stmt* s) const;
   // Collects all reads of `sym` in conditions within `s`.
   static bool SymTestedIn(const Stmt* s, const Symbol* sym);

@@ -145,15 +145,7 @@ void LockSafe::FindCycles(const std::set<std::pair<std::string, std::string>>& g
 
 void LockSafe::ComputeIrqReachable() {
   // IRQ-reachable functions: BFS from interrupt entries over the call graph.
-  // Imported cross-module facts seed alongside the local entries: a defined
-  // function some other module reaches from ITS irq entries is irq-reachable
-  // here too.
   std::deque<const FuncDecl*> work(cg_->irq_entries().begin(), cg_->irq_entries().end());
-  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    if (fn->attrs.entered_in_irq) {
-      work.push_back(fn);
-    }
-  }
   while (!work.empty()) {
     const FuncDecl* fn = work.front();
     work.pop_front();
@@ -179,15 +171,11 @@ LockSafeReport LockSafe::BuildReport(const Collector& all) const {
   for (const auto& [fn, locks] : all.locks_by_func) {
     report.locks_acquired[fn] = std::vector<std::string>(locks.begin(), locks.end());
   }
-  // Extern callees the irq BFS reached: the top-down link export. Sorted by
-  // construction (std::set of FuncDecl* re-keyed by name below).
-  std::set<std::string> extern_irq;
   for (const FuncDecl* fn : irq_reachable_) {
-    if (fn->body == nullptr && !fn->is_builtin) {
-      extern_irq.insert(fn->name);
+    if (fn->body != nullptr) {
+      report.irq_reachable.insert(fn->name);
     }
   }
-  report.extern_irq_callees.assign(extern_irq.begin(), extern_irq.end());
   return report;
 }
 

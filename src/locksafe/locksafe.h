@@ -44,12 +44,12 @@ struct LockSafeReport {
   // Locks acquired both in IRQ context and in process context with IRQs on.
   std::vector<std::string> irq_unsafe_locks;
   int locks_seen = 0;
-  // Link-stage exports (AnalysisSession::RunLinked). `extern_irq_callees`:
-  // extern-declared functions reachable from this module's irq entries — the
-  // defining module must treat them as irq-reachable too. `locks_acquired`:
-  // per defined function, the sorted lock names its body acquires (the
-  // summary schema's lock-delta facts; informational for the repository).
-  std::vector<std::string> extern_irq_callees;
+  // Summary exports (AnalysisSession's link table). `irq_reachable`: the
+  // defined functions the irq-context checks treat as reachable from an
+  // interrupt entry. `locks_acquired`: per defined function, the sorted lock
+  // names its body acquires (the summary schema's lock-delta facts;
+  // informational for the repository).
+  std::set<std::string> irq_reachable;
   std::map<std::string, std::vector<std::string>> locks_acquired;
 
   std::string ToString() const;

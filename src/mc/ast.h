@@ -204,18 +204,6 @@ struct FuncAttrs {
   bool interrupt_handler = false;   // entered with interrupts disabled
   bool trusted = false;             // whole function trusted (E1 accounting)
   std::vector<int64_t> errcodes;    // error codes this function may return
-
-  // Cross-module link facts. Never produced by the parser: these are set by
-  // AnnoDb::ApplyAttributes' import path (src/annodb/annodb.h) from another
-  // module's exported summaries, so a module can analyze calls into — and
-  // entries from — the rest of a linked corpus. See docs/ARCHITECTURE.md
-  // "Cross-module linking".
-  bool returns_error = false;       // err-returning in its defining module
-  bool entered_atomic = false;      // some other module may call this atomically
-  bool entered_in_irq = false;      // reachable from another module's irq entry
-  bool cross_recursive = false;     // on a cross-module call cycle
-  int64_t stack_below = -1;         // worst-case stack depth of the callee subtree
-  std::string block_witness;        // definer's witness for an imported may-block bit
 };
 
 struct FuncDecl {

@@ -1,11 +1,11 @@
 // Reader/writer epochs over a warm AnalysisSession.
 //
-// Every converged relink publishes one immutable EpochSnapshot — the
-// session's merged findings plus the converged summary table, frozen into
+// Every completed relink publishes one immutable EpochSnapshot — the
+// session's merged findings plus the summary table, frozen into
 // plain data with no pointers back into the session. Publication is a
 // shared_ptr swap under a small mutex; queries pin an epoch by copying the
 // shared_ptr and then read with no lock held, so a query never blocks on an
-// in-flight fixpoint and a relink never waits for readers. Responses carry
+// in-flight link and a relink never waits for readers. Responses carry
 // the epoch id so clients can detect staleness.
 //
 // Retention: the publisher keeps the last `retain` snapshots (default 8), so
@@ -41,7 +41,7 @@ struct EpochSnapshot {
   // Canonical JSON per finding, index-parallel with `findings` (cached so
   // query handlers never re-serialize under load).
   std::vector<std::string> findings_canon;
-  // The converged summary table in (module, function) key order.
+  // The summary table in (module, function) key order.
   std::vector<FuncSummary> summaries;
   std::vector<std::string> summaries_canon;
   int modules = 0;
@@ -53,7 +53,7 @@ struct EpochSnapshot {
   std::vector<std::string> apply_errors;
 };
 
-// Builds a snapshot from one converged RunLinked() result. Shared by the
+// Builds a snapshot from one completed RunLinked() result. Shared by the
 // server's relink worker and annodb_query's offline --from-synth mode, so
 // "what the server serves" and "what a cold batch run prints" are the same
 // bytes by construction. Returned mutable so the builder can stamp link

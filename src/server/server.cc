@@ -39,7 +39,7 @@ void AnnodServer::RequestShutdown() {
   // Unblock the acceptor.
   listener_.Close();
   // Signal every corpus: no new epochs, abandon queued relinks, abort the
-  // in-flight fixpoint at its next module boundary. The actual drain (Wait
+  // in-flight link before its frontend or passes. The actual drain (Wait
   // on the relink group) happens in Wait() — never here, because a
   // connection handler serving kShutdown calls this and must not join
   // against itself or block on analysis work.
@@ -122,9 +122,9 @@ void AnnodServer::DrainCorpus(const std::shared_ptr<Corpus>& c) {
   c->relink_group.Wait(/*rethrow=*/false);
   c->relink_queue.Shutdown();
   // The session is quiescent now (no task can touch it), so the snapshot is
-  // single-threaded. A cancelled fixpoint saves as linked-but-unconverged:
-  // the loader marks everything dirty and re-derives — never a wrong warm
-  // start, at worst a cold-priced one.
+  // single-threaded. A cancelled link published nothing, so the modules it
+  // would have analyzed save dirty and the loader re-runs them — never a
+  // wrong warm start, at worst a cold-priced one.
   if (!c->store_path.empty()) {
     std::string serr;
     c->session.SaveStore(c->store_path, &serr);
@@ -302,7 +302,7 @@ void AnnodServer::ScheduleRelink(const std::shared_ptr<Corpus>& c) {
 }
 
 void AnnodServer::RelinkTask(const std::shared_ptr<Corpus>& c) {
-  // Drain whatever accumulated; a burst of edits rides one fixpoint, and the
+  // Drain whatever accumulated; a burst of edits rides one link, and the
   // later tasks the burst scheduled find an empty queue and skip.
   std::deque<Edit> batch;
   bool first = false;
@@ -321,9 +321,9 @@ void AnnodServer::RelinkTask(const std::shared_ptr<Corpus>& c) {
   std::vector<std::string> errors;
   if (first && !c->store_path.empty()) {
     // Warm start before the seed edits apply: modules the batch re-adds with
-    // byte-identical sources stay clean (AddModule's no-op contract), edited
-    // ones go dirty over the restored table — the first fixpoint costs one
-    // incremental relink. Any load failure just means a cold run.
+    // byte-identical sources stay clean (AddModule's no-op contract), so an
+    // unchanged corpus publishes without analysis and an edited one costs
+    // one corpus run. Any load failure just means a cold run.
     std::string lerr;
     c->session.LoadStore(c->store_path, &lerr);
   }
@@ -349,7 +349,7 @@ void AnnodServer::RelinkTask(const std::shared_ptr<Corpus>& c) {
   trace::Span relink_span("server.relink", {"edits", static_cast<int64_t>(batch.size())});
   SessionResult result = c->session.RunLinked();
 
-  // A cancelled fixpoint is incomplete by contract: publish nothing, leave
+  // A cancelled link is incomplete by contract: publish nothing, leave
   // the touched modules dirty. A surviving server would re-run them on the
   // next relink; a shutting-down one just drains.
   if (!result.cancelled) {

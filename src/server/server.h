@@ -7,12 +7,12 @@
 //
 //   queries    kQueryFindings / kQuerySummaries — answered from the pinned
 //              EpochSnapshot only; a query NEVER touches the session and
-//              never blocks on an in-flight fixpoint.
+//              never blocks on an in-flight link.
 //   mutations  kUpsertModule / kReplaceFunction / kRemoveModule — appended
 //              to the corpus's edit queue; a background relink task on the
 //              corpus's single-worker WorkQueue drains the queue, applies
-//              the edits to the warm session, runs the incremental
-//              RunLinked() fixpoint, and publishes the next epoch.
+//              the edits to the warm session, runs RunLinked(), and
+//              publishes the next epoch.
 //   control    kOpenCorpus / kCloseCorpus / kStats / kSync / kShutdown /
 //              kPing.
 //
@@ -26,10 +26,10 @@
 //
 // Shutdown is a drain, not an abort-at-any-cost: RequestShutdown() stops the
 // acceptor, cancels queued relink tasks (TaskGroup::Cancel — payloads
-// skipped), cancels the in-flight fixpoint cooperatively
-// (AnalysisSession::RequestCancel — stops at the next module boundary), and
+// skipped), cancels the in-flight link cooperatively
+// (AnalysisSession::RequestCancel — stops before the next phase), and
 // unblocks every connection. A cancelled relink publishes NOTHING: epochs
-// are only ever whole converged snapshots (regression-tested by
+// are only ever whole completed snapshots (regression-tested by
 // ServerTest.ShutdownWhileRelinking).
 #ifndef SRC_SERVER_SERVER_H_
 #define SRC_SERVER_SERVER_H_
@@ -58,10 +58,10 @@ class AnnodServer {
   struct Options {
     Pipeline pipeline;    // session template: every opened corpus runs this
     int epoch_retain = 8;  // published snapshots kept for pinned queries
-    // When non-empty, each corpus persists its converged facts to
+    // When non-empty, each corpus persists its findings and table to
     // <store_dir>/<corpus>.store (src/store/store.h): the first relink
     // after open warm-starts from the file, and the drain on close/shutdown
-    // writes it back — a restarted daemon's first fixpoint costs one
+    // writes it back — a restarted daemon's first link costs one
     // incremental relink instead of a cold corpus analysis.
     std::string store_dir;
   };

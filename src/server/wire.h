@@ -20,7 +20,7 @@
 //
 // Findings and summary rows travel as their *canonical JSON byte form*
 // (Finding::ToJson(nullptr).Dump(-1), FuncSummary::Canonical()) — the same
-// bytes the link fixpoint diffs and the byte-identity contract compares, so
+// bytes the store persists and the byte-identity contract compares, so
 // "what the server returned" and "what a cold batch run produced" can be
 // diffed with memcmp.
 //
@@ -262,7 +262,7 @@ struct StatsReplyMsg {
   uint64_t request_p50_us = 0;
   uint64_t request_p95_us = 0;
   uint64_t request_p99_us = 0;
-  // ... epoch-publish timing (converged relink -> snapshot visible) ...
+  // ... epoch-publish timing (completed relink -> snapshot visible) ...
   uint64_t publish_count = 0;
   uint64_t publish_p50_us = 0;
   uint64_t publish_p99_us = 0;

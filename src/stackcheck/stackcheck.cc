@@ -44,26 +44,9 @@ void StackCheck::Prepare() {
   scc_of_ = std::move(scc.scc_of);
   scc_members_ = std::move(scc.members);
 
-  // Imported callee summaries: a call into an extern-declared function
-  // contributes that function's corpus-level subtree depth (attrs.stack_below,
-  // set by the session's link stage) as a leaf edge.
-  std::vector<int64_t> extern_extra(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    for (const CallSite& site : cg_->SitesOf(funcs[static_cast<size_t>(i)])) {
-      for (const FuncDecl* callee : site.McCallees()) {
-        if (callee->body == nullptr && !callee->is_builtin &&
-            callee->attrs.stack_below > extern_extra[static_cast<size_t>(i)]) {
-          extern_extra[static_cast<size_t>(i)] = callee->attrs.stack_below;
-        }
-      }
-    }
-  }
-
   const size_t scc_count = scc_members_.size();
   scc_weight_.assign(scc_count, 0);
   scc_cyclic_.assign(scc_count, 0);
-  scc_extern_extra_.assign(scc_count, 0);
-  scc_link_depth_.assign(scc_count, -1);
   scc_succs_.assign(scc_count, {});
   for (size_t s = 0; s < scc_count; ++s) {
     for (int v : scc_members_[s]) {
@@ -73,10 +56,6 @@ void StackCheck::Prepare() {
         frame = module_->funcs[static_cast<size_t>(fn->func_id)].frame_size;
       }
       scc_weight_[s] += frame;
-      scc_extern_extra_[s] = std::max(scc_extern_extra_[s], extern_extra[static_cast<size_t>(v)]);
-      if (fn->attrs.cross_recursive && fn->attrs.stack_below >= 0) {
-        scc_link_depth_[s] = std::max(scc_link_depth_[s], fn->attrs.stack_below);
-      }
       if (self_loop[static_cast<size_t>(v)]) {
         scc_cyclic_[s] = 1;
       }
@@ -105,13 +84,7 @@ int64_t StackCheck::DepthOfScc(int scc, std::vector<int64_t>* memo) const {
   if (slot >= 0) {
     return slot;
   }
-  // Cross-module cycle member: the corpus-level depth already counts this
-  // SCC's frames (once) plus everything below the whole cycle.
-  if (scc_link_depth_[static_cast<size_t>(scc)] >= 0) {
-    slot = scc_link_depth_[static_cast<size_t>(scc)];
-    return slot;
-  }
-  int64_t deepest = scc_extern_extra_[static_cast<size_t>(scc)];
+  int64_t deepest = 0;
   for (int succ : scc_succs_[static_cast<size_t>(scc)]) {
     deepest = std::max(deepest, DepthOfScc(succ, memo));
   }
@@ -176,18 +149,6 @@ StackCheckReport StackCheck::Reduce(const std::vector<const FuncDecl*>& roots,
         seen[static_cast<size_t>(succ)] = 1;
         worklist.push_back(succ);
       }
-    }
-  }
-  // Members of cross-module cycles (imported from the link stage's corpus
-  // condensation): recursive exactly like local cyclic-SCC members.
-  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    if (!fn->attrs.cross_recursive) {
-      continue;
-    }
-    auto it = func_index_.find(fn);
-    if (it != func_index_.end() &&
-        seen[static_cast<size_t>(scc_of_[static_cast<size_t>(it->second)])]) {
-      report.recursive.insert(fn->name);
     }
   }
   report.fits_budget = report.worst_case <= budget_ && report.recursive.empty();

@@ -72,11 +72,7 @@ class StackCheck {
   // Builds the SCC condensation (idempotent; called by both Run flavors).
   void Prepare();
   // Longest path from `scc` through the condensation; memo is caller-owned
-  // so parallel shards never share mutable state. An SCC on a cross-module
-  // cycle answers with the link stage's corpus-level depth (the local
-  // condensation cannot see the rest of the cycle, and stacking the local
-  // weight on top of the imported subtree depth would double-count it) —
-  // roots and intermediate callers alike.
+  // so parallel shards never share mutable state.
   int64_t DepthOfScc(int scc, std::vector<int64_t>* memo) const;
   std::vector<const FuncDecl*> ResolveRoots(const std::vector<std::string>& entries) const;
   StackCheckReport Reduce(const std::vector<const FuncDecl*>& roots,
@@ -92,12 +88,6 @@ class StackCheck {
   std::vector<int> scc_of_;                 // function index -> scc id
   std::vector<int64_t> scc_weight_;         // sum of member frame sizes
   std::vector<uint8_t> scc_cyclic_;         // size > 1 or self-loop
-  // Max imported subtree depth (attrs.stack_below) over the members' calls
-  // into extern-declared functions — the consumed half of the link summary.
-  std::vector<int64_t> scc_extern_extra_;
-  // Corpus-level depth override for SCCs whose members sit on a
-  // cross-module cycle (-1 = none); see DepthOfScc.
-  std::vector<int64_t> scc_link_depth_;
   std::vector<std::vector<int>> scc_succs_; // deduped, ascending
   std::vector<std::vector<int>> scc_members_;  // function indices, ascending
 };

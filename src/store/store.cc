@@ -85,9 +85,6 @@ std::string EncodeStore(const StoreFile& sf) {
   if (sf.linked) {
     flags |= kStoreFlagLinked;
   }
-  if (sf.converged) {
-    flags |= kStoreFlagConverged;
-  }
   out.push_back(static_cast<char>(flags));
 
   WireWriter w;
@@ -105,17 +102,6 @@ std::string EncodeStore(const StoreFile& sf) {
     w.PutU8(m.analyzed ? 1 : 0);
     w.PutU8(m.ok ? 1 : 0);
     w.PutStr(m.compile_errors);
-    w.PutU64(m.preamble_fp);
-    w.PutU32(static_cast<uint32_t>(m.func_fps.size()));
-    for (const auto& [fname, fp] : m.func_fps) {
-      w.PutStr(fname);
-      w.PutU64(fp.first);
-      w.PutU64(fp.second);
-    }
-    w.PutStr(m.import_sig);
-    w.PutU8(m.has_link_names ? 1 : 0);
-    w.PutStrVec(m.defined_names);
-    w.PutStrVec(m.extern_refs);
     w.PutStrVec(m.findings_canon);
   }
   w.PutU32(static_cast<uint32_t>(sf.summaries.size()));
@@ -148,12 +134,11 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
                     std::to_string(kStoreVersion) + ")");
     return false;
   }
-  if ((flags & ~(kStoreFlagLinked | kStoreFlagConverged)) != 0) {
+  if ((flags & ~kStoreFlagLinked) != 0) {
     SetErr(err, "unknown store flags");
     return false;
   }
   out->linked = (flags & kStoreFlagLinked) != 0;
-  out->converged = (flags & kStoreFlagConverged) != 0;
 
   const std::string body = bytes.substr(kStoreHeaderSize);
   WireReader r(body);
@@ -172,9 +157,7 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
     StoreModule m;
     uint8_t analyzed = 0;
     uint8_t ok = 0;
-    uint8_t has_names = 0;
     uint32_t file_count = 0;
-    uint32_t fp_count = 0;
     if (!r.GetStr(&m.name) || !r.GetU64(&m.source_digest) ||
         !r.GetU32(&file_count) || file_count > body.size()) {
       SetErr(err, "malformed module record");
@@ -190,34 +173,16 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
       m.files.emplace_back(std::move(fname), std::move(text));
     }
     if (!r.GetU8(&analyzed) || !r.GetU8(&ok) || !r.GetStr(&m.compile_errors) ||
-        !r.GetU64(&m.preamble_fp) || !r.GetU32(&fp_count) ||
-        fp_count > body.size()) {
-      SetErr(err, "malformed module record");
-      return false;
-    }
-    for (uint32_t f = 0; f < fp_count; ++f) {
-      std::string fname;
-      uint64_t full = 0;
-      uint64_t sig = 0;
-      if (!r.GetStr(&fname) || !r.GetU64(&full) || !r.GetU64(&sig)) {
-        SetErr(err, "malformed fingerprint table");
-        return false;
-      }
-      m.func_fps[std::move(fname)] = {full, sig};
-    }
-    if (!r.GetStr(&m.import_sig) || !r.GetU8(&has_names) ||
-        !r.GetStrVec(&m.defined_names) || !r.GetStrVec(&m.extern_refs) ||
         !r.GetStrVec(&m.findings_canon)) {
       SetErr(err, "malformed module record");
       return false;
     }
-    if (analyzed > 1 || ok > 1 || has_names > 1) {
+    if (analyzed > 1 || ok > 1) {
       SetErr(err, "malformed module flags");
       return false;
     }
     m.analyzed = analyzed != 0;
     m.ok = ok != 0;
-    m.has_link_names = has_names != 0;
     if (m.name.empty() || out->modules.count(m.name) != 0) {
       SetErr(err, "empty or duplicate module name in store");
       return false;

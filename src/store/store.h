@@ -1,8 +1,6 @@
 // The persistent analysis store: a versioned on-disk snapshot of a
-// session's converged facts, so a fresh process warm-starts from the
-// previous run's fixpoint instead of paying a full cold analysis — the
-// paper's "analysis cost scales with the edit" property extended across
-// process restarts (tools/annolink, tools/annod).
+// session's findings and link table, so a fresh process over unchanged
+// sources answers without analyzing anything (tools/annolink, tools/annod).
 //
 // File layout (little-endian):
 //
@@ -10,7 +8,7 @@
 //   0       1     magic0 = 0xA7
 //   1       1     magic1 = 0xD5        (store; the wire protocol is 0xDB)
 //   2       1     version = kStoreVersion
-//   3       1     flags (bit0 = linked, bit1 = converged; others reserved)
+//   3       1     flags (bit0 = linked; others reserved)
 //   4       ...   body: WireWriter-encoded sections (src/server/wire.h)
 //
 // Body encoding:
@@ -20,9 +18,7 @@
 //                               rejects the whole file (stale recipe)
 //   u32  module_count
 //        per module:            name, source digest, sources, and — when
-//                               `analyzed` — the incremental snapshot
-//                               (preamble/function/signature fingerprints,
-//                               import signature, link name sets) plus the
+//                               `analyzed` — the compile outcome and the
 //                               module's unstamped canonical findings
 //   u32  summary_count
 //        per row:               module, function, FuncSummary::Canonical()
@@ -57,18 +53,18 @@ namespace ivy {
 
 inline constexpr uint8_t kStoreMagic0 = 0xA7;
 inline constexpr uint8_t kStoreMagic1 = 0xD5;
-// v2: function fingerprints switched to the linear arena-slab hash
-// (src/analysis/fingerprint.h) — old stored fingerprints are incomparable.
-inline constexpr uint8_t kStoreVersion = 2;
+// v3: the link stage became one whole-corpus run, so a module record keeps
+// only sources, compile outcome and findings (v2's fingerprints, import
+// signature and link name sets are gone, and so is the converged flag).
+inline constexpr uint8_t kStoreVersion = 3;
 inline constexpr uint8_t kStoreFlagLinked = 1u << 0;
-inline constexpr uint8_t kStoreFlagConverged = 1u << 1;
 inline constexpr size_t kStoreHeaderSize = 4;
 // A store holds sources + facts for one corpus; far below this in practice.
 inline constexpr uint64_t kMaxStoreBytes = 256ull << 20;
 
 // One module's persisted state. When `analyzed` is false only the sources
-// are meaningful (the module was dirty at save time — its snapshot fields
-// are written zeroed and it re-analyzes cold on load).
+// are meaningful (the module was dirty at save time — its other fields are
+// written zeroed and it is analyzed again after load).
 struct StoreModule {
   std::string name;
   uint64_t source_digest = 0;  // SourcesDigest(files)
@@ -77,13 +73,6 @@ struct StoreModule {
   bool analyzed = false;
   bool ok = false;  // compiled successfully (false: compile_errors applies)
   std::string compile_errors;
-  uint64_t preamble_fp = 0;
-  // function name -> (full fingerprint, signature fingerprint)
-  std::map<std::string, std::pair<uint64_t, uint64_t>> func_fps;
-  std::string import_sig;
-  bool has_link_names = false;
-  std::vector<std::string> defined_names;
-  std::vector<std::string> extern_refs;
   // Unstamped canonical finding JSON (Finding::ToJson(nullptr).Dump(-1)),
   // exactly what the session caches per module.
   std::vector<std::string> findings_canon;
@@ -91,9 +80,7 @@ struct StoreModule {
 
 struct StoreFile {
   uint64_t corpus_digest = 0;
-  bool linked = false;     // a RunLinked() table (vs per-module Run() only)
-  bool converged = false;  // table reached its fixpoint; false after a
-                           // mid-run crash — loaders re-derive from scratch
+  bool linked = false;  // a RunLinked() table (vs per-module Run() only)
   std::map<std::string, StoreModule> modules;
   // (module, function) -> FuncSummary::Canonical()
   std::map<std::pair<std::string, std::string>, std::string> summaries;

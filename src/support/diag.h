@@ -55,8 +55,9 @@ class DiagEngine {
   // True if any diagnostic message contains `needle` (test helper).
   bool Contains(const std::string& needle) const;
 
- private:
   void Add(Severity sev, SourceLoc loc, const std::string& msg, const std::string& tool);
+
+ private:
 
   const SourceManager* sm_;
   std::vector<Diagnostic> diags_;

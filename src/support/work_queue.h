@@ -131,8 +131,10 @@ class WorkQueue {
       }
       stopped_ = true;
       if (trace::Enabled()) {
-        trace::GetCounter("workqueue.steals")->Add(steals_);
-        trace::GetCounter("workqueue.idle_waits")->Add(idle_waits_);
+        static trace::Counter* const steals = trace::GetCounter("workqueue.steals");
+        static trace::Counter* const idle_waits = trace::GetCounter("workqueue.idle_waits");
+        steals->Add(steals_);
+        idle_waits->Add(idle_waits_);
       }
       // Discarded tasks still count as "done" so a racing Wait() cannot hang.
       for (Deque& q : queues_) {

@@ -1,5 +1,7 @@
 #include "src/tool/analysis_context.h"
 
+#include "src/support/trace.h"
+
 namespace ivy {
 
 AnalysisContext::AnalysisContext(Compilation* comp, bool field_sensitive)
@@ -9,13 +11,11 @@ AnalysisContext::~AnalysisContext() = default;
 
 const PointsTo& AnalysisContext::pointsto() {
   std::call_once(pt_once_, [this] {
+    trace::Span span("an.pointsto");
     pt_ = std::make_unique<PointsTo>(&comp_->prog, comp_->sema.get(), field_sensitive_);
     if (incremental_) {
       pt_->EnableIncremental(hints_ != nullptr ? hints_->pointsto_prev : nullptr,
                              hints_ != nullptr ? &hints_->pointsto_dirty : nullptr);
-    }
-    if (hints_ != nullptr && hints_->pointsto_link != nullptr) {
-      pt_->SetLinkSeeds(hints_->pointsto_link);
     }
     pt_->Solve();
     pt_builds_.fetch_add(1);
@@ -26,6 +26,7 @@ const PointsTo& AnalysisContext::pointsto() {
 const CallGraph& AnalysisContext::callgraph() {
   std::call_once(cg_once_, [this] {
     const PointsTo& pt = pointsto();
+    trace::Span span("an.callgraph");
     cg_ = std::make_unique<CallGraph>(CallGraph::Build(comp_->prog, *comp_->sema, pt));
     cg_builds_.fetch_add(1);
   });

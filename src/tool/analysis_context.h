@@ -46,9 +46,6 @@ struct IncrementalHints {
   bool has_blockstop_seed = false;
   std::set<std::string> blockstop_clean;
   std::set<std::string> blockstop_prev_mayblock;
-  // Cross-module link seeds for the points-to solve (the session's import of
-  // other modules' escape facts). Not owned; must outlive the solve.
-  const PointsToLinkSeeds* pointsto_link = nullptr;
 };
 
 class AnalysisContext {

@@ -71,8 +71,9 @@ void FunctionSharder::RunChunks(WorkQueue& wq,
     const uint64_t submit_ns = traced ? MonotonicNowNs() : 0;
     group.Submit([c, submit_ns, traced, &ranges, &kernel] {
       if (traced) {
-        trace::GetHistogram("sharder.queue_wait_us")
-            ->Record((MonotonicNowNs() - submit_ns) / 1000);
+        static trace::Histogram* const queue_wait_us =
+            trace::GetHistogram("sharder.queue_wait_us");
+        queue_wait_us->Record((MonotonicNowNs() - submit_ns) / 1000);
         trace::Span span("shard.chunk", {"chunk", static_cast<int64_t>(c)});
         kernel(static_cast<int>(c), ranges[c].first, ranges[c].second);
         return;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <future>
+#include <map>
 #include <set>
+#include <string_view>
 
 #include "src/kernel/prelude.h"
 #include "src/mc/lexer.h"
@@ -96,6 +98,12 @@ std::string PipelineResult::ToString(const SourceManager* sm) const {
 
 std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& files,
                                                FrontendCache* cache) const {
+  return CompileCorpus(files, {}, cache, nullptr);
+}
+
+std::unique_ptr<Compilation> Pipeline::CompileCorpus(
+    const std::vector<SourceFile>& files, const std::vector<int>& file_module,
+    FrontendCache* cache, std::vector<std::pair<int, std::string>>* dropped) const {
   auto comp = std::make_unique<Compilation>();
   comp->config = config_;
   comp->diags = std::make_unique<DiagEngine>(&comp->sm);
@@ -140,6 +148,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
       parse_file(prelude_id);
     }
   }
+  const int32_t first_file = comp->sm.file_count();
   for (const SourceFile& f : files) {
     parse_file(comp->sm.AddFile(f.name, f.text));
   }
@@ -150,6 +159,26 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
   }
   if (!comp->diags->ok()) {
     return comp;
+  }
+  if (dropped != nullptr) {
+    // The linker's "first definer wins": a later module's definition of an
+    // already-defined name never reaches sema.
+    std::map<std::string_view, int> definer;
+    std::vector<FuncDecl*> kept;
+    kept.reserve(comp->prog.funcs.size());
+    for (FuncDecl* fn : comp->prog.funcs) {
+      const int32_t i = fn->loc.file - first_file;
+      if (fn->body != nullptr && i >= 0 && static_cast<size_t>(i) < file_module.size()) {
+        const int m = file_module[static_cast<size_t>(i)];
+        auto [it, inserted] = definer.emplace(fn->name, m);
+        if (!inserted && it->second != m) {
+          dropped->push_back({m, fn->name});
+          continue;
+        }
+      }
+      kept.push_back(fn);
+    }
+    comp->prog.funcs = std::move(kept);
   }
 
   comp->sema = std::make_unique<Sema>(&comp->prog, comp->diags.get(),
@@ -170,9 +199,12 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
   LowerOptions lopts;
   lopts.deputy = config_.deputy;
   lopts.discharge = config_.discharge;
-  Lowerer lowerer(&comp->prog, comp->sema.get(), comp->diags.get(), lopts);
-  comp->module = lowerer.Lower();
-  comp->check_stats = lowerer.check_stats();
+  {
+    trace::Span span("fe.lower");
+    Lowerer lowerer(&comp->prog, comp->sema.get(), comp->diags.get(), lopts);
+    comp->module = lowerer.Lower();
+    comp->check_stats = lowerer.check_stats();
+  }
   if (!comp->diags->ok()) {
     return comp;
   }
@@ -411,10 +443,11 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
     if (!trace::Enabled()) {
       return p->Run(ctx);
     }
+    static trace::Histogram* const pass_us = trace::GetHistogram("pipeline.pass_us");
     trace::Span span("pass." + p->name());
     const uint64_t t0 = MonotonicNowNs();
     ToolResult r = p->Run(ctx);
-    trace::GetHistogram("pipeline.pass_us")->Record((MonotonicNowNs() - t0) / 1000);
+    pass_us->Record((MonotonicNowNs() - t0) / 1000);
     return r;
   };
   for (const std::vector<size_t>& wave : waves) {

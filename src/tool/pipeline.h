@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/driver/compiler.h"
@@ -89,6 +90,15 @@ class Pipeline {
   // calls (what AnalysisSession passes for corpus builds).
   std::unique_ptr<Compilation> Compile(const std::vector<SourceFile>& files,
                                        FrontendCache* cache = nullptr) const;
+
+  // Corpus compile (AnalysisSession::RunLinked): every module's files as one
+  // program. `file_module[i]` is the module index of files[i]. A function
+  // defined in more than one module keeps the definition that comes first —
+  // the later modules' definitions are dropped before sema instead of
+  // failing it, and reported in *dropped as (module index, name).
+  std::unique_ptr<Compilation> CompileCorpus(
+      const std::vector<SourceFile>& files, const std::vector<int>& file_module,
+      FrontendCache* cache, std::vector<std::pair<int, std::string>>* dropped) const;
 
   // Context at this pipeline's configured points-to precision. Prefer this
   // over constructing AnalysisContext directly so FieldSensitive() cannot

@@ -169,6 +169,13 @@ bool FindDefinition(const std::string& text, const std::string& name, size_t* ou
   return false;
 }
 
+// Warm-vs-cold solve accounting for --metrics (call under trace::Enabled()).
+void CountSolve(bool warm) {
+  static trace::Counter* const solve_warm = trace::GetCounter("session.solve_warm");
+  static trace::Counter* const solve_cold = trace::GetCounter("session.solve_cold");
+  (warm ? solve_warm : solve_cold)->Add();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -215,16 +222,10 @@ bool AnalysisSession::RemoveModule(const std::string& name) {
   if (it == modules_.end()) {
     return false;
   }
-  // A linked table must not keep seeding importers with a departed module's
-  // facts: retract its component and let the next RunLinked re-derive it.
-  if (!link_table_.summaries().empty()) {
-    for (const std::string& m : LinkedComponentOf({name})) {
-      link_table_.RetractModule(m);
-      if (m != name) {
-        Invalidate(m);
-      }
-    }
-  }
+  // The corpus changed: the next RunLinked() re-runs it, and until then the
+  // table holds no rows of the departed module.
+  link_table_.RetractModule(name);
+  linked_ = false;
   modules_.erase(it);
   return true;
 }
@@ -286,7 +287,7 @@ WorkQueue* AnalysisSession::pool() {
   return pool_.get();
 }
 
-void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
+void AnalysisSession::Analyze(ModuleState* st) {
   Compilation* comp = st->comp.get();
 
   // Per-function dirty bits: fingerprint the fresh AST, diff against the
@@ -318,26 +319,7 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
     }
   }
 
-  // Cross-module imports: seed this compilation's AST (and the points-to
-  // solve) with the current fact table. The fingerprints above were taken
-  // first — imports are not source edits; the import signature below is
-  // what detects their changes.
-  std::string import_sig;
-  st->link_seeds.clear();
-  if (!link_table_.summaries().empty()) {
-    AnnoDb::ImportOptions iopts;
-    iopts.importer = name;
-    iopts.out_seeds = &st->link_seeds;
-    iopts.out_signature = &import_sig;
-    link_table_.ApplyAttributes(&comp->prog, iopts);
-  }
-
-  // Warm only when sources AND imports are unchanged-compatible: the
-  // function-granular machinery is exact for source diffs, but imported
-  // facts are invisible to fingerprints, so any import change re-solves the
-  // module cold (module granularity is the link stage's incremental unit).
-  bool warm = track_incremental_ && st->have_snapshot && preamble == st->preamble_fp &&
-              import_sig == st->import_sig;
+  bool warm = track_incremental_ && st->have_snapshot && preamble == st->preamble_fp;
   std::set<std::string> dirty_funcs;
   if (warm) {
     // Changed/added bodies...
@@ -383,9 +365,6 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
   if (warm) {
     st->hints.pointsto_prev = &st->pt_snapshot;
     st->hints.pointsto_dirty = dirty_funcs;
-  }
-  if (!st->link_seeds.empty()) {
-    st->hints.pointsto_link = &st->link_seeds;
   }
   st->ctx = pipeline_.MakeContext(comp);
   if (track_incremental_) {
@@ -444,7 +423,7 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
   // Warm-vs-cold solve accounting for --metrics: how often the incremental
   // machinery actually pays off across a session's lifetime.
   if (trace::Enabled()) {
-    trace::GetCounter(warm ? "session.solve_warm" : "session.solve_cold")->Add();
+    CountSolve(warm);
   }
   if (st->ctx->pointsto_builds() > 0) {
     const PointsTo& pt = st->ctx->pointsto();
@@ -456,16 +435,6 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
   }
 
   // Refresh the snapshots the next incremental run diffs against.
-  st->import_sig = std::move(import_sig);
-  st->defined_names.clear();
-  st->extern_refs.clear();
-  for (const auto& [fname, fn] : comp->sema->func_map()) {
-    if (fn->func_id < 0 || fn->is_builtin) {
-      continue;
-    }
-    (fn->body != nullptr ? st->defined_names : st->extern_refs).insert(std::string(fname));
-  }
-  st->have_link_names = true;
   st->have_snapshot = false;
   st->have_mayblock = false;
   if (track_incremental_) {
@@ -491,7 +460,7 @@ void AnalysisSession::Analyze(const std::string& name, ModuleState* st) {
 SessionResult AnalysisSession::Run() {
   // Phase A — frontend, serial: the FrontendCache hands every compilation
   // the same prelude token stream (lexed exactly once per session).
-  std::vector<std::pair<const std::string*, ModuleState*>> to_analyze;
+  std::vector<ModuleState*> to_analyze;
   for (auto& [name, st] : modules_) {
     st->analyzed_now = false;
     if (!st->dirty) {
@@ -511,7 +480,7 @@ SessionResult AnalysisSession::Run() {
       st->dirty = false;  // until the sources change again
       continue;
     }
-    to_analyze.push_back({&name, st.get()});
+    to_analyze.push_back(st.get());
   }
 
   // Phase B — analysis: independent per module (private Compilation +
@@ -535,27 +504,32 @@ SessionResult AnalysisSession::Run() {
       std::vector<std::future<void>> futures;
       futures.reserve(end - i);
       for (size_t j = i; j < end; ++j) {
-        auto [mod_name, st] = to_analyze[j];
+        ModuleState* st = to_analyze[j];
         futures.push_back(std::async(std::launch::async,
-                                     [this, mod_name, st] { Analyze(*mod_name, st); }));
+                                     [this, st] { Analyze(st); }));
       }
       for (std::future<void>& f : futures) {
         f.get();
       }
     }
   } else {
-    for (auto [mod_name, st] : to_analyze) {
+    for (ModuleState* st : to_analyze) {
       if (cancel_requested()) {
         cancelled = true;
         break;
       }
-      Analyze(*mod_name, st);
+      Analyze(st);
     }
   }
 
-  // Phase C — deterministic corpus merge, in sorted-module-name order.
-  SessionResult out;
+  SessionResult out = Collect();
   out.cancelled = cancelled;
+  return out;
+}
+
+SessionResult AnalysisSession::Collect() const {
+  // The deterministic corpus merge, in sorted-module-name order.
+  SessionResult out;
   for (const auto& [name, st] : modules_) {
     ModuleRunResult mr;
     mr.module = name;
@@ -589,66 +563,135 @@ SessionResult AnalysisSession::Run() {
 }
 
 // ---------------------------------------------------------------------------
-// The link stage: per-function summary exchange between modules.
+// The link stage: one whole-corpus analysis, regrouped per module.
 // ---------------------------------------------------------------------------
 
-std::vector<FuncSummary> AnalysisSession::ExtractSummaries(const std::string& name,
-                                                           ModuleState& st) const {
-  std::vector<FuncSummary> out;
-  if (!st.ok || st.ctx == nullptr) {
-    return out;
+namespace {
+
+// How the files of one analyzed program map onto session modules — the
+// export view's attribution key. Module files are contiguous, in module
+// order, after the prelude.
+struct ModuleMap {
+  std::vector<const std::string*> names;  // module index -> name
+  std::vector<int> of_file;               // file id -> module index (-1: prelude)
+  std::vector<int32_t> first_file;        // module index -> first file id
+  int32_t base = 0;  // a module's first file id in its own compile
+
+  explicit ModuleMap(bool prelude) : of_file(prelude ? 1 : 0, -1), base(prelude ? 1 : 0) {}
+  void Add(const std::string* name, size_t files) {
+    first_file.push_back(static_cast<int32_t>(of_file.size()));
+    of_file.insert(of_file.end(), files, static_cast<int>(names.size()));
+    names.push_back(name);
   }
-  const BlockStopReport* bs = nullptr;
-  const ErrCheckReport* ec = nullptr;
-  const LockSafeReport* ls = nullptr;
-  if (const ToolResult* r = st.result.ResultFor("blockstop")) {
-    bs = r->DetailAs<BlockStopReport>();
+  int Of(int32_t file) const {
+    return file >= 0 && static_cast<size_t>(file) < of_file.size()
+               ? of_file[static_cast<size_t>(file)]
+               : -1;
   }
-  if (const ToolResult* r = st.result.ResultFor("errcheck")) {
-    ec = r->DetailAs<ErrCheckReport>();
+  // The id a module-local compile (prelude, then the module's files) gives.
+  int32_t Local(int32_t file) const {
+    const int m = Of(file);
+    return m < 0 ? file : file - first_file[static_cast<size_t>(m)] + base;
   }
-  if (const ToolResult* r = st.result.ResultFor("locksafe")) {
-    ls = r->DetailAs<LockSafeReport>();
-  }
+};
+
+template <typename T>
+const T* DetailOf(const PipelineResult& result, const char* tool) {
+  const ToolResult* r = result.ResultFor(tool);
+  return r != nullptr ? r->DetailAs<T>() : nullptr;
+}
+
+// The summary rows of every module of one analyzed program: a definer row
+// per function a module defines, a usage row per non-builtin function it
+// declares without defining. `dropped` are (module, name) definitions the
+// corpus compile set aside for an earlier definer; their rows carry that
+// definer's facts. ComputeLinkStackFacts adds the corpus stack facts.
+std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineResult& result,
+                                         const ModuleMap& map,
+                                         const std::vector<std::pair<int, std::string>>& dropped) {
+  const BlockStopReport* bs = DetailOf<BlockStopReport>(result, "blockstop");
+  const ErrCheckReport* ec = DetailOf<ErrCheckReport>(result, "errcheck");
+  const LockSafeReport* ls = DetailOf<LockSafeReport>(result, "locksafe");
   // Read-only views of what the analyses already built; never force a build
   // here (a pipeline without the consuming pass exports no such facts).
-  const CallGraph* cg = st.ctx->callgraph_builds() > 0 ? &st.ctx->callgraph() : nullptr;
-  const PointsTo* pt = st.ctx->pointsto_builds() > 0 ? &st.ctx->pointsto() : nullptr;
-  const IrModule& ir = st.ctx->module();
-
-  for (const auto& [fname, fn] : st.ctx->sema().func_map()) {
-    if (fn->func_id < 0 || fn->is_builtin) {
-      continue;
+  const CallGraph* cg = ctx.callgraph_builds() > 0 ? &ctx.callgraph() : nullptr;
+  const PointsTo* pt = ctx.pointsto_builds() > 0 ? &ctx.pointsto() : nullptr;
+  const auto& func_map = ctx.sema().func_map();
+  auto defined_in = [&map](const FuncDecl* fn, int m) {
+    return fn->body != nullptr && map.Of(fn->loc.file) == m;
+  };
+  std::vector<std::set<std::string>> defined(map.names.size());
+  std::vector<std::set<std::string>> declared(map.names.size());
+  for (const FuncDecl* fn : ctx.prog().funcs) {
+    if (const int m = map.Of(fn->loc.file); m >= 0) {
+      (fn->body != nullptr ? defined : declared)[static_cast<size_t>(m)].insert(fn->name);
     }
-    FuncSummary row;
-    row.module = name;
-    row.function = fname;
-    if (fn->body != nullptr) {
-      // Definer row: bottom-up facts. The attrs here are source-pure — the
-      // import path only mutates extern declarations' behavioural attrs.
+  }
+  for (const auto& [m, name] : dropped) {
+    defined[static_cast<size_t>(m)].insert(name);
+  }
+
+  // Usage facts keyed by (calling module, callee): atomic entry from the
+  // context bits the module's own functions pass in, irq entry from its
+  // irq-reachable functions, and the points-to sets of its arguments.
+  using Key = std::pair<int, std::string>;
+  std::set<Key> atomic;
+  std::set<Key> irq;
+  std::map<Key, std::map<int, std::set<std::string>>> args;
+  if (bs != nullptr) {
+    for (const auto& [key, bits] : bs->cross_file_entry_bits) {
+      if ((bits & 2) != 0) {
+        atomic.insert({map.Of(key.first), key.second});
+      }
+    }
+  }
+  static const std::vector<const FuncDecl*> kNone;
+  for (const FuncDecl* fn : cg != nullptr ? cg->DefinedFuncs() : kNone) {
+    const int m = map.Of(fn->loc.file);
+    const bool in_irq = ls != nullptr && ls->irq_reachable.count(fn->name) != 0;
+    for (const CallSite& site : cg->SitesOf(fn)) {
+      // trigger_irq(h, arg) hands `arg` to the handler's first parameter.
+      const size_t skip = site.is_irq_dispatch ? 1 : 0;
+      for (const FuncDecl* callee : site.McCallees()) {
+        if (m < 0 || defined_in(callee, m)) {
+          continue;
+        }
+        if (in_irq) {
+          irq.insert({m, callee->name});
+        }
+        for (size_t p = 0; pt != nullptr && p < callee->params.size() &&
+                           p + skip < site.expr->args.size();
+             ++p) {
+          pt->FuncNamesOfExpr(site.expr->args[p + skip],
+                              &args[{m, callee->name}][static_cast<int>(p)]);
+        }
+      }
+    }
+  }
+
+  std::vector<FuncSummary> out;
+  for (size_t m = 0; m < map.names.size(); ++m) {
+    for (const std::string& fname : defined[m]) {
+      const FuncDecl* fn = func_map.at(fname);
+      FuncSummary row;
+      row.module = *map.names[m];
+      row.function = fname;
       row.defined = true;
       row.blocking = fn->attrs.blocking;
       row.noblock = fn->attrs.noblock;
       row.blocking_if_param = fn->attrs.blocking_if_param;
       row.errcodes = fn->attrs.errcodes;
-      row.frame_size = static_cast<size_t>(fn->func_id) < ir.funcs.size()
-                           ? ir.funcs[static_cast<size_t>(fn->func_id)].frame_size
+      row.frame_size = static_cast<size_t>(fn->func_id) < ctx.module().funcs.size()
+                           ? ctx.module().funcs[static_cast<size_t>(fn->func_id)].frame_size
                            : fn->frame_size;
       if (bs != nullptr) {
-        row.may_block = bs->mayblock.count(row.function) != 0;
-        auto w = bs->mayblock_witness.find(row.function);
-        if (w != bs->mayblock_witness.end()) {
-          row.block_witness = w->second;
-        }
+        row.may_block = bs->mayblock.count(fname) != 0;
+        auto w = bs->mayblock_witness.find(fname);
+        row.block_witness = w != bs->mayblock_witness.end() ? w->second : "";
       }
-      if (ec != nullptr) {
-        row.returns_error = ec->err_funcs.count(row.function) != 0;
-      }
-      if (ls != nullptr) {
-        auto lk = ls->locks_acquired.find(row.function);
-        if (lk != ls->locks_acquired.end()) {
-          row.locks_acquired = lk->second;
-        }
+      row.returns_error = ec != nullptr && ec->err_funcs.count(fname) != 0;
+      if (ls != nullptr && ls->locks_acquired.count(fname) != 0) {
+        row.locks_acquired = ls->locks_acquired.at(fname);
       }
       if (cg != nullptr) {
         std::set<std::string> callees;
@@ -660,31 +703,219 @@ std::vector<FuncSummary> AnalysisSession::ExtractSummaries(const std::string& na
         row.callees.assign(callees.begin(), callees.end());
       }
       if (pt != nullptr) {
-        row.returns_points = pt->FuncNamesInCell(fn, -1);
+        row.returns_points = pt->ReturnFuncNames(fn);
       }
-    } else {
-      // Usage row: top-down facts about an extern-declared function.
-      if (bs != nullptr) {
-        auto b = bs->extern_entry_bits.find(row.function);
-        row.entered_atomic = b != bs->extern_entry_bits.end() && (b->second & 2) != 0;
+      out.push_back(std::move(row));
+    }
+    for (const std::string& fname : declared[m]) {
+      auto it = func_map.find(fname);
+      if (defined[m].count(fname) != 0 || it == func_map.end() || it->second->is_builtin) {
+        continue;
       }
-      if (ls != nullptr) {
-        row.entered_in_irq =
-            std::binary_search(ls->extern_irq_callees.begin(),
-                               ls->extern_irq_callees.end(), fname);
-      }
-      if (pt != nullptr) {
-        for (size_t p = 0; p < fn->params.size(); ++p) {
-          std::vector<std::string> names = pt->FuncNamesInCell(fn, static_cast<int>(p));
+      FuncSummary row;
+      row.module = *map.names[m];
+      row.function = fname;
+      const Key key{static_cast<int>(m), fname};
+      row.entered_atomic = atomic.count(key) != 0;
+      row.entered_in_irq = irq.count(key) != 0;
+      if (auto a = args.find(key); a != args.end()) {
+        for (const auto& [p, names] : a->second) {
           if (!names.empty()) {
-            row.param_points[static_cast<int>(p)] = std::move(names);
+            row.param_points[p].assign(names.begin(), names.end());
           }
         }
       }
+      out.push_back(std::move(row));
     }
-    out.push_back(std::move(row));
   }
   return out;
+}
+
+// The module a finding belongs to: its location's file, or — without a
+// location — the module that defines witness[0] (a function, else a
+// global). Anything else goes to the first module.
+int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMap& map) {
+  int m = map.Of(f.loc.file);
+  if (m < 0 && !f.witness.empty()) {
+    auto it = ctx.sema().func_map().find(f.witness[0]);
+    if (it != ctx.sema().func_map().end() && it->second->body != nullptr) {
+      m = map.Of(it->second->loc.file);
+    }
+    for (const VarDecl* g : ctx.prog().globals) {
+      m = m < 0 && g->name == f.witness[0] ? map.Of(g->loc.file) : m;
+    }
+  }
+  return std::max(m, 0);
+}
+
+// Splits a corpus run's result into the per-module results a module-local
+// run reports: findings in tool order with module-local file ids. The
+// modules' ToolResults share the corpus run's details and metrics. `map`
+// holds at least one module.
+std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const AnalysisContext& ctx,
+                                            const ModuleMap& map) {
+  std::vector<PipelineResult> out(map.names.size());
+  std::vector<std::vector<Finding>> by_tool;
+  size_t config_errors = corpus.findings.size();
+  for (ToolResult& t : corpus.results) {
+    config_errors -= t.findings().size();
+    by_tool.push_back(std::move(t.findings()));
+    t.findings().clear();
+  }
+  for (PipelineResult& r : out) {
+    r.results = corpus.results;
+    r.parallel = corpus.parallel;
+    r.pointsto_builds = corpus.pointsto_builds;
+    r.callgraph_builds = corpus.callgraph_builds;
+  }
+  auto place = [&](Finding f, size_t tool) {
+    PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(f, ctx, map))];
+    f.loc.file = map.Local(f.loc.file);
+    if (tool < by_tool.size()) {
+      r.results[tool].AddFinding(f);
+    }
+    r.findings.push_back(std::move(f));
+  };
+  // RunTools' merge order: configuration errors first, then each pass's.
+  for (size_t i = 0; i < config_errors; ++i) {
+    place(std::move(corpus.findings[i]), by_tool.size());
+  }
+  for (size_t t = 0; t < by_tool.size(); ++t) {
+    for (Finding& f : by_tool[t]) {
+      place(std::move(f), t);
+    }
+  }
+  return out;
+}
+
+// A module's view of the corpus compile: its own source files (so findings
+// and diagnostics render with module-local file ids) and diagnostics. No
+// AST — the corpus program owns that.
+std::unique_ptr<Compilation> ModuleView(const Compilation& corpus, const ModuleMap& map, int m) {
+  auto view = std::make_unique<Compilation>();
+  view->config = corpus.config;
+  for (int32_t id = 0; id < corpus.sm.file_count(); ++id) {
+    if (map.Of(id) == m || (id == 0 && map.base == 1)) {
+      view->sm.AddFile(corpus.sm.FileName(id), corpus.sm.FileText(id));
+    }
+  }
+  view->diags = std::make_unique<DiagEngine>(&view->sm);
+  for (const Diagnostic& d : corpus.diags->diagnostics()) {
+    if (map.Of(d.loc.file) == m) {
+      view->diags->Add(d.severity, {map.Local(d.loc.file), d.loc.line, d.loc.col}, d.message,
+                       d.tool);
+    }
+  }
+  view->ok = view->diags->ok();
+  return view;
+}
+
+}  // namespace
+
+bool AnalysisSession::AnalyzeCorpus() {
+  if (cancel_requested()) {
+    return false;
+  }
+  // Frontend, in module-name order. A module whose files carry a compile
+  // error leaves the corpus and the rest compiles again without it; every
+  // retry drops a module, so this ends.
+  std::vector<std::pair<const std::string*, ModuleState*>> live;
+  for (auto& [name, st] : modules_) {
+    live.push_back({&name, st.get()});
+  }
+  std::vector<std::pair<ModuleState*, std::unique_ptr<Compilation>>> failed;
+  std::unique_ptr<Compilation> comp;
+  ModuleMap map(pipeline_.config().include_prelude);
+  std::vector<std::pair<int, std::string>> dropped;
+  for (;;) {
+    map = ModuleMap(pipeline_.config().include_prelude);
+    dropped.clear();
+    std::vector<SourceFile> files;
+    std::vector<int> file_module;
+    for (const auto& [name, st] : live) {
+      file_module.insert(file_module.end(), st->files.size(), static_cast<int>(map.names.size()));
+      map.Add(name, st->files.size());
+      files.insert(files.end(), st->files.begin(), st->files.end());
+    }
+    comp = pipeline_.CompileCorpus(files, file_module, &cache_, &dropped);
+    if (comp->ok) {
+      break;
+    }
+    std::set<int> bad;
+    for (const Diagnostic& d : comp->diags->diagnostics()) {
+      if (d.severity == Severity::kError && map.Of(d.loc.file) >= 0) {
+        bad.insert(map.Of(d.loc.file));
+      }
+    }
+    std::vector<std::pair<const std::string*, ModuleState*>> rest;
+    for (size_t m = 0; m < live.size(); ++m) {
+      // An error no module owns fails them all.
+      if (bad.empty() || bad.count(static_cast<int>(m)) != 0) {
+        failed.push_back({live[m].second, ModuleView(*comp, map, static_cast<int>(m))});
+      } else {
+        rest.push_back(live[m]);
+      }
+    }
+    if (rest.empty()) {
+      live.clear();
+      break;
+    }
+    live = std::move(rest);
+  }
+  if (cancel_requested()) {
+    return false;
+  }
+
+  // One analysis of the whole corpus, then the export view over it.
+  std::unique_ptr<AnalysisContext> ctx;
+  PipelineResult corpus;
+  if (!live.empty()) {
+    ctx = pipeline_.MakeContext(comp.get());
+    ctx->AttachPool(pool());
+    corpus = pipeline_.RunTools(*ctx);
+    if (trace::Enabled()) {
+      CountSolve(false);
+    }
+  }
+  std::vector<PipelineResult> per_module;
+  {
+    trace::Span span("link.export");
+    link_table_ = AnnoDb();
+    if (ctx != nullptr) {
+      for (FuncSummary& row : ExportSummaries(*ctx, corpus, map, dropped)) {
+        link_table_.AddSummary(std::move(row));
+      }
+      per_module = RegroupFindings(std::move(corpus), *ctx, map);
+    }
+    ComputeLinkStackFacts();
+  }
+
+  // Publish: every module was analyzed by this run.
+  for (auto& [name, st] : modules_) {
+    (void)name;
+    st->ctx.reset();
+    st->result = PipelineResult{};
+    st->analyzed_now = true;
+    st->dirty = false;
+    st->have_snapshot = false;
+    st->have_mayblock = false;
+    st->stats = ModuleStats{};
+  }
+  for (auto& [st, view] : failed) {
+    st->ok = false;
+    st->compile_errors = view->Errors();
+    st->comp = std::move(view);
+  }
+  for (size_t m = 0; m < per_module.size(); ++m) {
+    ModuleState* st = live[m].second;
+    st->ok = true;
+    st->compile_errors.clear();
+    st->comp = ModuleView(*comp, map, static_cast<int>(m));
+    st->result = std::move(per_module[m]);
+    st->stats.valid = true;
+  }
+  linked_ = true;
+  return true;
 }
 
 void AnalysisSession::ComputeLinkStackFacts() {
@@ -784,227 +1015,49 @@ void AnalysisSession::ComputeLinkStackFacts() {
   }
 }
 
-std::set<std::string> AnalysisSession::LinkedComponentOf(
-    const std::set<std::string>& roots) const {
-  std::map<std::string, std::vector<std::string>> definers;
-  std::map<std::string, std::vector<std::string>> referencers;
-  for (const auto& [mname, st] : modules_) {
-    if (!st->have_link_names) {
-      continue;
-    }
-    for (const std::string& f : st->defined_names) {
-      definers[f].push_back(mname);
-    }
-    for (const std::string& f : st->extern_refs) {
-      referencers[f].push_back(mname);
-    }
-  }
-  std::set<std::string> out;
-  std::vector<std::string> work(roots.begin(), roots.end());
-  while (!work.empty()) {
-    std::string m = std::move(work.back());
-    work.pop_back();
-    if (!out.insert(m).second) {
-      continue;
-    }
-    auto it = modules_.find(m);
-    if (it == modules_.end() || !it->second->have_link_names) {
-      continue;
-    }
-    for (const std::string& f : it->second->defined_names) {
-      for (const std::string& user : referencers[f]) {
-        if (out.count(user) == 0) {
-          work.push_back(user);
-        }
-      }
-    }
-    for (const std::string& f : it->second->extern_refs) {
-      for (const std::string& def : definers[f]) {
-        if (out.count(def) == 0) {
-          work.push_back(def);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-AnalysisSession::LinkTableSnapshot AnalysisSession::SnapshotLinkTable() const {
-  LinkTableSnapshot snap;
-  for (const auto& [key, row] : link_table_.summaries()) {
-    snap[key] = {row.Canonical(), row.defined, row.cross_recursive, row.stack_below};
-  }
-  return snap;
-}
-
-std::set<std::string> AnalysisSession::DiffLinkTable(const LinkTableSnapshot& before,
-                                                     const LinkTableSnapshot& after) const {
-  // Mark exactly the importers of changed facts dirty: a changed definer
-  // row dirties the modules that declare the function extern; a changed
-  // usage row dirties its definer; changed link-stage stack facts feed back
-  // into the definer itself when a cross-module cycle appears or
-  // disappears.
-  std::set<std::string> dirty;
-  auto visit_changed = [this, &dirty](const std::pair<std::string, std::string>& key,
-                                      const LinkRowState* oldr, const LinkRowState* newr) {
-    const std::string& exporter = key.first;
-    const std::string& fname = key.second;
-    bool defined = newr != nullptr ? newr->defined : oldr->defined;
-    for (const auto& [mname, st] : modules_) {
-      if (mname == exporter || !st->have_link_names) {
-        continue;
-      }
-      if (defined ? st->extern_refs.count(fname) != 0
-                  : st->defined_names.count(fname) != 0) {
-        dirty.insert(mname);
-      }
-    }
-    if (defined) {
-      bool xrec_changed =
-          (oldr == nullptr ? false : oldr->cross_recursive) !=
-              (newr == nullptr ? false : newr->cross_recursive) ||
-          ((oldr != nullptr && oldr->cross_recursive) &&
-           (newr != nullptr && newr->cross_recursive) &&
-           oldr->stack_below != newr->stack_below);
-      if (xrec_changed) {
-        dirty.insert(exporter);
-      }
-    }
-  };
-  for (const auto& [key, oldr] : before) {
-    auto it = after.find(key);
-    if (it == after.end()) {
-      visit_changed(key, &oldr, nullptr);
-    } else if (it->second.canon != oldr.canon) {
-      visit_changed(key, &oldr, &it->second);
-    }
-  }
-  for (const auto& [key, newr] : after) {
-    if (before.count(key) == 0) {
-      visit_changed(key, nullptr, &newr);
-    }
-  }
-  return dirty;
-}
-
 SessionResult AnalysisSession::RunLinked() {
   link_stats_ = LinkStats{};
-
-  // Retraction safety. A monotone fixpoint cannot un-derive facts, and a
-  // stale "f may block" row can keep supporting itself around a
-  // cross-module cycle after the edit that justified it is gone. So every
-  // edit clears the whole cross-module dependency component containing the
-  // edited modules — their rows are re-derived from below, while modules
-  // outside the component keep their converged facts and cached results.
-  std::set<std::string> source_dirty;
+  // One span and one latency sample per link, whether it analyzed or not.
+  trace::Span round_span("session.link_round", {"round", 1});
+  const uint64_t t0 = trace::Enabled() ? MonotonicNowNs() : 0;
+  bool stale = !linked_;
   for (auto& [name, st] : modules_) {
-    if (st->dirty) {
-      source_dirty.insert(name);
-    }
+    (void)name;
+    st->analyzed_now = false;
+    stale |= st->dirty;
   }
-  if (!linked_ever_) {
-    link_table_ = AnnoDb();
-    for (auto& [name, st] : modules_) {
-      (void)name;
-      st->dirty = true;
-    }
-  } else if (!source_dirty.empty()) {
-    for (const std::string& m : LinkedComponentOf(source_dirty)) {
-      link_table_.RetractModule(m);
-      Invalidate(m);
-    }
+  if (stale && !AnalyzeCorpus()) {
+    // Cancelled: nothing published, the modules stay dirty.
+    link_stats_.cancelled = true;
+    SessionResult cancelled;
+    cancelled.cancelled = true;
+    return cancelled;
   }
-
-  // Safety cap: facts grow monotonically within a linked run, so the
-  // fixpoint terminates on its own; the cap only guards against a future
-  // non-monotone exporter bug turning into an infinite loop.
-  const int max_rounds = static_cast<int>(modules_.size()) * 4 + 8;
-  SessionResult result;
-  for (;;) {
-    // Cancellation boundary between rounds (Run() also checks between
-    // modules): an aborted fixpoint reports cancelled, leaves the dirty
-    // modules dirty, and skips the summary re-export — the table keeps the
-    // last fully-exported round, so a resumed RunLinked() re-derives from a
-    // consistent base.
-    if (cancel_requested()) {
-      link_stats_.cancelled = true;
-      result.cancelled = true;
-      break;
-    }
-    ++link_stats_.rounds;
-    // One span per fixpoint round (dirty count attached once the diff is
-    // known) plus a round-latency histogram — the fixpoint's progress curve
-    // in a Perfetto view.
-    trace::Span round_span("session.link_round",
-                           {"round", static_cast<int64_t>(link_stats_.rounds)});
-    const uint64_t round_t0 = trace::Enabled() ? MonotonicNowNs() : 0;
-    result = Run();
-    if (result.cancelled) {
-      link_stats_.cancelled = true;
-      break;
-    }
-    link_stats_.module_analyses += result.modules_analyzed;
-
-    LinkTableSnapshot before = SnapshotLinkTable();
-    for (auto& [name, st] : modules_) {
-      if (!st->analyzed_now) {
-        continue;
-      }
-      link_table_.RetractModule(name);  // the table holds only summary rows
-      for (FuncSummary& row : ExtractSummaries(name, *st)) {
-        link_table_.AddSummary(std::move(row));
-      }
-    }
-    ComputeLinkStackFacts();
-
-    std::set<std::string> dirty = DiffLinkTable(before, SnapshotLinkTable());
-    round_span.AddArg({"dirty", static_cast<int64_t>(dirty.size())});
-    if (trace::Enabled()) {
-      trace::GetHistogram("session.link_round_us")
-          ->Record((MonotonicNowNs() - round_t0) / 1000);
-      trace::GetCounter("session.dirty_modules")->Add(dirty.size());
-    }
-    if (dirty.empty()) {
-      link_stats_.converged = true;
-      break;
-    }
-    // Invalidate BEFORE the cap check: if the cap fires, the unconverged
-    // modules stay dirty, so a follow-up RunLinked() resumes the fixpoint
-    // instead of reporting the stale table as converged.
-    for (const std::string& m : dirty) {
-      Invalidate(m);
-    }
-    if (link_stats_.rounds >= max_rounds) {
-      break;
-    }
-  }
-
+  SessionResult result = Collect();
+  link_stats_.rounds = 1;
+  link_stats_.converged = true;
+  link_stats_.module_analyses = result.modules_analyzed;
   link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
-  for (const auto& [mname, st] : modules_) {
-    if (!st->have_link_names) {
-      continue;
-    }
-    for (const auto& [nname, nst] : modules_) {
-      if (mname == nname || !nst->have_link_names) {
-        continue;
-      }
-      for (const std::string& f : st->extern_refs) {
-        if (nst->defined_names.count(f) != 0) {
-          ++link_stats_.cross_edges;
-          break;
-        }
-      }
+  // (importer, definer) module pairs: a usage row of a function another
+  // module defines.
+  static const std::set<std::string> kNoNames;
+  std::map<std::string, std::set<std::string>> definers;
+  for (const auto& [key, row] : link_table_.summaries()) {
+    if (row.defined) {
+      definers[key.second].insert(key.first);
     }
   }
-  linked_ever_ = true;
-
-  if (!link_stats_.converged && !link_stats_.cancelled) {
-    Finding f;
-    f.tool = "session";
-    f.severity = FindingSeverity::kError;
-    f.message = "cross-module link fixpoint did not converge within " +
-                std::to_string(max_rounds) + " rounds";
-    result.findings.push_back(std::move(f));
+  std::set<std::pair<std::string, std::string>> edges;
+  for (const auto& [key, row] : link_table_.summaries()) {
+    auto it = row.defined ? definers.end() : definers.find(key.second);
+    for (const std::string& definer : it != definers.end() ? it->second : kNoNames) {
+      edges.insert({key.first, definer});
+    }
+  }
+  link_stats_.cross_edges = static_cast<int>(edges.size());
+  if (trace::Enabled()) {
+    static trace::Histogram* const link_round_us = trace::GetHistogram("session.link_round_us");
+    link_round_us->Record((MonotonicNowNs() - t0) / 1000);
   }
   for (const std::string& fname : link_conflicts_) {
     Finding f;
@@ -1021,27 +1074,36 @@ SessionResult AnalysisSession::RunLinked() {
 AnnoDb AnalysisSession::ExportAnnoDb() {
   AnnoDb merged;
   for (auto& [name, st] : modules_) {
-    if (!st->ok || st->ctx == nullptr) {
+    if (!st->ok) {
       continue;
     }
-    AnnoDb db = AnnoDb::Extract(*st->ctx, &st->result);
-    db.StampModule(name);
+    // A module analyzed on its own (Run()) exports its program's facts; a
+    // linked module's facts are its summary rows below.
+    AnnoDb db;
+    if (st->ctx != nullptr) {
+      db = AnnoDb::Extract(*st->ctx, &st->result);
+      db.StampModule(name);
+    }
     std::vector<Finding> stamped = st->result.findings;
     for (Finding& f : stamped) {
       f.module = name;
     }
-    db.SetFindings(std::move(stamped), &st->ctx->sm());
+    db.SetFindings(std::move(stamped), st->comp != nullptr ? &st->comp->sm : nullptr);
     merged.Merge(db);
   }
-  // The summary fact table rides along: the converged link table when the
-  // session has linked, else fresh per-module rows (no corpus stack facts —
-  // those need the link fixpoint).
-  if (linked_ever_) {
+  // The summary fact table rides along: the link table when the session has
+  // linked, else fresh per-module rows (no corpus stack facts — those need
+  // the whole corpus).
+  if (linked_) {
     merged.Merge(link_table_);
   } else {
     for (auto& [name, st] : modules_) {
-      for (FuncSummary& row : ExtractSummaries(name, *st)) {
-        merged.AddSummary(std::move(row));
+      if (st->ok && st->ctx != nullptr) {
+        ModuleMap map(pipeline_.config().include_prelude);
+        map.Add(&name, st->files.size());
+        for (FuncSummary& row : ExportSummaries(*st->ctx, st->result, map, {})) {
+          merged.AddSummary(std::move(row));
+        }
       }
     }
   }

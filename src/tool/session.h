@@ -81,14 +81,14 @@ struct SessionResult {
   int ErrorCount() const;
 };
 
-// Outcome counters of the last RunLinked() fixpoint.
+// Outcome counters of the last RunLinked().
 struct LinkStats {
-  int rounds = 0;              // analysis rounds until the table stabilized
-  int module_analyses = 0;     // sum of modules analyzed across rounds
-  int summary_rows = 0;        // rows in the converged fact table
+  int rounds = 0;              // 1 for every completed link (0 if cancelled)
+  int module_analyses = 0;     // modules the link analyzed: all or none
+  int summary_rows = 0;        // rows in the link table
   int cross_edges = 0;         // (importer, definer) module pairs
-  bool converged = false;      // false if the safety cap fired or cancelled
-  bool cancelled = false;      // RequestCancel() aborted the fixpoint
+  bool converged = false;      // the link completed (false if cancelled)
+  bool cancelled = false;      // RequestCancel() aborted the link
 };
 
 // Solver-effort counters from a module's most recent analysis — how much of
@@ -146,37 +146,38 @@ class AnalysisSession {
   // programs — calls into other modules are opaque (see RunLinked).
   SessionResult Run();
 
-  // The link stage: Run() in rounds, with per-function summaries flowing
-  // between modules through the annodb fact table until it stops changing.
-  // After each round the summaries of every re-analyzed module are
-  // re-exported and diffed; modules that import a changed fact — callers of
-  // a function whose bottom-up summary changed, or the definer of a
-  // function whose observed usage changed — are marked dirty for the next
-  // round, so round N+1 re-analyzes only importers of changed facts.
+  // The link stage: every module's files compiled as one program (prelude
+  // first, then the modules in name order) and analyzed once, so calls
+  // between modules are ordinary calls. Everything it returns is derived
+  // from that one run: each finding goes to the module of its location's
+  // file (or, with no location, the module defining witness[0]) with the
+  // file id a module-local compile would give it, and the link table is
+  // the export view of the run (see AnnoDb's FuncSummary).
   //
-  // Determinism contract (extends Run()'s): the converged findings are
-  // byte-identical regardless of module registration order, shard count,
-  // and cold-vs-incremental linking; on a corpus whose modules share facts
-  // only through declared extern functions, the converged finding set
-  // equals the merged-source single-program run's (see
-  // tests/session_linked_test.cc and docs/ARCHITECTURE.md for the exact
-  // statement, including the stackcheck per-report caveat).
+  // A module that fails to compile leaves the corpus and reports "failed to
+  // compile"; the rest is still analyzed. A function defined in several
+  // modules keeps its first definer's definition and is reported once.
   //
-  // Incremental: a later RunLinked() after source edits retracts and
-  // re-derives only the cross-module dependency component containing the
-  // edited modules; everything outside keeps its converged facts and cached
-  // results.
+  // Determinism contract (extends Run()'s): the findings are byte-identical
+  // regardless of module registration order and shard count, and their
+  // canonical rendering equals the merged-source single-program run's (see
+  // tests/session_linked_test.cc and docs/ARCHITECTURE.md).
+  //
+  // Incremental at corpus granularity: with no module dirty since the last
+  // link (or since a matching LoadStore), RunLinked() analyzes nothing and
+  // returns the cached results (module_analyses == 0); any edit re-runs the
+  // whole corpus.
   SessionResult RunLinked();
   const LinkStats& link_stats() const { return link_stats_; }
 
   // Persistent warm start (src/store/store.h). SaveStore snapshots every
-  // module's sources + incremental state + findings and the link table;
-  // LoadStore restores them into a fresh session, so the next RunLinked()
-  // costs ≈ one incremental relink (one idle round when nothing changed)
-  // and produces byte-identical findings. LoadStore returns false — and
-  // leaves the session as-is, cold — on a missing/corrupt/stale-digest
-  // store; the caller just runs cold. Modules whose current sources differ
-  // from the stored ones keep the session's sources and stay dirty.
+  // module's sources and findings and the link table; LoadStore restores
+  // them into a fresh session, so the next RunLinked() analyzes nothing when
+  // no source changed and produces byte-identical findings. LoadStore
+  // returns false — and leaves the session as-is, cold — on a
+  // missing/corrupt/stale-digest store; the caller just runs cold. Modules
+  // whose current sources differ from the stored ones keep the session's
+  // sources and stay dirty.
   bool SaveStore(const std::string& path, std::string* err) const;
   bool LoadStore(const std::string& path, std::string* err);
 
@@ -188,17 +189,17 @@ class AnalysisSession {
 
   // Cooperative cancellation for an in-flight Run()/RunLinked() on another
   // thread (the annod server's shutdown-while-relinking path). Checked
-  // between module analyses and between link rounds — never mid-kernel — so
-  // a cancelled run stops at the next module boundary, leaves every
-  // unprocessed module dirty, and reports cancelled=true. The flag is
-  // sticky until ClearCancel(); a cancelled session is resumable, not
-  // poisoned.
+  // between module analyses, and before RunLinked()'s frontend and passes —
+  // never mid-kernel — so a cancelled run stops at the next boundary, leaves
+  // every unprocessed module dirty, publishes nothing partial, and reports
+  // cancelled=true. The flag is sticky until ClearCancel(); a cancelled
+  // session is resumable, not poisoned.
   void RequestCancel() { cancel_->store(true, std::memory_order_release); }
   void ClearCancel() { cancel_->store(false, std::memory_order_release); }
   bool cancel_requested() const { return cancel_->load(std::memory_order_acquire); }
 
-  // The converged fact table (empty before the first RunLinked). The same
-  // rows are merged into ExportAnnoDb()'s repository view.
+  // The link table (empty before the first RunLinked). The same rows are
+  // merged into ExportAnnoDb()'s repository view.
   const AnnoDb& link_table() const { return link_table_; }
 
   // The §3.2 repository view of the whole corpus: per-module facts merged,
@@ -212,8 +213,10 @@ class AnalysisSession {
   const Pipeline& pipeline() const { return pipeline_; }
 
   // The module's frontend artifacts from its last analysis (null before the
-  // first Run or after a compile failure). Callers render finding locations
-  // through ->sm; file ids are private to each module's compilation.
+  // first analysis). Callers render finding locations and compile errors
+  // through ->sm; file ids are private to each module's compilation. After
+  // RunLinked() this is a view holding only the module's sources and
+  // diagnostics — the corpus program has the AST.
   const Compilation* CompilationFor(const std::string& name) const;
 
   // Moves a module's artifacts out of the session (its cached state is
@@ -223,34 +226,22 @@ class AnalysisSession {
  private:
   struct ModuleState;  // defined in session_state.h
 
-  // What the link fixpoint diffs per summary row between rounds.
-  struct LinkRowState {
-    std::string canon;
-    bool defined = false;
-    bool cross_recursive = false;
-    int64_t stack_below = -1;
-  };
-  using LinkTableSnapshot = std::map<std::pair<std::string, std::string>, LinkRowState>;
-
   WorkQueue* pool();
-  void Analyze(const std::string& name, ModuleState* st);
-  LinkTableSnapshot SnapshotLinkTable() const;
-  // Importers of changed facts between two snapshots — the modules the
-  // next round must re-analyze.
-  std::set<std::string> DiffLinkTable(const LinkTableSnapshot& before,
-                                      const LinkTableSnapshot& after) const;
+  void Analyze(ModuleState* st);
+  // Run()'s and RunLinked()'s merge of every module's cached result.
+  SessionResult Collect() const;
+  // RunLinked()'s analysis: compiles and analyzes the corpus as one program
+  // and publishes the per-module results and the link table. False (and
+  // nothing published) when cancelled.
+  bool AnalyzeCorpus();
 
   // LoadStore's per-module restore (session_store.cc): adopts one analyzed
-  // record's persisted state and its already-parsed findings.
+  // record and its already-parsed findings.
   void ImportStoreRecord(const StoreModule& rec, std::vector<Finding> findings);
-  // Rebuilds a module's exported summary rows from its last analysis.
-  std::vector<FuncSummary> ExtractSummaries(const std::string& name, ModuleState& st) const;
   // Corpus-level stack facts over the current table (condensation of the
-  // exported call edges; cross-module cyclic SCC members marked recursive).
+  // exported call edges; cross-module cyclic SCC members marked recursive),
+  // and the names with more than one definer row (link_conflicts_).
   void ComputeLinkStackFacts();
-  // Modules transitively connected to `roots` through shared function names
-  // (in either import direction), per the last exported name sets.
-  std::set<std::string> LinkedComponentOf(const std::set<std::string>& roots) const;
 
   Pipeline pipeline_;
   bool track_incremental_;
@@ -264,14 +255,16 @@ class AnalysisSession {
   // of registration order. Node stability also keeps ModuleState addresses
   // (and the IncrementalHints the contexts point at) valid across inserts.
   std::map<std::string, std::unique_ptr<ModuleState>> modules_;
-  // The link stage's fact table and its outcome counters. The table holds
-  // only summary rows; per-module facts/findings stay with the modules and
-  // are merged on ExportAnnoDb().
+  // The link stage's table and its outcome counters. The table holds only
+  // summary rows; per-module findings stay with the modules and are merged
+  // on ExportAnnoDb().
   AnnoDb link_table_;
-  bool linked_ever_ = false;
+  // True while the table and every clean module's result come from one
+  // RunLinked() over the current module set (false after RemoveModule).
+  bool linked_ = false;
   LinkStats link_stats_;
-  // Function names defined in more than one module (a merged-source corpus
-  // would reject them); surfaced as session findings by RunLinked.
+  // Function names defined in more than one module; surfaced as session
+  // findings by RunLinked.
   std::set<std::string> link_conflicts_;
 };
 

@@ -35,19 +35,6 @@ struct AnalysisSession::ModuleState {
   bool have_mayblock = false;
   std::set<std::string> prev_mayblock;
 
-  // Link stage. `import_sig` is the canonical form of every summary row the
-  // last analysis imported: when it changes, the module re-solves cold —
-  // imported facts are invisible to the source fingerprints, so the
-  // function-granular warm machinery must not run across an import change.
-  // `link_seeds` is the storage the context's IncrementalHints point at.
-  std::string import_sig;
-  PointsToLinkSeeds link_seeds;
-  // Name sets from the last analysis: what this module defines and which
-  // extern functions it references — the cross-module edge structure.
-  bool have_link_names = false;
-  std::set<std::string> defined_names;
-  std::set<std::string> extern_refs;
-
   ModuleStats stats;
 
   // Declaration order matters: `ctx` points into `hints` and `comp`, so it

@@ -3,12 +3,10 @@
 // code stays independent of src/store.
 //
 // Soundness of the warm start reduces to the determinism contract: analysis
-// is a pure function of (sources, recipe, imported facts), so restored state
-// is byte-identical to what re-analysis would produce. Crash recovery rests
-// on the fixpoint being monotone from a retracted base: any store written
-// mid-run holds a table ≤ the least fixpoint, and the fixpoint is
-// source-determined, so reloading an unconverged store with every module
-// dirty converges to identical bytes.
+// is a pure function of (sources, recipe), so restored findings and rows are
+// byte-identical to what re-analysis would produce. A store is written only
+// between runs, so its table always comes from one completed run; a module
+// stored dirty makes the next RunLinked() re-run the corpus.
 #include <utility>
 
 #include "src/store/store.h"
@@ -36,7 +34,7 @@ std::vector<std::pair<std::string, std::string>> FilePairs(
 }
 
 // Strict parse of one stored summary row; the store's canon strings must
-// round-trip exactly or the fixpoint diff would chase phantom changes.
+// round-trip exactly, or a warm start would print different bytes.
 bool ParseSummaryRow(const std::pair<std::string, std::string>& key,
                      const std::string& canon, FuncSummary* out, std::string* err) {
   std::string jerr;
@@ -125,33 +123,23 @@ uint64_t AnalysisSession::CorpusDigest() const {
 bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const {
   StoreFile sf;
   sf.corpus_digest = CorpusDigest();
-  sf.linked = linked_ever_;
-  sf.converged = linked_ever_ && link_stats_.converged;
+  sf.linked = linked_;
   for (const auto& [name, st] : modules_) {
     StoreModule m;
     m.name = name;
     m.files = FilePairs(st->files);
     m.source_digest = SourcesDigest(m.files);
-    // A dirty module's cached analysis (if any) belongs to *older* sources;
+    // A dirty module's cached findings (if any) belong to *older* sources;
     // persisting the pair would let a loader treat stale facts as current.
-    // Dirty modules are stored sources-only and re-analyze cold on load.
+    // Dirty modules are stored sources-only and are analyzed after load.
     m.analyzed = !st->dirty;
     if (m.analyzed) {
       m.ok = st->ok;
       m.compile_errors = st->compile_errors;
-      m.preamble_fp = st->preamble_fp;
-      for (const auto& [fname, fp] : st->func_fps) {
-        auto sig = st->sig_fps.find(fname);
-        m.func_fps[fname] = {fp, sig != st->sig_fps.end() ? sig->second : 0};
-      }
-      m.import_sig = st->import_sig;
-      m.has_link_names = st->have_link_names;
-      m.defined_names.assign(st->defined_names.begin(), st->defined_names.end());
-      m.extern_refs.assign(st->extern_refs.begin(), st->extern_refs.end());
       if (st->ok) {
         for (const Finding& f : st->result.findings) {
           // Unstamped, location-raw canonical form — exactly the per-module
-          // cache Run() stamps, so a restored module merges
+          // cache the session stamps, so a restored module merges
           // byte-identically.
           m.findings_canon.push_back(f.ToJson(nullptr).Dump(-1));
         }
@@ -168,55 +156,23 @@ bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const
 void AnalysisSession::ImportStoreRecord(const StoreModule& rec,
                                         std::vector<Finding> findings) {
   auto& st = modules_[rec.name];
-  if (st == nullptr) {
-    st = std::make_unique<ModuleState>();
+  std::vector<SourceFile> files;
+  if (st != nullptr) {
+    files = std::move(st->files);
   }
-  if (st->files.empty()) {
+  if (files.empty()) {
     for (const auto& [fname, text] : rec.files) {
-      st->files.push_back(SourceFile{fname, text});
+      files.push_back(SourceFile{fname, text});
     }
   }
-
-  const bool keep_names = !rec.has_link_names && st->have_link_names;
-  // Destroy the live context before touching the snapshot/hint storage it
-  // points into (hints.pointsto_prev → pt_snapshot, link seeds).
-  st->ctx.reset();
-  st->comp.reset();
+  // A fresh state: no solver snapshots are persisted, so the next source
+  // edit re-solves this module cold, which the warm gate (have_snapshot)
+  // makes exact.
+  st = std::make_unique<ModuleState>();
+  st->files = std::move(files);
   st->dirty = false;
   st->ok = rec.ok;
-  st->analyzed_now = false;
   st->compile_errors = rec.compile_errors;
-  // The in-memory solver snapshots (points-to deltas, may-block memo) are
-  // not persisted: the next source edit re-solves this module cold, which
-  // the warm gate (have_snapshot) makes exact by construction.
-  st->have_snapshot = false;
-  st->have_mayblock = false;
-  st->prev_mayblock.clear();
-  st->pt_snapshot = PointsToSnapshot{};
-  st->callee_hashes.clear();
-  st->func_refs.clear();
-  st->preamble_fp = rec.preamble_fp;
-  st->func_fps.clear();
-  st->sig_fps.clear();
-  for (const auto& [fname, fp] : rec.func_fps) {
-    st->func_fps[fname] = fp.first;
-    st->sig_fps[fname] = fp.second;
-  }
-  st->import_sig = rec.import_sig;
-  st->link_seeds.clear();
-  if (!keep_names) {
-    // A compile-failed record carries no names; keep the module's previous
-    // edge structure — exactly what the in-process path does when Analyze
-    // never runs.
-    st->have_link_names = rec.has_link_names;
-    st->defined_names =
-        std::set<std::string>(rec.defined_names.begin(), rec.defined_names.end());
-    st->extern_refs =
-        std::set<std::string>(rec.extern_refs.begin(), rec.extern_refs.end());
-  }
-  st->stats = ModuleStats{};
-  st->hints = IncrementalHints{};
-  st->result = PipelineResult{};
   st->result.findings = std::move(findings);
 }
 
@@ -250,28 +206,15 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
   for (const auto& [name, rec] : sf.modules) {
     auto it = modules_.find(name);
     if (it != modules_.end()) {
-      ModuleState* st = it->second.get();
-      if (SourcesDigest(FilePairs(st->files)) != rec.source_digest) {
-        // The session already holds *newer* sources: keep them (and the
-        // dirty bit), but adopt the record's link-name sets when the
-        // session has none — that is the edge structure an in-process
-        // session would remember from the pre-edit analysis, and it is
-        // what scopes the next RunLinked's retraction component.
-        if (rec.has_link_names && !st->have_link_names) {
-          st->have_link_names = true;
-          st->defined_names =
-              std::set<std::string>(rec.defined_names.begin(), rec.defined_names.end());
-          st->extern_refs =
-              std::set<std::string>(rec.extern_refs.begin(), rec.extern_refs.end());
-        }
-        continue;
+      if (SourcesDigest(FilePairs(it->second->files)) != rec.source_digest) {
+        continue;  // the session holds *newer* sources: keep them, dirty
       }
-      if (!st->dirty) {
-        continue;  // already warm in memory; its state is richer than ours
+      if (!it->second->dirty) {
+        continue;  // already warm in memory
       }
     }
     if (!rec.analyzed) {
-      // Stored mid-edit: sources only, analyzes cold.
+      // Stored mid-edit: sources only, analyzed on the next run.
       if (it == modules_.end()) {
         std::vector<SourceFile> files;
         for (const auto& [fname, text] : rec.files) {
@@ -288,28 +231,12 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
   for (FuncSummary& s : rows) {
     link_table_.AddSummary(std::move(s));
   }
-  linked_ever_ = sf.linked;
+  linked_ = sf.linked;
   link_stats_ = LinkStats{};
-  link_stats_.converged = sf.linked && sf.converged;
   link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
-  link_conflicts_.clear();
-  if (sf.linked) {
-    // Rebuilds link_conflicts_ and re-derives the corpus stack facts from
-    // the loaded rows — idempotent on a converged table (the facts are part
-    // of the canonical rows), so a warm RunLinked sees no diff.
-    ComputeLinkStackFacts();
-    if (!sf.converged) {
-      // The store was written mid-fixpoint (a crash, a cancelled run). The
-      // table is ≤ the least fixpoint but possibly mixed-round; the one
-      // safe warm start is "everything dirty": a monotone re-derivation
-      // from the retracted base converges to the same source-determined
-      // fixpoint a cold run reaches.
-      for (auto& [name, st] : modules_) {
-        (void)name;
-        st->dirty = true;
-      }
-    }
-  }
+  // Rebuilds link_conflicts_; idempotent on the stack facts, which are part
+  // of the stored rows.
+  ComputeLinkStackFacts();
   return true;
 }
 

@@ -4,11 +4,11 @@
 //   1. Format totality, wire_test-style: encode/decode round trips, every
 //      strict prefix rejected, bad magic/version/flag bytes rejected, and
 //      seeded random/mutated-byte fuzz that must never crash or over-read.
-//   2. Warm start: a fresh session that LoadStores a converged run relinks
-//      in one idle round with zero module analyses and byte-identical
-//      findings; a warm session + edit equals a cold session + same edit.
-//   3. Crash recovery: an unconverged store loads with every module dirty
-//      and re-derives the identical fixpoint.
+//   2. Warm start: a fresh session that LoadStores a linked run relinks
+//      with zero module analyses and byte-identical findings; a warm
+//      session + edit equals a cold session + same edit.
+//   3. Recovery: a store saved with a module dirty loads that module dirty
+//      and the next link re-derives the identical result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,7 +70,6 @@ StoreFile SampleStore() {
   StoreFile sf;
   sf.corpus_digest = 0x0123456789abcdefull;
   sf.linked = true;
-  sf.converged = true;
 
   StoreModule a;
   a.name = "alpha";
@@ -78,13 +77,7 @@ StoreFile SampleStore() {
   a.source_digest = SourcesDigest(a.files);
   a.analyzed = true;
   a.ok = true;
-  a.preamble_fp = 0xfeed;
-  a.func_fps["a"] = {11, 12};
-  a.func_fps["b"] = {21, 22};
-  a.import_sig = "sig-bytes\x01\x02";
-  a.has_link_names = true;
-  a.defined_names = {"a", "b"};
-  a.extern_refs = {"c"};
+  a.compile_errors = "warning\x01\x02";
   a.findings_canon = {R"({"tool":"blockstop","message":"m"})"};
   sf.modules["alpha"] = a;
 
@@ -111,19 +104,13 @@ TEST(StoreFormat, RoundTrip) {
   ASSERT_TRUE(DecodeStore(bytes, &back, &err)) << err;
   EXPECT_EQ(back.corpus_digest, sf.corpus_digest);
   EXPECT_EQ(back.linked, sf.linked);
-  EXPECT_EQ(back.converged, sf.converged);
   ASSERT_EQ(back.modules.size(), 2u);
   const StoreModule& a = back.modules.at("alpha");
   EXPECT_EQ(a.files, sf.modules.at("alpha").files);
   EXPECT_EQ(a.source_digest, sf.modules.at("alpha").source_digest);
   EXPECT_TRUE(a.analyzed);
   EXPECT_TRUE(a.ok);
-  EXPECT_EQ(a.preamble_fp, 0xfeedu);
-  EXPECT_EQ(a.func_fps, sf.modules.at("alpha").func_fps);
-  EXPECT_EQ(a.import_sig, sf.modules.at("alpha").import_sig);
-  EXPECT_TRUE(a.has_link_names);
-  EXPECT_EQ(a.defined_names, sf.modules.at("alpha").defined_names);
-  EXPECT_EQ(a.extern_refs, sf.modules.at("alpha").extern_refs);
+  EXPECT_EQ(a.compile_errors, sf.modules.at("alpha").compile_errors);
   EXPECT_EQ(a.findings_canon, sf.modules.at("alpha").findings_canon);
   EXPECT_FALSE(back.modules.at("beta").analyzed);
   EXPECT_EQ(back.summaries, sf.summaries);
@@ -281,9 +268,9 @@ TEST(StoreSession, WarmEditMatchesColdEdit) {
   ASSERT_TRUE(warm.ReplaceFunction("mod_01", fn, def));
   SessionResult warm_result = warm.RunLinked();
   ASSERT_TRUE(warm.link_stats().converged);
-  // Only the edited component re-analyzes over the restored table.
-  EXPECT_LT(warm.link_stats().module_analyses,
-            warm.link_stats().rounds * static_cast<int>(corpus.size()));
+  // An edit re-runs the corpus once.
+  EXPECT_EQ(warm.link_stats().rounds, 1);
+  EXPECT_EQ(warm.link_stats().module_analyses, static_cast<int>(corpus.size()));
 
   AnalysisSession cold = LinkedPipeline().ForEachModule(corpus).BuildSession();
   ASSERT_TRUE(cold.ReplaceFunction("mod_01", fn, def));
@@ -333,19 +320,22 @@ TEST(StoreSession, CorruptAndMalformedStoresRejected) {
   EXPECT_EQ(Dump(after.findings), Dump(cold_result.findings));
 }
 
-TEST(StoreSession, UnconvergedStoreRecoversIdentically) {
-  StorePath path("unconverged");
+TEST(StoreSession, DirtyModuleInStoreRecoversIdentically) {
+  StorePath path("dirty_module");
   std::vector<ModuleSources> corpus = SmallCorpus();
   AnalysisSession s = LinkedPipeline().ForEachModule(corpus).BuildSession();
   SessionResult cold_result = s.RunLinked();
   std::string err;
   ASSERT_TRUE(s.SaveStore(path.get(), &err)) << err;
 
-  // Simulate a mid-run crash: same table, converged bit off. The loader
-  // must distrust round attribution and mark everything dirty.
+  // Simulate a save between an edit and its link: one module stored
+  // sources-only. The loader must leave it dirty, so the table is re-derived.
   StoreFile sf;
   ASSERT_TRUE(ReadStoreFile(path.get(), &sf, &err)) << err;
-  sf.converged = false;
+  StoreModule& rec = sf.modules.at("mod_01");
+  rec.analyzed = false;
+  rec.ok = false;
+  rec.findings_canon.clear();
   ASSERT_TRUE(WriteStoreFile(path.get(), sf, &err)) << err;
 
   AnalysisSession warm = LinkedPipeline().ForEachModule(corpus).BuildSession();

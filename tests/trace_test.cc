@@ -363,7 +363,11 @@ TEST(TraceDeterminism, TracedRunActuallyRecordsSessionSpans) {
   CanonicalRun(PropertyCorpus(3));
   trace::SetEnabled(false);
 
-  EXPECT_GE(CountEvents(trace::TraceSink::ToJson(), "session.link_round"), 1u);
+  const Json events = trace::TraceSink::ToJson();
+  for (const char* name :
+       {"session.link_round", "fe.lower", "an.pointsto", "an.callgraph", "link.export"}) {
+    EXPECT_GE(CountEvents(events, name), 1u) << name;
+  }
   EXPECT_GT(trace::GetCounter("session.solve_cold")->Value() +
                 trace::GetCounter("session.solve_warm")->Value(),
             0u);
@@ -372,6 +376,13 @@ TEST(TraceDeterminism, TracedRunActuallyRecordsSessionSpans) {
 // The cost contract on the compile path: with tracing off, compiling and
 // fingerprinting record nothing — the histograms' counts do not move. The
 // same work traced does record, so the silence comes from the gate.
+// A linked run compiles the corpus; an unlinked Run() compiles each module
+// and fingerprints its functions for the warm solves.
+void CompileAndFingerprint(const LinkedCorpusOptions& opt) {
+  CanonicalRun(opt);
+  SynthServePipeline().ForEachModule(GenerateLinkedCorpus(opt)).BuildSession().Run();
+}
+
 TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
   TraceGuard guard;
   const char* const kNames[] = {"frontend.parse_us", "frontend.sema_us",
@@ -388,14 +399,14 @@ TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
   auto comp = SynthServePipeline().Build().Compile(
       {SourceFile{"t.mc", "int f(int n) { return n + 1; }\n"}});
   ASSERT_TRUE(comp->ok) << comp->Errors();
-  CanonicalRun(PropertyCorpus(5));  // session compiles + fingerprints
+  CompileAndFingerprint(PropertyCorpus(5));
   const std::vector<uint64_t> untraced = counts();
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(untraced[i], before[i]) << kNames[i];
   }
 
   trace::SetEnabled(true);
-  CanonicalRun(PropertyCorpus(5));
+  CompileAndFingerprint(PropertyCorpus(5));
   trace::SetEnabled(false);
   const std::vector<uint64_t> traced = counts();
   for (size_t i = 0; i < before.size(); ++i) {

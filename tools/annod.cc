@@ -13,7 +13,7 @@
 //
 // The daemon runs until a client sends kShutdown (annodb-query
 // --shutdown-server) — shutdown is a graceful drain: queued relinks are
-// abandoned, the in-flight fixpoint stops at its next module boundary, and
+// abandoned, the in-flight link stops before its next phase, and
 // no partial epoch is ever published.
 #include <cstdio>
 #include <string>
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Tracing goes on before the seed relink so the first fixpoint is in the
+  // Tracing goes on before the seed relink so the first link is in the
   // trace too. The JSON lands at --trace-out after the drain.
   if (!trace_out.empty() || metrics) {
     ivy::trace::SetEnabled(true);

@@ -448,10 +448,10 @@ int RunFromStore(const Args& a) {
     std::fprintf(stderr, "annodb-query: %s\n", err.c_str());
     return 1;
   }
-  std::fprintf(stderr, "store %s: corpus_digest=%016llx linked=%d converged=%d modules=%zu\n",
+  std::fprintf(stderr, "store %s: corpus_digest=%016llx linked=%d modules=%zu\n",
                a.store_path.c_str(),
                static_cast<unsigned long long>(sf.corpus_digest), sf.linked ? 1 : 0,
-               sf.converged ? 1 : 0, sf.modules.size());
+               sf.modules.size());
 
   if (a.summaries) {
     int rows = 0;

@@ -1,6 +1,7 @@
 // annolink: batch cross-module analysis of a synthetic linked corpus with a
-// persistent store. Runs the link fixpoint (AnalysisSession::RunLinked) in
-// this process, saves the converged facts to the store, and prints them.
+// persistent store. Runs the link stage (AnalysisSession::RunLinked: the
+// whole corpus analyzed as one program), saves the findings and the link
+// table to the store, and prints them.
 //
 //   annolink --synth 6:48 --store /tmp/corpus.store
 //   annolink --synth 6:48 --store /tmp/corpus.store --metrics --trace-out t.json
@@ -8,11 +9,10 @@
 // stdout is the byte-identity surface: canonical summary rows, then stamped
 // findings. A rerun over an existing store warm-starts (stderr reports
 // module_analyses=0 when nothing changed) and prints the same bytes; a store
-// left unconverged by an interrupted run re-derives them from scratch.
+// this build cannot read is reported on stderr and the run starts cold.
 #include <cstdio>
 #include <string>
 
-#include "src/store/store.h"
 #include "src/support/trace.h"
 #include "src/tool/session.h"
 #include "tools/synth_common.h"
@@ -25,7 +25,7 @@ void Usage() {
                "                [--trace-out <file>] [--metrics]\n");
 }
 
-// One line per converged artifact, canonical forms — identical bytes on a
+// One line per linked artifact, canonical forms — identical bytes on a
 // cold run and a warm restart, which is what CI diffs.
 void PrintResult(const ivy::AnalysisSession& session, const ivy::SessionResult& result) {
   for (const auto& [key, row] : session.link_table().summaries()) {
@@ -99,16 +99,14 @@ int main(int argc, char** argv) {
   ivy::AnalysisSession session = ivy::SynthServePipeline()
                                      .ForEachModule(ivy::GenerateLinkedCorpus(opt))
                                      .BuildSession();
-  // Warm start: adopt the previous run's facts when the store matches this
-  // corpus. AddModule above and LoadStore here reconcile by source digest,
-  // so an unchanged corpus relinks in one idle round (module_analyses=0).
+  // Warm start: adopt the previous run's findings and table when the store
+  // matches this corpus. AddModule above and LoadStore here reconcile by
+  // source digest, so an unchanged corpus relinks with module_analyses=0.
   std::string lerr;
-  if (ivy::StoreFile probe; ivy::ReadStoreFile(store, &probe, &lerr)) {
-    if (session.LoadStore(store, &lerr)) {
-      std::fprintf(stderr, "annolink: warm start from %s\n", store.c_str());
-    } else {
-      std::fprintf(stderr, "annolink: cold start (%s)\n", lerr.c_str());
-    }
+  if (session.LoadStore(store, &lerr)) {
+    std::fprintf(stderr, "annolink: warm start from %s\n", store.c_str());
+  } else {
+    std::fprintf(stderr, "annolink: cold start (%s)\n", lerr.c_str());
   }
 
   ivy::SessionResult result = session.RunLinked();
