@@ -250,6 +250,15 @@ TEST(SessionLinked, ConvergedFindingsDeterministic) {
   opt.seed = 5;
   std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
 
+  // The summary rows too: their usage facts come from pass internals (e.g.
+  // BlockStop's per-file entry bits) that each strategy computes its own way.
+  auto rows = [](const AnalysisSession& session) {
+    std::string out;
+    for (const auto& [key, row] : session.link_table().summaries()) {
+      out += row.Canonical() + "\n";
+    }
+    return out;
+  };
   AnalysisSession forward = LinkedPipeline().ForEachModule(corpus).BuildSession();
   std::string golden = Dump(forward.RunLinked().findings);
   ASSERT_TRUE(forward.link_stats().converged);
@@ -258,9 +267,11 @@ TEST(SessionLinked, ConvergedFindingsDeterministic) {
   std::vector<ModuleSources> reversed(corpus.rbegin(), corpus.rend());
   AnalysisSession backward = LinkedPipeline().ForEachModule(reversed).BuildSession();
   EXPECT_EQ(Dump(backward.RunLinked().findings), golden);
+  EXPECT_EQ(rows(backward), rows(forward));
 
   AnalysisSession sharded = LinkedPipeline(3).ForEachModule(corpus).BuildSession();
   EXPECT_EQ(Dump(sharded.RunLinked().findings), golden);
+  EXPECT_EQ(rows(sharded), rows(forward));
 }
 
 TEST(SessionLinked, IncrementalRelinkMatchesColdAndStaysInComponent) {
