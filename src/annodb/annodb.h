@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/callgraph.h"
 #include "src/blockstop/blockstop.h"
 #include "src/ir/ir.h"
 #include "src/mc/ast.h"

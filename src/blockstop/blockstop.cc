@@ -19,6 +19,18 @@ bool ViolationLess(const BlockingViolation& a, const BlockingViolation& b) {
                   a.via_indirect) < std::tie(b.caller, b.callee, b.loc.file, b.loc.line,
                                              b.loc.col, b.witness, b.via_indirect);
 }
+
+// Records the context bits `caller` passes into a callee declared or
+// defined outside its file. An OR over every evaluated (function,
+// entry-bit) pair: both strategies evaluate the same pairs, so the order
+// they do it in cannot matter.
+void NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee, uint8_t bits,
+                        BlockStopReport* report) {
+  if (!callee->is_builtin &&
+      (callee->body == nullptr || callee->loc.file != caller->loc.file)) {
+    report->cross_file_entry_bits[{caller->loc.file, callee->name}] |= bits;
+  }
+}
 }  // namespace
 
 BlockStop::BlockStop(const Program* prog, const Sema* sema, const CallGraph* cg)
@@ -376,16 +388,6 @@ BlockStop::EntryEffects BlockStop::EvaluateEntry(const FuncDecl* fn, uint8_t ent
     }
   }
   return out;
-}
-
-void BlockStop::NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee,
-                                   uint8_t bits, BlockStopReport* report) {
-  // An OR over every evaluated (function, entry-bit) pair: both strategies
-  // evaluate the same pairs, so the order they do it in cannot matter.
-  if (!callee->is_builtin &&
-      (callee->body == nullptr || callee->loc.file != caller->loc.file)) {
-    report->cross_file_entry_bits[{caller->loc.file, callee->name}] |= bits;
-  }
 }
 
 BlockStopReport BlockStop::ReportShell() const {

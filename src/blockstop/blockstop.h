@@ -149,8 +149,6 @@ class BlockStop {
   // Witnesses derived from the *final* may-block set: first cause in site
   // order. Strategy-independent by construction.
   void AssignWitnesses();
-  static void NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee,
-                                 uint8_t bits, BlockStopReport* report);
   BlockStopReport ReportShell() const;
   void FinishReport(BlockStopReport* report,
                     std::map<const Expr*, BlockingViolation> reported,

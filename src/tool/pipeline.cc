@@ -148,7 +148,6 @@ std::unique_ptr<Compilation> Pipeline::CompileCorpus(
       parse_file(prelude_id);
     }
   }
-  const int32_t first_file = comp->sm.file_count();
   for (const SourceFile& f : files) {
     parse_file(comp->sm.AddFile(f.name, f.text));
   }
@@ -165,11 +164,10 @@ std::unique_ptr<Compilation> Pipeline::CompileCorpus(
     // already-defined name never reaches sema.
     std::map<std::string_view, int> definer;
     std::vector<FuncDecl*> kept;
-    kept.reserve(comp->prog.funcs.size());
     for (FuncDecl* fn : comp->prog.funcs) {
-      const int32_t i = fn->loc.file - first_file;
-      if (fn->body != nullptr && i >= 0 && static_cast<size_t>(i) < file_module.size()) {
-        const int m = file_module[static_cast<size_t>(i)];
+      const size_t id = static_cast<size_t>(fn->loc.file);
+      const int m = id < file_module.size() ? file_module[id] : -1;
+      if (fn->body != nullptr && m >= 0) {
         auto [it, inserted] = definer.emplace(fn->name, m);
         if (!inserted && it->second != m) {
           dropped->push_back({m, fn->name});

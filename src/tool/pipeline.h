@@ -92,10 +92,11 @@ class Pipeline {
                                        FrontendCache* cache = nullptr) const;
 
   // Corpus compile (AnalysisSession::RunLinked): every module's files as one
-  // program. `file_module[i]` is the module index of files[i]. A function
-  // defined in more than one module keeps the definition that comes first —
-  // the later modules' definitions are dropped before sema instead of
-  // failing it, and reported in *dropped as (module index, name).
+  // program. `file_module[id]` is the module index of the compilation's file
+  // `id` (-1 for the prelude). A function defined in more than one module
+  // keeps the definition that comes first — the later modules' definitions
+  // are dropped before sema instead of failing it, and reported in *dropped
+  // as (module index, name).
   std::unique_ptr<Compilation> CompileCorpus(
       const std::vector<SourceFile>& files, const std::vector<int>& file_module,
       FrontendCache* cache, std::vector<std::pair<int, std::string>>* dropped) const;

@@ -617,9 +617,6 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   const CallGraph* cg = ctx.callgraph_builds() > 0 ? &ctx.callgraph() : nullptr;
   const PointsTo* pt = ctx.pointsto_builds() > 0 ? &ctx.pointsto() : nullptr;
   const auto& func_map = ctx.sema().func_map();
-  auto defined_in = [&map](const FuncDecl* fn, int m) {
-    return fn->body != nullptr && map.Of(fn->loc.file) == m;
-  };
   std::vector<std::set<std::string>> defined(map.names.size());
   std::vector<std::set<std::string>> declared(map.names.size());
   for (const FuncDecl* fn : ctx.prog().funcs) {
@@ -653,8 +650,8 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
       // trigger_irq(h, arg) hands `arg` to the handler's first parameter.
       const size_t skip = site.is_irq_dispatch ? 1 : 0;
       for (const FuncDecl* callee : site.McCallees()) {
-        if (m < 0 || defined_in(callee, m)) {
-          continue;
+        if (m < 0 || (callee->body != nullptr && map.Of(callee->loc.file) == m)) {
+          continue;  // a call within the module
         }
         if (in_irq) {
           irq.insert({m, callee->name});
@@ -755,35 +752,30 @@ int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMa
 std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const AnalysisContext& ctx,
                                             const ModuleMap& map) {
   std::vector<PipelineResult> out(map.names.size());
-  std::vector<std::vector<Finding>> by_tool;
-  size_t config_errors = corpus.findings.size();
+  auto module_of = [&](Finding* f) -> PipelineResult& {
+    PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(*f, ctx, map))];
+    f->loc.file = map.Local(f->loc.file);
+    return r;
+  };
   for (ToolResult& t : corpus.results) {
-    config_errors -= t.findings().size();
-    by_tool.push_back(std::move(t.findings()));
+    std::vector<Finding> findings = std::move(t.findings());
     t.findings().clear();
+    for (PipelineResult& r : out) {
+      r.results.push_back(t);
+    }
+    for (Finding& f : findings) {
+      module_of(&f).results.back().AddFinding(std::move(f));
+    }
+  }
+  // RunTools' merged list keeps its order: configuration errors, then each
+  // pass's findings.
+  for (Finding& f : corpus.findings) {
+    module_of(&f).findings.push_back(std::move(f));
   }
   for (PipelineResult& r : out) {
-    r.results = corpus.results;
     r.parallel = corpus.parallel;
     r.pointsto_builds = corpus.pointsto_builds;
     r.callgraph_builds = corpus.callgraph_builds;
-  }
-  auto place = [&](Finding f, size_t tool) {
-    PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(f, ctx, map))];
-    f.loc.file = map.Local(f.loc.file);
-    if (tool < by_tool.size()) {
-      r.results[tool].AddFinding(f);
-    }
-    r.findings.push_back(std::move(f));
-  };
-  // RunTools' merge order: configuration errors first, then each pass's.
-  for (size_t i = 0; i < config_errors; ++i) {
-    place(std::move(corpus.findings[i]), by_tool.size());
-  }
-  for (size_t t = 0; t < by_tool.size(); ++t) {
-    for (Finding& f : by_tool[t]) {
-      place(std::move(f), t);
-    }
   }
   return out;
 }
@@ -818,7 +810,7 @@ bool AnalysisSession::AnalyzeCorpus() {
   }
   // Frontend, in module-name order. A module whose files carry a compile
   // error leaves the corpus and the rest compiles again without it; every
-  // retry drops a module, so this ends.
+  // retry drops a module, and the prelude alone compiles, so this ends.
   std::vector<std::pair<const std::string*, ModuleState*>> live;
   for (auto& [name, st] : modules_) {
     live.push_back({&name, st.get()});
@@ -831,13 +823,11 @@ bool AnalysisSession::AnalyzeCorpus() {
     map = ModuleMap(pipeline_.config().include_prelude);
     dropped.clear();
     std::vector<SourceFile> files;
-    std::vector<int> file_module;
     for (const auto& [name, st] : live) {
-      file_module.insert(file_module.end(), st->files.size(), static_cast<int>(map.names.size()));
       map.Add(name, st->files.size());
       files.insert(files.end(), st->files.begin(), st->files.end());
     }
-    comp = pipeline_.CompileCorpus(files, file_module, &cache_, &dropped);
+    comp = pipeline_.CompileCorpus(files, map.of_file, &cache_, &dropped);
     if (comp->ok) {
       break;
     }
@@ -855,10 +845,6 @@ bool AnalysisSession::AnalyzeCorpus() {
       } else {
         rest.push_back(live[m]);
       }
-    }
-    if (rest.empty()) {
-      live.clear();
-      break;
     }
     live = std::move(rest);
   }
@@ -920,98 +906,58 @@ bool AnalysisSession::AnalyzeCorpus() {
 
 void AnalysisSession::ComputeLinkStackFacts() {
   link_conflicts_.clear();
-  // Definer rows only; first (sorted-module) definer wins a conflicted name.
-  std::map<std::string, std::pair<std::string, const FuncSummary*>> definer;
+  // Definer rows only, in sorted-name order; the first (sorted-module)
+  // definer wins a conflicted name.
+  std::map<std::string, FuncSummary*> definer;
   for (const auto& [key, row] : link_table_.summaries()) {
-    if (!row.defined) {
-      continue;
-    }
-    auto [it, inserted] = definer.emplace(row.function, std::make_pair(key.first, &row));
-    if (!inserted) {
-      link_conflicts_.insert(row.function);
+    if (row.defined &&
+        !definer.emplace(key.second, link_table_.FindSummary(key.first, key.second)).second) {
+      link_conflicts_.insert(key.second);
     }
   }
-  const int n = static_cast<int>(definer.size());
-  std::vector<std::string> names;
-  std::vector<std::string> owner;
-  std::vector<int64_t> frames;
-  names.reserve(static_cast<size_t>(n));
+  std::vector<FuncSummary*> rows;
   std::map<std::string, int> index;
-  for (const auto& [fname, def] : definer) {
-    index[fname] = static_cast<int>(names.size());
-    names.push_back(fname);
-    owner.push_back(def.first);
-    frames.push_back(def.second->frame_size);
+  for (const auto& [fname, row] : definer) {
+    index[fname] = static_cast<int>(rows.size());
+    rows.push_back(row);
   }
-  std::vector<std::vector<int>> adj(static_cast<size_t>(n));
-  std::vector<uint8_t> self_loop(static_cast<size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    for (const std::string& callee : definer[names[static_cast<size_t>(i)]].second->callees) {
+  std::vector<std::vector<int>> adj(rows.size());
+  std::vector<uint8_t> self_loop(rows.size(), 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (const std::string& callee : rows[i]->callees) {
       auto it = index.find(callee);
-      if (it == index.end()) {
-        continue;  // builtin or never-defined name: no frame, no edge
+      if (it != index.end()) {  // builtins and never-defined names: no frame
+        self_loop[i] |= static_cast<size_t>(it->second) == i ? 1 : 0;
+        adj[i].push_back(it->second);
       }
-      if (it->second == i) {
-        self_loop[static_cast<size_t>(i)] = 1;
-      }
-      adj[static_cast<size_t>(i)].push_back(it->second);
     }
   }
 
   // Tarjan in sorted-name order (src/support/scc.h) — literally the same
-  // condensation code StackCheck runs per module, applied corpus-wide.
+  // condensation code StackCheck runs per module, applied corpus-wide. It
+  // emits SCCs in reverse topological order: successors of s always have
+  // smaller ids, so one ascending sweep computes the depths.
   SccCondensation scc = TarjanScc(adj);
-  const std::vector<int>& scc_of = scc.scc_of;
-  const std::vector<std::vector<int>>& scc_members = scc.members;
-
-  const size_t scc_count = scc_members.size();
-  std::vector<int64_t> weight(scc_count, 0);
-  std::vector<uint8_t> cyclic(scc_count, 0);
-  std::vector<uint8_t> multi_module(scc_count, 0);
-  std::vector<std::vector<int>> succs(scc_count);
-  for (size_t s = 0; s < scc_count; ++s) {
-    std::set<std::string> mods;
-    for (int v : scc_members[s]) {
-      weight[s] += frames[static_cast<size_t>(v)];
-      mods.insert(owner[static_cast<size_t>(v)]);
-      if (self_loop[static_cast<size_t>(v)]) {
-        cyclic[s] = 1;
-      }
-    }
-    if (scc_members[s].size() > 1) {
-      cyclic[s] = 1;
-    }
-    multi_module[s] = mods.size() > 1 ? 1 : 0;
-  }
-  for (int v = 0; v < n; ++v) {
-    for (int w : adj[static_cast<size_t>(v)]) {
-      int sv = scc_of[static_cast<size_t>(v)];
-      int sw = scc_of[static_cast<size_t>(w)];
-      if (sv != sw) {
-        succs[static_cast<size_t>(sv)].push_back(sw);
-      }
-    }
-  }
-  // Tarjan emits SCCs in reverse topological order: successors of s always
-  // have smaller scc ids, so one ascending sweep computes the depths.
-  std::vector<int64_t> depth(scc_count, 0);
-  for (size_t s = 0; s < scc_count; ++s) {
+  std::vector<int64_t> depth(scc.members.size(), 0);
+  for (size_t s = 0; s < scc.members.size(); ++s) {
+    int64_t weight = 0;
     int64_t deepest = 0;
-    for (int succ : succs[s]) {
-      deepest = std::max(deepest, depth[static_cast<size_t>(succ)]);
+    bool cyclic = scc.members[s].size() > 1;
+    std::set<std::string> modules;
+    for (int v : scc.members[s]) {
+      weight += rows[static_cast<size_t>(v)]->frame_size;
+      modules.insert(rows[static_cast<size_t>(v)]->module);
+      cyclic |= self_loop[static_cast<size_t>(v)] != 0;
+      for (int w : adj[static_cast<size_t>(v)]) {
+        const size_t sw = static_cast<size_t>(scc.scc_of[static_cast<size_t>(w)]);
+        deepest = sw != s ? std::max(deepest, depth[sw]) : deepest;
+      }
     }
-    depth[s] = weight[s] + deepest;
-  }
-
-  for (int v = 0; v < n; ++v) {
-    FuncSummary* row =
-        link_table_.FindSummary(owner[static_cast<size_t>(v)], names[static_cast<size_t>(v)]);
-    if (row == nullptr) {
-      continue;
+    depth[s] = weight + deepest;
+    for (int v : scc.members[s]) {
+      rows[static_cast<size_t>(v)]->stack_below = depth[s];
+      rows[static_cast<size_t>(v)]->cross_recursive = cyclic && modules.size() > 1;
     }
-    size_t s = static_cast<size_t>(scc_of[static_cast<size_t>(v)]);
-    row->stack_below = depth[s];
-    row->cross_recursive = cyclic[s] != 0 && multi_module[s] != 0;
   }
 }
 
@@ -1040,7 +986,6 @@ SessionResult AnalysisSession::RunLinked() {
   link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
   // (importer, definer) module pairs: a usage row of a function another
   // module defines.
-  static const std::set<std::string> kNoNames;
   std::map<std::string, std::set<std::string>> definers;
   for (const auto& [key, row] : link_table_.summaries()) {
     if (row.defined) {
@@ -1049,9 +994,10 @@ SessionResult AnalysisSession::RunLinked() {
   }
   std::set<std::pair<std::string, std::string>> edges;
   for (const auto& [key, row] : link_table_.summaries()) {
-    auto it = row.defined ? definers.end() : definers.find(key.second);
-    for (const std::string& definer : it != definers.end() ? it->second : kNoNames) {
-      edges.insert({key.first, definer});
+    if (!row.defined) {
+      for (const std::string& definer : definers[key.second]) {
+        edges.insert({key.first, definer});
+      }
     }
   }
   link_stats_.cross_edges = static_cast<int>(edges.size());

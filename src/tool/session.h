@@ -48,11 +48,10 @@
 
 namespace ivy {
 
-struct StoreModule;  // src/store/store.h
-
-// Per-module outcome of one Run(). `result` is the module's pass output with
-// unstamped findings — byte-identical to an independent single-module
-// CompileAndRun of the same sources.
+// Per-module outcome of one Run() or RunLinked(). `result` is the module's
+// pass output with unstamped findings: after Run() byte-identical to an
+// independent single-module CompileAndRun of the same sources, after
+// RunLinked() the module's share of the corpus run.
 struct ModuleRunResult {
   std::string module;
   bool ok = false;          // compiled successfully
@@ -146,27 +145,24 @@ class AnalysisSession {
   // programs — calls into other modules are opaque (see RunLinked).
   SessionResult Run();
 
-  // The link stage: every module's files compiled as one program (prelude
-  // first, then the modules in name order) and analyzed once, so calls
-  // between modules are ordinary calls. Everything it returns is derived
-  // from that one run: each finding goes to the module of its location's
-  // file (or, with no location, the module defining witness[0]) with the
-  // file id a module-local compile would give it, and the link table is
-  // the export view of the run (see AnnoDb's FuncSummary).
+  // The link stage: every module's files compiled as one program (prelude,
+  // then the modules in name order) and analyzed once, so calls between
+  // modules are ordinary calls. Each finding goes to the module of its
+  // location's file (with no location: the module defining witness[0]) with
+  // the file id a module-local compile would give it; the link table is the
+  // export view of the run (see AnnoDb's FuncSummary). A module that fails
+  // to compile leaves the corpus and reports "failed to compile"; a function
+  // defined in several modules keeps its first definer's body and is
+  // reported once.
   //
-  // A module that fails to compile leaves the corpus and reports "failed to
-  // compile"; the rest is still analyzed. A function defined in several
-  // modules keeps its first definer's definition and is reported once.
-  //
-  // Determinism contract (extends Run()'s): the findings are byte-identical
-  // regardless of module registration order and shard count, and their
-  // canonical rendering equals the merged-source single-program run's (see
+  // Determinism contract (extends Run()'s): findings are byte-identical
+  // regardless of module registration order and shard count, and render
+  // canonically equal to the merged-source program's (see
   // tests/session_linked_test.cc and docs/ARCHITECTURE.md).
   //
-  // Incremental at corpus granularity: with no module dirty since the last
-  // link (or since a matching LoadStore), RunLinked() analyzes nothing and
-  // returns the cached results (module_analyses == 0); any edit re-runs the
-  // whole corpus.
+  // With no module dirty since the last link or a matching LoadStore,
+  // RunLinked() analyzes nothing (module_analyses == 0); any edit re-runs
+  // the whole corpus.
   SessionResult RunLinked();
   const LinkStats& link_stats() const { return link_stats_; }
 
@@ -235,9 +231,6 @@ class AnalysisSession {
   // nothing published) when cancelled.
   bool AnalyzeCorpus();
 
-  // LoadStore's per-module restore (session_store.cc): adopts one analyzed
-  // record and its already-parsed findings.
-  void ImportStoreRecord(const StoreModule& rec, std::vector<Finding> findings);
   // Corpus-level stack facts over the current table (condensation of the
   // exported call edges; cross-module cyclic SCC members marked recursive),
   // and the names with more than one definer row (link_conflicts_).

@@ -20,7 +20,7 @@ struct AnalysisSession::ModuleState {
   std::vector<SourceFile> files;
   bool dirty = true;
   bool ok = false;
-  bool analyzed_now = false;  // re-analyzed during the current Run()
+  bool analyzed_now = false;  // analyzed during the current Run()/RunLinked()
   std::string compile_errors;
 
   // Name-keyed snapshots from the last successful analysis: the inputs to

@@ -153,29 +153,6 @@ bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const
   return WriteStoreFile(path, sf, err);
 }
 
-void AnalysisSession::ImportStoreRecord(const StoreModule& rec,
-                                        std::vector<Finding> findings) {
-  auto& st = modules_[rec.name];
-  std::vector<SourceFile> files;
-  if (st != nullptr) {
-    files = std::move(st->files);
-  }
-  if (files.empty()) {
-    for (const auto& [fname, text] : rec.files) {
-      files.push_back(SourceFile{fname, text});
-    }
-  }
-  // A fresh state: no solver snapshots are persisted, so the next source
-  // edit re-solves this module cold, which the warm gate (have_snapshot)
-  // makes exact.
-  st = std::make_unique<ModuleState>();
-  st->files = std::move(files);
-  st->dirty = false;
-  st->ok = rec.ok;
-  st->compile_errors = rec.compile_errors;
-  st->result.findings = std::move(findings);
-}
-
 bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
   StoreFile sf;
   if (!ReadStoreFile(path, &sf, err)) {
@@ -204,27 +181,24 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
   }
 
   for (const auto& [name, rec] : sf.modules) {
-    auto it = modules_.find(name);
-    if (it != modules_.end()) {
-      if (SourcesDigest(FilePairs(it->second->files)) != rec.source_digest) {
-        continue;  // the session holds *newer* sources: keep them, dirty
-      }
-      if (!it->second->dirty) {
-        continue;  // already warm in memory
-      }
+    std::unique_ptr<ModuleState>& st = modules_[name];
+    if (st != nullptr &&
+        (!st->dirty || !rec.analyzed || SourcesDigest(FilePairs(st->files)) != rec.source_digest)) {
+      continue;  // already warm in memory, stored mid-edit, or newer sources
     }
-    if (!rec.analyzed) {
-      // Stored mid-edit: sources only, analyzed on the next run.
-      if (it == modules_.end()) {
-        std::vector<SourceFile> files;
-        for (const auto& [fname, text] : rec.files) {
-          files.push_back(SourceFile{fname, text});
-        }
-        AddModule(name, std::move(files));
-      }
-      continue;
+    // A fresh state: no solver snapshots are persisted, so the next source
+    // edit re-solves this module cold, which the warm gate (have_snapshot)
+    // makes exact. A record stored mid-edit carries sources only and stays
+    // dirty.
+    auto restored = std::make_unique<ModuleState>();
+    for (const auto& [fname, text] : rec.files) {
+      restored->files.push_back(SourceFile{fname, text});
     }
-    ImportStoreRecord(rec, std::move(findings[name]));
+    restored->dirty = !rec.analyzed;
+    restored->ok = rec.ok;
+    restored->compile_errors = rec.compile_errors;
+    restored->result.findings = std::move(findings[name]);
+    st = std::move(restored);
   }
 
   link_table_ = AnnoDb();
