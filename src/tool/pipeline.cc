@@ -96,14 +96,9 @@ std::string PipelineResult::ToString(const SourceManager* sm) const {
 // Pipeline: frontend
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& files,
-                                               FrontendCache* cache) const {
-  return CompileCorpus(files, {}, cache, nullptr);
-}
-
-std::unique_ptr<Compilation> Pipeline::CompileCorpus(
-    const std::vector<SourceFile>& files, const std::vector<int>& file_module,
-    FrontendCache* cache, std::vector<std::pair<int, std::string>>* dropped) const {
+std::unique_ptr<Compilation> Pipeline::Compile(
+    const std::vector<SourceFile>& files, FrontendCache* cache,
+    const std::vector<int>& file_module, std::vector<std::pair<int, std::string>>* dropped) const {
   auto comp = std::make_unique<Compilation>();
   comp->config = config_;
   comp->diags = std::make_unique<DiagEngine>(&comp->sm);

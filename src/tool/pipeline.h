@@ -88,18 +88,17 @@ class Pipeline {
   // Frontend only: source -> Compilation (never null; check ->ok). With a
   // FrontendCache, the prelude token stream is lexed once and reused across
   // calls (what AnalysisSession passes for corpus builds).
-  std::unique_ptr<Compilation> Compile(const std::vector<SourceFile>& files,
-                                       FrontendCache* cache = nullptr) const;
-
-  // Corpus compile (AnalysisSession::RunLinked): every module's files as one
-  // program. `file_module[id]` is the module index of the compilation's file
-  // `id` (-1 for the prelude). A function defined in more than one module
-  // keeps the definition that comes first — the later modules' definitions
-  // are dropped before sema instead of failing it, and reported in *dropped
-  // as (module index, name).
-  std::unique_ptr<Compilation> CompileCorpus(
-      const std::vector<SourceFile>& files, const std::vector<int>& file_module,
-      FrontendCache* cache, std::vector<std::pair<int, std::string>>* dropped) const;
+  //
+  // With `dropped`, the files are a corpus of modules compiled as one
+  // program (AnalysisSession::RunLinked): `file_module[id]` is the module
+  // index of the compilation's file `id` (-1 for the prelude), and a
+  // function defined in more than one module keeps the definition that comes
+  // first — the later modules' definitions are dropped before sema instead
+  // of failing it, and reported in *dropped as (module index, name).
+  std::unique_ptr<Compilation> Compile(
+      const std::vector<SourceFile>& files, FrontendCache* cache = nullptr,
+      const std::vector<int>& file_module = {},
+      std::vector<std::pair<int, std::string>>* dropped = nullptr) const;
 
   // Context at this pipeline's configured points-to precision. Prefer this
   // over constructing AnalysisContext directly so FieldSensitive() cannot

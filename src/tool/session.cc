@@ -827,7 +827,7 @@ bool AnalysisSession::AnalyzeCorpus() {
       map.Add(name, st->files.size());
       files.insert(files.end(), st->files.begin(), st->files.end());
     }
-    comp = pipeline_.CompileCorpus(files, map.of_file, &cache_, &dropped);
+    comp = pipeline_.Compile(files, &cache_, map.of_file, &dropped);
     if (comp->ok) {
       break;
     }
@@ -878,7 +878,6 @@ bool AnalysisSession::AnalyzeCorpus() {
 
   // Publish: every module was analyzed by this run.
   for (auto& [name, st] : modules_) {
-    (void)name;
     st->ctx.reset();
     st->result = PipelineResult{};
     st->analyzed_now = true;
@@ -943,10 +942,11 @@ void AnalysisSession::ComputeLinkStackFacts() {
     int64_t weight = 0;
     int64_t deepest = 0;
     bool cyclic = scc.members[s].size() > 1;
-    std::set<std::string> modules;
+    bool multi_module = false;
     for (int v : scc.members[s]) {
       weight += rows[static_cast<size_t>(v)]->frame_size;
-      modules.insert(rows[static_cast<size_t>(v)]->module);
+      multi_module |= rows[static_cast<size_t>(v)]->module !=
+                      rows[static_cast<size_t>(scc.members[s][0])]->module;
       cyclic |= self_loop[static_cast<size_t>(v)] != 0;
       for (int w : adj[static_cast<size_t>(v)]) {
         const size_t sw = static_cast<size_t>(scc.scc_of[static_cast<size_t>(w)]);
@@ -956,7 +956,7 @@ void AnalysisSession::ComputeLinkStackFacts() {
     depth[s] = weight + deepest;
     for (int v : scc.members[s]) {
       rows[static_cast<size_t>(v)]->stack_below = depth[s];
-      rows[static_cast<size_t>(v)]->cross_recursive = cyclic && modules.size() > 1;
+      rows[static_cast<size_t>(v)]->cross_recursive = cyclic && multi_module;
     }
   }
 }
@@ -968,7 +968,6 @@ SessionResult AnalysisSession::RunLinked() {
   const uint64_t t0 = trace::Enabled() ? MonotonicNowNs() : 0;
   bool stale = !linked_;
   for (auto& [name, st] : modules_) {
-    (void)name;
     st->analyzed_now = false;
     stale |= st->dirty;
   }

@@ -39,7 +39,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/annodb/annodb.h"
