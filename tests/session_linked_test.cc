@@ -1,22 +1,19 @@
-// The cross-module link stage (AnalysisSession::RunLinked): corpus-level
-// fact fixpoint via annodb summaries.
+// The cross-module link stage (AnalysisSession::RunLinked): the corpus
+// compiled and analyzed as one program, regrouped per module.
 //
-//   1. Linked == merged-source: on corpora whose modules share facts only
-//      through declared extern functions, the converged linked findings
-//      (canonically rendered and sorted — the linked merge orders by module
-//      first, a merged program by pass) equal the single merged-source
-//      program's, including cross-module may-block propagation, atomic-entry
-//      contexts, irq-reachability, error-return facts, fn-ptr registration
-//      through extern calls, and cross-module recursion. StackCheck's
-//      per-report budget-overrun finding is the one shape that cannot match
-//      (one report per module vs one merged report), so the property runs
-//      with an unreachable budget and checks the depth maps directly.
-//   2. Determinism: converged findings are byte-identical across module
-//      registration order and shard counts.
-//   3. Incremental relink == cold relink, and the fixpoint re-analyzes only
-//      the cross-module component of the edit.
-//   4. Convergence: the fixpoint settles without oscillation and reports
-//      its round count.
+//   1. Linked == merged-source: the linked findings (canonically rendered
+//      and sorted — the linked merge orders by module first, a merged
+//      program by pass) equal the single merged-source program's, including
+//      cross-module may-block propagation, atomic-entry contexts,
+//      irq-reachability, error-return facts, fn-ptr registration through
+//      extern calls, and cross-module recursion; the StackCheck depth maps
+//      match too.
+//   2. Determinism: findings and summary rows are byte-identical across
+//      module registration order and shard counts, and pinned by digest.
+//   3. Relink after an edit == cold link of the edited corpus; an idle
+//      relink analyzes nothing.
+//   4. Edge cases: a module that fails to compile drops out alone; a
+//      function defined in two modules is reported once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
