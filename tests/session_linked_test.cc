@@ -13,7 +13,8 @@
 //   3. Relink after an edit == cold link of the edited corpus; an idle
 //      relink analyzes nothing.
 //   4. Edge cases: a module that fails to compile drops out alone; a
-//      function defined in two modules is reported once.
+//      function defined in two modules is reported once; a cancelled link
+//      publishes nothing and resumes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -410,6 +411,50 @@ TEST(SessionLinked, RemoveModuleRetractsItsFactsFromTheTable) {
   corpus.pop_back();
   AnalysisSession cold = LinkedPipeline().ForEachModule(corpus).BuildSession();
   EXPECT_EQ(Dump(relinked.findings), Dump(cold.RunLinked().findings));
+}
+
+// A cancelled link publishes nothing: the table and every module's result
+// stay as the last completed link left them, the edit stays pending, and the
+// next link resumes to exactly the cold result.
+TEST(SessionLinked, CancelledLinkPublishesNothingAndResumes) {
+  LinkedCorpusOptions opt;
+  opt.modules = 3;
+  opt.functions = 24;
+  opt.seed = 13;
+  std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
+  auto rows = [](const AnalysisSession& session) {
+    std::string out;
+    for (const auto& [key, row] : session.link_table().summaries()) {
+      out += row.Canonical() + "\n";
+    }
+    return out;
+  };
+
+  AnalysisSession session = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  const std::string before = Dump(session.RunLinked().findings);
+  const std::string before_rows = rows(session);
+  const std::string fn = SynthFuncName(LinkedModulePrefix(2), 3);
+  ASSERT_TRUE(session.ReplaceFunction(
+      "mod_02", fn, "void " + fn + "(int n) {\n  int pad[4]; pad[0] = n;\n  msleep(n);\n}\n"));
+
+  session.RequestCancel();
+  SessionResult cancelled = session.RunLinked();
+  EXPECT_TRUE(cancelled.cancelled);
+  EXPECT_TRUE(session.link_stats().cancelled);
+  EXPECT_FALSE(session.link_stats().converged);
+  EXPECT_EQ(rows(session), before_rows);
+
+  session.ClearCancel();
+  SessionResult resumed = session.RunLinked();
+  EXPECT_FALSE(resumed.cancelled);
+  EXPECT_EQ(session.link_stats().module_analyses, opt.modules);
+  EXPECT_NE(Dump(resumed.findings), before);
+
+  AnalysisSession cold = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  ASSERT_TRUE(cold.ReplaceFunction(
+      "mod_02", fn, "void " + fn + "(int n) {\n  int pad[4]; pad[0] = n;\n  msleep(n);\n}\n"));
+  EXPECT_EQ(Dump(resumed.findings), Dump(cold.RunLinked().findings));
+  EXPECT_EQ(rows(session), rows(cold));
 }
 
 TEST(SessionLinked, UnlinkedRunStaysIndependent) {
