@@ -190,6 +190,64 @@ TEST(SessionLinked, DuplicateDefinitionReportedOnceInAnyOrder) {
   EXPECT_EQ(Dump(backward.RunLinked().findings), Dump(result.findings));
 }
 
+// Every module compiles and reports what its own compile reports: the
+// modules share no functions, so nothing crosses the link.
+void ExpectModulesMatchOwnCompiles(const std::vector<ModuleSources>& corpus) {
+  AnalysisSession session = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  SessionResult result = session.RunLinked();
+  EXPECT_EQ(result.compile_failures, 0);
+  const Pipeline alone = LinkedPipeline().Build();
+  for (const ModuleSources& m : corpus) {
+    const ModuleRunResult* mr = result.ModuleFor(m.name);
+    ASSERT_NE(mr, nullptr) << m.name;
+    ASSERT_TRUE(mr->ok) << m.name;
+    PipelineRun own = alone.CompileAndRun(m.files);
+    ASSERT_TRUE(own.comp->ok) << m.name;
+    EXPECT_FALSE(own.result.findings.empty()) << m.name;
+    EXPECT_EQ(Dump(mr->result.findings), Dump(own.result.findings)) << m.name;
+  }
+}
+
+// The shared-header idiom: both modules define the same struct and enum,
+// and a global one module defines is declared extern by the other.
+TEST(SessionLinked, SharedHeaderDeclarationsLink) {
+  const std::string header =
+      "typedef void probe_fn(int n);\nstruct dev {\n  int id;\n  probe_fn* probe;\n};\n"
+      "enum { DEV_MAX = 4 };\n";
+  ExpectModulesMatchOwnCompiles({
+      {"hdr_a",
+       {SourceFile{"hdr_a.mc",
+                   header + "int dev_lock;\nint dev_count = 1;\nstruct dev devs[DEV_MAX];\n"
+                            "void a_scan(int n) {\n  spin_lock(&dev_lock);\n"
+                            "  devs[0].id = dev_count;\n  msleep(n);\n"
+                            "  spin_unlock(&dev_lock);\n}\n"}}},
+      {"hdr_b",
+       {SourceFile{"hdr_b.mc",
+                   header + "extern int dev_lock;\nextern int dev_count;\n"
+                            "void b_scan(struct dev* d) {\n  spin_lock(&dev_lock);\n"
+                            "  d->id = dev_count + DEV_MAX;\n  msleep(d->id);\n"
+                            "  spin_unlock(&dev_lock);\n}\n"}}},
+  });
+}
+
+// Same-named file-local helpers and globals of different types: each module
+// keeps its own, so b_run is checked against dup_b's blocking helper and
+// a_run against dup_a's non-blocking one.
+TEST(SessionLinked, SameNamedStaticsStayModuleLocal) {
+  ExpectModulesMatchOwnCompiles({
+      {"dup_a",
+       {SourceFile{"dup_a.mc",
+                   "int la;\nint cfg;\nstatic int helper(int n) {\n  return n + cfg;\n}\n"
+                   "void a_run(int n) {\n  spin_lock(&la);\n  cfg = helper(n);\n"
+                   "  msleep(cfg);\n  spin_unlock(&la);\n}\n"}}},
+      {"dup_b",
+       {SourceFile{"dup_b.mc",
+                   "int lb;\nstatic char* cfg;\nstatic int helper(int n) {\n  msleep(n);\n"
+                   "  return n;\n}\nvoid b_run(int n) {\n  spin_lock(&lb);\n"
+                   "  helper(n);\n  spin_unlock(&lb);\n}\n"}}},
+  });
+}
+
 TEST(SessionLinked, LinkedMatchesMergedSource) {
   for (uint64_t seed : {3u, 17u}) {
     LinkedCorpusOptions opt;
@@ -373,11 +431,17 @@ TEST(SessionLinked, SummariesExportedAndRetractable) {
     mod1_rows += key.first == "mod_01" ? 1 : 0;
   }
   ASSERT_GT(mod1_rows, 0u);
+  size_t mod1_facts = 0;
+  for (const auto& [name, facts] : loaded.funcs()) {
+    mod1_facts += facts.module == "mod_01" ? 1 : 0;
+  }
+  ASSERT_GT(mod1_facts, 0u);
   loaded.RetractModule("mod_01");
   EXPECT_EQ(loaded.summaries().size(), before - mod1_rows);
   for (const auto& [key, row] : loaded.summaries()) {
     EXPECT_NE(key.first, "mod_01");
   }
+  ASSERT_FALSE(loaded.funcs().empty());
   for (const auto& [name, facts] : loaded.funcs()) {
     EXPECT_NE(facts.module, "mod_01") << name;
   }
