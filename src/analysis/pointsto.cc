@@ -117,30 +117,73 @@ const FuncDecl* PointsTo::AsFunctionName(const Expr* e) const {
   return it == sema_->func_map().end() ? nullptr : it->second;
 }
 
-int PointsTo::NodeOfExpr(const Expr* e) {
+int PointsTo::VarNode(const Symbol* sym, const FuncDecl* /*owner*/) const {
+  auto it = var_nodes_.find(sym);
+  return it == var_nodes_.end() ? -1 : it->second;
+}
+
+int PointsTo::FieldNode(const RecordDecl* rec, int field_index) const {
+  auto it = field_nodes_.find({rec, field_sensitive_ ? field_index : -1});
+  return it == field_nodes_.end() ? -1 : it->second;
+}
+
+int PointsTo::RetNode(const FuncDecl* fn) const {
+  auto it = ret_nodes_.find(fn);
+  return it == ret_nodes_.end() ? -1 : it->second;
+}
+
+template <typename Self>
+int PointsTo::NodeOf(Self* self, const Expr* e) {
+  // Arrays collapse to the cell of the array expression itself; `(*fp)(...)`
+  // and casts read their operand's cell.
+  while (e != nullptr && (e->kind == ExprKind::kIndex || e->kind == ExprKind::kDeref ||
+                          e->kind == ExprKind::kCast)) {
+    e = e->a;
+  }
+  if (e != nullptr && e->kind == ExprKind::kIdent && e->sym != nullptr) {
+    return self->VarNode(e->sym, self->cur_fn_);
+  }
+  if (e != nullptr && e->kind == ExprKind::kMember && e->field != nullptr &&
+      e->field_record != nullptr) {
+    return self->FieldNode(e->field_record, e->field->index);
+  }
+  return -1;
+}
+
+template <typename Self, typename OnFunc, typename OnNode>
+void PointsTo::ForEachSource(Self* self, const Expr* e, const OnFunc& on_func,
+                             const OnNode& on_node) {
   if (e == nullptr) {
-    return -1;
+    return;
+  }
+  if (const FuncDecl* named = self->AsFunctionName(e)) {
+    on_func(named);
+    return;
   }
   switch (e->kind) {
-    case ExprKind::kIdent:
-      return e->sym != nullptr ? VarNode(e->sym, cur_fn_) : -1;
-    case ExprKind::kMember:
-      if (e->field != nullptr && e->field_record != nullptr) {
-        return FieldNode(e->field_record, e->field->index);
-      }
-      return -1;
-    case ExprKind::kIndex:
-      // Arrays collapse to the cell of the array expression itself.
-      return NodeOfExpr(e->a);
-    case ExprKind::kDeref:
-      // `(*fp)(...)` — dereference of a function pointer value.
-      return NodeOfExpr(e->a);
+    case ExprKind::kCond:
+      ForEachSource(self, e->b, on_func, on_node);
+      ForEachSource(self, e->c, on_func, on_node);
+      return;
     case ExprKind::kCast:
-      return NodeOfExpr(e->a);
+      ForEachSource(self, e->a, on_func, on_node);
+      return;
+    case ExprKind::kAssign:
+      ForEachSource(self, e->b, on_func, on_node);  // value of an assignment is its rhs
+      return;
+    case ExprKind::kCall:
+      if (const FuncDecl* callee = self->AsFunctionName(e->a)) {
+        on_node(self->RetNode(callee));
+      } else if (auto site = self->site_of_expr_.find(e); site != self->site_of_expr_.end()) {
+        on_node(self->sites_[static_cast<size_t>(site->second)].ret_node);
+      }
+      return;
     default:
-      return -1;
+      on_node(NodeOf(self, e));
   }
 }
+
+int PointsTo::NodeOfExpr(const Expr* e) { return NodeOf(this, e); }
 
 void PointsTo::AddEdge(int src, int dst) {
   if (src < 0 || dst < 0 || src == dst) {
@@ -168,42 +211,10 @@ void PointsTo::AddFunc(int node, const FuncDecl* fn) {
 }
 
 void PointsTo::FlowInto(const Expr* rhs, int dst) {
-  if (rhs == nullptr || dst < 0) {
-    return;
-  }
-  const FuncDecl* named = AsFunctionName(rhs);
-  if (named != nullptr) {
-    AddFunc(dst, named);
-    return;
-  }
-  switch (rhs->kind) {
-    case ExprKind::kCond:
-      FlowInto(rhs->b, dst);
-      FlowInto(rhs->c, dst);
-      return;
-    case ExprKind::kCast:
-      FlowInto(rhs->a, dst);
-      return;
-    case ExprKind::kAssign:
-      FlowInto(rhs->b, dst);  // value of an assignment is its rhs
-      return;
-    case ExprKind::kCall: {
-      const FuncDecl* callee = AsFunctionName(rhs->a);
-      if (callee != nullptr) {
-        AddEdge(RetNode(callee), dst);
-      } else {
-        auto site = site_of_expr_.find(rhs);
-        if (site != site_of_expr_.end()) {
-          AddEdge(sites_[static_cast<size_t>(site->second)].ret_node, dst);
-        }
-      }
-      return;
-    }
-    default: {
-      int src = NodeOfExpr(rhs);
-      AddEdge(src, dst);
-      return;
-    }
+  if (dst >= 0) {
+    ForEachSource(
+        this, rhs, [&](const FuncDecl* fn) { AddFunc(dst, fn); },
+        [&](int src) { AddEdge(src, dst); });
   }
 }
 
@@ -499,52 +510,14 @@ std::vector<std::string> PointsTo::ReturnFuncNames(const FuncDecl* fn) const {
 }
 
 void PointsTo::FuncNamesOfExpr(const Expr* e, std::set<std::string>* out) const {
-  // FlowInto's reading of `e`, looking cells up instead of creating them.
-  if (e == nullptr) {
-    return;
-  }
-  if (const FuncDecl* named = AsFunctionName(e)) {
-    out->insert(named->name);
-    return;
-  }
-  if (e->kind == ExprKind::kCond) {
-    FuncNamesOfExpr(e->b, out);
-    FuncNamesOfExpr(e->c, out);
-    return;
-  }
-  if (e->kind == ExprKind::kCast || e->kind == ExprKind::kAssign) {
-    FuncNamesOfExpr(e->kind == ExprKind::kCast ? e->a : e->b, out);
-    return;
-  }
-  int node = -1;
-  if (e->kind == ExprKind::kCall) {
-    const FuncDecl* callee = AsFunctionName(e->a);
-    auto ret = ret_nodes_.find(callee);
-    auto site = site_of_expr_.find(e);
-    if (callee != nullptr && ret != ret_nodes_.end()) {
-      node = ret->second;
-    } else if (callee == nullptr && site != site_of_expr_.end()) {
-      node = sites_[static_cast<size_t>(site->second)].ret_node;
+  auto add = [out](const FuncDecl* fn) { out->insert(fn->name); };
+  ForEachSource(this, e, add, [&](int node) {
+    if (node >= 0) {
+      for (int fid : node_funcs_[static_cast<size_t>(node)]) {
+        add(funcs_by_id_[static_cast<size_t>(fid)]);
+      }
     }
-  } else {
-    // NodeOfExpr: indexing, dereference and casts read their operand's cell.
-    while (e->a != nullptr && (e->kind == ExprKind::kIndex || e->kind == ExprKind::kDeref ||
-                               e->kind == ExprKind::kCast)) {
-      e = e->a;
-    }
-    auto var = e->kind == ExprKind::kIdent && e->sym != nullptr ? var_nodes_.find(e->sym)
-                                                                  : var_nodes_.end();
-    auto field = e->kind == ExprKind::kMember && e->field != nullptr && e->field_record != nullptr
-                     ? field_nodes_.find({e->field_record, field_sensitive_ ? e->field->index : -1})
-                     : field_nodes_.end();
-    node = var != var_nodes_.end() ? var->second
-                                   : (field != field_nodes_.end() ? field->second : -1);
-  }
-  if (node >= 0) {
-    for (int fid : node_funcs_[static_cast<size_t>(node)]) {
-      out->insert(funcs_by_id_[static_cast<size_t>(fid)]->name);
-    }
-  }
+  });
 }
 
 }  // namespace ivy

@@ -102,6 +102,20 @@ class PointsTo {
   int VarNode(const Symbol* sym, const FuncDecl* owner);
   int FieldNode(const RecordDecl* rec, int field_index);
   int RetNode(const FuncDecl* fn);
+  // Post-solve lookups of the same cells: the node, or -1 if never made.
+  int VarNode(const Symbol* sym, const FuncDecl* owner) const;
+  int FieldNode(const RecordDecl* rec, int field_index) const;
+  int RetNode(const FuncDecl* fn) const;
+  // The one reading of an expression's value, shared by constraint
+  // generation (Self = PointsTo: cells are created as read) and the
+  // post-solve reads (Self = const PointsTo: cells are only looked up).
+  // NodeOf is the cell an lvalue reads; ForEachSource calls on_func for a
+  // function the value names and on_node for each cell it flows from.
+  template <typename Self>
+  static int NodeOf(Self* self, const Expr* e);
+  template <typename Self, typename OnFunc, typename OnNode>
+  static void ForEachSource(Self* self, const Expr* e, const OnFunc& on_func,
+                            const OnNode& on_node);
   int NodeOfExpr(const Expr* e);
   void AddEdge(int src, int dst);
   void AddFunc(int node, const FuncDecl* fn);

@@ -12,10 +12,11 @@
 namespace ivy {
 
 AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*module*/,
-                       const BlockStopReport* blockstop) {
+                       const BlockStopReport* blockstop,
+                       const std::function<std::string(SourceLoc)>& module_of) {
   AnnoDb db;
   for (const auto& [name, fn] : sema.func_map()) {
-    if (fn->func_id < 0) {
+    if (fn->func_id < 0 || name.find(kPrivateMark) != std::string_view::npos) {
       continue;
     }
     FuncFacts facts;
@@ -28,6 +29,7 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
     facts.blocking_if_param = fn->attrs.blocking_if_param;
     facts.errcodes = fn->attrs.errcodes;
     facts.frame_size = fn->frame_size;
+    facts.module = module_of ? module_of(fn->loc) : "";
     std::string key(name);
     if (blockstop != nullptr) {
       facts.may_block = blockstop->mayblock.count(key) != 0;
@@ -42,6 +44,7 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
     RecordFacts facts;
     facts.name = rec->name;
     facts.size = rec->size;
+    facts.module = module_of ? module_of(rec->loc) : "";
     const TypeLayout* layout = layouts.Get(rec->type_id);
     if (layout != nullptr) {
       facts.ptr_offsets = layout->ptr_offsets;
@@ -51,14 +54,15 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
   return db;
 }
 
-AnnoDb AnnoDb::Extract(AnalysisContext& ctx, const PipelineResult* pipeline) {
+AnnoDb AnnoDb::Extract(AnalysisContext& ctx, const PipelineResult* pipeline,
+                       const std::function<std::string(SourceLoc)>& module_of) {
   const BlockStopReport* blockstop = nullptr;
   if (pipeline != nullptr) {
     if (const ToolResult* r = pipeline->ResultFor("blockstop")) {
       blockstop = r->DetailAs<BlockStopReport>();
     }
   }
-  AnnoDb db = Extract(ctx.prog(), ctx.sema(), ctx.module(), blockstop);
+  AnnoDb db = Extract(ctx.prog(), ctx.sema(), ctx.module(), blockstop, module_of);
   if (pipeline != nullptr) {
     db.SetFindings(pipeline->findings, &ctx.sm());
   }
@@ -484,19 +488,6 @@ void AnnoDb::AddSummary(FuncSummary row) {
 FuncSummary* AnnoDb::FindSummary(const std::string& module, const std::string& function) {
   auto it = summaries_.find({module, function});
   return it == summaries_.end() ? nullptr : &it->second;
-}
-
-void AnnoDb::StampModule(const std::string& module) {
-  for (auto& [name, facts] : funcs_) {
-    if (facts.module.empty()) {
-      facts.module = module;
-    }
-  }
-  for (auto& [name, facts] : records_) {
-    if (facts.module.empty()) {
-      facts.module = module;
-    }
-  }
 }
 
 }  // namespace ivy

@@ -16,6 +16,7 @@
 #ifndef SRC_ANNODB_ANNODB_H_
 #define SRC_ANNODB_ANNODB_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -102,15 +103,21 @@ struct FuncSummary {
 class AnnoDb {
  public:
   // Extracts a database from a compiled program (plus optional BlockStop
-  // results for the inferred may-block facts).
+  // results for the inferred may-block facts). Module-private copies (see
+  // PublicNames) are left out: the public definer's entry stands for the
+  // name. With `module_of`, every entry is stamped with the module
+  // module_of(its declaration's location) names — its provenance.
   static AnnoDb Extract(const Program& prog, const Sema& sema, const IrModule& module,
-                        const BlockStopReport* blockstop = nullptr);
+                        const BlockStopReport* blockstop = nullptr,
+                        const std::function<std::string(SourceLoc)>& module_of = {});
 
   // Pipeline-native extraction: pulls the may-block facts from the
   // pipeline's blockstop result (when that pass ran) and attaches the
   // merged unified findings, so one exported JSON carries both the facts
   // and what the tools concluded from them (§3.2's shared repository).
-  static AnnoDb Extract(AnalysisContext& ctx, const PipelineResult* pipeline);
+  // `module_of` stamps provenance as above.
+  static AnnoDb Extract(AnalysisContext& ctx, const PipelineResult* pipeline,
+                        const std::function<std::string(SourceLoc)>& module_of = {});
 
   // Serialization round trip. Malformed summary rows are rejected (not
   // loaded); pass `errors` to collect one diagnostic per rejected row.
@@ -147,10 +154,6 @@ class AnnoDb {
 
   const std::map<std::string, FuncFacts>& funcs() const { return funcs_; }
   const std::map<std::string, RecordFacts>& records() const { return records_; }
-
-  // Stamps module provenance onto every (unstamped) fact entry — what a
-  // session does per module before merging the corpus view.
-  void StampModule(const std::string& module);
 
   // Unified tool findings carried alongside the facts (serialized under the
   // "findings" key; survives the JSON round trip and Merge). The optional

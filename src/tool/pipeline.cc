@@ -96,9 +96,163 @@ std::string PipelineResult::ToString(const SourceManager* sm) const {
 // Pipeline: frontend
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Compilation> Pipeline::Compile(
-    const std::vector<SourceFile>& files, FrontendCache* cache,
-    const std::vector<int>& file_module, std::vector<std::pair<int, std::string>>* dropped) const {
+std::string PublicNames(std::string text) {
+  for (size_t at = text.find(kPrivateMark); at != std::string::npos;
+       at = text.find(kPrivateMark, at)) {
+    size_t end = at + kPrivateMark.size();
+    while (end < text.size() && text[end] >= '0' && text[end] <= '9') {
+      ++end;
+    }
+    text.erase(at, end - at);
+  }
+  return text;
+}
+
+namespace {
+
+int ModuleOf(const std::vector<int>& file_module, SourceLoc loc) {
+  const size_t id = static_cast<size_t>(loc.file);
+  return id < file_module.size() ? file_module[id] : -1;
+}
+
+// If toks[i] starts a type definition ("struct S {...};", "union U {...};",
+// "enum [E] {...};"), the index one past its ';' and, in *key, its token
+// spelling; else i.
+size_t TypeDefinitionEnd(const std::vector<Token>& toks, size_t i, std::string* key) {
+  const Tok kind = toks[i].kind;
+  if (kind != Tok::kKwStruct && kind != Tok::kKwUnion && kind != Tok::kKwEnum) {
+    return i;
+  }
+  size_t j = i + 1;
+  if (j < toks.size() && toks[j].kind == Tok::kIdent) {
+    ++j;
+  } else if (kind != Tok::kKwEnum) {
+    return i;  // records are always tagged
+  }
+  if (j >= toks.size() || toks[j].kind != Tok::kLBrace) {
+    return i;
+  }
+  for (int depth = 0; j < toks.size(); ++j) {
+    depth += toks[j].kind == Tok::kLBrace ? 1 : (toks[j].kind == Tok::kRBrace ? -1 : 0);
+    if (depth == 0) {
+      break;
+    }
+  }
+  if (j + 1 >= toks.size() || toks[j + 1].kind != Tok::kSemi) {
+    return i;
+  }
+  for (size_t t = i; t <= j + 1; ++t) {
+    *key += std::to_string(static_cast<int>(toks[t].kind)) + ' ' + toks[t].text + ' ' +
+            std::to_string(toks[t].int_val) + '\n';
+  }
+  return j + 2;
+}
+
+// Drops from `toks` the top-level type definitions an earlier module made
+// token for token; `mine` collects the ones this module makes.
+void DropRepeatedTypes(std::vector<Token>* toks, const std::set<std::string>& earlier,
+                       std::set<std::string>* mine) {
+  std::vector<std::pair<size_t, size_t>> repeats;
+  int depth = 0;
+  for (size_t i = 0; i < toks->size(); ++i) {
+    const Tok prev = i == 0 ? Tok::kSemi : (*toks)[i - 1].kind;
+    std::string key;
+    const size_t end = depth == 0 && (prev == Tok::kSemi || prev == Tok::kRBrace)
+                           ? TypeDefinitionEnd(*toks, i, &key)
+                           : i;
+    if (end > i) {
+      if (earlier.count(key) != 0) {
+        repeats.push_back({i, end});
+      } else {
+        mine->insert(std::move(key));
+      }
+      i = end - 1;
+      continue;
+    }
+    const Tok kind = (*toks)[i].kind;
+    depth += kind == Tok::kLBrace ? 1 : (kind == Tok::kRBrace ? -1 : 0);
+  }
+  for (auto it = repeats.rbegin(); it != repeats.rend(); ++it) {
+    toks->erase(toks->begin() + static_cast<std::ptrdiff_t>(it->first),
+                toks->begin() + static_cast<std::ptrdiff_t>(it->second));
+  }
+}
+
+// Respells module m's own `name` — its declarations and every identifier in
+// its files — as the module-private name$$m.
+void MakePrivate(Program* prog, const std::vector<int>& file_module, int m,
+                 const std::string& name) {
+  const StrRef priv = prog->Intern(name + std::string(kPrivateMark) + std::to_string(m));
+  for (FuncDecl* fn : prog->funcs) {
+    if (ModuleOf(file_module, fn->loc) != m) {
+      continue;
+    }
+    if (fn->name == name) {
+      fn->name = std::string(priv.view);
+    }
+    for (Symbol* p : fn->params) {
+      if (p->name == name) {
+        p->name = std::string(priv.view);
+      }
+    }
+  }
+  for (uint32_t i = 0; i < prog->decl_count(); ++i) {
+    VarDecl* d = prog->DeclAt(DeclId{i});
+    if (d->name == name && ModuleOf(file_module, d->loc) == m) {
+      d->name = priv.view;
+      d->name_id = priv.id;
+    }
+  }
+  for (uint32_t i = 0; i < prog->expr_count(); ++i) {
+    Expr* e = prog->ExprAt(ExprId{i});
+    if (e->kind == ExprKind::kIdent && e->str_val == name &&
+        ModuleOf(file_module, e->loc) == m) {
+      e->str_val = priv.view;
+      e->str_id = priv.id;
+    }
+  }
+}
+
+// The corpus link policy of Pipeline::Compile, over the parsed program.
+void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
+  std::set<std::pair<int, std::string>> private_names;
+  std::map<std::string, int> definer;
+  for (const FuncDecl* fn : prog->funcs) {
+    const int m = ModuleOf(file_module, fn->loc);
+    if (fn->body != nullptr && m >= 0) {
+      auto [it, inserted] = definer.emplace(fn->name, m);
+      if (!inserted && it->second != m) {
+        private_names.insert({m, fn->name});
+      }
+    }
+  }
+  std::map<std::string_view, size_t> first;
+  std::vector<VarDecl*> globals;
+  for (VarDecl* g : prog->globals) {
+    auto [it, inserted] = first.emplace(g->name, globals.size());
+    const int m = ModuleOf(file_module, g->loc);
+    const int pm = inserted ? m : ModuleOf(file_module, globals[it->second]->loc);
+    if (m >= 0 && pm >= 0 && m != pm) {
+      VarDecl*& prev = globals[it->second];
+      if (SameType(prev->type, g->type) && (prev->init == nullptr || g->init == nullptr)) {
+        prev = prev->init != nullptr ? prev : g;  // the definition stands for the object
+        continue;
+      }
+      private_names.insert({m, std::string(g->name)});
+    }
+    globals.push_back(g);
+  }
+  prog->globals = std::move(globals);
+  for (const auto& [m, name] : private_names) {
+    MakePrivate(prog, file_module, m, name);
+  }
+}
+
+}  // namespace
+
+std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& files,
+                                               FrontendCache* cache,
+                                               const std::vector<int>* file_module) const {
   auto comp = std::make_unique<Compilation>();
   comp->config = config_;
   comp->diags = std::make_unique<DiagEngine>(&comp->sm);
@@ -118,11 +272,6 @@ std::unique_ptr<Compilation> Pipeline::Compile(
   // prelude is always the first file registered, so its token stream —
   // embedded file ids included — is identical across compilations and can
   // come from the corpus cache.
-  auto parse_file = [&comp](int32_t id) {
-    Lexer lexer(comp->sm, id, comp->diags.get());
-    Parser parser(&comp->prog, lexer.Lex(), comp->diags.get());
-    parser.ParseTranslationUnit();
-  };
   if (config_.include_prelude) {
     int32_t prelude_id = comp->sm.AddFile("<prelude>", PreludeSource());
     if (cache != nullptr) {
@@ -140,11 +289,28 @@ std::unique_ptr<Compilation> Pipeline::Compile(
         cache->prelude_interns = comp->prog.interner().Snapshot();
       }
     } else {
-      parse_file(prelude_id);
+      Lexer lexer(comp->sm, prelude_id, comp->diags.get());
+      Parser parser(&comp->prog, lexer.Lex(), comp->diags.get());
+      parser.ParseTranslationUnit();
     }
   }
+  std::set<std::string> earlier_types;  // corpus mode: earlier modules' type definitions
+  std::set<std::string> module_types;
+  int module = -1;
   for (const SourceFile& f : files) {
-    parse_file(comp->sm.AddFile(f.name, f.text));
+    const int32_t id = comp->sm.AddFile(f.name, f.text);
+    Lexer lexer(comp->sm, id, comp->diags.get());
+    std::vector<Token> toks = lexer.Lex();
+    if (file_module != nullptr) {
+      if (const int m = ModuleOf(*file_module, {id, 0, 0}); m != module) {
+        earlier_types.merge(module_types);
+        module_types.clear();
+        module = m;
+      }
+      DropRepeatedTypes(&toks, earlier_types, &module_types);
+    }
+    Parser parser(&comp->prog, std::move(toks), comp->diags.get());
+    parser.ParseTranslationUnit();
   }
   const uint64_t parse_t1 = traced ? MonotonicNowNs() : 0;
   if (traced) {
@@ -154,24 +320,8 @@ std::unique_ptr<Compilation> Pipeline::Compile(
   if (!comp->diags->ok()) {
     return comp;
   }
-  if (dropped != nullptr) {
-    // The linker's "first definer wins": a later module's definition of an
-    // already-defined name never reaches sema.
-    std::map<std::string_view, int> definer;
-    std::vector<FuncDecl*> kept;
-    for (FuncDecl* fn : comp->prog.funcs) {
-      const size_t id = static_cast<size_t>(fn->loc.file);
-      const int m = id < file_module.size() ? file_module[id] : -1;
-      if (fn->body != nullptr && m >= 0) {
-        auto [it, inserted] = definer.emplace(fn->name, m);
-        if (!inserted && it->second != m) {
-          dropped->push_back({m, fn->name});
-          continue;
-        }
-      }
-      kept.push_back(fn);
-    }
-    comp->prog.funcs = std::move(kept);
+  if (file_module != nullptr) {
+    LinkCorpus(&comp->prog, *file_module);
   }
 
   comp->sema = std::make_unique<Sema>(&comp->prog, comp->diags.get(),

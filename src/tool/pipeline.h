@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,12 @@ struct FrontendCache {
   int64_t intern_seeds = 0;
 };
 
+// A corpus compile spells module m's private copy of `name` as name + kPrivateMark + m.
+inline constexpr std::string_view kPrivateMark = "$$";
+// `text` with every private spelling turned back into the name the module
+// wrote — what the module's own compile would have printed.
+std::string PublicNames(std::string text);
+
 // Merged output of one RunTools call. `results` holds one entry per
 // configured pass in request order; `findings` is the concatenation of every
 // pass's findings in that same order (the deterministic merge).
@@ -89,16 +96,21 @@ class Pipeline {
   // FrontendCache, the prelude token stream is lexed once and reused across
   // calls (what AnalysisSession passes for corpus builds).
   //
-  // With `dropped`, the files are a corpus of modules compiled as one
-  // program (AnalysisSession::RunLinked): `file_module[id]` is the module
-  // index of the compilation's file `id` (-1 for the prelude), and a
-  // function defined in more than one module keeps the definition that comes
-  // first — the later modules' definitions are dropped before sema instead
-  // of failing it, and reported in *dropped as (module index, name).
-  std::unique_ptr<Compilation> Compile(
-      const std::vector<SourceFile>& files, FrontendCache* cache = nullptr,
-      const std::vector<int>& file_module = {},
-      std::vector<std::pair<int, std::string>>* dropped = nullptr) const;
+  // With `file_module`, the files are a corpus of modules compiled as one
+  // program (AnalysisSession::RunLinked): (*file_module)[id] is the module
+  // index of the compilation's file `id` (-1 for the prelude). The corpus
+  // links the way separately compiled modules do:
+  //  - a struct, union or enum definition an earlier module already made,
+  //    token for token (the shared-header idiom), is that same type;
+  //  - a global that several modules declare with one type, at most one of
+  //    them initialized ("int x;" beside "extern int x;"), is one object;
+  //  - any other name a later module defines again — a function, or a
+  //    global of another type — becomes private to that module (see
+  //    PublicNames): the module's own code keeps binding to its definition,
+  //    and every other module links to the first definer's.
+  std::unique_ptr<Compilation> Compile(const std::vector<SourceFile>& files,
+                                       FrontendCache* cache = nullptr,
+                                       const std::vector<int>* file_module = nullptr) const;
 
   // Context at this pipeline's configured points-to precision. Prefer this
   // over constructing AnalysisContext directly so FieldSensitive() cannot

@@ -603,12 +603,10 @@ const T* DetailOf(const PipelineResult& result, const char* tool) {
 
 // The summary rows of every module of one analyzed program: a definer row
 // per function a module defines, a usage row per non-builtin function it
-// declares without defining. `dropped` are (module, name) definitions the
-// corpus compile set aside for an earlier definer; their rows carry that
-// definer's facts. ComputeLinkStackFacts adds the corpus stack facts.
+// declares without defining. Rows carry the names the modules wrote (see
+// PublicNames); ComputeLinkStackFacts adds the corpus stack facts.
 std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineResult& result,
-                                         const ModuleMap& map,
-                                         const std::vector<std::pair<int, std::string>>& dropped) {
+                                         const ModuleMap& map) {
   const BlockStopReport* bs = DetailOf<BlockStopReport>(result, "blockstop");
   const ErrCheckReport* ec = DetailOf<ErrCheckReport>(result, "errcheck");
   const LockSafeReport* ls = DetailOf<LockSafeReport>(result, "locksafe");
@@ -617,15 +615,22 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   const CallGraph* cg = ctx.callgraph_builds() > 0 ? &ctx.callgraph() : nullptr;
   const PointsTo* pt = ctx.pointsto_builds() > 0 ? &ctx.pointsto() : nullptr;
   const auto& func_map = ctx.sema().func_map();
-  std::vector<std::set<std::string>> defined(map.names.size());
-  std::vector<std::set<std::string>> declared(map.names.size());
+  auto names = [](std::vector<std::string> v) {
+    for (std::string& name : v) {
+      name = PublicNames(std::move(name));
+    }
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  };
+  // Per module: written name -> the program's function.
+  std::vector<std::map<std::string, const FuncDecl*>> defined(map.names.size());
+  std::vector<std::map<std::string, const FuncDecl*>> declared(map.names.size());
   for (const FuncDecl* fn : ctx.prog().funcs) {
     if (const int m = map.Of(fn->loc.file); m >= 0) {
-      (fn->body != nullptr ? defined : declared)[static_cast<size_t>(m)].insert(fn->name);
+      (fn->body != nullptr ? defined : declared)[static_cast<size_t>(m)].emplace(
+          PublicNames(fn->name), func_map.at(fn->name));
     }
-  }
-  for (const auto& [m, name] : dropped) {
-    defined[static_cast<size_t>(m)].insert(name);
   }
 
   // Usage facts keyed by (calling module, callee): atomic entry from the
@@ -638,7 +643,7 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   if (bs != nullptr) {
     for (const auto& [key, bits] : bs->cross_file_entry_bits) {
       if ((bits & 2) != 0) {
-        atomic.insert({map.Of(key.first), key.second});
+        atomic.insert({map.Of(key.first), PublicNames(key.second)});
       }
     }
   }
@@ -653,14 +658,14 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
         if (m < 0 || (callee->body != nullptr && map.Of(callee->loc.file) == m)) {
           continue;  // a call within the module
         }
+        const Key key{m, PublicNames(callee->name)};
         if (in_irq) {
-          irq.insert({m, callee->name});
+          irq.insert(key);
         }
         for (size_t p = 0; pt != nullptr && p < callee->params.size() &&
                            p + skip < site.expr->args.size();
              ++p) {
-          pt->FuncNamesOfExpr(site.expr->args[p + skip],
-                              &args[{m, callee->name}][static_cast<int>(p)]);
+          pt->FuncNamesOfExpr(site.expr->args[p + skip], &args[key][static_cast<int>(p)]);
         }
       }
     }
@@ -668,11 +673,11 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
 
   std::vector<FuncSummary> out;
   for (size_t m = 0; m < map.names.size(); ++m) {
-    for (const std::string& fname : defined[m]) {
-      const FuncDecl* fn = func_map.at(fname);
+    for (const auto& [public_name, fn] : defined[m]) {
+      const std::string& fname = fn->name;
       FuncSummary row;
       row.module = *map.names[m];
-      row.function = fname;
+      row.function = public_name;
       row.defined = true;
       row.blocking = fn->attrs.blocking;
       row.noblock = fn->attrs.noblock;
@@ -684,29 +689,27 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
       if (bs != nullptr) {
         row.may_block = bs->mayblock.count(fname) != 0;
         auto w = bs->mayblock_witness.find(fname);
-        row.block_witness = w != bs->mayblock_witness.end() ? w->second : "";
+        row.block_witness = w != bs->mayblock_witness.end() ? PublicNames(w->second) : "";
       }
       row.returns_error = ec != nullptr && ec->err_funcs.count(fname) != 0;
       if (ls != nullptr && ls->locks_acquired.count(fname) != 0) {
         row.locks_acquired = ls->locks_acquired.at(fname);
       }
       if (cg != nullptr) {
-        std::set<std::string> callees;
         for (const CallSite& site : cg->SitesOf(fn)) {
           for (const FuncDecl* callee : site.McCallees()) {
-            callees.insert(callee->name);
+            row.callees.push_back(callee->name);
           }
         }
-        row.callees.assign(callees.begin(), callees.end());
+        row.callees = names(std::move(row.callees));
       }
       if (pt != nullptr) {
-        row.returns_points = pt->ReturnFuncNames(fn);
+        row.returns_points = names(pt->ReturnFuncNames(fn));
       }
       out.push_back(std::move(row));
     }
-    for (const std::string& fname : declared[m]) {
-      auto it = func_map.find(fname);
-      if (defined[m].count(fname) != 0 || it == func_map.end() || it->second->is_builtin) {
+    for (const auto& [fname, fn] : declared[m]) {
+      if (defined[m].count(fname) != 0 || fn->is_builtin) {
         continue;
       }
       FuncSummary row;
@@ -716,9 +719,9 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
       row.entered_atomic = atomic.count(key) != 0;
       row.entered_in_irq = irq.count(key) != 0;
       if (auto a = args.find(key); a != args.end()) {
-        for (const auto& [p, names] : a->second) {
-          if (!names.empty()) {
-            row.param_points[p].assign(names.begin(), names.end());
+        for (const auto& [p, points] : a->second) {
+          if (!points.empty()) {
+            row.param_points[p] = names({points.begin(), points.end()});
           }
         }
       }
@@ -746,15 +749,19 @@ int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMa
 }
 
 // Splits a corpus run's result into the per-module results a module-local
-// run reports: findings in tool order with module-local file ids. The
-// modules' ToolResults share the corpus run's details and metrics. `map`
-// holds at least one module.
+// run reports: findings in tool order with module-local file ids and the
+// names the module wrote. The modules' ToolResults share the corpus run's
+// details and metrics. `map` holds at least one module.
 std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const AnalysisContext& ctx,
                                             const ModuleMap& map) {
   std::vector<PipelineResult> out(map.names.size());
   auto module_of = [&](Finding* f) -> PipelineResult& {
     PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(*f, ctx, map))];
     f->loc.file = map.Local(f->loc.file);
+    f->message = PublicNames(std::move(f->message));
+    for (std::string& w : f->witness) {
+      w = PublicNames(std::move(w));
+    }
     return r;
   };
   for (ToolResult& t : corpus.results) {
@@ -794,8 +801,8 @@ std::unique_ptr<Compilation> ModuleView(const Compilation& corpus, const ModuleM
   view->diags = std::make_unique<DiagEngine>(&view->sm);
   for (const Diagnostic& d : corpus.diags->diagnostics()) {
     if (map.Of(d.loc.file) == m) {
-      view->diags->Add(d.severity, {map.Local(d.loc.file), d.loc.line, d.loc.col}, d.message,
-                       d.tool);
+      view->diags->Add(d.severity, {map.Local(d.loc.file), d.loc.line, d.loc.col},
+                       PublicNames(d.message), d.tool);
     }
   }
   view->ok = view->diags->ok();
@@ -818,16 +825,14 @@ bool AnalysisSession::AnalyzeCorpus() {
   std::vector<std::pair<ModuleState*, std::unique_ptr<Compilation>>> failed;
   std::unique_ptr<Compilation> comp;
   ModuleMap map(pipeline_.config().include_prelude);
-  std::vector<std::pair<int, std::string>> dropped;
   for (;;) {
     map = ModuleMap(pipeline_.config().include_prelude);
-    dropped.clear();
     std::vector<SourceFile> files;
     for (const auto& [name, st] : live) {
       map.Add(name, st->files.size());
       files.insert(files.end(), st->files.begin(), st->files.end());
     }
-    comp = pipeline_.Compile(files, &cache_, map.of_file, &dropped);
+    comp = pipeline_.Compile(files, &cache_, &map.of_file);
     if (comp->ok) {
       break;
     }
@@ -868,7 +873,14 @@ bool AnalysisSession::AnalyzeCorpus() {
     trace::Span span("link.export");
     link_table_ = AnnoDb();
     if (ctx != nullptr) {
-      for (FuncSummary& row : ExportSummaries(*ctx, corpus, map, dropped)) {
+      // The repository facts, each stamped with the module declaring it.
+      link_table_ = AnnoDb::Extract(ctx->prog(), ctx->sema(), ctx->module(),
+                                    DetailOf<BlockStopReport>(corpus, "blockstop"),
+                                    [&map](SourceLoc loc) {
+                                      const int m = map.Of(loc.file);
+                                      return m < 0 ? std::string() : *map.names[m];
+                                    });
+      for (FuncSummary& row : ExportSummaries(*ctx, corpus, map)) {
         link_table_.AddSummary(std::move(row));
       }
       per_module = RegroupFindings(std::move(corpus), *ctx, map);
@@ -1023,11 +1035,10 @@ AnnoDb AnalysisSession::ExportAnnoDb() {
       continue;
     }
     // A module analyzed on its own (Run()) exports its program's facts; a
-    // linked module's facts are its summary rows below.
+    // linked module's facts are in the link table below.
     AnnoDb db;
     if (st->ctx != nullptr) {
-      db = AnnoDb::Extract(*st->ctx, &st->result);
-      db.StampModule(name);
+      db = AnnoDb::Extract(*st->ctx, &st->result, [&name](SourceLoc) { return name; });
     }
     std::vector<Finding> stamped = st->result.findings;
     for (Finding& f : stamped) {
@@ -1036,9 +1047,9 @@ AnnoDb AnalysisSession::ExportAnnoDb() {
     db.SetFindings(std::move(stamped), st->comp != nullptr ? &st->comp->sm : nullptr);
     merged.Merge(db);
   }
-  // The summary fact table rides along: the link table when the session has
-  // linked, else fresh per-module rows (no corpus stack facts — those need
-  // the whole corpus).
+  // The link table rides along when the session has linked (the corpus
+  // run's facts and summary rows), else fresh per-module rows (no corpus
+  // stack facts — those need the whole corpus).
   if (linked_) {
     merged.Merge(link_table_);
   } else {
@@ -1046,7 +1057,7 @@ AnnoDb AnalysisSession::ExportAnnoDb() {
       if (st->ok && st->ctx != nullptr) {
         ModuleMap map(pipeline_.config().include_prelude);
         map.Add(&name, st->files.size());
-        for (FuncSummary& row : ExportSummaries(*st->ctx, st->result, map, {})) {
+        for (FuncSummary& row : ExportSummaries(*st->ctx, st->result, map)) {
           merged.AddSummary(std::move(row));
         }
       }

@@ -193,8 +193,10 @@ class AnalysisSession {
   void ClearCancel() { cancel_->store(false, std::memory_order_release); }
   bool cancel_requested() const { return cancel_->load(std::memory_order_acquire); }
 
-  // The link table (empty before the first RunLinked). The same rows are
-  // merged into ExportAnnoDb()'s repository view.
+  // The link table (empty before the first RunLinked): the summary rows,
+  // plus the corpus run's function and record facts stamped by module (a
+  // table restored by LoadStore has rows only). It is merged into
+  // ExportAnnoDb()'s repository view.
   const AnnoDb& link_table() const { return link_table_; }
 
   // The §3.2 repository view of the whole corpus: per-module facts merged,
@@ -247,9 +249,8 @@ class AnalysisSession {
   // of registration order. Node stability also keeps ModuleState addresses
   // (and the IncrementalHints the contexts point at) valid across inserts.
   std::map<std::string, std::unique_ptr<ModuleState>> modules_;
-  // The link stage's table and its outcome counters. The table holds only
-  // summary rows; per-module findings stay with the modules and are merged
-  // on ExportAnnoDb().
+  // The link stage's table and its outcome counters. Per-module findings
+  // stay with the modules and are merged on ExportAnnoDb().
   AnnoDb link_table_;
   // True while the table and every clean module's result come from one
   // RunLinked() over the current module set (false after RemoveModule).
