@@ -215,29 +215,40 @@ void MakePrivate(Program* prog, const std::vector<int>& file_module, int m,
 
 // The corpus link policy of Pipeline::Compile, over the parsed program.
 void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
-  std::set<std::pair<int, std::string>> private_names;
-  std::map<std::string, int> definer;
+  // The first module to define each name, as a function body or a global.
+  std::map<std::string, int> owner;
   for (const FuncDecl* fn : prog->funcs) {
-    const int m = ModuleOf(file_module, fn->loc);
-    if (fn->body != nullptr && m >= 0) {
-      auto [it, inserted] = definer.emplace(fn->name, m);
-      if (!inserted && it->second != m) {
-        private_names.insert({m, fn->name});
-      }
+    if (const int m = ModuleOf(file_module, fn->loc); fn->body != nullptr && m >= 0) {
+      owner.emplace(fn->name, m);
+    }
+  }
+  for (const VarDecl* g : prog->globals) {
+    if (const int m = ModuleOf(file_module, g->loc); m >= 0) {
+      auto [it, inserted] = owner.emplace(g->name, m);
+      it->second = std::min(it->second, m);
+    }
+  }
+  std::set<std::pair<int, std::string>> private_names;
+  for (const FuncDecl* fn : prog->funcs) {
+    if (const int m = ModuleOf(file_module, fn->loc); fn->body != nullptr && m >= 0 &&
+                                                      owner.at(fn->name) != m) {
+      private_names.insert({m, fn->name});
     }
   }
   std::map<std::string_view, size_t> first;
   std::vector<VarDecl*> globals;
   for (VarDecl* g : prog->globals) {
-    auto [it, inserted] = first.emplace(g->name, globals.size());
     const int m = ModuleOf(file_module, g->loc);
-    const int pm = inserted ? m : ModuleOf(file_module, globals[it->second]->loc);
-    if (m >= 0 && pm >= 0 && m != pm) {
+    if (auto [it, inserted] = first.emplace(g->name, globals.size()); !inserted) {
       VarDecl*& prev = globals[it->second];
-      if (SameType(prev->type, g->type) && (prev->init == nullptr || g->init == nullptr)) {
+      const int pm = ModuleOf(file_module, prev->loc);
+      if (m >= 0 && pm >= 0 && m != pm && SameType(prev->type, g->type) &&
+          (prev->init == nullptr || g->init == nullptr)) {
         prev = prev->init != nullptr ? prev : g;  // the definition stands for the object
         continue;
       }
+    }
+    if (m >= 0 && owner.at(std::string(g->name)) != m) {
       private_names.insert({m, std::string(g->name)});
     }
     globals.push_back(g);
