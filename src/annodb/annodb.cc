@@ -38,7 +38,8 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
   }
   TypeLayoutRegistry layouts = TypeLayoutRegistry::Build(prog);
   for (const RecordDecl* rec : prog.records) {
-    if (rec->type_id < 0 || rec->name.empty()) {
+    if (rec->type_id < 0 || rec->name.empty() ||
+        rec->name.find(kPrivateMark) != std::string::npos) {
       continue;
     }
     RecordFacts facts;

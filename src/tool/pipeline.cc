@@ -115,66 +115,105 @@ int ModuleOf(const std::vector<int>& file_module, SourceLoc loc) {
   return id < file_module.size() ? file_module[id] : -1;
 }
 
-// If toks[i] starts a type definition ("struct S {...};", "union U {...};",
-// "enum [E] {...};"), the index one past its ';' and, in *key, its token
-// spelling; else i.
-size_t TypeDefinitionEnd(const std::vector<Token>& toks, size_t i, std::string* key) {
+// A top-level type definition: "struct S {...};", "union U {...};" or
+// "enum [E] {...};".
+struct TypeDef {
+  size_t end = 0;                  // one past its ';'
+  std::string key;                 // its token spelling
+  std::vector<std::string> names;  // the record tag, or the enum's constants
+};
+
+// The type definition starting at toks[i], if there is one.
+bool TypeDefinitionAt(const std::vector<Token>& toks, size_t i, TypeDef* def) {
   const Tok kind = toks[i].kind;
   if (kind != Tok::kKwStruct && kind != Tok::kKwUnion && kind != Tok::kKwEnum) {
-    return i;
+    return false;
   }
   size_t j = i + 1;
-  if (j < toks.size() && toks[j].kind == Tok::kIdent) {
-    ++j;
-  } else if (kind != Tok::kKwEnum) {
-    return i;  // records are always tagged
+  const bool tagged = j < toks.size() && toks[j].kind == Tok::kIdent;
+  if (kind != Tok::kKwEnum) {
+    if (!tagged) {
+      return false;  // records are always tagged
+    }
+    def->names.push_back(toks[j].text);
   }
+  j += tagged ? 1 : 0;  // an enum's tag names nothing: its constants do
   if (j >= toks.size() || toks[j].kind != Tok::kLBrace) {
-    return i;
+    return false;
   }
   for (int depth = 0; j < toks.size(); ++j) {
     depth += toks[j].kind == Tok::kLBrace ? 1 : (toks[j].kind == Tok::kRBrace ? -1 : 0);
+    if (kind == Tok::kKwEnum && depth == 1 && toks[j].kind == Tok::kIdent &&
+        (toks[j - 1].kind == Tok::kLBrace || toks[j - 1].kind == Tok::kComma)) {
+      def->names.push_back(toks[j].text);
+    }
     if (depth == 0) {
       break;
     }
   }
   if (j + 1 >= toks.size() || toks[j + 1].kind != Tok::kSemi) {
-    return i;
+    return false;
   }
   for (size_t t = i; t <= j + 1; ++t) {
-    *key += std::to_string(static_cast<int>(toks[t].kind)) + ' ' + toks[t].text + ' ' +
-            std::to_string(toks[t].int_val) + '\n';
+    def->key += std::to_string(static_cast<int>(toks[t].kind)) + ' ' + toks[t].text + ' ' +
+                std::to_string(toks[t].int_val) + '\n';
   }
-  return j + 2;
+  def->end = j + 2;
+  return true;
 }
 
-// Drops from `toks` the top-level type definitions an earlier module made
-// token for token; `mine` collects the ones this module makes.
-void DropRepeatedTypes(std::vector<Token>* toks, const std::set<std::string>& earlier,
-                       std::set<std::string>* mine) {
-  std::vector<std::pair<size_t, size_t>> repeats;
-  int depth = 0;
-  for (size_t i = 0; i < toks->size(); ++i) {
-    const Tok prev = i == 0 ? Tok::kSemi : (*toks)[i - 1].kind;
-    std::string key;
-    const size_t end = depth == 0 && (prev == Tok::kSemi || prev == Tok::kRBrace)
-                           ? TypeDefinitionEnd(*toks, i, &key)
-                           : i;
-    if (end > i) {
-      if (earlier.count(key) != 0) {
-        repeats.push_back({i, end});
-      } else {
-        mine->insert(std::move(key));
+// The type half of the corpus link policy, over module m's token streams
+// before they are parsed: a type definition an earlier module made token for
+// token is dropped, and a record tag or enum constant an earlier module
+// defined differently is respelled name$$m throughout the module. `earlier`
+// maps each type name of the earlier modules ("tag S", "enum C") to its
+// definition's key.
+void LinkTypes(std::vector<std::vector<Token>>* streams, int m,
+               std::map<std::string, std::string>* earlier) {
+  std::map<std::string, std::string> mine;
+  std::set<std::string> tags;
+  std::set<std::string> constants;
+  for (std::vector<Token>& toks : *streams) {
+    std::vector<std::pair<size_t, size_t>> repeats;
+    int depth = 0;
+    for (size_t i = 0; i < toks.size(); ++i) {
+      const Tok prev = i == 0 ? Tok::kSemi : toks[i - 1].kind;
+      TypeDef def;
+      if (depth != 0 || (prev != Tok::kSemi && prev != Tok::kRBrace) ||
+          !TypeDefinitionAt(toks, i, &def)) {
+        depth += toks[i].kind == Tok::kLBrace ? 1 : (toks[i].kind == Tok::kRBrace ? -1 : 0);
+        continue;
       }
-      i = end - 1;
-      continue;
+      const bool is_enum = toks[i].kind == Tok::kKwEnum;
+      const std::string space = is_enum ? "enum " : "tag ";
+      const auto seen = def.names.empty() ? earlier->end() : earlier->find(space + def.names[0]);
+      if (seen != earlier->end() && seen->second == def.key) {
+        repeats.push_back({i, def.end});  // the same type
+      } else {
+        for (const std::string& name : def.names) {
+          if (earlier->count(space + name) != 0) {
+            (is_enum ? constants : tags).insert(name);
+          }
+          mine.emplace(space + name, def.key);
+        }
+      }
+      i = def.end - 1;
     }
-    const Tok kind = (*toks)[i].kind;
-    depth += kind == Tok::kLBrace ? 1 : (kind == Tok::kRBrace ? -1 : 0);
+    for (auto it = repeats.rbegin(); it != repeats.rend(); ++it) {
+      toks.erase(toks.begin() + static_cast<std::ptrdiff_t>(it->first),
+                 toks.begin() + static_cast<std::ptrdiff_t>(it->second));
+    }
   }
-  for (auto it = repeats.rbegin(); it != repeats.rend(); ++it) {
-    toks->erase(toks->begin() + static_cast<std::ptrdiff_t>(it->first),
-                toks->begin() + static_cast<std::ptrdiff_t>(it->second));
+  earlier->merge(mine);
+  for (std::vector<Token>& toks : *streams) {
+    for (size_t i = 0; i < toks.size(); ++i) {
+      const bool tagged = i > 0 && (toks[i - 1].kind == Tok::kKwStruct ||
+                                    toks[i - 1].kind == Tok::kKwUnion);
+      if (toks[i].kind == Tok::kIdent &&
+          (constants.count(toks[i].text) != 0 || (tagged && tags.count(toks[i].text) != 0))) {
+        toks[i].text += std::string(kPrivateMark) + std::to_string(m);
+      }
+    }
   }
 }
 
@@ -305,23 +344,29 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
       parser.ParseTranslationUnit();
     }
   }
-  std::set<std::string> earlier_types;  // corpus mode: earlier modules' type definitions
-  std::set<std::string> module_types;
-  int module = -1;
-  for (const SourceFile& f : files) {
-    const int32_t id = comp->sm.AddFile(f.name, f.text);
-    Lexer lexer(comp->sm, id, comp->diags.get());
-    std::vector<Token> toks = lexer.Lex();
-    if (file_module != nullptr) {
-      if (const int m = ModuleOf(*file_module, {id, 0, 0}); m != module) {
-        earlier_types.merge(module_types);
-        module_types.clear();
-        module = m;
+  // A file at a time; in corpus mode a module at a time, its files lexed
+  // together so the type policy sees the whole module before any is parsed.
+  std::map<std::string, std::string> earlier_types;
+  for (size_t begin = 0, end = 0; begin < files.size(); begin = end) {
+    std::vector<std::vector<Token>> streams;
+    int m = -1;
+    for (end = begin; end < files.size(); ++end) {
+      const int file_m =
+          file_module != nullptr ? ModuleOf(*file_module, {comp->sm.file_count(), 0, 0}) : -1;
+      if (end > begin && (file_module == nullptr || file_m != m)) {
+        break;
       }
-      DropRepeatedTypes(&toks, earlier_types, &module_types);
+      m = file_m;
+      const int32_t id = comp->sm.AddFile(files[end].name, files[end].text);
+      streams.push_back(Lexer(comp->sm, id, comp->diags.get()).Lex());
     }
-    Parser parser(&comp->prog, std::move(toks), comp->diags.get());
-    parser.ParseTranslationUnit();
+    if (file_module != nullptr) {
+      LinkTypes(&streams, m, &earlier_types);
+    }
+    for (std::vector<Token>& toks : streams) {
+      Parser parser(&comp->prog, std::move(toks), comp->diags.get());
+      parser.ParseTranslationUnit();
+    }
   }
   const uint64_t parse_t1 = traced ? MonotonicNowNs() : 0;
   if (traced) {

@@ -104,10 +104,11 @@ class Pipeline {
   //    token for token (the shared-header idiom), is that same type;
   //  - a global that several modules declare with one type, at most one of
   //    them initialized ("int x;" beside "extern int x;"), is one object;
-  //  - any other name a later module defines again — a function, or a
-  //    global of another type — becomes private to that module (see
-  //    PublicNames): the module's own code keeps binding to its definition,
-  //    and every other module links to the first definer's.
+  //  - any other name a later module defines again — a function, a global
+  //    of another type, a record tag or an enum constant defined
+  //    differently — becomes private to that module (see PublicNames): the
+  //    module's own code keeps binding to its definition, and every other
+  //    module links to the first definer's.
   std::unique_ptr<Compilation> Compile(const std::vector<SourceFile>& files,
                                        FrontendCache* cache = nullptr,
                                        const std::vector<int>* file_module = nullptr) const;

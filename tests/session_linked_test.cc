@@ -248,6 +248,25 @@ TEST(SessionLinked, SameNamedStaticsStayModuleLocal) {
   });
 }
 
+// A struct tag and an enum constant two modules define differently: each
+// module keeps its own type, across its files too.
+TEST(SessionLinked, SameNamedTypesStayModuleLocal) {
+  ExpectModulesMatchOwnCompiles({
+      {"dup_a",
+       {SourceFile{"dup_a.mc",
+                   "struct state {\n  int count;\n};\nenum { MODE = 1 };\n"
+                   "struct state a_st;\nint la;\nvoid a_run(int n) {\n  spin_lock(&la);\n"
+                   "  a_st.count = n + MODE;\n  msleep(a_st.count);\n  spin_unlock(&la);\n}\n"}}},
+      {"dup_b",
+       {SourceFile{"dup_b1.mc",
+                   "struct state {\n  char* name;\n  int level;\n};\n"
+                   "enum { MODE = 2, LEVEL = 3 };\n"},
+        SourceFile{"dup_b2.mc",
+                   "int lb;\nvoid b_run(struct state* s) {\n  spin_lock(&lb);\n"
+                   "  s->level = MODE + LEVEL;\n  msleep(s->level);\n  spin_unlock(&lb);\n}\n"}}},
+  });
+}
+
 TEST(SessionLinked, LinkedMatchesMergedSource) {
   for (uint64_t seed : {3u, 17u}) {
     LinkedCorpusOptions opt;
