@@ -13,8 +13,9 @@
 //   3. Relink after an edit == cold link of the edited corpus; an idle
 //      relink analyzes nothing.
 //   4. Edge cases: a module that fails to compile drops out alone; a
-//      function defined in two modules is reported once; a cancelled link
-//      publishes nothing and resumes.
+//      function defined in two modules is reported once; shared
+//      declarations and same-named file-local definitions link the way
+//      separate compiles do; a cancelled link publishes nothing and resumes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
