@@ -288,8 +288,8 @@ void BM_StackCheckSynth500Sharded(benchmark::State& state) {
 BENCHMARK(BM_StackCheckSynth500Sharded)->Arg(1)->Arg(4);
 
 // ---------------------------------------------------------------------------
-// AnalysisSession: batched corpus runs vs N sequential pipelines, and
-// incremental re-analysis vs cold re-runs. The same measurements, taken with
+// AnalysisSession: batched corpus runs vs N sequential pipelines, and the
+// re-run after a one-function edit. The same measurements, taken with
 // plain chrono timers, feed BENCH_pipeline.json below (the CI perf
 // artifact); the google-benchmark versions exist for interactive runs.
 // ---------------------------------------------------------------------------
@@ -305,8 +305,8 @@ std::vector<ivy::ModuleSources> SessionCorpus() {
     opt.seed = 4000 + static_cast<uint64_t>(m);
     opt.hook_tables = 4;
     // The deep-chain profile (see SynthComp above): long propagation
-    // distances make the fixpoints — what incremental re-analysis skips —
-    // the dominant cost, as in a real kernel-sized module.
+    // distances make the fixpoints the dominant cost, as in a real
+    // kernel-sized module.
     opt.fanout_span = 6;
     opt.mid_blocking_every = 0;
     opt.descending_blocks = true;
@@ -524,10 +524,10 @@ BENCHMARK(BM_VmThroughputDeputy);
 
 // ---------------------------------------------------------------------------
 // BENCH_pipeline.json: the CI perf artifact. Times batched-vs-sequential
-// corpus runs and incremental-vs-cold re-analysis with plain chrono timers
-// (independent of --benchmark_filter, so CI can skip the microbenchmarks and
-// still track the pipeline trajectory), checks the incremental findings
-// byte-identical against the cold run, and records the solver counters.
+// corpus runs, the re-run after a one-function edit, and the linked corpus
+// with plain chrono timers (independent of --benchmark_filter, so CI can skip
+// the microbenchmarks and still track the pipeline trajectory), and checks
+// the linked findings byte-identical against the merged-source program.
 // Opt-in: runs only when $BENCH_PIPELINE_OUT names the output path — the
 // multi-corpus workload must not tax interactive --benchmark_filter runs.
 // ---------------------------------------------------------------------------
@@ -961,7 +961,7 @@ ivy::Json TracingOverheadJson() {
   std::vector<ivy::ModuleSources> corpus = SessionCorpus();
   ivy::Pipeline pipeline = SessionPipeline().Build();
   auto run_once = [&corpus, &pipeline] {
-    ivy::AnalysisSession session(pipeline, /*track_incremental=*/false);
+    ivy::AnalysisSession session(pipeline);
     for (const ivy::ModuleSources& m : corpus) {
       session.AddModule(m);
     }
@@ -1053,8 +1053,8 @@ ivy::Json TracingOverheadJson() {
 }
 
 // The "frontend" section of BENCH_pipeline.json: parse/sema wall time, AST
-// footprint, the fingerprint cost (full corpus and the per-edit
-// refingerprint an incremental session pays), and the process peak RSS.
+// footprint, the fingerprint cost of one module (the layer ivybench replays
+// as analysis.fingerprint_ms), and the process peak RSS.
 ivy::Json FrontendBenchJson() {
   std::vector<ivy::ModuleSources> corpus = SessionCorpus();
   auto lexed = LexCorpus(corpus);
@@ -1070,9 +1070,7 @@ ivy::Json FrontendBenchJson() {
   getrusage(RUSAGE_SELF, &ru);
   const int64_t peak_rss = static_cast<int64_t>(ru.ru_maxrss) * 1024;
 
-  // Fingerprint cost over a compiled module kept warm (what AnalysisSession
-  // pays per Run), and the per-edit refingerprint: recompile one module with
-  // one function body changed, then refingerprint every function in it.
+  // Fingerprint cost over one compiled module.
   ivy::Pipeline pipeline = SessionPipeline().Build();
   auto comp = pipeline.Compile(corpus[3].files);
   if (!comp->ok) {
@@ -1088,34 +1086,11 @@ ivy::Json FrontendBenchJson() {
   });
   benchmark::DoNotOptimize(fp_sink);
 
-  std::vector<ivy::SourceFile> edited = corpus[3].files;
-  const std::string needle = "void " + ivy::SynthFuncName(5) + "(int n)";
-  size_t pos = edited[0].text.find(needle);
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "FATAL: frontend bench edit target not found\n");
-    std::abort();
-  }
-  edited[0].text.insert(pos, "/* edited */ ");
-  auto comp2 = pipeline.Compile(edited);
-  if (!comp2->ok) {
-    std::abort();
-  }
-  double refingerprint_ms = MinMs([&comp2, &fp_sink] {
-    for (const ivy::FuncDecl* fn : comp2->prog.funcs) {
-      if (fn->body != nullptr) {
-        fp_sink ^= ivy::FingerprintFunction(comp2->prog, fn);
-      }
-    }
-  });
-  benchmark::DoNotOptimize(fp_sink);
-
   ivy::Json j = ivy::Json::MakeObject();
   j["parse_us"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.parse_ms * 1000));
   j["sema_us"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.sema_ms * 1000));
   j["arena_bytes"] = ivy::Json::MakeInt(static_cast<int64_t>(arena.ast_bytes));
   j["fingerprint_us"] = ivy::Json::MakeInt(static_cast<int64_t>(fingerprint_ms * 1000));
-  j["refingerprint_after_edit_us"] =
-      ivy::Json::MakeInt(static_cast<int64_t>(refingerprint_ms * 1000));
   j["peak_rss_bytes"] = ivy::Json::MakeInt(peak_rss);
   std::fprintf(stderr,
                "frontend: parse+sema=%.1fms arena_bytes=%zu fingerprint=%.2fms "
@@ -1147,66 +1122,36 @@ void WriteBenchPipelineJson() {
     }
     benchmark::DoNotOptimize(sink);
   });
-  // track_incremental off: measure batching itself (shared prelude tokens,
-  // concurrent modules), not the snapshot bookkeeping a long-lived session
-  // additionally buys.
   double batched_ms = MedianMs([&corpus, &pipeline] {
-    ivy::AnalysisSession session(pipeline, /*track_incremental=*/false);
+    ivy::AnalysisSession session(pipeline);
     for (const ivy::ModuleSources& m : corpus) {
       session.AddModule(m);
     }
     benchmark::DoNotOptimize(session.Run().findings.size());
   });
 
-  // Incremental vs cold re-analysis: the same edit sequence against two
-  // primed sessions, one with incremental tracking and one without — each
-  // timed rerun pays the same recompile, so the delta is pure solver work.
-  const std::string edited_module = "mod_03";
-  const std::string edited_fn = ivy::SynthFuncName(5);
-  const std::string quiet_def = "void " + edited_fn +
+  // A one-function edit, then Run(): one primed session, two definitions
+  // alternating so every timed run re-analyzes the edited module and reuses
+  // every other one.
+  const std::string quiet_def = "void " + ivy::SynthFuncName(5) +
                                 "(int n) {\n  int pad[4]; pad[0] = n;\n  udelay(1);\n}\n";
-  auto def_for = [&](int i) { return i % 2 == 0 ? EditedDefinition() : quiet_def; };
-  auto rerun_ms = [&](ivy::AnalysisSession& session) {
-    int i = 0;
-    return MedianMs(
-        [&session, &def_for, &i] {
-          if (!session.ReplaceFunction("mod_03", ivy::SynthFuncName(5), def_for(i++))) {
-            std::fprintf(stderr, "FATAL: BENCH_pipeline edit did not apply\n");
-            std::abort();
-          }
-          benchmark::DoNotOptimize(session.Run().findings.size());
-        },
-        4);
-  };
-
-  ivy::PipelineBuilder warm_b = SessionPipeline();
-  warm_b.ForEachModule(corpus);
-  ivy::AnalysisSession warm = warm_b.BuildSession();
-  warm.Run();
-  double incremental_ms = rerun_ms(warm);
-
-  ivy::AnalysisSession cold(pipeline, /*track_incremental=*/false);
+  ivy::AnalysisSession edit_session(pipeline);
   for (const ivy::ModuleSources& m : corpus) {
-    cold.AddModule(m);
+    edit_session.AddModule(m);
   }
-  cold.Run();
-  double cold_ms = rerun_ms(cold);
-
-  // Identity + counters on one final deterministic edit. The incremental
-  // run must stay byte-identical to the cold run — a faster but diverging
-  // session must never post a winning time.
-  if (!warm.ReplaceFunction(edited_module, edited_fn, EditedDefinition()) ||
-      !cold.ReplaceFunction(edited_module, edited_fn, EditedDefinition())) {
-    std::abort();
-  }
-  ivy::SessionResult warm_result = warm.Run();
-  ivy::SessionResult cold_result = cold.Run();
-  if (FindingsDump(warm_result.findings) != FindingsDump(cold_result.findings)) {
-    std::fprintf(stderr, "FATAL: incremental session findings diverge from cold run\n");
-    std::abort();
-  }
-  ivy::ModuleStats warm_stats = warm.StatsFor(edited_module);
-  ivy::ModuleStats cold_stats = cold.StatsFor(edited_module);
+  edit_session.Run();
+  bool edit_flip = false;
+  double edit_rerun_ms = MedianMs(
+      [&edit_session, &quiet_def, &edit_flip] {
+        edit_flip = !edit_flip;
+        if (!edit_session.ReplaceFunction("mod_03", ivy::SynthFuncName(5),
+                                          edit_flip ? EditedDefinition() : quiet_def)) {
+          std::fprintf(stderr, "FATAL: BENCH_pipeline edit did not apply\n");
+          std::abort();
+        }
+        benchmark::DoNotOptimize(edit_session.Run().findings.size());
+      },
+      4);
 
   ivy::Json j = ivy::Json::MakeObject();
   ivy::Json corpus_j = ivy::Json::MakeObject();
@@ -1215,19 +1160,7 @@ void WriteBenchPipelineJson() {
   j["corpus"] = std::move(corpus_j);
   j["sequential_us"] = ivy::Json::MakeInt(static_cast<int64_t>(sequential_ms * 1000));
   j["batched_us"] = ivy::Json::MakeInt(static_cast<int64_t>(batched_ms * 1000));
-  // A session re-analyzes one module after an edit — cold at module
-  // granularity, or warm with the solver seeds.
-  j["edit_rerun_session_cold_us"] = ivy::Json::MakeInt(static_cast<int64_t>(cold_ms * 1000));
-  j["edit_rerun_session_warm_us"] =
-      ivy::Json::MakeInt(static_cast<int64_t>(incremental_ms * 1000));
-  ivy::Json counters = ivy::Json::MakeObject();
-  counters["pointsto_propagations_cold"] = ivy::Json::MakeInt(cold_stats.pointsto_propagations);
-  counters["pointsto_propagations_warm"] = ivy::Json::MakeInt(warm_stats.pointsto_propagations);
-  counters["pointsto_seeded_facts_warm"] = ivy::Json::MakeInt(warm_stats.pointsto_seeded_facts);
-  counters["mayblock_evals_cold"] = ivy::Json::MakeInt(cold_stats.mayblock_evals);
-  counters["mayblock_evals_warm"] = ivy::Json::MakeInt(warm_stats.mayblock_evals);
-  counters["identical_to_cold"] = ivy::Json::MakeBool(true);
-  j["incremental"] = std::move(counters);
+  j["edit_rerun_session_us"] = ivy::Json::MakeInt(static_cast<int64_t>(edit_rerun_ms * 1000));
 
   // Linked corpus: linked vs merged-source wall time, and the relink after
   // one edit. The canonical finding sets (rendered locations, module stamps
@@ -1343,11 +1276,11 @@ void WriteBenchPipelineJson() {
   }
 
   std::fprintf(stderr,
-               "BENCH_pipeline.json: sequential=%.1fms batched=%.1fms cold_rerun=%.1fms "
-               "incremental_rerun=%.1fms linked=%.1fms (%d rounds) merged=%.1fms "
-               "relink=%.1fms linked/merged=%.2f relink/merged=%.2f -> %s\n",
-               sequential_ms, batched_ms, cold_ms, incremental_ms, linked_ms, linked_rounds,
-               merged_ms, relink_ms, linked_ms / merged_ms, relink_ms / merged_ms, path.c_str());
+               "BENCH_pipeline.json: sequential=%.1fms batched=%.1fms edit_rerun=%.1fms "
+               "linked=%.1fms (%d rounds) merged=%.1fms relink=%.1fms linked/merged=%.2f "
+               "relink/merged=%.2f -> %s\n",
+               sequential_ms, batched_ms, edit_rerun_ms, linked_ms, linked_rounds, merged_ms,
+               relink_ms, linked_ms / merged_ms, relink_ms / merged_ms, path.c_str());
 }
 
 }  // namespace

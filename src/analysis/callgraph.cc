@@ -1,7 +1,5 @@
 #include "src/analysis/callgraph.h"
 
-#include "src/analysis/fingerprint.h"
-
 namespace ivy {
 
 namespace {
@@ -119,45 +117,6 @@ const std::vector<CallSite>& CallGraph::SitesOf(const FuncDecl* fn) const {
 const std::vector<const FuncDecl*>& CallGraph::CallersOf(const FuncDecl* fn) const {
   auto it = callers_.find(fn);
   return it == callers_.end() ? empty_funcs_ : it->second;
-}
-
-std::set<const FuncDecl*> CallGraph::AncestorsOf(const std::set<const FuncDecl*>& roots) const {
-  std::set<const FuncDecl*> out;
-  std::vector<const FuncDecl*> work(roots.begin(), roots.end());
-  while (!work.empty()) {
-    const FuncDecl* fn = work.back();
-    work.pop_back();
-    if (!out.insert(fn).second) {
-      continue;
-    }
-    for (const FuncDecl* caller : CallersOf(fn)) {
-      if (out.count(caller) == 0) {
-        work.push_back(caller);
-      }
-    }
-  }
-  return out;
-}
-
-std::map<std::string, uint64_t> CallGraph::CalleeNameHashes() const {
-  std::map<std::string, uint64_t> out;
-  for (const FuncDecl* fn : defined_) {
-    NameStreamHasher h;
-    for (const CallSite& site : SitesOf(fn)) {
-      if (site.direct != nullptr) {
-        h.Mix(site.direct->name);
-      }
-      if (site.builtin != nullptr) {
-        h.Mix(site.builtin->name);
-      }
-      for (const FuncDecl* t : site.indirect) {
-        h.Mix(t->name);
-      }
-      h.Mix(site.is_irq_dispatch ? "|irq" : "|");
-    }
-    out[fn->name] = h.hash();
-  }
-  return out;
 }
 
 std::set<const FuncDecl*> CallGraph::Callees(const FuncDecl* fn) const {

@@ -1,5 +1,7 @@
 #include "src/analysis/fingerprint.h"
 
+#include <string_view>
+
 #include "src/mc/types.h"
 
 namespace ivy {
@@ -35,7 +37,7 @@ class Fp {
 void MixExpr(Fp* fp, const Expr* e);
 
 // Structural type hash — no string rendering (this runs for every local
-// declaration on every re-analysis). Records are mixed by name/id, not by
+// declaration). Records are mixed by name/id, not by
 // recursing into fields: field changes are the preamble fingerprint's job,
 // and stopping there keeps recursive record types finite.
 void MixType(Fp* fp, const Type* t) {

@@ -1,78 +1,51 @@
-// Structural fingerprints of Mini-C declarations — the dirty-bit layer under
-// AnalysisSession's incremental re-analysis. A fingerprint hashes what an
-// analysis can observe (names, operators, literals, declared types,
+// Structural fingerprints of Mini-C declarations. A fingerprint hashes what
+// an analysis can observe (names, operators, literals, declared types,
 // attributes) and deliberately ignores SourceLocs, so an edit that only
-// shifts later functions down the file leaves them clean.
+// shifts later functions down the file leaves them unchanged. No analysis
+// path reads them: they serve the arena tests (fingerprints are independent
+// of intern ids and slab position) and ivybench's per-layer replay
+// (`analysis.fingerprint_ms`).
 //
 // Three granularities:
 //   - FingerprintFunction: signature + attributes + body structure. Equal
 //     fingerprints => the function generates identical analysis constraints
 //     (points-to edges, call sites, lock/err scans) up to name resolution.
 //   - FingerprintSignature: the part callers can observe (name, type,
-//     attributes). A signature change dirties callers, not just the body.
+//     attributes).
 //   - FingerprintPreamble: globals + records. Covers everything outside
-//     function bodies that analyses read (field layout, global initializers);
-//     a preamble change makes the whole module dirty (cold re-solve).
+//     function bodies that analyses read (field layout, global initializers).
 //
 // The per-function fingerprint is a LINEAR walk over the function's
 // contiguous arena slab spans (FuncDecl::{expr,stmt,decl}_{begin,end}) — no
-// recursive pointer chase in the hot path. Tree shape is captured by mixing
-// each node's child ids RELATIVE to the span start, and string content
-// enters through the interner's cached per-id content hashes, so the result
-// is independent of where the function sits in the module (absolute ids,
-// SourceLocs) and identical across allocation modes. Node ids are
-// deterministic given the source bytes, so so is the fingerprint.
+// recursive pointer chase. Tree shape is captured by mixing each node's
+// child ids RELATIVE to the span start, and string content enters through
+// the interner's cached per-id content hashes, so the result is independent
+// of where the function sits in the module (absolute ids, SourceLocs) and
+// identical across allocation modes. Node ids are deterministic given the
+// source bytes, so so is the fingerprint.
 //
 // ReferencedNames collects every identifier a body mentions (skipping
-// Expr::no_refs annotation/const-eval nodes), so the session can dirty the
-// functions whose name resolution changed when a function is added, removed,
-// or re-declared.
+// Expr::no_refs annotation/const-eval nodes).
 #ifndef SRC_ANALYSIS_FINGERPRINT_H_
 #define SRC_ANALYSIS_FINGERPRINT_H_
 
 #include <cstdint>
 #include <set>
 #include <string>
-#include <string_view>
 
 #include "src/mc/ast.h"
 
 namespace ivy {
-
-// Streams separator-tagged strings into an FNV-1a hash ("ab"+"c" differs
-// from "a"+"bc"). Used by CallGraph::CalleeNameHashes; the richer AST
-// fingerprints below build on the same constants (see src/mc/arena.h for
-// kFnvOffset/kFnvPrime).
-class NameStreamHasher {
- public:
-  void Mix(std::string_view s) {
-    for (char c : s) {
-      Byte(static_cast<uint8_t>(c));
-    }
-    Byte(0xff);
-  }
-  uint64_t hash() const { return h_; }
-
- private:
-  void Byte(uint8_t b) {
-    h_ ^= b;
-    h_ *= kFnvPrime;
-  }
-  uint64_t h_ = kFnvOffset;
-};
 
 uint64_t FingerprintFunction(const Program& prog, const FuncDecl* fn);
 uint64_t FingerprintSignature(const FuncDecl* fn);
 uint64_t FingerprintPreamble(const Program& prog);
 
 // Identifier spellings referenced anywhere in `fn`'s body (call targets,
-// variable reads, address-of operands). Used to find callers-by-name of
-// added/removed/re-declared functions.
+// variable reads, address-of operands).
 std::set<std::string> ReferencedNames(const Program& prog, const FuncDecl* fn);
 
-// All three in one pass — what AnalysisSession computes per function on
-// every re-analysis, so this is the hot path: one linear sweep over the
-// function's slab spans.
+// All three in one linear sweep over the function's slab spans.
 struct FunctionFingerprint {
   uint64_t full = 0;  // signature + attributes + body
   uint64_t sig = 0;   // what callers can observe

@@ -13,18 +13,6 @@
 // which is what produces BlockStop's false positives ("mostly due to the
 // overly-conservative points-to analysis of function pointers"); the
 // field-sensitive variant is the improvement the paper proposes (A2).
-//
-// Incremental re-solve (AnalysisSession): with EnableIncremental, every cell
-// gets a *name-stable* key (survives recompilation of the same program
-// text), every constraint carries the name of the function that generated
-// it, and facts record the set of origins they flowed through. A later solve
-// over an edited program seeds each cell whose recorded origins avoid the
-// dirty set from the previous solution and runs the ordinary fixpoint from
-// there. Seeds are provably below the new least fixpoint (clean origins
-// regenerate identical constraints), so the warm solve converges to exactly
-// the cold solution — byte-identical resolved target lists — while
-// solve_propagations() counts only the facts actually re-derived, i.e. the
-// dirty region.
 #ifndef SRC_ANALYSIS_POINTSTO_H_
 #define SRC_ANALYSIS_POINTSTO_H_
 
@@ -40,34 +28,12 @@
 
 namespace ivy {
 
-// Name-keyed image of a solved instance: cell key -> the function names in
-// the cell plus the constraint origins its facts flowed through. Stable
-// across recompilations of unchanged text, so a session can carry it from
-// one Compilation to the next.
-struct PointsToCellSnap {
-  std::vector<std::string> funcs;
-  std::vector<std::string> origins;
-};
-using PointsToSnapshot = std::map<std::string, PointsToCellSnap>;
-
 class PointsTo {
  public:
   PointsTo(const Program* prog, const Sema* sema, bool field_sensitive);
 
-  // Turns on cell keys + origin tracking (so Snapshot() works), and — when
-  // `prev` is non-null — seeds the solve from `prev`, resetting every cell
-  // whose origins intersect `dirty_origins` (function names; the session
-  // derives them from fingerprint diffs). Must be called before Solve().
-  // `prev` and `dirty_origins` must outlive Solve().
-  void EnableIncremental(const PointsToSnapshot* prev,
-                         const std::set<std::string>* dirty_origins);
-
   // Builds constraints from every function body and solves to fixpoint.
   void Solve();
-
-  // Valid after Solve() with EnableIncremental: the name-keyed solution to
-  // carry into the next incremental solve.
-  PointsToSnapshot Snapshot() const;
 
   // Candidate callees of an indirect call expression (kCall whose callee is
   // not a direct function name). Empty if the site was never seen.
@@ -88,22 +54,17 @@ class PointsTo {
 
   int node_count() const { return static_cast<int>(node_funcs_.size()); }
   int64_t solve_iterations() const { return iterations_; }
-  // Successful fact insertions during the solve fixpoint — the facts the
-  // solver actually derived. Seeds are excluded, and so are indirect-site
-  // re-bindings (linear bookkeeping both solves pay identically), so a warm
-  // solve over a small edit re-derives only the dirty region and this is
-  // the solver counter AnalysisSession's incremental tests assert on.
+  // Successful fact insertions along edges during the solve fixpoint; the
+  // function constants the constraints state directly are not counted.
   int64_t solve_propagations() const { return propagations_; }
-  // Facts adopted from the previous solution without re-derivation.
-  int64_t seeded_facts() const { return seeded_facts_; }
 
  private:
   int NewNode();
-  int VarNode(const Symbol* sym, const FuncDecl* owner);
+  int VarNode(const Symbol* sym);
   int FieldNode(const RecordDecl* rec, int field_index);
   int RetNode(const FuncDecl* fn);
   // Post-solve lookups of the same cells: the node, or -1 if never made.
-  int VarNode(const Symbol* sym, const FuncDecl* owner) const;
+  int VarNode(const Symbol* sym) const;
   int FieldNode(const RecordDecl* rec, int field_index) const;
   int RetNode(const FuncDecl* fn) const;
   // The one reading of an expression's value, shared by constraint
@@ -126,12 +87,6 @@ class PointsTo {
   void GenCall(const Expr* e);
   const FuncDecl* AsFunctionName(const Expr* e) const;
 
-  // Incremental bookkeeping (no-ops unless EnableIncremental was called).
-  int OriginId(const std::string& name);
-  void SetKey(int node, std::string key);
-  std::string SiteKey(char tag);
-  void SeedFromPrev();
-
   const Program* prog_;
   const Sema* sema_;
   bool field_sensitive_;
@@ -146,7 +101,6 @@ class PointsTo {
 
   struct IndirectSite {
     const Expr* call = nullptr;         // the kCall expr (or handler expr)
-    const FuncDecl* caller = nullptr;
     int callee_node = -1;
     std::vector<const Expr*> args;      // for param binding
     int ret_node = -1;                  // results flow here
@@ -158,24 +112,6 @@ class PointsTo {
   std::set<const FuncDecl*> address_taken_;
   int64_t iterations_ = 0;
   int64_t propagations_ = 0;
-  int64_t seeded_facts_ = 0;
-
-  // Incremental state. `gen_origins_` is the origin set stamped on every
-  // constraint currently being generated: {function} during body walks,
-  // {<globals>} for global initializers, {site caller} ∪ origins(callee
-  // cell) while expanding an indirect-call binding.
-  bool track_ = false;
-  const PointsToSnapshot* prev_ = nullptr;
-  const std::set<std::string>* dirty_ = nullptr;
-  std::vector<std::string> node_keys_;                 // node -> stable key
-  std::unordered_map<std::string, int> key_to_node_;
-  std::vector<std::set<int>> node_origins_;            // node -> origin ids
-  std::vector<std::vector<std::vector<int>>> edge_origins_;  // per edge
-  std::vector<std::string> origin_names_;
-  std::unordered_map<std::string, int> origin_ids_;
-  std::map<std::pair<std::string, std::string>, int> local_occurrence_;
-  std::map<std::string, int> site_ordinal_;
-  std::vector<int> gen_origins_;
   std::vector<const FuncDecl*> empty_;
 };
 

@@ -117,28 +117,16 @@ const FuncDecl* BlockStop::BlockingCauseOf(const FuncDecl* fn) const {
   return nullptr;
 }
 
-void BlockStop::SeedMayBlock(const std::set<std::string>* clean,
-                             const std::set<std::string>* prev_mayblock) {
-  seed_clean_ = clean;
-  seed_prev_mayblock_ = prev_mayblock;
-}
-
 void BlockStop::ComputeMayBlock() {
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     if (fn->attrs.blocking) {
       mayblock_.insert(fn);
-    } else if (SeededClean(fn) && seed_prev_mayblock_ != nullptr &&
-               seed_prev_mayblock_->count(fn->name) != 0) {
-      mayblock_.insert(fn);  // memoized: its callee subtree is unchanged
     }
   }
   bool changed = true;
   while (changed) {
     changed = false;
     for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-      if (SeededClean(fn)) {
-        continue;  // bit frozen by the seed (true and false alike)
-      }
       if (mayblock_.count(fn) != 0 || fn->attrs.blocking_if_param >= 0) {
         // Conditionally-blocking wrappers are handled at their call sites.
         continue;
@@ -160,10 +148,6 @@ void BlockStop::ComputeMayBlockSharded(const FunctionSharder& sharder, WorkQueue
   for (size_t i = 0; i < n; ++i) {
     if (funcs[i]->attrs.blocking) {
       mayblock_.insert(funcs[i]);
-    } else if (SeededClean(funcs[i])) {
-      if (seed_prev_mayblock_ != nullptr && seed_prev_mayblock_->count(funcs[i]->name) != 0) {
-        mayblock_.insert(funcs[i]);
-      }
     } else if (funcs[i]->attrs.blocking_if_param < 0) {
       candidates.push_back(i);
     }
@@ -198,8 +182,7 @@ void BlockStop::ComputeMayBlockSharded(const FunctionSharder& sharder, WorkQueue
     for (size_t idx : newly) {
       for (const FuncDecl* caller : cg_->CallersOf(funcs[idx])) {
         size_t c = sharder.IndexOf(caller);
-        if (c < n && mayblock_.count(caller) == 0 && caller->attrs.blocking_if_param < 0 &&
-            !SeededClean(caller)) {
+        if (c < n && mayblock_.count(caller) == 0 && caller->attrs.blocking_if_param < 0) {
           next.insert(c);
         }
       }

@@ -33,9 +33,8 @@
 
 namespace ivy {
 
-// FNV-1a parameters — the one pair of constants every hash in the frontend
-// and incremental layer (string interning, fingerprints, callee-list hashes)
-// derives from.
+// FNV-1a parameters — the one pair of constants every frontend hash
+// (string interning, fingerprints) derives from.
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 

@@ -13,10 +13,6 @@ const PointsTo& AnalysisContext::pointsto() {
   std::call_once(pt_once_, [this] {
     trace::Span span("an.pointsto");
     pt_ = std::make_unique<PointsTo>(&comp_->prog, comp_->sema.get(), field_sensitive_);
-    if (incremental_) {
-      pt_->EnableIncremental(hints_ != nullptr ? hints_->pointsto_prev : nullptr,
-                             hints_ != nullptr ? &hints_->pointsto_dirty : nullptr);
-    }
     pt_->Solve();
     pt_builds_.fetch_add(1);
   });

@@ -8,21 +8,15 @@
 // references. The build counters exist so tests and benches can assert the
 // compute-once property instead of trusting it.
 //
-// Two session hooks ride on the context:
-//   - AttachPool: a shared WorkQueue the sharded passes use instead of
-//     constructing one pool each (TaskGroup keeps their waits isolated).
-//   - incremental hints: AnalysisSession's dirty-tracking layer. When set
-//     before the first pointsto() demand, the solve warm-starts from the
-//     previous module snapshot and re-derives only the dirty region; the
-//     BlockStop pass picks up the may-block seed the same way.
+// One session hook rides on the context: AttachPool, a shared WorkQueue the
+// sharded passes use instead of constructing one pool each (TaskGroup keeps
+// their waits isolated).
 #ifndef SRC_TOOL_ANALYSIS_CONTEXT_H_
 #define SRC_TOOL_ANALYSIS_CONTEXT_H_
 
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <string>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/pointsto.h"
@@ -32,21 +26,6 @@ namespace ivy {
 
 class Machine;
 class WorkQueue;
-
-// What AnalysisSession learned from previous runs of the same module, keyed
-// entirely by names so it survives recompilation. Owned by the session; the
-// context only points at it (must outlive the analyses).
-struct IncrementalHints {
-  // Points-to warm start: the previous solution and the constraint origins
-  // (function names) whose constraints changed.
-  const PointsToSnapshot* pointsto_prev = nullptr;
-  std::set<std::string> pointsto_dirty;
-  // BlockStop may-block memoization: functions with no call path into the
-  // edited region, and the previous run's may-block set.
-  bool has_blockstop_seed = false;
-  std::set<std::string> blockstop_clean;
-  std::set<std::string> blockstop_prev_mayblock;
-};
 
 class AnalysisContext {
  public:
@@ -84,14 +63,6 @@ class AnalysisContext {
   void AttachPool(WorkQueue* pool) { pool_ = pool; }
   WorkQueue* pool() const { return pool_; }
 
-  // Incremental session support. Tracking makes pointsto() record cell keys
-  // and constraint origins (so its Snapshot() works); hints additionally
-  // warm-start it. Both must be set before the first pointsto() demand.
-  void EnableIncrementalTracking() { incremental_ = true; }
-  bool incremental_tracking() const { return incremental_; }
-  void SetIncrementalHints(const IncrementalHints* hints) { hints_ = hints; }
-  const IncrementalHints* incremental_hints() const { return hints_; }
-
   int pointsto_builds() const { return pt_builds_.load(); }
   int callgraph_builds() const { return cg_builds_.load(); }
 
@@ -100,8 +71,6 @@ class AnalysisContext {
   bool field_sensitive_;
   const Machine* vm_ = nullptr;
   WorkQueue* pool_ = nullptr;
-  bool incremental_ = false;
-  const IncrementalHints* hints_ = nullptr;
 
   std::once_flag pt_once_;
   std::once_flag cg_once_;

@@ -9,7 +9,7 @@
 // Corpus scale lives one layer up: PipelineBuilder::ForEachModule(...) +
 // BuildSession() produce an AnalysisSession (src/tool/session.h) that runs
 // this pipeline over N named modules with one shared worker pool, reused
-// prelude tokens, and incremental re-analysis. CompileAndRun is itself a
+// prelude tokens, and module-granular reuse. CompileAndRun is itself a
 // thin shim over a single-module session, so every driver goes through the
 // same path.
 //

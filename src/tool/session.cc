@@ -4,7 +4,6 @@
 #include <future>
 #include <utility>
 
-#include "src/analysis/fingerprint.h"
 #include "src/blockstop/blockstop.h"
 #include "src/errcheck/errcheck.h"
 #include "src/locksafe/locksafe.h"
@@ -72,14 +71,16 @@ bool SkipParenGroup(const std::vector<Token>& toks, size_t* k) {
 // Locates the top-level *definition* of `name` (declarations are skipped) as
 // a [begin, end) byte range of `text`: identifier at brace depth 0, then a
 // parameter list, then optional attribute words — errcode(...) arguments
-// included — then a brace-matched body. `out_begin` is the start of the line
-// holding the identifier (Mini-C signatures are single-line), `out_end` one
-// past the closing brace.
+// included — then a brace-matched body. The definition's first token is the
+// one after the previous depth-0 ';' or '}' (the return type, wherever the
+// signature wraps); `out_begin` is the start of that token's line, or just
+// past the terminator when it shares the line. `out_end` is one past the
+// closing brace.
 //
 // The scan runs over the real lexer's token stream, so braces and parens
 // inside string/char literals and comments can never miscount — the textual
 // scanner this replaced did miscount them (see
-// SessionTest.ReplaceFunctionBodyWithBraceLiterals).
+// AnalysisSession.ReplaceFunctionBodyWithBraceLiterals).
 bool FindDefinition(const std::string& text, const std::string& name, size_t* out_begin,
                     size_t* out_end) {
   SourceManager sm;
@@ -103,6 +104,8 @@ bool FindDefinition(const std::string& text, const std::string& name, size_t* ou
   };
 
   int depth = 0;
+  const Token* terminator = nullptr;  // the last depth-0 ';' or '}' so far
+  size_t first = 0;                   // the token after it
   for (size_t i = 0; i + 1 < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind == Tok::kLBrace) {
@@ -111,6 +114,10 @@ bool FindDefinition(const std::string& text, const std::string& name, size_t* ou
     }
     if (t.kind == Tok::kRBrace) {
       --depth;
+    }
+    if (depth == 0 && (t.kind == Tok::kRBrace || t.kind == Tok::kSemi)) {
+      terminator = &t;
+      first = i + 1;
       continue;
     }
     if (depth != 0 || t.kind != Tok::kIdent || t.text != name ||
@@ -160,20 +167,23 @@ bool FindDefinition(const std::string& text, const std::string& name, size_t* ou
     if (m >= toks.size() || braces != 0) {
       return false;
     }
-    size_t ident_off = offset_of(t.loc);
-    size_t begin = ident_off == 0 ? std::string::npos : text.rfind('\n', ident_off - 1);
-    *out_begin = begin == std::string::npos ? 0 : begin + 1;
+    if (terminator != nullptr && terminator->loc.line == toks[first].loc.line) {
+      *out_begin = offset_of(terminator->loc) + 1;
+    } else {
+      size_t first_off = offset_of(toks[first].loc);
+      size_t nl = first_off == 0 ? std::string::npos : text.rfind('\n', first_off - 1);
+      *out_begin = nl == std::string::npos ? 0 : nl + 1;
+    }
     *out_end = offset_of(toks[m].loc) + 1;  // one past the closing brace
     return true;
   }
   return false;
 }
 
-// Warm-vs-cold solve accounting for --metrics (call under trace::Enabled()).
-void CountSolve(bool warm) {
-  static trace::Counter* const solve_warm = trace::GetCounter("session.solve_warm");
+// Module analyses for --metrics (call under trace::Enabled()).
+void CountSolve() {
   static trace::Counter* const solve_cold = trace::GetCounter("session.solve_cold");
-  (warm ? solve_warm : solve_cold)->Add();
+  solve_cold->Add();
 }
 
 }  // namespace
@@ -182,9 +192,8 @@ void CountSolve(bool warm) {
 // AnalysisSession
 // ---------------------------------------------------------------------------
 
-AnalysisSession::AnalysisSession(Pipeline pipeline, bool track_incremental)
+AnalysisSession::AnalysisSession(Pipeline pipeline)
     : pipeline_(std::move(pipeline)),
-      track_incremental_(track_incremental),
       cancel_(std::make_shared<std::atomic<bool>>(false)) {}
 
 AnalysisSession::~AnalysisSession() = default;
@@ -288,171 +297,13 @@ WorkQueue* AnalysisSession::pool() {
 }
 
 void AnalysisSession::Analyze(ModuleState* st) {
-  Compilation* comp = st->comp.get();
-
-  // Per-function dirty bits: fingerprint the fresh AST, diff against the
-  // last successful analysis. Everything is keyed by name, so the diff
-  // survives the wholesale AST replacement a recompile is. One-shot
-  // sessions (track_incremental off) skip the bookkeeping entirely.
-  uint64_t preamble = 0;
-  std::map<std::string, uint64_t> fps;
-  std::map<std::string, uint64_t> sigs;
-  std::map<std::string, std::set<std::string>> refs;
-  if (track_incremental_) {
-    const bool traced = trace::Enabled();
-    const uint64_t fp_t0 = traced ? MonotonicNowNs() : 0;
-    preamble = FingerprintPreamble(comp->prog);
-    for (const auto& [fname, fn] : comp->sema->func_map()) {
-      if (fn->body == nullptr || fn->func_id < 0) {
-        continue;
-      }
-      FunctionFingerprint fingerprint = FingerprintFunctionFull(comp->prog, fn);
-      std::string key(fname);
-      fps[key] = fingerprint.full;
-      sigs[key] = fingerprint.sig;
-      refs[key] = std::move(fingerprint.refs);
-    }
-    if (traced) {
-      static trace::Histogram* const fingerprint_us =
-          trace::GetHistogram("frontend.fingerprint_us");
-      fingerprint_us->Record((MonotonicNowNs() - fp_t0) / 1000);
-    }
-  }
-
-  bool warm = track_incremental_ && st->have_snapshot && preamble == st->preamble_fp;
-  std::set<std::string> dirty_funcs;
-  if (warm) {
-    // Changed/added bodies...
-    std::set<std::string> renamed;  // added, removed, or signature-changed
-    for (const auto& [fname, fp] : fps) {
-      auto it = st->func_fps.find(fname);
-      if (it == st->func_fps.end()) {
-        dirty_funcs.insert(fname);
-        renamed.insert(fname);
-      } else if (it->second != fp) {
-        dirty_funcs.insert(fname);
-        if (st->sig_fps[fname] != sigs[fname]) {
-          renamed.insert(fname);
-        }
-      }
-    }
-    // ...removed functions...
-    for (const auto& [fname, fp] : st->func_fps) {
-      if (fps.count(fname) == 0) {
-        dirty_funcs.insert(fname);
-        renamed.insert(fname);
-      }
-    }
-    // ...and functions whose name resolution changed: an unchanged body that
-    // references an added/removed/re-signed function generates different
-    // constraints, so it is dirty too.
-    if (!renamed.empty()) {
-      for (const auto& [fname, names] : refs) {
-        if (dirty_funcs.count(fname) != 0) {
-          continue;
-        }
-        for (const std::string& r : renamed) {
-          if (names.count(r) != 0) {
-            dirty_funcs.insert(fname);
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  st->hints = IncrementalHints{};
-  if (warm) {
-    st->hints.pointsto_prev = &st->pt_snapshot;
-    st->hints.pointsto_dirty = dirty_funcs;
-  }
-  st->ctx = pipeline_.MakeContext(comp);
-  if (track_incremental_) {
-    st->ctx->EnableIncrementalTracking();
-  }
-  st->ctx->SetIncrementalHints(&st->hints);
+  st->ctx = pipeline_.MakeContext(st->comp.get());
   st->ctx->AttachPool(pool());
-
-  // Warm the analyses the pipeline will need. Doing the call graph here (not
-  // inside RunTools) lets the BlockStop seed be scoped to the affected
-  // region before any pass runs.
-  bool need_pt = false;
-  bool need_cg = false;
-  for (const std::string& step : pipeline_.Plan()) {
-    need_pt |= step == "analysis:pointsto";
-    need_cg |= step == "analysis:callgraph";
-  }
-  std::map<std::string, uint64_t> new_callees;
-  if (need_cg) {
-    const CallGraph& cg = st->ctx->callgraph();
-    new_callees = cg.CalleeNameHashes();
-    if (warm && st->have_mayblock) {
-      // The edited region: fingerprint-dirty functions plus clean-bodied
-      // functions whose resolved callee lists changed (an edit elsewhere
-      // retargeted one of their indirect sites). Everything that can reach
-      // the region is affected; everything else keeps its may-block bit.
-      std::set<const FuncDecl*> changed;
-      for (const FuncDecl* fn : cg.DefinedFuncs()) {
-        auto it = st->callee_hashes.find(fn->name);
-        if (dirty_funcs.count(fn->name) != 0 || it == st->callee_hashes.end() ||
-            it->second != new_callees[fn->name]) {
-          changed.insert(fn);
-        }
-      }
-      std::set<const FuncDecl*> affected = cg.AncestorsOf(changed);
-      st->hints.has_blockstop_seed = true;
-      for (const FuncDecl* fn : cg.DefinedFuncs()) {
-        if (affected.count(fn) == 0) {
-          st->hints.blockstop_clean.insert(fn->name);
-        }
-      }
-      st->hints.blockstop_prev_mayblock = st->prev_mayblock;
-    }
-  } else if (need_pt) {
-    st->ctx->pointsto();
-  }
-
   st->result = pipeline_.RunTools(*st->ctx);
   st->ok = true;
   st->compile_errors.clear();
-
-  st->stats = ModuleStats{};
-  st->stats.valid = true;
-  st->stats.cold = !warm;
-  st->stats.dirty_functions = warm ? static_cast<int>(dirty_funcs.size()) : -1;
-  // Warm-vs-cold solve accounting for --metrics: how often the incremental
-  // machinery actually pays off across a session's lifetime.
   if (trace::Enabled()) {
-    CountSolve(warm);
-  }
-  if (st->ctx->pointsto_builds() > 0) {
-    const PointsTo& pt = st->ctx->pointsto();
-    st->stats.pointsto_propagations = pt.solve_propagations();
-    st->stats.pointsto_seeded_facts = pt.seeded_facts();
-  }
-  if (const ToolResult* r = st->result.ResultFor("blockstop")) {
-    st->stats.mayblock_evals = r->Metric("mayblock_evals");
-  }
-
-  // Refresh the snapshots the next incremental run diffs against.
-  st->have_snapshot = false;
-  st->have_mayblock = false;
-  if (track_incremental_) {
-    st->preamble_fp = preamble;
-    st->func_fps = std::move(fps);
-    st->sig_fps = std::move(sigs);
-    st->func_refs = std::move(refs);
-    st->callee_hashes = std::move(new_callees);
-    if (st->ctx->pointsto_builds() > 0) {
-      st->pt_snapshot = st->ctx->pointsto().Snapshot();
-      st->have_snapshot = true;
-    }
-    if (const ToolResult* r = st->result.ResultFor("blockstop")) {
-      if (const BlockStopReport* report = r->DetailAs<BlockStopReport>()) {
-        st->prev_mayblock = report->mayblock;
-        st->have_mayblock = true;
-      }
-    }
+    CountSolve();
   }
   st->dirty = false;
 }
@@ -474,9 +325,6 @@ SessionResult AnalysisSession::Run() {
     if (!st->comp->ok) {
       st->ok = false;
       st->compile_errors = st->comp->Errors();
-      st->have_snapshot = false;
-      st->have_mayblock = false;
-      st->stats = ModuleStats{};
       st->dirty = false;  // until the sources change again
       continue;
     }
@@ -865,7 +713,7 @@ bool AnalysisSession::AnalyzeCorpus() {
     ctx->AttachPool(pool());
     corpus = pipeline_.RunTools(*ctx);
     if (trace::Enabled()) {
-      CountSolve(false);
+      CountSolve();
     }
   }
   std::vector<PipelineResult> per_module;
@@ -894,9 +742,6 @@ bool AnalysisSession::AnalyzeCorpus() {
     st->result = PipelineResult{};
     st->analyzed_now = true;
     st->dirty = false;
-    st->have_snapshot = false;
-    st->have_mayblock = false;
-    st->stats = ModuleStats{};
   }
   for (auto& [st, view] : failed) {
     st->ok = false;
@@ -909,7 +754,6 @@ bool AnalysisSession::AnalyzeCorpus() {
     st->compile_errors.clear();
     st->comp = ModuleView(*comp, map, static_cast<int>(m));
     st->result = std::move(per_module[m]);
-    st->stats.valid = true;
   }
   linked_ = true;
   return true;
@@ -1071,11 +915,6 @@ const Compilation* AnalysisSession::CompilationFor(const std::string& name) cons
   return it == modules_.end() ? nullptr : it->second->comp.get();
 }
 
-ModuleStats AnalysisSession::StatsFor(const std::string& name) const {
-  auto it = modules_.find(name);
-  return it == modules_.end() ? ModuleStats{} : it->second->stats;
-}
-
 PipelineRun AnalysisSession::TakeModule(const std::string& name) {
   PipelineRun run;
   auto it = modules_.find(name);
@@ -1084,8 +923,7 @@ PipelineRun AnalysisSession::TakeModule(const std::string& name) {
   }
   ModuleState& st = *it->second;
   if (st.ctx != nullptr) {
-    // The session (hints storage, pool) will not outlive these artifacts.
-    st.ctx->SetIncrementalHints(nullptr);
+    // The session's pool will not outlive these artifacts.
     st.ctx->AttachPool(nullptr);
   }
   run.comp = std::move(st.comp);
@@ -1100,7 +938,7 @@ PipelineRun AnalysisSession::TakeModule(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 PipelineRun Pipeline::CompileAndRun(const std::vector<SourceFile>& files) const {
-  AnalysisSession session(*this, /*track_incremental=*/false);
+  AnalysisSession session(*this);
   session.AddModule("", files);
   session.Run();
   return session.TakeModule("");

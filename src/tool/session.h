@@ -3,8 +3,8 @@
 //
 // A session owns a corpus of named modules, one shared worker pool for every
 // sharded pass kernel (TaskGroup isolation instead of one pool per pass),
-// a frontend cache that lexes the prelude once for the whole corpus, and a
-// dirty-tracking layer over AnalysisContext:
+// a frontend cache that lexes the prelude once for the whole corpus, and
+// each module's last results:
 //
 //   AnalysisSession session = PipelineBuilder()
 //                                 .AllTools()
@@ -13,23 +13,17 @@
 //                                 .BuildSession();
 //   SessionResult cold = session.Run();          // analyzes every module
 //   session.ReplaceFunction("net", "udp_sendmsg", edited_definition);
-//   SessionResult warm = session.Run();          // re-analyzes only "net",
-//                                                // re-solving only the
-//                                                // edited region inside it
+//   SessionResult next = session.Run();          // re-analyzes only "net"
 //
-// Determinism contract (extends PR 2's): the merged findings are
+// Determinism contract (extends the pipeline's): the merged findings are
 // byte-identical regardless of module registration order, shard count, pool
-// size, and cold-vs-incremental execution. Modules merge in sorted-name
-// order; within a module the pipeline's request-order merge applies; the
-// incremental machinery (points-to warm start, BlockStop may-block
-// memoization) is exact, not heuristic — see src/analysis/pointsto.h.
+// size, and whether a module's result was reused or recomputed. Modules
+// merge in sorted-name order; within a module the pipeline's request-order
+// merge applies.
 //
-// Incremental granularity: a module is the re-analysis unit (clean modules'
-// cached results are reused verbatim); within a re-analyzed module,
-// per-function dirty bits (src/analysis/fingerprint.h) scope the points-to
-// re-solve to the constraints whose origins changed and freeze the may-block
-// bits of functions with no call path into the edit. ModuleStats exposes the
-// solver counters so tests can assert the dirty region stayed small.
+// Reuse granularity: a module is the re-analysis unit. A clean module's
+// cached result is reused verbatim; a dirty module is recompiled and
+// analyzed cold, exactly as a fresh session would.
 #ifndef SRC_TOOL_SESSION_H_
 #define SRC_TOOL_SESSION_H_
 
@@ -89,22 +83,9 @@ struct LinkStats {
   bool cancelled = false;      // RequestCancel() aborted the link
 };
 
-// Solver-effort counters from a module's most recent analysis — how much of
-// it the incremental layer actually re-derived.
-struct ModuleStats {
-  bool valid = false;   // module exists and was analyzed at least once
-  bool cold = true;     // last analysis was a full re-solve
-  int dirty_functions = -1;  // fingerprint-dirty functions (-1 when cold)
-  int64_t pointsto_propagations = 0;
-  int64_t pointsto_seeded_facts = 0;
-  int64_t mayblock_evals = 0;
-};
-
 class AnalysisSession {
  public:
-  // `track_incremental` keeps the name-keyed snapshots that warm later
-  // Run()s; the one-shot CompileAndRun shim turns it off.
-  explicit AnalysisSession(Pipeline pipeline, bool track_incremental = true);
+  explicit AnalysisSession(Pipeline pipeline);
   ~AnalysisSession();
 
   AnalysisSession(AnalysisSession&&) = default;
@@ -120,17 +101,16 @@ class AnalysisSession {
   void AddModule(ModuleSources module);
   bool RemoveModule(const std::string& name);
 
-  // Marks a module for re-analysis. Cached snapshots are kept, so the next
-  // Run() recomputes per-function dirty bits against the (possibly edited)
-  // sources and re-solves only the affected region.
+  // Marks a module for re-analysis: the next Run() recompiles and analyzes
+  // it cold.
   void Invalidate(const std::string& name);
 
   // Textually replaces one top-level function definition inside the
   // module's sources with `new_definition` (a complete definition including
-  // signature and body) and invalidates the module. Returns false if the
-  // module or a definition of `function` was not found. Dirty bits are
-  // derived from AST fingerprints at Run() time, so the edit's blast radius
-  // is measured, never assumed.
+  // signature and body) and invalidates the module. The replaced range runs
+  // from the definition's first token (its return type, on whatever line)
+  // to the closing brace of its body. Returns false if the module or a
+  // definition of `function` was not found.
   bool ReplaceFunction(const std::string& module, const std::string& function,
                        const std::string& new_definition);
 
@@ -204,7 +184,6 @@ class AnalysisSession {
   // RetractModule + re-merge without touching other modules' records).
   AnnoDb ExportAnnoDb();
 
-  ModuleStats StatsFor(const std::string& name) const;
   int64_t prelude_reuses() const { return cache_.prelude_reuses; }
   size_t module_count() const { return modules_.size(); }
   const Pipeline& pipeline() const { return pipeline_; }
@@ -238,7 +217,6 @@ class AnalysisSession {
   void ComputeLinkStackFacts();
 
   Pipeline pipeline_;
-  bool track_incremental_;
   FrontendCache cache_;
   // shared_ptr, not a member atomic: the session stays movable, and
   // RequestCancel() from another thread races only with the atomic load,
@@ -247,7 +225,7 @@ class AnalysisSession {
   std::unique_ptr<WorkQueue> pool_;
   // std::map: sorted iteration is what makes every merge order-independent
   // of registration order. Node stability also keeps ModuleState addresses
-  // (and the IncrementalHints the contexts point at) valid across inserts.
+  // valid across inserts.
   std::map<std::string, std::unique_ptr<ModuleState>> modules_;
   // The link stage's table and its outcome counters. Per-module findings
   // stay with the modules and are merged on ExportAnnoDb().

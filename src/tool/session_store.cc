@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "src/store/store.h"
+#include "src/support/trace.h"
 #include "src/tool/session.h"
 #include "src/tool/session_state.h"
 
@@ -121,6 +122,7 @@ uint64_t AnalysisSession::CorpusDigest() const {
 // ---------------------------------------------------------------------------
 
 bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const {
+  trace::Span span("store.save");
   StoreFile sf;
   sf.corpus_digest = CorpusDigest();
   sf.linked = linked_;
@@ -154,6 +156,7 @@ bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const
 }
 
 bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
+  trace::Span span("store.load");
   StoreFile sf;
   if (!ReadStoreFile(path, &sf, err)) {
     return false;
@@ -186,10 +189,9 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
         (!st->dirty || !rec.analyzed || SourcesDigest(FilePairs(st->files)) != rec.source_digest)) {
       continue;  // already warm in memory, stored mid-edit, or newer sources
     }
-    // A fresh state: no solver snapshots are persisted, so the next source
-    // edit re-solves this module cold, which the warm gate (have_snapshot)
-    // makes exact. A record stored mid-edit carries sources only and stays
-    // dirty.
+    // A fresh state holding the stored sources and findings; the next
+    // source edit re-analyzes the module cold, like any other edit. A record
+    // stored mid-edit carries sources only and stays dirty.
     auto restored = std::make_unique<ModuleState>();
     for (const auto& [fname, text] : rec.files) {
       restored->files.push_back(SourceFile{fname, text});

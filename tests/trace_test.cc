@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -368,25 +369,41 @@ TEST(TraceDeterminism, TracedRunActuallyRecordsSessionSpans) {
        {"session.link_round", "fe.lower", "an.pointsto", "an.callgraph", "link.export"}) {
     EXPECT_GE(CountEvents(events, name), 1u) << name;
   }
-  EXPECT_GT(trace::GetCounter("session.solve_cold")->Value() +
-                trace::GetCounter("session.solve_warm")->Value(),
-            0u);
+  EXPECT_GT(trace::GetCounter("session.solve_cold")->Value(), 0u);
 }
 
-// The cost contract on the compile path: with tracing off, compiling and
-// fingerprinting record nothing — the histograms' counts do not move. The
-// same work traced does record, so the silence comes from the gate.
-// A linked run compiles the corpus; an unlinked Run() compiles each module
-// and fingerprints its functions for the warm solves.
-void CompileAndFingerprint(const LinkedCorpusOptions& opt) {
+TEST(TraceDeterminism, TracedStoreRoundTripRecordsStoreSpans) {
+  TraceGuard guard;
+  const std::string path = ::testing::TempDir() + "ivy_trace_test_round_trip.store";
+  const std::vector<ModuleSources> corpus = GenerateLinkedCorpus(PropertyCorpus(3));
+  trace::ResetForTest();
+  trace::SetEnabled(true);
+  AnalysisSession saved = SynthServePipeline().ForEachModule(corpus).BuildSession();
+  saved.RunLinked();
+  std::string err;
+  ASSERT_TRUE(saved.SaveStore(path, &err)) << err;
+  AnalysisSession loaded = SynthServePipeline().ForEachModule(corpus).BuildSession();
+  ASSERT_TRUE(loaded.LoadStore(path, &err)) << err;
+  trace::SetEnabled(false);
+  std::remove(path.c_str());
+
+  const Json events = trace::TraceSink::ToJson();
+  EXPECT_EQ(CountEvents(events, "store.save"), 1u);
+  EXPECT_EQ(CountEvents(events, "store.load"), 1u);
+}
+
+// The cost contract on the compile path: with tracing off, compiling records
+// nothing — the histograms' counts do not move. The same work traced does
+// record, so the silence comes from the gate. A linked run compiles the
+// corpus as one program; an unlinked Run() compiles each module.
+void CompileLinkedAndPerModule(const LinkedCorpusOptions& opt) {
   CanonicalRun(opt);
   SynthServePipeline().ForEachModule(GenerateLinkedCorpus(opt)).BuildSession().Run();
 }
 
 TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
   TraceGuard guard;
-  const char* const kNames[] = {"frontend.parse_us", "frontend.sema_us",
-                                "frontend.fingerprint_us"};
+  const char* const kNames[] = {"frontend.parse_us", "frontend.sema_us"};
   auto counts = [&kNames] {
     std::vector<uint64_t> out;
     for (const char* name : kNames) {
@@ -399,14 +416,14 @@ TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
   auto comp = SynthServePipeline().Build().Compile(
       {SourceFile{"t.mc", "int f(int n) { return n + 1; }\n"}});
   ASSERT_TRUE(comp->ok) << comp->Errors();
-  CompileAndFingerprint(PropertyCorpus(5));
+  CompileLinkedAndPerModule(PropertyCorpus(5));
   const std::vector<uint64_t> untraced = counts();
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(untraced[i], before[i]) << kNames[i];
   }
 
   trace::SetEnabled(true);
-  CompileAndFingerprint(PropertyCorpus(5));
+  CompileLinkedAndPerModule(PropertyCorpus(5));
   trace::SetEnabled(false);
   const std::vector<uint64_t> traced = counts();
   for (size_t i = 0; i < before.size(); ++i) {
