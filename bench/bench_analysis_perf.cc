@@ -288,10 +288,9 @@ void BM_StackCheckSynth500Sharded(benchmark::State& state) {
 BENCHMARK(BM_StackCheckSynth500Sharded)->Arg(1)->Arg(4);
 
 // ---------------------------------------------------------------------------
-// AnalysisSession: batched corpus runs vs N sequential pipelines, and the
-// re-run after a one-function edit. The same measurements, taken with
-// plain chrono timers, feed BENCH_pipeline.json below (the CI perf
-// artifact); the google-benchmark versions exist for interactive runs.
+// The 8x400 session corpus: the frontend measurements, the relink after a
+// one-function edit and the tracing gate all run over it (chrono timers,
+// written to BENCH_pipeline.json below — the CI perf artifact).
 // ---------------------------------------------------------------------------
 
 constexpr int kCorpusModules = 8;
@@ -312,6 +311,9 @@ std::vector<ivy::ModuleSources> SessionCorpus() {
     opt.descending_blocks = true;
     char name[16];
     std::snprintf(name, sizeof(name), "mod_%02d", m);
+    // Per-module symbol prefixes: the modules link with no name defined
+    // twice.
+    opt.prefix = std::string(name) + "_";
     out.push_back({name, {ivy::SourceFile{std::string(name) + ".mc",
                                           ivy::GenerateSynthCorpus(opt)}}});
   }
@@ -322,10 +324,6 @@ ivy::PipelineBuilder SessionPipeline() {
   ivy::PipelineBuilder b;
   b.Tool("blockstop").Tool("stackcheck").Tool("errcheck").Tool("locksafe");
   return b;
-}
-
-std::string EditedDefinition() {
-  return "void " + ivy::SynthFuncName(5) + "(int n) {\n  int pad[16]; pad[0] = n;\n  msleep(n);\n}\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -398,57 +396,6 @@ void BM_ParseSemaArena(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseSemaArena);
-
-void BM_CorpusSequentialPipelines(benchmark::State& state) {
-  std::vector<ivy::ModuleSources> corpus = SessionCorpus();
-  ivy::Pipeline p = SessionPipeline().Build();
-  for (auto _ : state) {
-    int64_t sink = 0;
-    for (const ivy::ModuleSources& m : corpus) {
-      ivy::PipelineRun run = p.CompileAndRun(m.files);
-      sink += static_cast<int64_t>(run.result.findings.size());
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-}
-BENCHMARK(BM_CorpusSequentialPipelines);
-
-void BM_CorpusBatchedSession(benchmark::State& state) {
-  std::vector<ivy::ModuleSources> corpus = SessionCorpus();
-  for (auto _ : state) {
-    ivy::PipelineBuilder b = SessionPipeline();
-    b.ForEachModule(corpus);
-    ivy::AnalysisSession session = b.BuildSession();
-    ivy::SessionResult result = session.Run();
-    benchmark::DoNotOptimize(result.findings.size());
-  }
-}
-BENCHMARK(BM_CorpusBatchedSession);
-
-void BM_SessionIncrementalEdit(benchmark::State& state) {
-  std::vector<ivy::ModuleSources> corpus = SessionCorpus();
-  ivy::PipelineBuilder b = SessionPipeline();
-  b.ForEachModule(corpus);
-  ivy::AnalysisSession session = b.BuildSession();
-  session.Run();  // cold baseline outside the timed region
-  bool flip = false;
-  for (auto _ : state) {
-    // Alternate two definitions so every iteration has a real edit.
-    state.PauseTiming();
-    std::string def = flip ? EditedDefinition()
-                           : "void " + ivy::SynthFuncName(5) +
-                                 "(int n) {\n  int pad[4]; pad[0] = n;\n  udelay(1);\n}\n";
-    flip = !flip;
-    if (!session.ReplaceFunction("mod_03", ivy::SynthFuncName(5), def)) {
-      std::fprintf(stderr, "FATAL: bench edit did not apply\n");
-      std::abort();
-    }
-    state.ResumeTiming();
-    ivy::SessionResult result = session.Run();
-    benchmark::DoNotOptimize(result.findings.size());
-  }
-}
-BENCHMARK(BM_SessionIncrementalEdit);
 
 // Linked-corpus workload: cross-module calls through extern declarations,
 // analyzed by RunLinked vs compiled and analyzed as one merged-source program.
@@ -950,7 +897,7 @@ ivy::Json VmBenchJson() {
 }
 
 // The ivytrace cost-contract gate (src/support/trace.h): minima over the
-// same 8x400 batched corpus run in three states — baseline (tracing flag
+// same cold 8x400 RunLinked() in three states — baseline (tracing flag
 // never meaningfully on), disabled (after enable->disable cycles:
 // instrumentation compiled in, gate off — the state every production run
 // sits in), and enabled. Min-of-N because the minimum is the run least
@@ -965,7 +912,7 @@ ivy::Json TracingOverheadJson() {
     for (const ivy::ModuleSources& m : corpus) {
       session.AddModule(m);
     }
-    benchmark::DoNotOptimize(session.Run().findings.size());
+    benchmark::DoNotOptimize(session.RunLinked().findings.size());
   };
 
   // Baseline and disabled reps interleave pair-for-pair. The two states
@@ -1110,46 +1057,25 @@ void WriteBenchPipelineJson() {
   // raise it past anything parse+sema touches.
   ivy::Json frontend_j = FrontendBenchJson();
 
-  std::vector<ivy::ModuleSources> corpus = SessionCorpus();
-  ivy::Pipeline pipeline = SessionPipeline().Build();
-
-  // Batched vs sequential: the whole corpus, cold, through N independent
-  // pipelines vs one session (shared prelude tokens, concurrent modules).
-  double sequential_ms = MedianMs([&corpus, &pipeline] {
-    int64_t sink = 0;
-    for (const ivy::ModuleSources& m : corpus) {
-      sink += static_cast<int64_t>(pipeline.CompileAndRun(m.files).result.findings.size());
-    }
-    benchmark::DoNotOptimize(sink);
-  });
-  double batched_ms = MedianMs([&corpus, &pipeline] {
-    ivy::AnalysisSession session(pipeline);
-    for (const ivy::ModuleSources& m : corpus) {
-      session.AddModule(m);
-    }
-    benchmark::DoNotOptimize(session.Run().findings.size());
-  });
-
-  // A one-function edit, then Run(): one primed session, two definitions
-  // alternating so every timed run re-analyzes the edited module and reuses
-  // every other one.
-  const std::string quiet_def = "void " + ivy::SynthFuncName(5) +
-                                "(int n) {\n  int pad[4]; pad[0] = n;\n  udelay(1);\n}\n";
-  ivy::AnalysisSession edit_session(pipeline);
-  for (const ivy::ModuleSources& m : corpus) {
-    edit_session.AddModule(m);
-  }
-  edit_session.Run();
+  // A one-function edit, then RunLinked() — what annod does for each edit:
+  // one primed session, two definitions alternating so every timed run
+  // re-analyzes the corpus.
+  ivy::PipelineBuilder edit_b = SessionPipeline();
+  edit_b.ForEachModule(SessionCorpus());
+  ivy::AnalysisSession edit_session = edit_b.BuildSession();
+  edit_session.RunLinked();
+  const std::string edit_fn = ivy::SynthFuncName("mod_03_", 5);
   bool edit_flip = false;
   double edit_rerun_ms = MedianMs(
-      [&edit_session, &quiet_def, &edit_flip] {
+      [&edit_session, &edit_fn, &edit_flip] {
         edit_flip = !edit_flip;
-        if (!edit_session.ReplaceFunction("mod_03", ivy::SynthFuncName(5),
-                                          edit_flip ? EditedDefinition() : quiet_def)) {
+        std::string def = "void " + edit_fn + "(int n) {\n  int pad[16]; pad[0] = n;\n  " +
+                          (edit_flip ? "msleep(n)" : "udelay(1)") + ";\n}\n";
+        if (!edit_session.ReplaceFunction("mod_03", edit_fn, def)) {
           std::fprintf(stderr, "FATAL: BENCH_pipeline edit did not apply\n");
           std::abort();
         }
-        benchmark::DoNotOptimize(edit_session.Run().findings.size());
+        benchmark::DoNotOptimize(edit_session.RunLinked().findings.size());
       },
       4);
 
@@ -1158,8 +1084,6 @@ void WriteBenchPipelineJson() {
   corpus_j["modules"] = ivy::Json::MakeInt(kCorpusModules);
   corpus_j["functions_per_module"] = ivy::Json::MakeInt(kCorpusFunctions);
   j["corpus"] = std::move(corpus_j);
-  j["sequential_us"] = ivy::Json::MakeInt(static_cast<int64_t>(sequential_ms * 1000));
-  j["batched_us"] = ivy::Json::MakeInt(static_cast<int64_t>(batched_ms * 1000));
   j["edit_rerun_session_us"] = ivy::Json::MakeInt(static_cast<int64_t>(edit_rerun_ms * 1000));
 
   // Linked corpus: linked vs merged-source wall time, and the relink after
@@ -1276,11 +1200,10 @@ void WriteBenchPipelineJson() {
   }
 
   std::fprintf(stderr,
-               "BENCH_pipeline.json: sequential=%.1fms batched=%.1fms edit_rerun=%.1fms "
-               "linked=%.1fms (%d rounds) merged=%.1fms relink=%.1fms linked/merged=%.2f "
-               "relink/merged=%.2f -> %s\n",
-               sequential_ms, batched_ms, edit_rerun_ms, linked_ms, linked_rounds, merged_ms,
-               relink_ms, linked_ms / merged_ms, relink_ms / merged_ms, path.c_str());
+               "BENCH_pipeline.json: edit_rerun=%.1fms linked=%.1fms (%d rounds) merged=%.1fms "
+               "relink=%.1fms linked/merged=%.2f relink/merged=%.2f -> %s\n",
+               edit_rerun_ms, linked_ms, linked_rounds, merged_ms, relink_ms,
+               linked_ms / merged_ms, relink_ms / merged_ms, path.c_str());
 }
 
 }  // namespace

@@ -55,15 +55,14 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
   return db;
 }
 
-AnnoDb AnnoDb::Extract(AnalysisContext& ctx, const PipelineResult* pipeline,
-                       const std::function<std::string(SourceLoc)>& module_of) {
+AnnoDb AnnoDb::Extract(AnalysisContext& ctx, const PipelineResult* pipeline) {
   const BlockStopReport* blockstop = nullptr;
   if (pipeline != nullptr) {
     if (const ToolResult* r = pipeline->ResultFor("blockstop")) {
       blockstop = r->DetailAs<BlockStopReport>();
     }
   }
-  AnnoDb db = Extract(ctx.prog(), ctx.sema(), ctx.module(), blockstop, module_of);
+  AnnoDb db = Extract(ctx.prog(), ctx.sema(), ctx.module(), blockstop);
   if (pipeline != nullptr) {
     db.SetFindings(pipeline->findings, &ctx.sm());
   }

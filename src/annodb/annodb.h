@@ -115,9 +115,7 @@ class AnnoDb {
   // pipeline's blockstop result (when that pass ran) and attaches the
   // merged unified findings, so one exported JSON carries both the facts
   // and what the tools concluded from them (§3.2's shared repository).
-  // `module_of` stamps provenance as above.
-  static AnnoDb Extract(AnalysisContext& ctx, const PipelineResult* pipeline,
-                        const std::function<std::string(SourceLoc)>& module_of = {});
+  static AnnoDb Extract(AnalysisContext& ctx, const PipelineResult* pipeline);
 
   // Serialization round trip. Malformed summary rows are rejected (not
   // loaded); pass `errors` to collect one diagnostic per rejected row.

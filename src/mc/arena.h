@@ -159,18 +159,6 @@ struct StrRef {
   uint32_t id = kNoStr;
 };
 
-// Immutable snapshot of an interner's state, shareable across arenas. The
-// FrontendCache takes one right after the prelude parse of the first module
-// compile; every later module seeds its interner from it, so prelude
-// identifier bytes are stored (and hashed) once per session instead of once
-// per module. Ids are preserved exactly: seeding is equivalent to re-
-// interning the same strings in the same order.
-struct InternSnapshot {
-  std::string bytes;  // concatenated string contents (stable once built)
-  std::vector<std::pair<uint32_t, uint32_t>> spans;  // (offset, length) per id
-  std::vector<uint64_t> hashes;                      // content hash per id
-};
-
 // Deduplicating string interner with per-id content hashes.
 class StringInterner {
  public:
@@ -193,45 +181,11 @@ class StringInterner {
   uint64_t Hash(uint32_t id) const { return hashes_[id]; }
   uint32_t size() const { return static_cast<uint32_t>(views_.size()); }
 
-  // Seeds this (empty) interner from a snapshot. The snapshot's byte buffer
-  // is shared, not copied; `base` keeps it alive for the arena's lifetime.
-  void Seed(std::shared_ptr<const InternSnapshot> base) {
-    if (base == nullptr || size() != 0) {
-      return;
-    }
-    views_.reserve(base->spans.size());
-    hashes_ = base->hashes;
-    for (const auto& [off, len] : base->spans) {
-      std::string_view v(base->bytes.data() + off, len);
-      map_.emplace(v, static_cast<uint32_t>(views_.size()));
-      views_.push_back(v);
-    }
-    base_ = std::move(base);
-  }
-
-  std::shared_ptr<const InternSnapshot> Snapshot() const {
-    auto snap = std::make_shared<InternSnapshot>();
-    size_t total = 0;
-    for (std::string_view v : views_) {
-      total += v.size();
-    }
-    snap->bytes.reserve(total);
-    snap->spans.reserve(views_.size());
-    for (std::string_view v : views_) {
-      snap->spans.emplace_back(static_cast<uint32_t>(snap->bytes.size()),
-                               static_cast<uint32_t>(v.size()));
-      snap->bytes.append(v);
-    }
-    snap->hashes = hashes_;
-    return snap;
-  }
-
  private:
   BumpArena* bytes_;
   std::vector<std::string_view> views_;
   std::vector<uint64_t> hashes_;
   std::unordered_map<std::string_view, uint32_t> map_;
-  std::shared_ptr<const InternSnapshot> base_;  // keeps seeded bytes alive
 };
 
 }  // namespace ivy

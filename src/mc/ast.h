@@ -279,10 +279,6 @@ class Program {
   uint64_t StrHash(uint32_t str_id) const {
     return arena_.interner.Hash(str_id);
   }
-  const StringInterner& interner() const { return arena_.interner; }
-  void SeedInterner(std::shared_ptr<const InternSnapshot> base) {
-    arena_.interner.Seed(std::move(base));
-  }
 
   // Copies a scratch vector into an arena-owned array.
   ExprList MakeExprList(const std::vector<Expr*>& v);

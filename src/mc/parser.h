@@ -25,9 +25,8 @@ class Parser {
   Parser(Program* prog, std::vector<Token> tokens, DiagEngine* diags);
 
   // Borrowing variant: parses a token stream owned elsewhere without
-  // copying it. `tokens` must outlive the parser — this is what lets a
-  // corpus session share one lexed prelude across every module compilation
-  // (see FrontendCache in src/tool/pipeline.h).
+  // copying it. `tokens` must outlive the parser (a caller that lexes once
+  // and parses the same stream repeatedly, such as a benchmark, uses this).
   Parser(Program* prog, const std::vector<Token>* tokens, DiagEngine* diags);
 
   // Self-referential when constructed by value (tokens_ points at

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "src/server/wire.h"
 
@@ -217,20 +216,21 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
 // ---------------------------------------------------------------------------
 
 bool ReadStoreFile(const std::string& path, StoreFile* out, std::string* err) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     SetErr(err, "cannot open store '" + path + "'");
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    SetErr(err, "read error on store '" + path + "'");
+  // The size is checked before a byte is read, so rejecting an oversized
+  // store costs no memory.
+  const std::streamoff size = in.tellg();
+  if (size > static_cast<std::streamoff>(kMaxStoreBytes)) {
+    SetErr(err, "store '" + path + "' exceeds the size cap");
     return false;
   }
-  std::string bytes = buf.str();
-  if (bytes.size() > kMaxStoreBytes) {
-    SetErr(err, "store '" + path + "' exceeds the size cap");
+  std::string bytes(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+  if (size < 0 || !in.seekg(0) || !in.read(&bytes[0], size)) {
+    SetErr(err, "read error on store '" + path + "'");
     return false;
   }
   std::string derr;

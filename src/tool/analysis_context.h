@@ -8,9 +8,9 @@
 // references. The build counters exist so tests and benches can assert the
 // compute-once property instead of trusting it.
 //
-// One session hook rides on the context: AttachPool, a shared WorkQueue the
-// sharded passes use instead of constructing one pool each (TaskGroup keeps
-// their waits isolated).
+// One pool hook rides on the context: AttachPool, a shared WorkQueue (the
+// session's, or one scoped to CompileAndRun) the sharded passes use instead
+// of constructing one pool each (TaskGroup keeps their waits isolated).
 #ifndef SRC_TOOL_ANALYSIS_CONTEXT_H_
 #define SRC_TOOL_ANALYSIS_CONTEXT_H_
 

@@ -301,48 +301,23 @@ void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
 }  // namespace
 
 std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& files,
-                                               FrontendCache* cache,
                                                const std::vector<int>* file_module) const {
   auto comp = std::make_unique<Compilation>();
   comp->config = config_;
   comp->diags = std::make_unique<DiagEngine>(&comp->sm);
-  if (cache != nullptr && cache->prelude_interns != nullptr) {
-    // Later corpus module: pre-load the prelude's interned strings so every
-    // module shares one copy of the bytes (and the same string ids).
-    comp->prog.SeedInterner(cache->prelude_interns);
-    ++cache->intern_seeds;
-  }
 
   // Frontend timings are metrics only: with tracing off, no clock read and
   // no registry lookup (the handles are cached once per process).
   const bool traced = trace::Enabled();
   const uint64_t parse_t0 = traced ? MonotonicNowNs() : 0;
 
-  // Lex + parse every file into one Program (whole-program merge). The
-  // prelude is always the first file registered, so its token stream —
-  // embedded file ids included — is identical across compilations and can
-  // come from the corpus cache.
+  // Lex + parse every file into one Program (whole-program merge), the
+  // prelude first.
   if (config_.include_prelude) {
     int32_t prelude_id = comp->sm.AddFile("<prelude>", PreludeSource());
-    if (cache != nullptr) {
-      if (cache->prelude_tokens == nullptr) {
-        Lexer lexer(comp->sm, prelude_id, comp->diags.get());
-        cache->prelude_tokens = std::make_shared<std::vector<Token>>(lexer.Lex());
-      } else {
-        ++cache->prelude_reuses;
-      }
-      // Borrowed, not copied: the cached stream outlives the parser.
-      Parser parser(&comp->prog, cache->prelude_tokens.get(), comp->diags.get());
-      parser.ParseTranslationUnit();
-      if (cache->prelude_interns == nullptr) {
-        // First corpus module: everything interned so far is prelude text.
-        cache->prelude_interns = comp->prog.interner().Snapshot();
-      }
-    } else {
-      Lexer lexer(comp->sm, prelude_id, comp->diags.get());
-      Parser parser(&comp->prog, lexer.Lex(), comp->diags.get());
-      parser.ParseTranslationUnit();
-    }
+    Lexer lexer(comp->sm, prelude_id, comp->diags.get());
+    Parser parser(&comp->prog, lexer.Lex(), comp->diags.get());
+    parser.ParseTranslationUnit();
   }
   // A file at a time; in corpus mode a module at a time, its files lexed
   // together so the type policy sees the whole module before any is parsed.
@@ -680,8 +655,27 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
   return out;
 }
 
-// Pipeline::CompileAndRun lives in src/tool/session.cc: it is a thin shim
-// over a single-module AnalysisSession.
+PipelineRun Pipeline::CompileAndRun(const std::vector<SourceFile>& files) const {
+  PipelineRun run;
+  run.comp = Compile(files);
+  if (!run.comp->ok) {
+    return run;
+  }
+  run.ctx = MakeContext(run.comp.get());
+  std::unique_ptr<WorkQueue> pool = MakePool();
+  run.ctx->AttachPool(pool.get());
+  run.result = RunTools(*run.ctx);
+  run.ctx->AttachPool(nullptr);  // the pool dies with this call
+  return run;
+}
+
+std::unique_ptr<WorkQueue> Pipeline::MakePool() const {
+  if (shards_ == 1) {
+    return nullptr;  // serial kernels never touch a pool
+  }
+  return std::make_unique<WorkQueue>(shards_ == 0 ? WorkQueue::ResolveHardware()
+                                                  : std::max(shards_ - 1, 1));
+}
 
 std::vector<std::string> Pipeline::Plan() const {
   std::vector<std::string> plan;

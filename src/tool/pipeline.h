@@ -7,11 +7,10 @@
 // parallel and serial runs produce byte-identical finding lists.
 //
 // Corpus scale lives one layer up: PipelineBuilder::ForEachModule(...) +
-// BuildSession() produce an AnalysisSession (src/tool/session.h) that runs
-// this pipeline over N named modules with one shared worker pool, reused
-// prelude tokens, and module-granular reuse. CompileAndRun is itself a
-// thin shim over a single-module session, so every driver goes through the
-// same path.
+// BuildSession() produce an AnalysisSession (src/tool/session.h) that
+// compiles N named modules as one program and analyzes it once with this
+// pipeline. CompileAndRun is the one-program path: Compile, MakeContext,
+// RunTools.
 //
 // The old entry points survive as shims: Compile()/CompileOne() in
 // src/driver/compiler.h delegate here, and the flat ToolConfig maps onto a
@@ -19,7 +18,6 @@
 #ifndef SRC_TOOL_PIPELINE_H_
 #define SRC_TOOL_PIPELINE_H_
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "src/driver/compiler.h"
-#include "src/mc/token.h"
 #include "src/tool/analysis_context.h"
 #include "src/tool/finding.h"
 #include "src/tool/tool_pass.h"
@@ -43,21 +40,6 @@ class AnalysisSession;
 struct ModuleSources {
   std::string name;
   std::vector<SourceFile> files;
-};
-
-// Frontend artifacts shared across the compilations of a corpus. The
-// prelude's token stream is identical for every module (always the first
-// file registered, so even the embedded file ids match); lexing it once and
-// re-parsing from the cached tokens is the "reuse prelude parse results"
-// half of batched compilation. The counter exists for tests.
-struct FrontendCache {
-  std::shared_ptr<std::vector<Token>> prelude_tokens;
-  int64_t prelude_reuses = 0;
-  // Interned prelude strings, snapshotted after the first module's prelude
-  // parse and seeded into every later module's interner (same ids, one copy
-  // of the bytes).
-  std::shared_ptr<const InternSnapshot> prelude_interns;
-  int64_t intern_seeds = 0;
 };
 
 // A corpus compile spells module m's private copy of `name` as name + kPrivateMark + m.
@@ -92,9 +74,7 @@ struct PipelineRun {
 
 class Pipeline {
  public:
-  // Frontend only: source -> Compilation (never null; check ->ok). With a
-  // FrontendCache, the prelude token stream is lexed once and reused across
-  // calls (what AnalysisSession passes for corpus builds).
+  // Frontend only: source -> Compilation (never null; check ->ok).
   //
   // With `file_module`, the files are a corpus of modules compiled as one
   // program (AnalysisSession::RunLinked): (*file_module)[id] is the module
@@ -110,7 +90,6 @@ class Pipeline {
   //    module's own code keeps binding to its definition, and every other
   //    module links to the first definer's.
   std::unique_ptr<Compilation> Compile(const std::vector<SourceFile>& files,
-                                       FrontendCache* cache = nullptr,
                                        const std::vector<int>* file_module = nullptr) const;
 
   // Context at this pipeline's configured points-to precision. Prefer this
@@ -118,14 +97,17 @@ class Pipeline {
   // silently diverge from the context the tools actually run against.
   std::unique_ptr<AnalysisContext> MakeContext(Compilation* comp) const;
 
+  // The pool sharded passes run on: null with sharding off, else one worker
+  // per shard beyond the caller's (hardware concurrency for 0).
+  std::unique_ptr<WorkQueue> MakePool() const;
+
   // Runs every configured pass over `ctx`. Unknown tool names become
   // severity-error findings attributed to tool "pipeline".
   PipelineResult RunTools(AnalysisContext& ctx) const;
 
   // Compile + analyze in one step. If compilation fails, `result` is empty
-  // and `ctx` is null. Implemented as a single-module AnalysisSession (see
-  // src/tool/session.cc), so one-shot runs and corpus runs share one code
-  // path.
+  // and `ctx` is null. With sharding on, the passes run on a pool that lives
+  // only for this call; the returned context holds no pool.
   PipelineRun CompileAndRun(const std::vector<SourceFile>& files) const;
 
   // The schedule RunTools would execute: required analyses first (in
@@ -193,9 +175,9 @@ class PipelineBuilder {
   // Maps the legacy flat config onto a builder (the Compile() shim).
   static PipelineBuilder FromToolConfig(const ToolConfig& config);
 
-  // Corpus mode: registers named modules for BuildSession(). One builder
-  // call then compiles every module (reusing prelude tokens) and schedules
-  // the configured passes across the whole corpus; the session's merged
+  // Corpus mode: registers named modules for BuildSession(). The session
+  // then compiles every module as one program and runs the configured
+  // passes over the whole corpus; the session's merged
   // findings are byte-identical regardless of module registration order or
   // shard count. Appends to any modules registered earlier; duplicate names
   // replace the earlier sources.

@@ -1,7 +1,6 @@
 #include "src/tool/session.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "src/blockstop/blockstop.h"
@@ -180,12 +179,6 @@ bool FindDefinition(const std::string& text, const std::string& name, size_t* ou
   return false;
 }
 
-// Module analyses for --metrics (call under trace::Enabled()).
-void CountSolve() {
-  static trace::Counter* const solve_cold = trace::GetCounter("session.solve_cold");
-  solve_cold->Add();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -284,95 +277,10 @@ bool AnalysisSession::ReplaceModuleSources(const std::string& name,
 }
 
 WorkQueue* AnalysisSession::pool() {
-  if (pipeline_.shard_functions() == 1) {
-    return nullptr;  // serial kernels never touch a pool
-  }
   if (pool_ == nullptr) {
-    int shards = pipeline_.shard_functions();
-    int workers =
-        shards == 0 ? WorkQueue::ResolveHardware() : (shards > 1 ? shards - 1 : 1);
-    pool_ = std::make_unique<WorkQueue>(workers);
+    pool_ = pipeline_.MakePool();
   }
   return pool_.get();
-}
-
-void AnalysisSession::Analyze(ModuleState* st) {
-  st->ctx = pipeline_.MakeContext(st->comp.get());
-  st->ctx->AttachPool(pool());
-  st->result = pipeline_.RunTools(*st->ctx);
-  st->ok = true;
-  st->compile_errors.clear();
-  if (trace::Enabled()) {
-    CountSolve();
-  }
-  st->dirty = false;
-}
-
-SessionResult AnalysisSession::Run() {
-  // Phase A — frontend, serial: the FrontendCache hands every compilation
-  // the same prelude token stream (lexed exactly once per session).
-  std::vector<ModuleState*> to_analyze;
-  for (auto& [name, st] : modules_) {
-    st->analyzed_now = false;
-    if (!st->dirty) {
-      continue;
-    }
-    st->analyzed_now = true;
-    st->ctx.reset();
-    st->comp.reset();
-    st->result = PipelineResult{};
-    st->comp = pipeline_.Compile(st->files, &cache_);
-    if (!st->comp->ok) {
-      st->ok = false;
-      st->compile_errors = st->comp->Errors();
-      st->dirty = false;  // until the sources change again
-      continue;
-    }
-    to_analyze.push_back(st.get());
-  }
-
-  // Phase B — analysis: independent per module (private Compilation +
-  // AnalysisContext; the shared pool isolates kernels via TaskGroup), so
-  // dirty modules run concurrently in bounded batches when the pipeline is
-  // parallel. Merge order never depends on completion order. The pool is
-  // materialized here, before any Analyze thread exists — lazy construction
-  // inside concurrent Analyze calls would race.
-  pool();
-  bool cancelled = false;
-  size_t batch = static_cast<size_t>(WorkQueue::ResolveHardware());
-  if (pipeline_.parallel() && to_analyze.size() > 1 && batch > 1) {
-    for (size_t i = 0; i < to_analyze.size(); i += batch) {
-      // Cancellation boundary: a batch that started finishes (kernels are
-      // never interrupted); everything after it stays dirty for the resume.
-      if (cancel_requested()) {
-        cancelled = true;
-        break;
-      }
-      size_t end = std::min(i + batch, to_analyze.size());
-      std::vector<std::future<void>> futures;
-      futures.reserve(end - i);
-      for (size_t j = i; j < end; ++j) {
-        ModuleState* st = to_analyze[j];
-        futures.push_back(std::async(std::launch::async,
-                                     [this, st] { Analyze(st); }));
-      }
-      for (std::future<void>& f : futures) {
-        f.get();
-      }
-    }
-  } else {
-    for (ModuleState* st : to_analyze) {
-      if (cancel_requested()) {
-        cancelled = true;
-        break;
-      }
-      Analyze(st);
-    }
-  }
-
-  SessionResult out = Collect();
-  out.cancelled = cancelled;
-  return out;
 }
 
 SessionResult AnalysisSession::Collect() const {
@@ -680,7 +588,7 @@ bool AnalysisSession::AnalyzeCorpus() {
       map.Add(name, st->files.size());
       files.insert(files.end(), st->files.begin(), st->files.end());
     }
-    comp = pipeline_.Compile(files, &cache_, &map.of_file);
+    comp = pipeline_.Compile(files, &map.of_file);
     if (comp->ok) {
       break;
     }
@@ -713,7 +621,8 @@ bool AnalysisSession::AnalyzeCorpus() {
     ctx->AttachPool(pool());
     corpus = pipeline_.RunTools(*ctx);
     if (trace::Enabled()) {
-      CountSolve();
+      static trace::Counter* const solve_cold = trace::GetCounter("session.solve_cold");
+      solve_cold->Add();
     }
   }
   std::vector<PipelineResult> per_module;
@@ -738,7 +647,6 @@ bool AnalysisSession::AnalyzeCorpus() {
 
   // Publish: every module was analyzed by this run.
   for (auto& [name, st] : modules_) {
-    st->ctx.reset();
     st->result = PipelineResult{};
     st->analyzed_now = true;
     st->dirty = false;
@@ -873,39 +781,23 @@ SessionResult AnalysisSession::RunLinked() {
 }
 
 AnnoDb AnalysisSession::ExportAnnoDb() {
+  // The link table (the corpus run's facts and summary rows), plus every
+  // module's findings stamped with its name.
   AnnoDb merged;
   for (auto& [name, st] : modules_) {
     if (!st->ok) {
       continue;
     }
-    // A module analyzed on its own (Run()) exports its program's facts; a
-    // linked module's facts are in the link table below.
-    AnnoDb db;
-    if (st->ctx != nullptr) {
-      db = AnnoDb::Extract(*st->ctx, &st->result, [&name](SourceLoc) { return name; });
-    }
     std::vector<Finding> stamped = st->result.findings;
     for (Finding& f : stamped) {
       f.module = name;
     }
+    AnnoDb db;
     db.SetFindings(std::move(stamped), st->comp != nullptr ? &st->comp->sm : nullptr);
     merged.Merge(db);
   }
-  // The link table rides along when the session has linked (the corpus
-  // run's facts and summary rows), else fresh per-module rows (no corpus
-  // stack facts — those need the whole corpus).
   if (linked_) {
     merged.Merge(link_table_);
-  } else {
-    for (auto& [name, st] : modules_) {
-      if (st->ok && st->ctx != nullptr) {
-        ModuleMap map(pipeline_.config().include_prelude);
-        map.Add(&name, st->files.size());
-        for (FuncSummary& row : ExportSummaries(*st->ctx, st->result, map)) {
-          merged.AddSummary(std::move(row));
-        }
-      }
-    }
   }
   return merged;
 }
@@ -915,34 +807,9 @@ const Compilation* AnalysisSession::CompilationFor(const std::string& name) cons
   return it == modules_.end() ? nullptr : it->second->comp.get();
 }
 
-PipelineRun AnalysisSession::TakeModule(const std::string& name) {
-  PipelineRun run;
-  auto it = modules_.find(name);
-  if (it == modules_.end()) {
-    return run;
-  }
-  ModuleState& st = *it->second;
-  if (st.ctx != nullptr) {
-    // The session's pool will not outlive these artifacts.
-    st.ctx->AttachPool(nullptr);
-  }
-  run.comp = std::move(st.comp);
-  run.ctx = std::move(st.ctx);
-  run.result = std::move(st.result);
-  modules_.erase(it);
-  return run;
-}
-
 // ---------------------------------------------------------------------------
-// The pipeline-level shims: one code path for one-shot and corpus runs.
+// The builder's corpus entry point.
 // ---------------------------------------------------------------------------
-
-PipelineRun Pipeline::CompileAndRun(const std::vector<SourceFile>& files) const {
-  AnalysisSession session(*this);
-  session.AddModule("", files);
-  session.Run();
-  return session.TakeModule("");
-}
 
 AnalysisSession PipelineBuilder::BuildSession() const {
   AnalysisSession session(pipeline_);

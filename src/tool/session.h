@@ -2,28 +2,28 @@
 // static analysis at a large scale" made long-lived).
 //
 // A session owns a corpus of named modules, one shared worker pool for every
-// sharded pass kernel (TaskGroup isolation instead of one pool per pass),
-// a frontend cache that lexes the prelude once for the whole corpus, and
-// each module's last results:
+// sharded pass kernel, and each module's last results. RunLinked() compiles
+// every module into one program and analyzes it once, so calls between
+// modules are ordinary calls:
 //
 //   AnalysisSession session = PipelineBuilder()
 //                                 .AllTools()
 //                                 .ShardFunctions(0)
 //                                 .ForEachModule(modules)
 //                                 .BuildSession();
-//   SessionResult cold = session.Run();          // analyzes every module
+//   SessionResult cold = session.RunLinked();    // analyzes the corpus
 //   session.ReplaceFunction("net", "udp_sendmsg", edited_definition);
-//   SessionResult next = session.Run();          // re-analyzes only "net"
+//   SessionResult next = session.RunLinked();    // re-analyzes the corpus
 //
 // Determinism contract (extends the pipeline's): the merged findings are
 // byte-identical regardless of module registration order, shard count, pool
-// size, and whether a module's result was reused or recomputed. Modules
-// merge in sorted-name order; within a module the pipeline's request-order
-// merge applies.
+// size, and whether the corpus was re-analyzed or its results reused.
+// Modules merge in sorted-name order; within a module the pipeline's
+// request-order merge applies.
 //
-// Reuse granularity: a module is the re-analysis unit. A clean module's
-// cached result is reused verbatim; a dirty module is recompiled and
-// analyzed cold, exactly as a fresh session would.
+// Reuse granularity: the corpus. With no module dirty, RunLinked() reuses
+// every module's cached result verbatim; any edit re-analyzes the corpus
+// cold, exactly as a fresh session would.
 #ifndef SRC_TOOL_SESSION_H_
 #define SRC_TOOL_SESSION_H_
 
@@ -41,14 +41,12 @@
 
 namespace ivy {
 
-// Per-module outcome of one Run() or RunLinked(). `result` is the module's
-// pass output with unstamped findings: after Run() byte-identical to an
-// independent single-module CompileAndRun of the same sources, after
-// RunLinked() the module's share of the corpus run.
+// Per-module outcome of one RunLinked(). `result` is the module's share of
+// the corpus run, with unstamped findings.
 struct ModuleRunResult {
   std::string module;
   bool ok = false;          // compiled successfully
-  bool reanalyzed = false;  // analyzed during this Run (false: cache reused)
+  bool reanalyzed = false;  // analyzed by this run (false: cache reused)
   PipelineResult result;
   std::string compile_errors;
 };
@@ -65,8 +63,8 @@ struct SessionResult {
   int compile_failures = 0;
   // True when RequestCancel() aborted the run: the result is INCOMPLETE
   // (unanalyzed modules contribute stale or empty findings) and must be
-  // discarded. The abandoned modules stay dirty, so the next Run()/
-  // RunLinked() resumes exactly where the cancel hit.
+  // discarded. The abandoned modules stay dirty, so the next RunLinked()
+  // resumes exactly where the cancel hit.
   bool cancelled = false;
 
   const ModuleRunResult* ModuleFor(const std::string& name) const;
@@ -101,8 +99,8 @@ class AnalysisSession {
   void AddModule(ModuleSources module);
   bool RemoveModule(const std::string& name);
 
-  // Marks a module for re-analysis: the next Run() recompiles and analyzes
-  // it cold.
+  // Marks a module for re-analysis: the next RunLinked() re-analyzes the
+  // corpus cold.
   void Invalidate(const std::string& name);
 
   // Textually replaces one top-level function definition inside the
@@ -117,13 +115,6 @@ class AnalysisSession {
   // Wholesale source replacement + Invalidate (for arbitrary edits).
   bool ReplaceModuleSources(const std::string& name, std::vector<SourceFile> files);
 
-  // Compiles and analyzes every dirty module (batched: shared prelude
-  // tokens, shared pool, modules analyzed concurrently when the pipeline is
-  // Parallel), reuses every clean module's cached result, and returns the
-  // deterministic corpus merge. Modules are analyzed as independent
-  // programs — calls into other modules are opaque (see RunLinked).
-  SessionResult Run();
-
   // The link stage: every module's files compiled as one program (prelude,
   // then the modules in name order) and analyzed once, so calls between
   // modules are ordinary calls. Each finding goes to the module of its
@@ -134,8 +125,8 @@ class AnalysisSession {
   // defined in several modules keeps its first definer's body and is
   // reported once.
   //
-  // Determinism contract (extends Run()'s): findings are byte-identical
-  // regardless of module registration order and shard count, and render
+  // Determinism contract: findings are byte-identical regardless of module
+  // registration order and shard count, and render
   // canonically equal to the merged-source program's (see
   // tests/session_linked_test.cc and docs/ARCHITECTURE.md).
   //
@@ -162,11 +153,11 @@ class AnalysisSession {
   // warm-started into another.
   uint64_t CorpusDigest() const;
 
-  // Cooperative cancellation for an in-flight Run()/RunLinked() on another
-  // thread (the annod server's shutdown-while-relinking path). Checked
-  // between module analyses, and before RunLinked()'s frontend and passes —
-  // never mid-kernel — so a cancelled run stops at the next boundary, leaves
-  // every unprocessed module dirty, publishes nothing partial, and reports
+  // Cooperative cancellation for an in-flight RunLinked() on another thread
+  // (the annod server's shutdown-while-relinking path). Checked before the
+  // frontend and before the passes — never mid-kernel — so a cancelled run
+  // stops at the next boundary, leaves every module dirty, publishes
+  // nothing partial, and reports
   // cancelled=true. The flag is sticky until ClearCancel(); a cancelled
   // session is resumable, not poisoned.
   void RequestCancel() { cancel_->store(true, std::memory_order_release); }
@@ -179,32 +170,25 @@ class AnalysisSession {
   // ExportAnnoDb()'s repository view.
   const AnnoDb& link_table() const { return link_table_; }
 
-  // The §3.2 repository view of the whole corpus: per-module facts merged,
-  // findings stamped with module provenance (so a later Run can
+  // The §3.2 repository view of the whole corpus: the link table's facts,
+  // findings stamped with module provenance (so a consumer can
   // RetractModule + re-merge without touching other modules' records).
   AnnoDb ExportAnnoDb();
 
-  int64_t prelude_reuses() const { return cache_.prelude_reuses; }
   size_t module_count() const { return modules_.size(); }
   const Pipeline& pipeline() const { return pipeline_; }
 
-  // The module's frontend artifacts from its last analysis (null before the
-  // first analysis). Callers render finding locations and compile errors
-  // through ->sm; file ids are private to each module's compilation. After
-  // RunLinked() this is a view holding only the module's sources and
-  // diagnostics — the corpus program has the AST.
+  // The module's view of its last analysis (null before the first): its
+  // own sources and diagnostics, no AST — the corpus program has that.
+  // Callers render finding locations and compile errors through ->sm; file
+  // ids are the ones a module-local compile would give.
   const Compilation* CompilationFor(const std::string& name) const;
-
-  // Moves a module's artifacts out of the session (its cached state is
-  // erased). The CompileAndRun shim: a one-module session, run, taken.
-  PipelineRun TakeModule(const std::string& name);
 
  private:
   struct ModuleState;  // defined in session_state.h
 
   WorkQueue* pool();
-  void Analyze(ModuleState* st);
-  // Run()'s and RunLinked()'s merge of every module's cached result.
+  // RunLinked()'s merge of every module's cached result.
   SessionResult Collect() const;
   // RunLinked()'s analysis: compiles and analyzes the corpus as one program
   // and publishes the per-module results and the link table. False (and
@@ -217,7 +201,6 @@ class AnalysisSession {
   void ComputeLinkStackFacts();
 
   Pipeline pipeline_;
-  FrontendCache cache_;
   // shared_ptr, not a member atomic: the session stays movable, and
   // RequestCancel() from another thread races only with the atomic load,
   // never with the pointer (which changes only under single-threaded moves).

@@ -17,13 +17,9 @@ struct AnalysisSession::ModuleState {
   std::vector<SourceFile> files;
   bool dirty = true;
   bool ok = false;
-  bool analyzed_now = false;  // analyzed during the current Run()/RunLinked()
+  bool analyzed_now = false;  // analyzed during the current RunLinked()
   std::string compile_errors;
-
-  // Declaration order matters: `ctx` points into `comp`, so it must be
-  // destroyed first.
-  std::unique_ptr<Compilation> comp;
-  std::unique_ptr<AnalysisContext> ctx;
+  std::unique_ptr<Compilation> comp;  // the module's view (see CompilationFor)
   PipelineResult result;
 };
 

@@ -11,19 +11,47 @@
 #include <vector>
 
 #include "src/analysis/fingerprint.h"
+#include "src/kernel/prelude.h"
+#include "src/mc/lexer.h"
+#include "src/mc/parser.h"
+#include "src/mc/sema.h"
 #include "src/tool/pipeline.h"
 #include "src/tool/session.h"
+#include "src/vm/builtins.h"
 #include "tests/synth_corpus.h"
 
 namespace ivy {
 namespace {
 
-std::unique_ptr<Compilation> Compile(const std::string& text, FrontendCache* cache = nullptr) {
-  return PipelineBuilder().Build().Compile({SourceFile{"t.mc", text}}, cache);
+std::unique_ptr<Compilation> Compile(const std::string& text) {
+  return PipelineBuilder().Build().Compile({SourceFile{"t.mc", text}});
 }
 
-std::unique_ptr<Compilation> CompileOk(const std::string& text, FrontendCache* cache = nullptr) {
-  auto comp = Compile(text, cache);
+std::unique_ptr<Compilation> CompileOk(const std::string& text) {
+  auto comp = Compile(text);
+  EXPECT_TRUE(comp->ok) << comp->Errors();
+  return comp;
+}
+
+// The frontend up to sema (prelude, then `text`) into a Program whose
+// interner already holds `interned`: every spelling the source adds gets a
+// different id than it would in an empty interner.
+std::unique_ptr<Compilation> ParseAfterInterning(const std::string& text,
+                                                 const std::vector<std::string>& interned) {
+  auto comp = std::make_unique<Compilation>();
+  comp->diags = std::make_unique<DiagEngine>(&comp->sm);
+  for (const std::string& str : interned) {
+    comp->prog.Intern(str);
+  }
+  for (const SourceFile& file : {SourceFile{"<prelude>", PreludeSource()}, SourceFile{"t.mc", text}}) {
+    const int32_t id = comp->sm.AddFile(file.name, file.text);
+    Parser parser(&comp->prog, Lexer(comp->sm, id, comp->diags.get()).Lex(), comp->diags.get());
+    parser.ParseTranslationUnit();
+  }
+  comp->sema = std::make_unique<Sema>(&comp->prog, comp->diags.get(), [](const std::string& name) {
+    return BuiltinIdForName(name);
+  });
+  comp->ok = comp->sema->Run() && comp->diags->ok();
   EXPECT_TRUE(comp->ok) << comp->Errors();
   return comp;
 }
@@ -150,28 +178,25 @@ TEST(AstArena, InterningDeduplicates) {
   EXPECT_GT(idents, static_cast<int>(id_of.size()));  // dedup actually fired
 }
 
-// Fingerprints mix string content hashes, never intern ids. Seeding the
-// interner with an unrelated module's strings shifts every id the source's
-// own spellings get, yet the fingerprints (full, signature, preamble) and
-// referenced-name sets must match an unseeded compile exactly.
+// Fingerprints mix string content hashes, never intern ids. Interning
+// unrelated strings (and some of the source's own names, in another order)
+// before the parse shifts every id the source's spellings get, yet the
+// fingerprints (full, signature, preamble) and referenced-name sets must
+// match an unshifted parse exactly.
 TEST(AstArena, FingerprintsIgnoreInternIds) {
   SynthCorpusOptions opt;
   opt.functions = 40;
   opt.seed = 99;
   const std::string text = GenerateSynthCorpus(opt);
-  SynthCorpusOptions other_opt;
-  other_opt.functions = 25;
-  other_opt.seed = 5;
-  auto other = CompileOk("int zz_unrelated(int q) { return q; }\n" +
-                         GenerateSynthCorpus(other_opt));
-  FrontendCache cache;
-  cache.prelude_interns = other->prog.interner().Snapshot();
+  std::vector<std::string> unrelated = {"zz_unrelated", "q"};
+  for (int i = 24; i >= 0; --i) {
+    unrelated.push_back(SynthFuncName(i));
+  }
 
-  auto plain = CompileOk(text);
-  auto seeded = CompileOk(text, &cache);
-  ASSERT_EQ(cache.intern_seeds, 1);
+  auto plain = ParseAfterInterning(text, {});
+  auto seeded = ParseAfterInterning(text, unrelated);
   EXPECT_EQ(FingerprintPreamble(plain->prog), FingerprintPreamble(seeded->prog));
-  // Seeding allocates no nodes, so expression ids line up one to one.
+  // Interning allocates no nodes, so expression ids line up one to one.
   ASSERT_EQ(plain->prog.expr_count(), seeded->prog.expr_count());
   int shifted_ids = 0;
   for (uint32_t i = 0; i < plain->prog.expr_count(); ++i) {
@@ -180,7 +205,7 @@ TEST(AstArena, FingerprintsIgnoreInternIds) {
     ASSERT_EQ(ep->str_val, es->str_val);
     shifted_ids += ep->str_id != es->str_id;
   }
-  EXPECT_GT(shifted_ids, 0) << "seeding did not change any intern id";
+  EXPECT_GT(shifted_ids, 0) << "interning first did not change any intern id";
   ASSERT_EQ(plain->prog.funcs.size(), seeded->prog.funcs.size());
   for (size_t i = 0; i < plain->prog.funcs.size(); ++i) {
     const FuncDecl* fp = plain->prog.funcs[i];
@@ -215,7 +240,7 @@ TEST(AstArena, FingerprintIgnoresSlabPosition) {
 
 // ReplaceFunction splices a new definition into a live session: the edited
 // function's fingerprint changes, untouched functions keep theirs, and the
-// re-analysis matches a cold session over the edited source.
+// relink matches a cold session over the edited source.
 TEST(AstArena, ReplaceFunctionSplicesAndRefingerprints) {
   SynthCorpusOptions opt;
   opt.functions = 30;
@@ -229,69 +254,42 @@ TEST(AstArena, ReplaceFunctionSplicesAndRefingerprints) {
   b.Tool("blockstop").Tool("stackcheck");
   b.ForEachModule({{"m", {SourceFile{"m.mc", text}}}});
   AnalysisSession session = b.BuildSession();
-  session.Run();
-
-  const Compilation* before = session.CompilationFor("m");
-  ASSERT_NE(before, nullptr);
-  const FuncDecl* fn_before = before->prog.FindFunc(target);
-  ASSERT_NE(fn_before, nullptr);
-  const uint64_t fp_before = FingerprintFunction(before->prog, fn_before);
-  const FuncDecl* other_before = before->prog.FindFunc(SynthFuncName(9));
-  ASSERT_NE(other_before, nullptr);
-  const uint64_t fp_other = FingerprintFunction(before->prog, other_before);
-
+  session.RunLinked();
   ASSERT_TRUE(session.ReplaceFunction("m", target, new_def));
-  SessionResult warm = session.Run();
+  SessionResult warm = session.RunLinked();
 
-  const Compilation* after = session.CompilationFor("m");
-  ASSERT_NE(after, nullptr);
-  const FuncDecl* fn_after = after->prog.FindFunc(target);
-  ASSERT_NE(fn_after, nullptr);
-  EXPECT_NE(FingerprintFunction(after->prog, fn_after), fp_before);
-  const FuncDecl* other_after = after->prog.FindFunc(SynthFuncName(9));
-  ASSERT_NE(other_after, nullptr);
-  EXPECT_EQ(FingerprintFunction(after->prog, other_after), fp_other);
-
-  // Cold reference: a fresh session over the already-edited source.
+  // The session's view holds the spliced source: exactly the hand edit.
+  const Compilation* view = session.CompilationFor("m");
+  ASSERT_NE(view, nullptr);
+  ASSERT_EQ(view->sm.FileName(view->sm.file_count() - 1), "m.mc");
+  const std::string spliced = view->sm.FileText(view->sm.file_count() - 1);
   size_t pos = text.find("void " + target + "(int n)");
   ASSERT_NE(pos, std::string::npos);
   size_t end = text.find("\n}\n", pos);
   ASSERT_NE(end, std::string::npos);
-  std::string edited = text.substr(0, pos) + new_def + text.substr(end + 3);
+  const std::string edited = text.substr(0, pos) + new_def + text.substr(end + 3);
+  EXPECT_EQ(spliced, edited);
+
+  auto before = CompileOk(text);
+  auto after = CompileOk(spliced);
+  auto fingerprint = [](const Compilation& comp, const std::string& name) {
+    const FuncDecl* fn = comp.prog.FindFunc(name);
+    EXPECT_NE(fn, nullptr) << name;
+    return fn == nullptr ? 0 : FingerprintFunction(comp.prog, fn);
+  };
+  EXPECT_NE(fingerprint(*after, target), fingerprint(*before, target));
+  EXPECT_EQ(fingerprint(*after, SynthFuncName(9)), fingerprint(*before, SynthFuncName(9)));
+
+  // Cold reference: a fresh session over the already-edited source.
   PipelineBuilder cb;
   cb.Tool("blockstop").Tool("stackcheck");
   cb.ForEachModule({{"m", {SourceFile{"m.mc", edited}}}});
   AnalysisSession cold = cb.BuildSession();
-  SessionResult cold_result = cold.Run();
+  SessionResult cold_result = cold.RunLinked();
   ASSERT_EQ(warm.findings.size(), cold_result.findings.size());
   for (size_t i = 0; i < warm.findings.size(); ++i) {
     EXPECT_EQ(warm.findings[i].ToString(), cold_result.findings[i].ToString());
   }
-}
-
-// Prelude intern sharing: the second module compiled against one
-// FrontendCache seeds its interner from the first module's snapshot, and
-// fingerprints match an unshared compile exactly.
-TEST(AstArena, PreludeInternSnapshotSharing) {
-  PipelineBuilder b;
-  Pipeline p = b.Build();
-  FrontendCache cache;
-  const std::string text = "int f(int n) { return n + 41; }\n";
-  auto first = p.Compile({SourceFile{"a.mc", text}}, &cache);
-  ASSERT_TRUE(first->ok) << first->Errors();
-  ASSERT_NE(cache.prelude_interns, nullptr);
-  EXPECT_EQ(cache.intern_seeds, 0);
-  auto second = p.Compile({SourceFile{"b.mc", text}}, &cache);
-  ASSERT_TRUE(second->ok) << second->Errors();
-  EXPECT_EQ(cache.intern_seeds, 1);
-  auto lone = p.Compile({SourceFile{"c.mc", text}});
-  ASSERT_TRUE(lone->ok);
-  const FuncDecl* fs = second->prog.FindFunc("f");
-  const FuncDecl* fl = lone->prog.FindFunc("f");
-  ASSERT_NE(fs, nullptr);
-  ASSERT_NE(fl, nullptr);
-  EXPECT_EQ(FingerprintFunction(second->prog, fs), FingerprintFunction(lone->prog, fl));
-  EXPECT_EQ(FingerprintPreamble(second->prog), FingerprintPreamble(lone->prog));
 }
 
 // Parse-error fuzz: random truncations and byte mutations of a valid module

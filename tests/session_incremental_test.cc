@@ -1,14 +1,11 @@
-// AnalysisSession: the corpus-level determinism and module-reuse contracts,
-// property-tested over the seeded synthetic corpus generator.
+// AnalysisSession: the corpus-level determinism and reuse contracts of
+// RunLinked(), property-tested over the seeded synthetic corpus generator.
 //
-//   1. Batched == independent: a ForEachModule run over N modules produces,
-//      per module, findings byte-identical to N independent single-module
-//      CompileAndRun invocations; the merged corpus view is independent of
-//      registration order.
-//   2. Incremental == cold: after any sequence of function edits, a warm
-//      Run() (which re-analyzes only the dirty modules and reuses every
-//      clean one) matches a cold session over the same sources byte for
-//      byte.
+//   1. Determinism: the merged corpus view is independent of registration
+//      order and shard count.
+//   2. Edit == cold: after any sequence of function edits, a relink (which
+//      re-analyzes the whole corpus once any module is dirty) matches a
+//      cold session over the same sources byte for byte.
 //   3. Provenance: the exported annotation repository stamps findings with
 //      their module, and RetractModule removes exactly one module's records.
 #include <gtest/gtest.h>
@@ -33,10 +30,15 @@ std::string Dump(const std::vector<Finding>& findings) {
   return arr.Dump();
 }
 
+// Every symbol of module `name` carries the prefix "<name>_", so the modules
+// link without a name defined twice.
+std::string Prefix(const std::string& module) { return module + "_"; }
+
 ModuleSources MakeModule(const std::string& name, uint64_t seed, int functions) {
   SynthCorpusOptions opt;
   opt.functions = functions;
   opt.seed = seed;
+  opt.prefix = Prefix(name);
   // A function-pointer table chain gives the points-to solve a real
   // workload.
   opt.hook_tables = 4;
@@ -59,51 +61,32 @@ PipelineBuilder TestPipeline() {
   return b;
 }
 
-// Valid replacement definitions for fn_<i> of a `total`-function corpus.
-std::string BlockingLeaf(int i) {
-  return "void " + SynthFuncName(i) + "(int n) {\n  int pad[16]; pad[0] = n;\n  msleep(n);\n}\n";
+// Valid replacement definitions for <px>fn_<i> of a `total`-function module
+// whose symbols carry the prefix `px`.
+std::string BlockingLeaf(const std::string& px, int i) {
+  return "void " + SynthFuncName(px, i) +
+         "(int n) {\n  int pad[16]; pad[0] = n;\n  msleep(n);\n}\n";
 }
-std::string QuietLeaf(int i) {
-  return "void " + SynthFuncName(i) + "(int n) {\n  int pad[4]; pad[0] = n;\n  udelay(1);\n}\n";
+std::string QuietLeaf(const std::string& px, int i) {
+  return "void " + SynthFuncName(px, i) +
+         "(int n) {\n  int pad[4]; pad[0] = n;\n  udelay(1);\n}\n";
 }
-std::string SpinCaller(int i, int total) {
-  std::string callee = SynthFuncName(i + 1 < total ? i + 1 : 0);
-  return "void " + SynthFuncName(i) + "(int n) {\n  int pad[8]; pad[0] = n;\n  spin_lock(&lk_0);\n  if (n > 0) { " +
-         callee + "(n - 1); }\n  spin_unlock(&lk_0);\n}\n";
+std::string SpinCaller(const std::string& px, int i, int total) {
+  std::string callee = SynthFuncName(px, i + 1 < total ? i + 1 : 0);
+  std::string lock = px + "lk_0";
+  return "void " + SynthFuncName(px, i) + "(int n) {\n  int pad[8]; pad[0] = n;\n  spin_lock(&" +
+         lock + ");\n  if (n > 0) { " + callee + "(n - 1); }\n  spin_unlock(&" + lock +
+         ");\n}\n";
 }
-std::string VariantFor(uint64_t pick, int i, int total) {
+std::string VariantFor(uint64_t pick, const std::string& px, int i, int total) {
   switch (pick % 3) {
     case 0:
-      return BlockingLeaf(i);
+      return BlockingLeaf(px, i);
     case 1:
-      return QuietLeaf(i);
+      return QuietLeaf(px, i);
     default:
-      return SpinCaller(i, total);
+      return SpinCaller(px, i, total);
   }
-}
-
-TEST(AnalysisSession, BatchedMatchesIndependentRuns) {
-  const int kModules = 10;
-  const int kFunctions = 48;
-  std::vector<ModuleSources> corpus = MakeCorpus(kModules, 100, kFunctions);
-
-  AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult batched = session.Run();
-  EXPECT_EQ(batched.modules_analyzed, kModules);
-  EXPECT_EQ(batched.compile_failures, 0);
-
-  Pipeline independent = TestPipeline().Build();
-  for (const ModuleSources& m : corpus) {
-    PipelineRun run = independent.CompileAndRun(m.files);
-    ASSERT_TRUE(run.comp->ok) << m.name << ": " << run.comp->Errors();
-    const ModuleRunResult* mr = batched.ModuleFor(m.name);
-    ASSERT_NE(mr, nullptr) << m.name;
-    EXPECT_FALSE(run.result.findings.empty()) << m.name;
-    EXPECT_EQ(Dump(mr->result.findings), Dump(run.result.findings)) << m.name;
-  }
-
-  // The prelude was lexed exactly once for the whole corpus.
-  EXPECT_EQ(session.prelude_reuses(), kModules - 1);
 }
 
 TEST(AnalysisSession, MergedFindingsIndependentOfRegistrationOrder) {
@@ -113,54 +96,56 @@ TEST(AnalysisSession, MergedFindingsIndependentOfRegistrationOrder) {
   std::vector<ModuleSources> reversed(corpus.rbegin(), corpus.rend());
   AnalysisSession backward = TestPipeline().ForEachModule(reversed).BuildSession();
 
-  EXPECT_EQ(Dump(forward.Run().findings), Dump(backward.Run().findings));
+  EXPECT_EQ(Dump(forward.RunLinked().findings), Dump(backward.RunLinked().findings));
 }
 
 TEST(AnalysisSession, ShardedSessionByteIdentical) {
   std::vector<ModuleSources> corpus = MakeCorpus(4, 500, 64);
   AnalysisSession serial = TestPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult serial_result = serial.Run();
+  SessionResult serial_result = serial.RunLinked();
 
   PipelineBuilder sharded_builder = TestPipeline();
   sharded_builder.ShardFunctions(3).ForEachModule(corpus);
   AnalysisSession sharded = sharded_builder.BuildSession();
-  SessionResult sharded_result = sharded.Run();
+  SessionResult sharded_result = sharded.RunLinked();
 
   EXPECT_FALSE(serial_result.findings.empty());
   EXPECT_EQ(Dump(sharded_result.findings), Dump(serial_result.findings));
 }
 
-TEST(AnalysisSession, IncrementalSingleEditMatchesColdAndStaysLocal) {
+TEST(AnalysisSession, SingleEditRelinkMatchesCold) {
   const int kModules = 10;
   const int kFunctions = 64;
   std::vector<ModuleSources> corpus = MakeCorpus(kModules, 700, kFunctions);
   const std::string edited = "mod_03";
+  const std::string px = Prefix(edited);
 
   AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  session.Run();
+  session.RunLinked();
+  // Nothing dirty: the relink reuses every module.
+  EXPECT_EQ(session.RunLinked().modules_reused, kModules);
 
-  // Edit one low-index function; only its module is re-analyzed.
-  ASSERT_TRUE(session.ReplaceFunction(edited, SynthFuncName(5), BlockingLeaf(5)));
-  SessionResult warm = session.Run();
-  EXPECT_EQ(warm.modules_analyzed, 1);
-  EXPECT_EQ(warm.modules_reused, kModules - 1);
+  // Edit one low-index function; the corpus is the re-analysis unit.
+  ASSERT_TRUE(session.ReplaceFunction(edited, SynthFuncName(px, 5), BlockingLeaf(px, 5)));
+  SessionResult warm = session.RunLinked();
+  EXPECT_EQ(warm.modules_analyzed, kModules);
 
   // Byte-for-byte identical to a cold session over the edited sources.
   AnalysisSession cold = TestPipeline().ForEachModule(corpus).BuildSession();
-  ASSERT_TRUE(cold.ReplaceFunction(edited, SynthFuncName(5), BlockingLeaf(5)));
-  SessionResult cold_result = cold.Run();
+  ASSERT_TRUE(cold.ReplaceFunction(edited, SynthFuncName(px, 5), BlockingLeaf(px, 5)));
+  SessionResult cold_result = cold.RunLinked();
   EXPECT_FALSE(cold_result.findings.empty());
   EXPECT_EQ(Dump(warm.findings), Dump(cold_result.findings));
 }
 
-TEST(AnalysisSession, InvalidateWithoutEditReanalyzesWarmAndIdentical) {
+TEST(AnalysisSession, InvalidateWithoutEditRelinksIdentically) {
   std::vector<ModuleSources> corpus = MakeCorpus(4, 900, 48);
   AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  std::string golden = Dump(session.Run().findings);
+  std::string golden = Dump(session.RunLinked().findings);
 
   session.Invalidate("mod_01");
-  SessionResult warm = session.Run();
-  EXPECT_EQ(warm.modules_analyzed, 1);
+  SessionResult warm = session.RunLinked();
+  EXPECT_EQ(warm.modules_analyzed, 4);
   EXPECT_EQ(Dump(warm.findings), golden);
 }
 
@@ -175,23 +160,23 @@ TEST(AnalysisSession, RandomizedEditSequencesMatchColdRuns) {
     PipelineBuilder warm_builder = TestPipeline();
     warm_builder.ShardFunctions(2).ForEachModule(corpus);
     AnalysisSession session = warm_builder.BuildSession();
-    session.Run();
+    session.RunLinked();
 
     Rng rng(seed);
-    std::vector<std::pair<std::string, std::pair<int, std::string>>> edits;
+    std::vector<std::pair<std::string, std::pair<std::string, std::string>>> edits;
     for (int step = 0; step < 4; ++step) {
       int m = static_cast<int>(rng.Below(kModules));
       char name[16];
       std::snprintf(name, sizeof(name), "mod_%02d", m);
       int fn = 1 + static_cast<int>(rng.Below(kFunctions - 2));
-      std::string def = VariantFor(rng.Below(3), fn, kFunctions);
-      ASSERT_TRUE(session.ReplaceFunction(name, SynthFuncName(fn), def))
-          << name << " " << SynthFuncName(fn);
-      edits.push_back({name, {fn, def}});
+      const std::string fname = SynthFuncName(Prefix(name), fn);
+      std::string def = VariantFor(rng.Below(3), Prefix(name), fn, kFunctions);
+      ASSERT_TRUE(session.ReplaceFunction(name, fname, def)) << name << " " << fname;
+      edits.push_back({name, {fname, def}});
 
-      SessionResult warm = session.Run();
+      SessionResult warm = session.RunLinked();
       EXPECT_EQ(warm.compile_failures, 0) << "seed " << seed << " step " << step;
-      EXPECT_EQ(warm.modules_analyzed, 1);
+      EXPECT_EQ(warm.modules_analyzed, kModules);
 
       // Cold replay: a fresh session over the original corpus with the same
       // edit sequence applied, run once from scratch.
@@ -199,9 +184,9 @@ TEST(AnalysisSession, RandomizedEditSequencesMatchColdRuns) {
       cold_builder.ShardFunctions(2).ForEachModule(corpus);
       AnalysisSession cold = cold_builder.BuildSession();
       for (const auto& [mod, edit] : edits) {
-        ASSERT_TRUE(cold.ReplaceFunction(mod, SynthFuncName(edit.first), edit.second));
+        ASSERT_TRUE(cold.ReplaceFunction(mod, edit.first, edit.second));
       }
-      SessionResult cold_result = cold.Run();
+      SessionResult cold_result = cold.RunLinked();
       EXPECT_EQ(Dump(warm.findings), Dump(cold_result.findings))
           << "seed " << seed << " step " << step;
     }
@@ -210,13 +195,14 @@ TEST(AnalysisSession, RandomizedEditSequencesMatchColdRuns) {
 
 TEST(AnalysisSession, CompileFailureIsSurfacedAndRecovers) {
   std::vector<ModuleSources> corpus = MakeCorpus(3, 1500, 48);
+  const std::string px = Prefix("mod_01");
   AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  std::string golden = Dump(session.Run().findings);
+  std::string golden = Dump(session.RunLinked().findings);
 
   ASSERT_TRUE(session.ReplaceFunction(
-      "mod_01", SynthFuncName(3),
-      "void " + SynthFuncName(3) + "(int n) {\n  this is not mini c;\n}\n"));
-  SessionResult broken = session.Run();
+      "mod_01", SynthFuncName(px, 3),
+      "void " + SynthFuncName(px, 3) + "(int n) {\n  this is not mini c;\n}\n"));
+  SessionResult broken = session.RunLinked();
   EXPECT_EQ(broken.compile_failures, 1);
   const ModuleRunResult* bad = broken.ModuleFor("mod_01");
   ASSERT_NE(bad, nullptr);
@@ -228,25 +214,32 @@ TEST(AnalysisSession, CompileFailureIsSurfacedAndRecovers) {
                 f.severity == FindingSeverity::kError;
   }
   EXPECT_TRUE(surfaced);
-  // The other modules' cached results survived.
-  EXPECT_EQ(broken.modules_reused, 2);
+  // The rest of the corpus was still analyzed.
+  for (const char* other : {"mod_00", "mod_02"}) {
+    const ModuleRunResult* good = broken.ModuleFor(other);
+    ASSERT_NE(good, nullptr) << other;
+    EXPECT_TRUE(good->ok) << other;
+    EXPECT_FALSE(good->result.findings.empty()) << other;
+  }
 
   // Fixing the function gives exactly what a cold session over the fixed
   // sources reports.
-  ASSERT_TRUE(session.ReplaceFunction("mod_01", SynthFuncName(3), QuietLeaf(3)));
-  SessionResult fixed = session.Run();
+  ASSERT_TRUE(session.ReplaceFunction("mod_01", SynthFuncName(px, 3), QuietLeaf(px, 3)));
+  SessionResult fixed = session.RunLinked();
   EXPECT_EQ(fixed.compile_failures, 0);
 
   AnalysisSession cold = TestPipeline().ForEachModule(corpus).BuildSession();
-  ASSERT_TRUE(cold.ReplaceFunction("mod_01", SynthFuncName(3), QuietLeaf(3)));
-  EXPECT_EQ(Dump(fixed.findings), Dump(cold.Run().findings));
+  ASSERT_TRUE(cold.ReplaceFunction("mod_01", SynthFuncName(px, 3), QuietLeaf(px, 3)));
+  EXPECT_EQ(Dump(fixed.findings), Dump(cold.RunLinked().findings));
   EXPECT_NE(Dump(fixed.findings), golden);  // the edit is visible
 }
 
 TEST(AnalysisSession, ReplaceFunctionUnknownTargets) {
   std::vector<ModuleSources> corpus = MakeCorpus(2, 1600, 48);
   AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  EXPECT_FALSE(session.ReplaceFunction("no_such_module", SynthFuncName(1), QuietLeaf(1)));
+  EXPECT_FALSE(
+      session.ReplaceFunction("no_such_module", SynthFuncName(Prefix("mod_00"), 1),
+                              QuietLeaf(Prefix("mod_00"), 1)));
   EXPECT_FALSE(session.ReplaceFunction("mod_00", "no_such_function",
                                        "void no_such_function(int n) { pad[0] = n; }"));
   // Builtin *declarations* (e.g. msleep in the prelude) are not definitions
@@ -284,7 +277,7 @@ TEST(AnalysisSession, ReplaceFunctionBodyWithBraceLiterals) {
       "zeta(int n) { return n; }\n";
   std::vector<ModuleSources> corpus{{"m", {SourceFile{"m.mc", text}}}};
   AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult first = session.Run();
+  SessionResult first = session.RunLinked();
   ASSERT_EQ(first.compile_failures, 0)
       << first.ModuleFor("m")->compile_errors;
   auto mayblock_count = [](const SessionResult& r) {
@@ -298,7 +291,7 @@ TEST(AnalysisSession, ReplaceFunctionBodyWithBraceLiterals) {
   // a miscounting scanner would splice into beta's string instead.
   ASSERT_TRUE(session.ReplaceFunction(
       "m", "gamma", "void gamma(int n) {\n  udelay(n);\n}\n"));
-  SessionResult second = session.Run();
+  SessionResult second = session.RunLinked();
   ASSERT_EQ(second.compile_failures, 0)
       << second.ModuleFor("m")->compile_errors;
   EXPECT_EQ(mayblock_count(second), 1);  // only beta still blocks
@@ -306,7 +299,7 @@ TEST(AnalysisSession, ReplaceFunctionBodyWithBraceLiterals) {
   // And replace beta itself, whose own body holds the "}" literals.
   ASSERT_TRUE(session.ReplaceFunction(
       "m", "beta", "void beta(int n) {\n  udelay(n);\n}\n"));
-  SessionResult third = session.Run();
+  SessionResult third = session.RunLinked();
   ASSERT_EQ(third.compile_failures, 0) << third.ModuleFor("m")->compile_errors;
   EXPECT_EQ(mayblock_count(third), 0);
 
@@ -314,7 +307,7 @@ TEST(AnalysisSession, ReplaceFunctionBodyWithBraceLiterals) {
   // starts at it, so no stray `int` is left above the new signature.
   ASSERT_TRUE(session.ReplaceFunction(
       "m", "delta", "int delta(int n) {\n  msleep(n);\n  return n;\n}\n"));
-  SessionResult fourth = session.Run();
+  SessionResult fourth = session.RunLinked();
   ASSERT_EQ(fourth.compile_failures, 0) << fourth.ModuleFor("m")->compile_errors;
   EXPECT_EQ(mayblock_count(fourth), 1);  // delta now blocks
 
@@ -322,7 +315,7 @@ TEST(AnalysisSession, ReplaceFunctionBodyWithBraceLiterals) {
   // the splice starts right after its closing brace.
   ASSERT_TRUE(session.ReplaceFunction(
       "m", "zeta", "int zeta(int n) {\n  msleep(n);\n  return n;\n}\n"));
-  SessionResult fifth = session.Run();
+  SessionResult fifth = session.RunLinked();
   ASSERT_EQ(fifth.compile_failures, 0) << fifth.ModuleFor("m")->compile_errors;
   EXPECT_EQ(mayblock_count(fifth), 2);  // delta and zeta
   auto defined = [](const SessionResult& r) {
@@ -334,7 +327,7 @@ TEST(AnalysisSession, ReplaceFunctionBodyWithBraceLiterals) {
 TEST(AnalysisSession, AnnoDbCarriesProvenanceAndRetracts) {
   std::vector<ModuleSources> corpus = MakeCorpus(3, 1700, 48);
   AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
-  session.Run();
+  session.RunLinked();
 
   AnnoDb db = session.ExportAnnoDb();
   ASSERT_FALSE(db.findings().empty());
@@ -380,12 +373,13 @@ TEST(AnalysisSession, AnnoDbCarriesProvenanceAndRetracts) {
 
   // After an edit, the re-exported repository reflects exactly the new
   // corpus state (retract + re-merge happens inside the session).
-  ASSERT_TRUE(session.ReplaceFunction("mod_01", SynthFuncName(2), BlockingLeaf(2)));
-  session.Run();
+  const std::string px = Prefix("mod_01");
+  ASSERT_TRUE(session.ReplaceFunction("mod_01", SynthFuncName(px, 2), BlockingLeaf(px, 2)));
+  session.RunLinked();
   AnnoDb db2 = session.ExportAnnoDb();
   AnalysisSession cold = TestPipeline().ForEachModule(corpus).BuildSession();
-  ASSERT_TRUE(cold.ReplaceFunction("mod_01", SynthFuncName(2), BlockingLeaf(2)));
-  cold.Run();
+  ASSERT_TRUE(cold.ReplaceFunction("mod_01", SynthFuncName(px, 2), BlockingLeaf(px, 2)));
+  cold.RunLinked();
   EXPECT_EQ(db2.ToJson().Dump(), cold.ExportAnnoDb().ToJson().Dump());
 }
 

@@ -541,24 +541,5 @@ TEST(SessionLinked, CancelledLinkPublishesNothingAndResumes) {
   EXPECT_EQ(rows(session), rows(cold));
 }
 
-TEST(SessionLinked, UnlinkedRunStaysIndependent) {
-  // Run() (no link stage) must keep its historical semantics: modules
-  // analyzed as independent programs, no imported facts.
-  LinkedCorpusOptions opt;
-  opt.modules = 2;
-  opt.functions = 20;
-  opt.seed = 33;
-  std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
-
-  AnalysisSession plain = LinkedPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult unlinked = plain.Run();
-  AnalysisSession linked = LinkedPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult converged = linked.RunLinked();
-
-  // The linked run sees strictly more: cross-module facts add findings.
-  EXPECT_NE(Dump(unlinked.findings), Dump(converged.findings));
-  EXPECT_GT(converged.findings.size(), unlinked.findings.size());
-}
-
 }  // namespace
 }  // namespace ivy

@@ -9,7 +9,9 @@
 //      session + edit equals a cold session + same edit.
 //   3. Recovery: a store saved with a module dirty loads that module dirty
 //      and the next link re-derives the identical result.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -204,6 +206,19 @@ TEST(StoreFormat, FileRoundTripAndMissingFile) {
   err.clear();
   EXPECT_FALSE(WriteStoreFile(path.get() + ".nope/x.store", sf, &err));
   EXPECT_FALSE(err.empty());
+}
+
+TEST(StoreFormat, OversizedFileRejectedBeforeRead) {
+  StorePath path("oversized");
+  // Sparse: one byte over the cap, with no data blocks behind it.
+  const int fd = ::open(path.get().c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(kMaxStoreBytes + 1)), 0);
+  ASSERT_EQ(::close(fd), 0);
+  StoreFile sf;
+  std::string err;
+  EXPECT_FALSE(ReadStoreFile(path.get(), &sf, &err));
+  EXPECT_NE(err.find("exceeds the size cap"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------

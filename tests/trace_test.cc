@@ -394,12 +394,7 @@ TEST(TraceDeterminism, TracedStoreRoundTripRecordsStoreSpans) {
 
 // The cost contract on the compile path: with tracing off, compiling records
 // nothing — the histograms' counts do not move. The same work traced does
-// record, so the silence comes from the gate. A linked run compiles the
-// corpus as one program; an unlinked Run() compiles each module.
-void CompileLinkedAndPerModule(const LinkedCorpusOptions& opt) {
-  CanonicalRun(opt);
-  SynthServePipeline().ForEachModule(GenerateLinkedCorpus(opt)).BuildSession().Run();
-}
+// record, so the silence comes from the gate.
 
 TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
   TraceGuard guard;
@@ -416,14 +411,14 @@ TEST(TraceCostContract, UntracedCompileRecordsNoFrontendMetrics) {
   auto comp = SynthServePipeline().Build().Compile(
       {SourceFile{"t.mc", "int f(int n) { return n + 1; }\n"}});
   ASSERT_TRUE(comp->ok) << comp->Errors();
-  CompileLinkedAndPerModule(PropertyCorpus(5));
+  CanonicalRun(PropertyCorpus(5));
   const std::vector<uint64_t> untraced = counts();
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(untraced[i], before[i]) << kNames[i];
   }
 
   trace::SetEnabled(true);
-  CompileLinkedAndPerModule(PropertyCorpus(5));
+  CanonicalRun(PropertyCorpus(5));
   trace::SetEnabled(false);
   const std::vector<uint64_t> traced = counts();
   for (size_t i = 0; i < before.size(); ++i) {

@@ -177,7 +177,7 @@ TEST(WorkloadPass, SessionExportCarriesModuleProvenance) {
                                 .RunWorkload({"wl_entry:4"})
                                 .ForEachModule({{"m_net", {SourceFile{"net.mc", src}}}})
                                 .BuildSession();
-  SessionResult sr = session.Run();
+  SessionResult sr = session.RunLinked();
   ASSERT_EQ(sr.compile_failures, 0);
   const Finding* f = FindContaining(sr.findings, "workload 'wl_entry' trapped");
   ASSERT_NE(f, nullptr);

@@ -631,7 +631,7 @@ int main(int argc, char** argv) {
                                        .FieldSensitive(false)
                                        .ForEachModule({{"kernel", ivy::KernelSources()}})
                                        .BuildSession();
-    ivy::SessionResult result = session.Run();
+    ivy::SessionResult result = session.RunLinked();
     if (result.compile_failures > 0) {
       std::fprintf(stderr, "annodb-query: kernel corpus failed to compile\n");
       return 1;
