@@ -479,6 +479,11 @@ BENCHMARK(BM_VmThroughputDeputy);
 // multi-corpus workload must not tax interactive --benchmark_filter runs.
 // ---------------------------------------------------------------------------
 
+double Median(std::vector<double> times) {
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
 template <typename F>
 double MedianMs(F&& fn, int reps = 3) {
   std::vector<double> times;
@@ -487,8 +492,7 @@ double MedianMs(F&& fn, int reps = 3) {
     fn();
     times.push_back(ivy::ElapsedMsSince(start_ns));
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return Median(std::move(times));
 }
 
 // Min-of-N: the right statistic for an overhead gate — the minimum is the
@@ -664,31 +668,52 @@ ivy::Json ServerBenchJson() {
   return srv;
 }
 
-// Persistent-store warm start: a cold RunLinked() + SaveStore, then a fresh
-// session (the restart shape: same corpus re-registered) LoadStore +
-// RunLinked. The warm restart is FATAL-checked byte-identical to the cold
-// run with zero module analyses.
+// The link table as canonical rows, one per line.
+std::string LinkTableCanon(const ivy::AnalysisSession& session) {
+  std::string out;
+  for (const auto& [key, row] : session.link_table().summaries()) {
+    out += row.Canonical();
+    out += '\n';
+  }
+  return out;
+}
+
+// Persistent-store warm start: a cold RunLinked(), then SaveStore timed on
+// its own, then a fresh session (the restart shape: same corpus
+// re-registered) LoadStore + RunLinked. The warm restart is FATAL-checked
+// byte-identical to the cold run — findings and link-table rows — with zero
+// module analyses.
 ivy::Json StoreBenchJson(const std::string& out_path) {
   const std::string spath = out_path + ".store.tmp";
   std::remove(spath.c_str());
   std::vector<ivy::ModuleSources> corpus = LinkedBenchCorpus();
 
+  // One loop times both phases apart: the cold run (session build +
+  // RunLinked) and the SaveStore that follows it.
   ivy::SessionResult cold_result;
+  std::string cold_rows;
   int cold_rounds = 0;
-  double cold_ms = MedianMs(
-      [&corpus, &cold_result, &cold_rounds, &spath] {
-        ivy::PipelineBuilder b = LinkedSessionPipeline();
-        b.ForEachModule(corpus);
-        ivy::AnalysisSession fresh = b.BuildSession();
-        cold_result = fresh.RunLinked();
-        cold_rounds = fresh.link_stats().rounds;
-        std::string err;
-        if (!fresh.SaveStore(spath, &err)) {
-          std::fprintf(stderr, "FATAL: store bench SaveStore: %s\n", err.c_str());
-          std::abort();
-        }
-      },
-      3);
+  std::vector<double> cold_times;
+  std::vector<double> save_times;
+  for (int rep = 0; rep < 3; ++rep) {
+    const uint64_t cold_start_ns = ivy::MonotonicNowNs();
+    ivy::PipelineBuilder b = LinkedSessionPipeline();
+    b.ForEachModule(corpus);
+    ivy::AnalysisSession fresh = b.BuildSession();
+    cold_result = fresh.RunLinked();
+    cold_times.push_back(ivy::ElapsedMsSince(cold_start_ns));
+    cold_rounds = fresh.link_stats().rounds;
+    cold_rows = LinkTableCanon(fresh);
+    const uint64_t save_start_ns = ivy::MonotonicNowNs();
+    std::string err;
+    if (!fresh.SaveStore(spath, &err)) {
+      std::fprintf(stderr, "FATAL: store bench SaveStore: %s\n", err.c_str());
+      std::abort();
+    }
+    save_times.push_back(ivy::ElapsedMsSince(save_start_ns));
+  }
+  const double cold_ms = Median(cold_times);
+  const double save_ms = Median(save_times);
 
   int64_t store_bytes = 0;
   {
@@ -697,25 +722,35 @@ ivy::Json StoreBenchJson(const std::string& out_path) {
   }
 
   ivy::SessionResult warm_result;
+  std::string warm_rows;
   int warm_rounds = 0;
   int warm_analyses = 0;
+  std::vector<double> load_times;
   double warm_ms = MedianMs(
-      [&corpus, &warm_result, &warm_rounds, &warm_analyses, &spath] {
+      [&corpus, &warm_result, &warm_rows, &warm_rounds, &warm_analyses, &load_times, &spath] {
         ivy::PipelineBuilder b = LinkedSessionPipeline();
         b.ForEachModule(corpus);
         ivy::AnalysisSession restarted = b.BuildSession();
         std::string err;
+        const uint64_t load_start_ns = ivy::MonotonicNowNs();
         if (!restarted.LoadStore(spath, &err)) {
           std::fprintf(stderr, "FATAL: store bench LoadStore: %s\n", err.c_str());
           std::abort();
         }
+        load_times.push_back(ivy::ElapsedMsSince(load_start_ns));
         warm_result = restarted.RunLinked();
+        warm_rows = LinkTableCanon(restarted);
         warm_rounds = restarted.link_stats().rounds;
         warm_analyses = restarted.link_stats().module_analyses;
       },
       3);
+  const double load_ms = Median(load_times);
   if (FindingsDump(warm_result.findings) != FindingsDump(cold_result.findings)) {
     std::fprintf(stderr, "FATAL: warm-started findings diverge from cold run\n");
+    std::abort();
+  }
+  if (warm_rows != cold_rows) {
+    std::fprintf(stderr, "FATAL: warm-started link-table rows diverge from cold run\n");
     std::abort();
   }
   if (warm_analyses != 0) {
@@ -728,15 +763,17 @@ ivy::Json StoreBenchJson(const std::string& out_path) {
   st["modules"] = ivy::Json::MakeInt(static_cast<int64_t>(corpus.size()));
   st["cold_linked_us"] = ivy::Json::MakeInt(static_cast<int64_t>(cold_ms * 1000));
   st["rounds_cold"] = ivy::Json::MakeInt(cold_rounds);
+  st["save_us"] = ivy::Json::MakeInt(static_cast<int64_t>(save_ms * 1000));
   st["store_bytes"] = ivy::Json::MakeInt(store_bytes);
+  st["load_us"] = ivy::Json::MakeInt(static_cast<int64_t>(load_ms * 1000));
   st["warm_restart_us"] = ivy::Json::MakeInt(static_cast<int64_t>(warm_ms * 1000));
   st["rounds_warm"] = ivy::Json::MakeInt(warm_rounds);
   st["warm_module_analyses"] = ivy::Json::MakeInt(warm_analyses);
   st["identical_to_cold"] = ivy::Json::MakeBool(true);
   std::fprintf(stderr,
-               "BENCH store: cold=%.1fms (%d rounds) warm_restart=%.1fms "
-               "(%d rounds, 0 analyses) store=%lld bytes\n",
-               cold_ms, cold_rounds, warm_ms, warm_rounds,
+               "BENCH store: cold=%.1fms (%d rounds) save=%.1fms load=%.1fms "
+               "warm_restart=%.1fms (%d rounds, 0 analyses) store=%lld bytes\n",
+               cold_ms, cold_rounds, save_ms, load_ms, warm_ms, warm_rounds,
                static_cast<long long>(store_bytes));
   return st;
 }

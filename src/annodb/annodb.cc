@@ -205,9 +205,9 @@ bool FuncSummary::FromJson(const Json& j, FuncSummary* out, std::string* error) 
     for (const auto& [key, names] : v->object()) {
       // The writer emits std::to_string(idx) keys; anything else ("abc",
       // "01", "7x") used to atoi-alias onto parameter 0 and corrupt the
-      // escape sets. 4095 comfortably exceeds any real arity.
+      // escape sets.
       int idx = 0;
-      if (!ParseIndexStrict(key, 4095, &idx)) {
+      if (!ParseIndexStrict(key, kMaxParamIndex, &idx)) {
         if (error != nullptr) {
           *error = "bad param_points index \"" + key + "\" in summary row " +
                    s.module + ":" + s.function;

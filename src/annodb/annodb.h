@@ -53,6 +53,10 @@ struct RecordFacts {
   std::string module;  // provenance, as in FuncFacts
 };
 
+// The largest param_points index a summary row may carry, in JSON and in
+// the store; comfortably above any real arity.
+inline constexpr int kMaxParamIndex = 4095;
+
 // One function's cross-module summary — the link-stage fact table, keyed by
 // (module, function). A row is either a *definer* row (defined == true:
 // bottom-up facts about a function the module defines) or a *usage* row
@@ -95,7 +99,7 @@ struct FuncSummary {
   // parameter 0. On failure *out holds the fields parsed so far; callers
   // must discard it.
   static bool FromJson(const Json& j, FuncSummary* out, std::string* error);
-  // Canonical byte form — what the store persists and annolink prints.
+  // Canonical byte form — what annolink prints and wire replies carry.
   // Json objects are sorted maps, so this is stable.
   std::string Canonical() const { return ToJson().Dump(-1); }
 };

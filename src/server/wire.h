@@ -20,7 +20,7 @@
 //
 // Findings and summary rows travel as their *canonical JSON byte form*
 // (Finding::ToJson(nullptr).Dump(-1), FuncSummary::Canonical()) — the same
-// bytes the store persists and the byte-identity contract compares, so
+// bytes annolink prints and the byte-identity contract compares, so
 // "what the server returned" and "what a cold batch run produced" can be
 // diffed with memcmp.
 //

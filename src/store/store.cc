@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <tuple>
 
 #include "src/server/wire.h"
 
@@ -40,6 +41,156 @@ bool WriteAll(int fd, const std::string& bytes) {
   }
   return true;
 }
+
+// One field list per record type drives both directions — Put encodes,
+// Get decodes — so the encoder and the total decoder cannot drift apart
+// (see store.h for which fields each row kind lists).
+template <typename Io, typename F>
+bool FindingFields(Io& io, F& f) {
+  return io(f.tool) && io(f.severity) && io(f.loc.file) && io(f.loc.line) && io(f.loc.col) &&
+         io(f.message) && io(f.witness);
+}
+
+template <typename Io, typename S>
+bool SummaryFields(Io& io, S& s) {
+  if (!io(s.module) || !io(s.function) || !io(s.defined)) {
+    return false;
+  }
+  if (!s.defined) {
+    return io(s.entered_atomic) && io(s.entered_in_irq) && io(s.param_points);
+  }
+  return io(s.may_block) && io(s.block_witness) && io(s.blocking) && io(s.noblock) &&
+         io(s.blocking_if_param) && io(s.returns_error) && io(s.errcodes) &&
+         io(s.frame_size) && io(s.callees) && io(s.returns_points) &&
+         io(s.locks_acquired) && io(s.stack_below) && io(s.cross_recursive);
+}
+
+template <typename Io, typename M>
+bool ModuleFields(Io& io, M& m) {
+  return io(m.name) && io(m.source_digest) && io(m.files) && io(m.analyzed) && io(m.ok) &&
+         io(m.compile_errors) && io(m.findings);
+}
+
+// A bool is one 0/1 byte; signed fields travel as their two's-complement
+// bit pattern; a sequence is a u32 count and its elements.
+class Put {
+ public:
+  explicit Put(WireWriter& w) : w_(w) {}
+
+  bool operator()(bool v) { w_.PutU8(v ? 1 : 0); return true; }
+  bool operator()(FindingSeverity v) { w_.PutU8(static_cast<uint8_t>(v)); return true; }
+  bool operator()(int32_t v) { w_.PutU32(static_cast<uint32_t>(v)); return true; }
+  bool operator()(int64_t v) { return (*this)(static_cast<uint64_t>(v)); }
+  bool operator()(uint64_t v) { w_.PutU64(v); return true; }
+  bool operator()(const std::string& v) { w_.PutStr(v); return true; }
+  bool operator()(const std::pair<std::string, std::string>& v) {
+    return (*this)(v.first) && (*this)(v.second);
+  }
+  bool operator()(const Finding& f) { return FindingFields(*this, f); }
+  bool operator()(const FuncSummary& s) { return SummaryFields(*this, s); }
+  bool operator()(const StoreModule& m) { return ModuleFields(*this, m); }
+  template <typename T>
+  bool operator()(const std::vector<T>& v) {
+    w_.PutU32(static_cast<uint32_t>(v.size()));
+    for (const T& e : v) {
+      (*this)(e);
+    }
+    return true;
+  }
+  bool operator()(const std::map<int, std::vector<std::string>>& points) {
+    w_.PutU32(static_cast<uint32_t>(points.size()));
+    for (const auto& [idx, names] : points) {
+      w_.PutU32(static_cast<uint32_t>(idx));
+      (*this)(names);
+    }
+    return true;
+  }
+
+ private:
+  WireWriter& w_;
+};
+
+// Rejects every value outside its field's domain, and every count beyond
+// `limit` (the body size: each element is at least one byte long).
+class Get {
+ public:
+  Get(WireReader& r, size_t limit) : r_(r), limit_(limit) {}
+
+  bool operator()(bool& v) { return Byte(v, 1); }
+  bool operator()(FindingSeverity& v) {
+    return Byte(v, static_cast<uint8_t>(FindingSeverity::kError));
+  }
+  bool operator()(int32_t& v) { return Signed(v, &WireReader::GetU32); }
+  bool operator()(int64_t& v) { return Signed(v, &WireReader::GetU64); }
+  bool operator()(uint64_t& v) { return r_.GetU64(&v); }
+  bool operator()(std::string& v) { return r_.GetStr(&v); }
+  bool operator()(std::pair<std::string, std::string>& v) {
+    return (*this)(v.first) && (*this)(v.second);
+  }
+  bool operator()(Finding& f) { return FindingFields(*this, f); }
+  bool operator()(FuncSummary& s) { return SummaryFields(*this, s) && s.stack_below >= -1; }
+  bool operator()(StoreModule& m) { return ModuleFields(*this, m); }
+  template <typename T>
+  bool operator()(std::vector<T>& v) {
+    uint32_t n = 0;
+    if (!Count(&n)) {
+      return false;
+    }
+    v.clear();
+    for (uint32_t i = 0; i < n; ++i) {
+      v.emplace_back();
+      if (!(*this)(v.back())) {
+        return false;
+      }
+    }
+    return true;
+  }
+  // Indices ascend strictly and stay within kMaxParamIndex — the bound
+  // FuncSummary::FromJson enforces on the JSON keys.
+  bool operator()(std::map<int, std::vector<std::string>>& points) {
+    uint32_t n = 0;
+    if (!Count(&n)) {
+      return false;
+    }
+    int prev = -1;
+    for (uint32_t i = 0; i < n; ++i) {
+      uint32_t idx = 0;
+      if (!r_.GetU32(&idx) || idx > static_cast<uint32_t>(kMaxParamIndex) ||
+          static_cast<int>(idx) <= prev) {
+        return false;
+      }
+      prev = static_cast<int>(idx);
+      if (!(*this)(points[prev])) {
+        return false;
+      }
+    }
+    return true;
+  }
+  bool Count(uint32_t* n) { return r_.GetU32(n) && *n <= limit_; }
+
+ private:
+  template <typename T>
+  bool Byte(T& v, uint8_t max) {
+    uint8_t b = 0;
+    if (!r_.GetU8(&b) || b > max) {
+      return false;
+    }
+    v = static_cast<T>(b);
+    return true;
+  }
+  template <typename Int, typename Uint>
+  bool Signed(Int& v, bool (WireReader::*get)(Uint*)) {
+    Uint u = 0;
+    if (!(r_.*get)(&u)) {
+      return false;
+    }
+    v = static_cast<Int>(u);
+    return true;
+  }
+
+  WireReader& r_;
+  size_t limit_;
+};
 
 }  // namespace
 
@@ -76,41 +227,19 @@ uint64_t SourcesDigest(const std::vector<std::pair<std::string, std::string>>& f
 // ---------------------------------------------------------------------------
 
 std::string EncodeStore(const StoreFile& sf) {
-  std::string out;
-  out.push_back(static_cast<char>(kStoreMagic0));
-  out.push_back(static_cast<char>(kStoreMagic1));
-  out.push_back(static_cast<char>(kStoreVersion));
-  uint8_t flags = 0;
-  if (sf.linked) {
-    flags |= kStoreFlagLinked;
-  }
-  out.push_back(static_cast<char>(flags));
-
   WireWriter w;
+  w.PutU8(kStoreMagic0);
+  w.PutU8(kStoreMagic1);
+  w.PutU8(kStoreVersion);
+  w.PutU8(sf.linked ? kStoreFlagLinked : 0);
   w.PutU64(sf.corpus_digest);
+  Put put(w);
   w.PutU32(static_cast<uint32_t>(sf.modules.size()));
   for (const auto& [name, m] : sf.modules) {
-    (void)name;
-    w.PutStr(m.name);
-    w.PutU64(m.source_digest);
-    w.PutU32(static_cast<uint32_t>(m.files.size()));
-    for (const auto& [fname, text] : m.files) {
-      w.PutStr(fname);
-      w.PutStr(text);
-    }
-    w.PutU8(m.analyzed ? 1 : 0);
-    w.PutU8(m.ok ? 1 : 0);
-    w.PutStr(m.compile_errors);
-    w.PutStrVec(m.findings_canon);
+    put(m);
   }
-  w.PutU32(static_cast<uint32_t>(sf.summaries.size()));
-  for (const auto& [key, canon] : sf.summaries) {
-    w.PutStr(key.first);
-    w.PutStr(key.second);
-    w.PutStr(canon);
-  }
-  out += w.Take();
-  return out;
+  put(sf.summaries);
+  return w.Take();
 }
 
 bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
@@ -141,47 +270,18 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
 
   const std::string body = bytes.substr(kStoreHeaderSize);
   WireReader r(body);
-  if (!r.GetU64(&out->corpus_digest)) {
-    SetErr(err, "truncated store body");
-    return false;
-  }
+  Get get(r, body.size());
   uint32_t module_count = 0;
-  if (!r.GetU32(&module_count) || module_count > body.size()) {
-    // Every record is several bytes long, so a count beyond the body size
-    // is malformed — reject it before looping (bounds, not trust).
-    SetErr(err, "bad module count");
+  if (!r.GetU64(&out->corpus_digest) || !get.Count(&module_count)) {
+    SetErr(err, "truncated corpus digest or bad module count");
     return false;
   }
-  for (uint32_t i = 0; i < module_count && r.ok(); ++i) {
+  for (uint32_t i = 0; i < module_count; ++i) {
     StoreModule m;
-    uint8_t analyzed = 0;
-    uint8_t ok = 0;
-    uint32_t file_count = 0;
-    if (!r.GetStr(&m.name) || !r.GetU64(&m.source_digest) ||
-        !r.GetU32(&file_count) || file_count > body.size()) {
+    if (!get(m)) {
       SetErr(err, "malformed module record");
       return false;
     }
-    for (uint32_t f = 0; f < file_count; ++f) {
-      std::string fname;
-      std::string text;
-      if (!r.GetStr(&fname) || !r.GetStr(&text)) {
-        SetErr(err, "malformed module sources");
-        return false;
-      }
-      m.files.emplace_back(std::move(fname), std::move(text));
-    }
-    if (!r.GetU8(&analyzed) || !r.GetU8(&ok) || !r.GetStr(&m.compile_errors) ||
-        !r.GetStrVec(&m.findings_canon)) {
-      SetErr(err, "malformed module record");
-      return false;
-    }
-    if (analyzed > 1 || ok > 1) {
-      SetErr(err, "malformed module flags");
-      return false;
-    }
-    m.analyzed = analyzed != 0;
-    m.ok = ok != 0;
     if (m.name.empty() || out->modules.count(m.name) != 0) {
       SetErr(err, "empty or duplicate module name in store");
       return false;
@@ -189,20 +289,19 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
     std::string key = m.name;
     out->modules.emplace(std::move(key), std::move(m));
   }
-  uint32_t summary_count = 0;
-  if (!r.GetU32(&summary_count) || summary_count > body.size()) {
-    SetErr(err, "bad summary count");
+  if (!get(out->summaries)) {
+    SetErr(err, "malformed summary rows");
     return false;
   }
-  for (uint32_t i = 0; i < summary_count; ++i) {
-    std::string module;
-    std::string function;
-    std::string canon;
-    if (!r.GetStr(&module) || !r.GetStr(&function) || !r.GetStr(&canon)) {
-      SetErr(err, "malformed summary row");
+  // Strictly ascending keys: the table is a map, so rows out of order or
+  // repeated cannot have come from a session.
+  for (size_t i = 1; i < out->summaries.size(); ++i) {
+    const FuncSummary& prev = out->summaries[i - 1];
+    const FuncSummary& row = out->summaries[i];
+    if (std::tie(prev.module, prev.function) >= std::tie(row.module, row.function)) {
+      SetErr(err, "summary rows out of order or duplicated");
       return false;
     }
-    out->summaries[{std::move(module), std::move(function)}] = std::move(canon);
   }
   if (!r.Finish()) {
     SetErr(err, "trailing bytes after store payload");

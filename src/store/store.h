@@ -19,15 +19,22 @@
 //   u32  module_count
 //        per module:            name, source digest, sources, and — when
 //                               `analyzed` — the compile outcome and the
-//                               module's unstamped canonical findings
+//                               module's unstamped findings (every field
+//                               but `module`)
 //   u32  summary_count
-//        per row:               module, function, FuncSummary::Canonical()
+//        per row:               FuncSummary fields, strictly ascending by
+//                               (module, function)
 //
+// A summary row writes its definer-only fields only when `defined` is set
+// and its usage-only fields only when it is not — the fields
+// FuncSummary::ToJson renders — so encode(decode(x)) == x byte for byte.
 // Every field of a module record is always written (zeroed when
-// !analyzed), so the decoder is total: fixed schema, no optional sections.
-// Decoders are bounds-checked in the wire.h style — truncated, oversized,
-// or mutated input returns false, never a crash (fuzzed in
-// tests/store_test.cc).
+// !analyzed). Decoders are total in the wire.h style: counts are bounded by
+// the body size, out-of-domain values (a bool byte above 1, a severity
+// above 2, stack_below below -1, param_points indices not ascending or
+// above kMaxParamIndex, rows out of key order) are rejected, and Finish()
+// demands exact consumption. Truncated, oversized or mutated input returns
+// false, never a crash (fuzzed in tests/store_test.cc).
 //
 // Version policy: strict. kStoreVersion bumps on any schema change and a
 // version mismatch rejects the file — a store is a cache of re-derivable
@@ -49,6 +56,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/annodb/annodb.h"
+#include "src/tool/finding.h"
+
 namespace ivy {
 
 inline constexpr uint8_t kStoreMagic0 = 0xA7;
@@ -56,7 +66,9 @@ inline constexpr uint8_t kStoreMagic1 = 0xD5;
 // v3: the link stage became one whole-corpus run, so a module record keeps
 // only sources, compile outcome and findings (v2's fingerprints, import
 // signature and link name sets are gone, and so is the converged flag).
-inline constexpr uint8_t kStoreVersion = 3;
+// v4: findings and summary rows are typed fields instead of canonical JSON
+// strings, so a load decodes them without parsing or re-canonicalizing.
+inline constexpr uint8_t kStoreVersion = 4;
 inline constexpr uint8_t kStoreFlagLinked = 1u << 0;
 inline constexpr size_t kStoreHeaderSize = 4;
 // A store holds sources + facts for one corpus; far below this in practice.
@@ -73,17 +85,19 @@ struct StoreModule {
   bool analyzed = false;
   bool ok = false;  // compiled successfully (false: compile_errors applies)
   std::string compile_errors;
-  // Unstamped canonical finding JSON (Finding::ToJson(nullptr).Dump(-1)),
-  // exactly what the session caches per module.
-  std::vector<std::string> findings_canon;
+  // Unstamped findings (empty `module`), exactly what the session caches
+  // per module.
+  std::vector<Finding> findings;
 };
 
 struct StoreFile {
   uint64_t corpus_digest = 0;
-  bool linked = false;  // a RunLinked() table (vs per-module Run() only)
+  // The table came from a RunLinked() over the stored module set (the
+  // session's linked_: false after a RemoveModule, until the next link).
+  bool linked = false;
   std::map<std::string, StoreModule> modules;
-  // (module, function) -> FuncSummary::Canonical()
-  std::map<std::pair<std::string, std::string>, std::string> summaries;
+  // The link table, in strictly ascending (module, function) order.
+  std::vector<FuncSummary> summaries;
 };
 
 // In-memory encode/decode (the unit the format tests fuzz).

@@ -34,48 +34,6 @@ std::vector<std::pair<std::string, std::string>> FilePairs(
   return out;
 }
 
-// Strict parse of one stored summary row; the store's canon strings must
-// round-trip exactly, or a warm start would print different bytes.
-bool ParseSummaryRow(const std::pair<std::string, std::string>& key,
-                     const std::string& canon, FuncSummary* out, std::string* err) {
-  std::string jerr;
-  Json j = Json::Parse(canon, &jerr);
-  if (!jerr.empty()) {
-    SetErr(err, "bad summary row " + key.first + ":" + key.second + ": " + jerr);
-    return false;
-  }
-  std::string serr;
-  if (!FuncSummary::FromJson(j, out, &serr)) {
-    SetErr(err, "bad summary row " + key.first + ":" + key.second + ": " + serr);
-    return false;
-  }
-  if (out->module != key.first || out->function != key.second) {
-    SetErr(err, "summary row key mismatch for " + key.first + ":" + key.second);
-    return false;
-  }
-  if (out->Canonical() != canon) {
-    SetErr(err, "summary row " + key.first + ":" + key.second +
-                    " is not in canonical form");
-    return false;
-  }
-  return true;
-}
-
-bool ParseFindings(const StoreModule& rec, std::vector<Finding>* out,
-                   std::string* err) {
-  out->clear();
-  for (const std::string& canon : rec.findings_canon) {
-    std::string jerr;
-    Json j = Json::Parse(canon, &jerr);
-    if (!jerr.empty()) {
-      SetErr(err, "bad finding in store record '" + rec.name + "': " + jerr);
-      return false;
-    }
-    out->push_back(Finding::FromJson(j));
-  }
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,18 +97,16 @@ bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const
       m.ok = st->ok;
       m.compile_errors = st->compile_errors;
       if (st->ok) {
-        for (const Finding& f : st->result.findings) {
-          // Unstamped, location-raw canonical form — exactly the per-module
-          // cache the session stamps, so a restored module merges
-          // byte-identically.
-          m.findings_canon.push_back(f.ToJson(nullptr).Dump(-1));
-        }
+        // Unstamped, location-raw — exactly the per-module cache the
+        // session stamps, so a restored module merges byte-identically.
+        m.findings = st->result.findings;
       }
     }
     sf.modules.emplace(name, std::move(m));
   }
+  sf.summaries.reserve(link_table_.summaries().size());
   for (const auto& [key, row] : link_table_.summaries()) {
-    sf.summaries[key] = row.Canonical();
+    sf.summaries.push_back(row);
   }
   return WriteStoreFile(path, sf, err);
 }
@@ -165,25 +121,10 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     SetErr(err, "store '" + path + "' has a stale corpus digest (the analysis recipe changed)");
     return false;
   }
-  // Validate everything up front: LoadStore either restores or leaves the
-  // session untouched — never half-warm.
-  std::vector<FuncSummary> rows;
-  rows.reserve(sf.summaries.size());
-  for (const auto& [key, canon] : sf.summaries) {
-    FuncSummary s;
-    if (!ParseSummaryRow(key, canon, &s, err)) {
-      return false;
-    }
-    rows.push_back(std::move(s));
-  }
-  std::map<std::string, std::vector<Finding>> findings;
-  for (const auto& [name, rec] : sf.modules) {
-    if (rec.analyzed && rec.ok && !ParseFindings(rec, &findings[name], err)) {
-      return false;
-    }
-  }
-
-  for (const auto& [name, rec] : sf.modules) {
+  // ReadStoreFile validated every record and row, so nothing below can
+  // fail: LoadStore either restores or leaves the session untouched —
+  // never half-warm.
+  for (auto& [name, rec] : sf.modules) {
     std::unique_ptr<ModuleState>& st = modules_[name];
     if (st != nullptr &&
         (!st->dirty || !rec.analyzed || SourcesDigest(FilePairs(st->files)) != rec.source_digest)) {
@@ -193,18 +134,18 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     // source edit re-analyzes the module cold, like any other edit. A record
     // stored mid-edit carries sources only and stays dirty.
     auto restored = std::make_unique<ModuleState>();
-    for (const auto& [fname, text] : rec.files) {
-      restored->files.push_back(SourceFile{fname, text});
+    for (auto& [fname, text] : rec.files) {
+      restored->files.push_back(SourceFile{std::move(fname), std::move(text)});
     }
     restored->dirty = !rec.analyzed;
     restored->ok = rec.ok;
-    restored->compile_errors = rec.compile_errors;
-    restored->result.findings = std::move(findings[name]);
+    restored->compile_errors = std::move(rec.compile_errors);
+    restored->result.findings = std::move(rec.findings);
     st = std::move(restored);
   }
 
   link_table_ = AnnoDb();
-  for (FuncSummary& s : rows) {
+  for (FuncSummary& s : sf.summaries) {
     link_table_.AddSummary(std::move(s));
   }
   linked_ = sf.linked;

@@ -15,7 +15,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/store/store.h"
@@ -68,6 +71,19 @@ class StorePath {
   std::string path_;
 };
 
+Finding SampleFinding(FindingSeverity severity, SourceLoc loc, std::string message,
+                      std::vector<std::string> witness) {
+  Finding f;
+  f.tool = "blockstop";
+  f.severity = severity;
+  f.loc = loc;
+  f.message = std::move(message);
+  f.witness = std::move(witness);
+  return f;
+}
+
+// Every field of every row kind holds a non-default value, so a field the
+// codec dropped or mis-ordered would show in the round trip.
 StoreFile SampleStore() {
   StoreFile sf;
   sf.corpus_digest = 0x0123456789abcdefull;
@@ -80,7 +96,12 @@ StoreFile SampleStore() {
   a.analyzed = true;
   a.ok = true;
   a.compile_errors = "warning\x01\x02";
-  a.findings_canon = {R"({"tool":"blockstop","message":"m"})"};
+  a.findings = {
+      SampleFinding(FindingSeverity::kNote, SourceLoc{0, 3, 7}, "note 'a'", {"a"}),
+      SampleFinding(FindingSeverity::kWarning, SourceLoc{1, 12, 1}, "warn",
+                    {"a", "calls b", "msleep"}),
+      SampleFinding(FindingSeverity::kError, SourceLoc{}, "no location", {}),
+  };
   sf.modules["alpha"] = a;
 
   StoreModule d;  // dirty at save time: sources only
@@ -89,9 +110,75 @@ StoreFile SampleStore() {
   d.source_digest = SourcesDigest(d.files);
   sf.modules["beta"] = d;
 
-  sf.summaries[{"alpha", "a"}] = R"({"module":"alpha","function":"a","defined":true})";
-  sf.summaries[{"beta", "c"}] = R"({"module":"beta","function":"c","defined":true})";
+  FuncSummary def;  // a definer row
+  def.module = "alpha";
+  def.function = "a";
+  def.defined = true;
+  def.may_block = true;
+  def.block_witness = "a -> msleep";
+  def.blocking = true;
+  def.noblock = true;
+  def.blocking_if_param = 2;
+  def.returns_error = true;
+  def.errcodes = {-12, -5, 7};
+  def.frame_size = 64;
+  def.callees = {"b", "msleep"};
+  def.returns_points = {"cb"};
+  def.locks_acquired = {"lk"};
+  def.stack_below = 96;
+  def.cross_recursive = true;
+  FuncSummary use;  // a usage row
+  use.module = "beta";
+  use.function = "c";
+  use.entered_atomic = true;
+  use.entered_in_irq = true;
+  use.param_points = {{0, {"f", "g"}}, {3, {"h"}}};
+  sf.summaries = {def, use};
   return sf;
+}
+
+std::string FindingsJson(const std::vector<Finding>& findings) {
+  std::string out;
+  for (const Finding& f : findings) {
+    out += f.ToJson().Dump(-1) + "\n";
+  }
+  return out;
+}
+
+std::string RowsCanon(const std::vector<FuncSummary>& rows) {
+  std::string out;
+  for (const FuncSummary& r : rows) {
+    out += r.Canonical() + "\n";
+  }
+  return out;
+}
+
+std::string TableCanon(const AnnoDb& table) {
+  std::string out;
+  for (const auto& [key, row] : table.summaries()) {
+    out += row.Canonical() + "\n";
+  }
+  return out;
+}
+
+// A store holding one summary row and nothing else.
+StoreFile OneRowStore(const FuncSummary& row) {
+  StoreFile sf;
+  sf.summaries = {row};
+  return sf;
+}
+
+// The byte offset of that row's `defined` flag in its encoding: header,
+// corpus digest, module count, summary count, then the row's module and
+// function strings.
+size_t DefinedFlagOffset(const FuncSummary& row) {
+  return kStoreHeaderSize + 8 + 4 + 4 + (4 + row.module.size()) + (4 + row.function.size());
+}
+
+bool Decodes(const std::string& bytes) {
+  StoreFile out;
+  std::string err;
+  return DecodeStore(bytes, &out, &err);
 }
 
 // ---------------------------------------------------------------------------
@@ -113,9 +200,9 @@ TEST(StoreFormat, RoundTrip) {
   EXPECT_TRUE(a.analyzed);
   EXPECT_TRUE(a.ok);
   EXPECT_EQ(a.compile_errors, sf.modules.at("alpha").compile_errors);
-  EXPECT_EQ(a.findings_canon, sf.modules.at("alpha").findings_canon);
+  EXPECT_EQ(FindingsJson(a.findings), FindingsJson(sf.modules.at("alpha").findings));
   EXPECT_FALSE(back.modules.at("beta").analyzed);
-  EXPECT_EQ(back.summaries, sf.summaries);
+  EXPECT_EQ(RowsCanon(back.summaries), RowsCanon(sf.summaries));
   // Deterministic bytes: re-encoding the decode is the identity.
   EXPECT_EQ(EncodeStore(back), bytes);
 }
@@ -152,6 +239,71 @@ TEST(StoreFormat, BadHeaderRejected) {
   bad[3] = static_cast<char>(bad[3] | 0x80);
   std::string err;
   EXPECT_FALSE(DecodeStore(bad, &out, &err));
+}
+
+TEST(StoreFormat, Version3Rejected) {
+  std::string bytes = EncodeStore(SampleStore());
+  bytes[2] = 3;
+  StoreFile out;
+  std::string err;
+  EXPECT_FALSE(DecodeStore(bytes, &out, &err));
+  EXPECT_NE(err.find("unsupported store version 3"), std::string::npos) << err;
+}
+
+TEST(StoreFormat, SummaryRowsOutOfOrderOrDuplicatedRejected) {
+  StoreFile swapped = SampleStore();
+  std::swap(swapped.summaries[0], swapped.summaries[1]);
+  StoreFile out;
+  std::string err;
+  EXPECT_FALSE(DecodeStore(EncodeStore(swapped), &out, &err));
+  EXPECT_NE(err.find("out of order"), std::string::npos) << err;
+
+  StoreFile dup = SampleStore();
+  dup.summaries.push_back(dup.summaries.back());
+  EXPECT_FALSE(DecodeStore(EncodeStore(dup), &out, &err));
+  EXPECT_NE(err.find("duplicated"), std::string::npos) << err;
+}
+
+TEST(StoreFormat, OutOfDomainFieldsRejected) {
+  FuncSummary use;
+  use.module = "m";
+  use.function = "f";
+  use.param_points = {{1, {}}, {2, {}}};
+  const std::string good = EncodeStore(OneRowStore(use));
+  ASSERT_TRUE(Decodes(good));
+
+  // A bool byte must be 0 or 1.
+  std::string bad = good;
+  ASSERT_EQ(bad[DefinedFlagOffset(use)], 0);
+  bad[DefinedFlagOffset(use)] = 2;
+  EXPECT_FALSE(Decodes(bad)) << "bool byte 2 accepted";
+
+  // param_points indices must ascend strictly: the row ends with the second
+  // entry's u32 index and its empty name list.
+  for (char idx : {'\x01', '\x00'}) {
+    bad = good;
+    bad[bad.size() - 8] = idx;
+    EXPECT_FALSE(Decodes(bad)) << "param_points index " << int{idx} << " after 1 accepted";
+  }
+
+  FuncSummary wide = use;
+  wide.param_points = {{kMaxParamIndex + 1, {"f"}}};
+  EXPECT_FALSE(Decodes(EncodeStore(OneRowStore(wide)))) << "param_points index 4096 accepted";
+  wide.param_points = {{kMaxParamIndex, {"f"}}};
+  EXPECT_TRUE(Decodes(EncodeStore(OneRowStore(wide))));
+
+  FuncSummary def;
+  def.module = "m";
+  def.function = "f";
+  def.defined = true;
+  def.stack_below = -2;
+  EXPECT_FALSE(Decodes(EncodeStore(OneRowStore(def)))) << "stack_below -2 accepted";
+  def.stack_below = -1;
+  EXPECT_TRUE(Decodes(EncodeStore(OneRowStore(def))));
+
+  StoreFile sev = SampleStore();
+  sev.modules.at("alpha").findings[0].severity = static_cast<FindingSeverity>(3);
+  EXPECT_FALSE(Decodes(EncodeStore(sev))) << "severity 3 accepted";
 }
 
 TEST(StoreFormat, RandomBytesFuzz) {
@@ -293,6 +445,30 @@ TEST(StoreSession, WarmEditMatchesColdEdit) {
   EXPECT_EQ(Dump(warm_result.findings), Dump(cold_result.findings));
 }
 
+TEST(StoreSession, SavedStoreReencodesAndRestoresTheLinkTable) {
+  StorePath path("reencode");
+  std::vector<ModuleSources> corpus = SmallCorpus();
+  AnalysisSession cold = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  cold.RunLinked();
+  std::string err;
+  ASSERT_TRUE(cold.SaveStore(path.get(), &err)) << err;
+
+  // encode(decode(x)) == x on a real session's store.
+  std::ifstream in(path.get(), std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  StoreFile sf;
+  ASSERT_TRUE(DecodeStore(bytes, &sf, &err)) << err;
+  ASSERT_FALSE(sf.summaries.empty());
+  EXPECT_EQ(EncodeStore(sf), bytes);
+
+  // The restored link table renders the cold run's canonical rows.
+  AnalysisSession warm = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  ASSERT_TRUE(warm.LoadStore(path.get(), &err)) << err;
+  EXPECT_EQ(TableCanon(warm.link_table()), TableCanon(cold.link_table()));
+  warm.RunLinked();
+  EXPECT_EQ(TableCanon(warm.link_table()), TableCanon(cold.link_table()));
+}
+
 TEST(StoreSession, StaleCorpusDigestRejected) {
   StorePath path("stale_digest");
   std::vector<ModuleSources> corpus = SmallCorpus();
@@ -321,11 +497,11 @@ TEST(StoreSession, CorruptAndMalformedStoresRejected) {
   std::string err;
   ASSERT_TRUE(s.SaveStore(path.get(), &err)) << err;
 
-  // A malformed summary row (bad JSON) fails the load atomically.
+  // Summary rows out of key order fail the load atomically.
   StoreFile sf;
   ASSERT_TRUE(ReadStoreFile(path.get(), &sf, &err)) << err;
-  ASSERT_FALSE(sf.summaries.empty());
-  sf.summaries.begin()->second = "{not json";
+  ASSERT_GE(sf.summaries.size(), 2u);
+  std::swap(sf.summaries.front(), sf.summaries.back());
   ASSERT_TRUE(WriteStoreFile(path.get(), sf, &err)) << err;
   AnalysisSession fresh = LinkedPipeline().ForEachModule(corpus).BuildSession();
   EXPECT_FALSE(fresh.LoadStore(path.get(), &err));
@@ -350,7 +526,7 @@ TEST(StoreSession, DirtyModuleInStoreRecoversIdentically) {
   StoreModule& rec = sf.modules.at("mod_01");
   rec.analyzed = false;
   rec.ok = false;
-  rec.findings_canon.clear();
+  rec.findings.clear();
   ASSERT_TRUE(WriteStoreFile(path.get(), sf, &err)) << err;
 
   AnalysisSession warm = LinkedPipeline().ForEachModule(corpus).BuildSession();

@@ -244,13 +244,19 @@ TEST(TaskGroup, CancelSkipsQueuedPayloadsButStillDrains) {
   WorkQueue wq(1);  // one worker: everything behind the blocker stays queued
   TaskGroup group(wq);
 
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   std::atomic<int> ran{0};
-  group.Submit([&release] {
+  group.Submit([&started, &release] {
+    started.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  // The blocker must hold the only worker before anything queues behind it.
+  while (!started.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   for (int i = 0; i < 16; ++i) {
     group.Submit([&ran] { ran.fetch_add(1); });
   }
