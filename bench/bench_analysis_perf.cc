@@ -36,8 +36,6 @@
 #include "src/stackcheck/stackcheck.h"
 #include "src/support/clock.h"
 #include "src/support/trace.h"
-#include "src/support/work_queue.h"
-#include "src/tool/function_sharder.h"
 #include "src/tool/pipeline.h"
 #include "src/tool/session.h"
 #include "tests/synth_corpus.h"
@@ -169,12 +167,12 @@ void BM_FourToolsSharedPipelineParallel(benchmark::State& state) {
 BENCHMARK(BM_FourToolsSharedPipelineParallel);
 
 // ---------------------------------------------------------------------------
-// Per-function sharding: serial reference kernels vs the sharded work-queue
-// kernels on a synthesized ~500-function corpus (long call chains, spinlock
-// sections, irq handlers — see tests/synth_corpus.h). The sharded numbers
-// must be >= 1.5x faster than serial AND byte-identical in findings; the
-// identity half is enforced here with the same FATAL pattern as the cache
-// check above, so a quietly-diverging kernel can never post a winning time.
+// BlockStop's worklist/BFS kernel vs its rescan reference, and StackCheck, on
+// a synthesized ~500-function corpus (long call chains, spinlock sections,
+// irq handlers — see tests/synth_corpus.h). The kernel must stay
+// byte-identical in findings to the reference; that is enforced here with
+// the same FATAL pattern as the cache check above, so a quietly-diverging
+// kernel can never post a winning time.
 // ---------------------------------------------------------------------------
 
 ivy::Compilation* SynthComp() {
@@ -184,8 +182,8 @@ ivy::Compilation* SynthComp() {
     opt.seed = 2024;
     // Deep-chain profile with mixed-direction blocks: may-block seeds sit
     // ~170 functions from the call sites that consume them, and half the
-    // blocks chain against the scan order, so the serial rescan fixpoints
-    // pay a full round per hop while the sharded worklist pays per edge.
+    // blocks chain against the scan order, so the rescan fixpoints pay a full
+    // round per hop while the worklist pays per edge.
     opt.fanout_span = 6;
     opt.mid_blocking_every = 0;
     opt.descending_blocks = true;
@@ -214,47 +212,37 @@ std::string FindingsDump(const std::vector<ivy::Finding>& findings) {
   return arr.Dump();
 }
 
-void CheckShardedIdentity(const std::vector<ivy::Finding>& sharded,
-                          const std::vector<ivy::Finding>& serial, const char* what) {
-  if (FindingsDump(sharded) != FindingsDump(serial)) {
-    std::fprintf(stderr, "FATAL: sharded %s findings diverge from serial\n", what);
-    std::abort();
-  }
-}
-
-void BM_BlockStopSynth500Serial(benchmark::State& state) {
+void BM_BlockStopSynth500(benchmark::State& state) {
   ivy::AnalysisContext& ctx = SynthCtx();
+  const ivy::CallGraph& cg = ctx.callgraph();
+  {
+    ivy::BlockStop kernel(&ctx.prog(), &ctx.sema(), &cg);
+    ivy::BlockStop reference(&ctx.prog(), &ctx.sema(), &cg);
+    if (FindingsDump(kernel.Run().ToFindings()) !=
+        FindingsDump(reference.RunReference().ToFindings())) {
+      std::fprintf(stderr, "FATAL: blockstop kernel findings diverge from the reference\n");
+      std::abort();
+    }
+  }
   for (auto _ : state) {
-    ivy::BlockStop bs(&ctx.prog(), &ctx.sema(), &ctx.callgraph());
+    ivy::BlockStop bs(&ctx.prog(), &ctx.sema(), &cg);
     ivy::BlockStopReport report = bs.Run();
     benchmark::DoNotOptimize(report.violations.size());
   }
 }
-BENCHMARK(BM_BlockStopSynth500Serial);
+BENCHMARK(BM_BlockStopSynth500);
 
-void BM_BlockStopSynth500Sharded(benchmark::State& state) {
+void BM_BlockStopSynth500Reference(benchmark::State& state) {
   ivy::AnalysisContext& ctx = SynthCtx();
-  const ivy::CallGraph& cg = ctx.callgraph();
-  {
-    ivy::BlockStop serial_bs(&ctx.prog(), &ctx.sema(), &cg);
-    ivy::BlockStopReport serial = serial_bs.Run();
-    ivy::FunctionSharder sharder(cg.DefinedFuncs(), static_cast<int>(state.range(0)));
-    ivy::WorkQueue wq(sharder.worker_count());
-    ivy::BlockStop bs(&ctx.prog(), &ctx.sema(), &cg);
-    CheckShardedIdentity(bs.Run(sharder, wq).ToFindings(), serial.ToFindings(), "blockstop");
-  }
   for (auto _ : state) {
-    // Sharder + pool construction measured too: that is what a pass pays.
-    ivy::FunctionSharder sharder(cg.DefinedFuncs(), static_cast<int>(state.range(0)));
-    ivy::WorkQueue wq(sharder.worker_count());
-    ivy::BlockStop bs(&ctx.prog(), &ctx.sema(), &cg);
-    ivy::BlockStopReport report = bs.Run(sharder, wq);
+    ivy::BlockStop bs(&ctx.prog(), &ctx.sema(), &ctx.callgraph());
+    ivy::BlockStopReport report = bs.RunReference();
     benchmark::DoNotOptimize(report.violations.size());
   }
 }
-BENCHMARK(BM_BlockStopSynth500Sharded)->Arg(1)->Arg(4);
+BENCHMARK(BM_BlockStopSynth500Reference);
 
-void BM_StackCheckSynth500Serial(benchmark::State& state) {
+void BM_StackCheckSynth500(benchmark::State& state) {
   ivy::AnalysisContext& ctx = SynthCtx();
   const ivy::CallGraph& cg = ctx.callgraph();
   for (auto _ : state) {
@@ -263,29 +251,7 @@ void BM_StackCheckSynth500Serial(benchmark::State& state) {
     benchmark::DoNotOptimize(report.worst_case);
   }
 }
-BENCHMARK(BM_StackCheckSynth500Serial);
-
-void BM_StackCheckSynth500Sharded(benchmark::State& state) {
-  ivy::AnalysisContext& ctx = SynthCtx();
-  const ivy::CallGraph& cg = ctx.callgraph();
-  {
-    ivy::StackCheck serial_sc(&cg, &ctx.module());
-    ivy::StackCheckReport serial = serial_sc.Run({});
-    ivy::FunctionSharder sharder(cg.DefinedFuncs(), static_cast<int>(state.range(0)));
-    ivy::WorkQueue wq(sharder.worker_count());
-    ivy::StackCheck sc(&cg, &ctx.module());
-    CheckShardedIdentity(sc.Run({}, sharder, wq).ToFindings(), serial.ToFindings(),
-                         "stackcheck");
-  }
-  for (auto _ : state) {
-    ivy::FunctionSharder sharder(cg.DefinedFuncs(), static_cast<int>(state.range(0)));
-    ivy::WorkQueue wq(sharder.worker_count());
-    ivy::StackCheck sc(&cg, &ctx.module());
-    ivy::StackCheckReport report = sc.Run({}, sharder, wq);
-    benchmark::DoNotOptimize(report.worst_case);
-  }
-}
-BENCHMARK(BM_StackCheckSynth500Sharded)->Arg(1)->Arg(4);
+BENCHMARK(BM_StackCheckSynth500);
 
 // ---------------------------------------------------------------------------
 // The 8x400 session corpus: the frontend measurements, the relink after a

@@ -47,8 +47,8 @@ class CallGraph {
   // Reverse adjacency: every defined function with a site (direct or
   // indirect, irq dispatch included) that may enter `fn`. Deterministic:
   // callers appear in DefinedFuncs() order, each once. Worklist solvers
-  // (e.g. BlockStop's sharded may-block propagation) use this to rescan only
-  // the callers of functions whose facts changed last round.
+  // (e.g. BlockStop's may-block propagation) use this to rescan only the
+  // callers of functions whose facts changed.
   const std::vector<const FuncDecl*>& CallersOf(const FuncDecl* fn) const;
 
   int64_t edge_count() const { return edges_; }

@@ -1,9 +1,9 @@
 #include "src/blockstop/blockstop.h"
 
 #include <algorithm>
+#include <deque>
 #include <tuple>
 
-#include "src/tool/function_sharder.h"
 #include "src/vm/builtins.h"
 
 namespace ivy {
@@ -22,7 +22,7 @@ bool ViolationLess(const BlockingViolation& a, const BlockingViolation& b) {
 
 // Records the context bits `caller` passes into a callee declared or
 // defined outside its file. An OR over every evaluated (function,
-// entry-bit) pair: both strategies evaluate the same pairs, so the order
+// entry-bit) pair: both fixpoints evaluate the same pairs, so the order
 // they do it in cannot matter.
 void NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee, uint8_t bits,
                         BlockStopReport* report) {
@@ -35,11 +35,24 @@ void NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee, uint8_t 
 
 BlockStop::BlockStop(const Program* prog, const Sema* sema, const CallGraph* cg)
     : prog_(prog), sema_(sema), cg_(cg) {
-  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    for (const CallSite& site : cg_->SitesOf(fn)) {
+  const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
+  for (size_t i = 0; i < funcs.size(); ++i) {
+    for (const CallSite& site : cg_->SitesOf(funcs[i])) {
       site_index_[site.expr] = &site;
     }
+    if (funcs[i]->func_id >= 0) {
+      const size_t id = static_cast<size_t>(funcs[i]->func_id);
+      if (id >= index_of_id_.size()) {
+        index_of_id_.resize(id + 1, -1);
+      }
+      index_of_id_[id] = static_cast<int>(i);
+    }
   }
+}
+
+int BlockStop::IndexOf(const FuncDecl* fn) const {
+  const size_t id = static_cast<size_t>(fn->func_id);
+  return fn->func_id >= 0 && id < index_of_id_.size() ? index_of_id_[id] : -1;
 }
 
 const CallSite* BlockStop::SiteFor(const Expr* e) const {
@@ -118,6 +131,41 @@ const FuncDecl* BlockStop::BlockingCauseOf(const FuncDecl* fn) const {
 }
 
 void BlockStop::ComputeMayBlock() {
+  const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
+  // Conditionally-blocking wrappers are decided at their call sites, so they
+  // never enter the worklist. `queued` keeps each function in it at most
+  // once at a time.
+  std::deque<size_t> work;
+  std::vector<uint8_t> queued(funcs.size(), 0);
+  for (size_t i = 0; i < funcs.size(); ++i) {
+    if (funcs[i]->attrs.blocking) {
+      mayblock_.insert(funcs[i]);
+    } else if (funcs[i]->attrs.blocking_if_param < 0) {
+      work.push_back(i);
+      queued[i] = 1;
+    }
+  }
+  while (!work.empty()) {
+    const FuncDecl* fn = funcs[work.front()];
+    queued[work.front()] = 0;
+    work.pop_front();
+    ++mayblock_evals_;
+    if (BlockingCauseOf(fn) == nullptr) {
+      continue;
+    }
+    mayblock_.insert(fn);
+    for (const FuncDecl* caller : cg_->CallersOf(fn)) {
+      const int c = IndexOf(caller);
+      if (c >= 0 && !queued[static_cast<size_t>(c)] && mayblock_.count(caller) == 0 &&
+          caller->attrs.blocking_if_param < 0) {
+        work.push_back(static_cast<size_t>(c));
+        queued[static_cast<size_t>(c)] = 1;
+      }
+    }
+  }
+}
+
+void BlockStop::ComputeMayBlockReference() {
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     if (fn->attrs.blocking) {
       mayblock_.insert(fn);
@@ -128,7 +176,6 @@ void BlockStop::ComputeMayBlock() {
     changed = false;
     for (const FuncDecl* fn : cg_->DefinedFuncs()) {
       if (mayblock_.count(fn) != 0 || fn->attrs.blocking_if_param >= 0) {
-        // Conditionally-blocking wrappers are handled at their call sites.
         continue;
       }
       ++mayblock_evals_;
@@ -137,57 +184,6 @@ void BlockStop::ComputeMayBlock() {
         changed = true;
       }
     }
-  }
-}
-
-void BlockStop::ComputeMayBlockSharded(const FunctionSharder& sharder, WorkQueue& wq) {
-  const std::vector<const FuncDecl*>& funcs = sharder.functions();
-  const size_t n = funcs.size();
-  std::vector<size_t> candidates;
-  candidates.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (funcs[i]->attrs.blocking) {
-      mayblock_.insert(funcs[i]);
-    } else if (funcs[i]->attrs.blocking_if_param < 0) {
-      candidates.push_back(i);
-    }
-  }
-  // Jacobi worklist rounds: scan this round's candidates against the frozen
-  // may-block set, publish at the barrier, then rescan only the callers of
-  // what changed. Monotone, so the fixpoint equals the serial loop's.
-  while (!candidates.empty()) {
-    mayblock_evals_ += static_cast<int64_t>(candidates.size());
-    std::vector<std::vector<size_t>> per_chunk = sharder.MapChunks<size_t>(
-        wq, candidates.size(), [this, &candidates, &funcs](int, size_t begin, size_t end) {
-          std::vector<size_t> hit;
-          for (size_t i = begin; i < end; ++i) {
-            const FuncDecl* fn = funcs[candidates[i]];
-            if (mayblock_.count(fn) == 0 && BlockingCauseOf(fn) != nullptr) {
-              hit.push_back(candidates[i]);
-            }
-          }
-          return hit;
-        });
-    std::vector<size_t> newly;
-    for (const std::vector<size_t>& chunk : per_chunk) {
-      newly.insert(newly.end(), chunk.begin(), chunk.end());
-    }
-    if (newly.empty()) {
-      break;
-    }
-    for (size_t idx : newly) {
-      mayblock_.insert(funcs[idx]);
-    }
-    std::set<size_t> next;
-    for (size_t idx : newly) {
-      for (const FuncDecl* caller : cg_->CallersOf(funcs[idx])) {
-        size_t c = sharder.IndexOf(caller);
-        if (c < n && mayblock_.count(caller) == 0 && caller->attrs.blocking_if_param < 0) {
-          next.insert(c);
-        }
-      }
-    }
-    candidates.assign(next.begin(), next.end());
   }
 }
 
@@ -295,8 +291,9 @@ void BlockStop::WalkStmt(const FuncDecl* fn, const Stmt* s, IrqState* st, uint8_
   }
 }
 
-BlockStop::EntryEffects BlockStop::EvaluateEntry(const FuncDecl* fn, uint8_t entry_bit) const {
-  EntryEffects out;
+std::vector<std::pair<const FuncDecl*, uint8_t>> BlockStop::EvaluateEntry(
+    const FuncDecl* fn, uint8_t entry_bit, Violations* found) const {
+  std::vector<std::pair<const FuncDecl*, uint8_t>> out;
   IrqState st;
   st.irq = entry_bit == 1 ? 1 : 2;
   st.spin = 0;
@@ -326,7 +323,7 @@ BlockStop::EntryEffects BlockStop::EvaluateEntry(const FuncDecl* fn, uint8_t ent
         add |= 2;
       }
       if (add != 0) {
-        out.callee_bits.push_back({callee, add});
+        out.push_back({callee, add});
       }
     }
     if (!atomic || site->is_irq_dispatch) {
@@ -362,12 +359,12 @@ BlockStop::EntryEffects BlockStop::EvaluateEntry(const FuncDecl* fn, uint8_t ent
       v.callee = surviving[0]->name;
       v.witness = WitnessFor(surviving[0]);
       v.via_indirect = site->direct == nullptr && site->builtin == nullptr;
-      out.reported.push_back({expr, v});
+      found->reported.emplace(expr, std::move(v));
     } else {
       v.callee = blockers[0]->name;
       v.witness = WitnessFor(blockers[0]);
       v.via_indirect = true;
-      out.silenced.push_back({expr, v});
+      found->silenced.emplace(expr, std::move(v));
     }
   }
   return out;
@@ -392,13 +389,11 @@ BlockStopReport BlockStop::ReportShell() const {
   return report;
 }
 
-void BlockStop::FinishReport(BlockStopReport* report,
-                             std::map<const Expr*, BlockingViolation> reported,
-                             std::map<const Expr*, BlockingViolation> silenced) const {
-  for (auto& [expr, v] : reported) {
+void BlockStop::FinishReport(BlockStopReport* report, Violations found) const {
+  for (auto& [expr, v] : found.reported) {
     report->violations.push_back(std::move(v));
   }
-  for (auto& [expr, v] : silenced) {
+  for (auto& [expr, v] : found.silenced) {
     report->silenced.push_back(std::move(v));
   }
   std::sort(report->violations.begin(), report->violations.end(), ViolationLess);
@@ -412,9 +407,60 @@ BlockStopReport BlockStop::Run() {
   AssignWitnesses();
   BlockStopReport report = ReportShell();
 
-  // Interprocedural context fixpoint: bit 1 = entered with irqs on,
-  // bit 2 = entered atomically. The serial reference re-evaluates every
-  // (function, entry-bit) pair each round until nothing changes.
+  // Interprocedural context fixpoint as a search over (function, entry-bit)
+  // pairs: bit 1 = entered with irqs on, bit 2 = entered atomically. A
+  // pair's effects depend only on the function body and the frozen
+  // may-block set, never on other contexts, so each pair is evaluated once:
+  // when it is seeded or when its bit first appears. Effects apply as soon
+  // as a pair is evaluated; context bits only grow and violations keep the
+  // first report per site, so the order pairs are taken in cannot matter.
+  const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
+  std::vector<uint8_t> contexts(funcs.size(), 1);
+  std::vector<std::pair<size_t, uint8_t>> pending;
+  pending.reserve(funcs.size());
+  for (size_t i = 0; i < funcs.size(); ++i) {
+    pending.push_back({i, uint8_t{1}});
+  }
+  for (const FuncDecl* fn : cg_->irq_entries()) {
+    const int i = IndexOf(fn);
+    if (i >= 0 && !fn->attrs.noblock) {
+      contexts[static_cast<size_t>(i)] |= 2;
+      pending.push_back({static_cast<size_t>(i), uint8_t{2}});
+    }
+  }
+  Violations found;
+  while (!pending.empty()) {
+    const auto [i, entry_bit] = pending.back();
+    pending.pop_back();
+    for (auto& [callee, add] : EvaluateEntry(funcs[i], entry_bit, &found)) {
+      NoteCrossFileEntry(funcs[i], callee, add, &report);
+      const int c = IndexOf(callee);
+      if (c < 0) {
+        continue;  // declared-only callee: never walked here
+      }
+      uint8_t& bits = contexts[static_cast<size_t>(c)];
+      const uint8_t grown = static_cast<uint8_t>(add & ~bits);
+      bits |= add;
+      for (uint8_t bit : {uint8_t{1}, uint8_t{2}}) {
+        if ((grown & bit) != 0) {
+          pending.push_back({static_cast<size_t>(c), bit});
+        }
+      }
+    }
+  }
+  FinishReport(&report, std::move(found));
+  return report;
+}
+
+BlockStopReport BlockStop::RunReference() {
+  mayblock_.clear();
+  witness_.clear();
+  ComputeMayBlockReference();
+  AssignWitnesses();
+  BlockStopReport report = ReportShell();
+
+  // Re-evaluates every (function, entry-bit) pair each round until no
+  // context bit grows.
   std::map<const FuncDecl*, uint8_t> contexts;
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     contexts[fn] = 1;
@@ -424,20 +470,17 @@ BlockStopReport BlockStop::Run() {
       contexts[fn] |= 2;
     }
   }
-  std::map<const Expr*, BlockingViolation> reported;
-  std::map<const Expr*, BlockingViolation> silenced;
+  Violations found;
   bool changed = true;
   while (changed) {
     changed = false;
-    ++report.context_rounds;
     for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-      uint8_t entries = contexts[fn];
+      const uint8_t entries = contexts[fn];
       for (uint8_t entry_bit : {uint8_t{1}, uint8_t{2}}) {
         if ((entries & entry_bit) == 0) {
           continue;
         }
-        EntryEffects effects = EvaluateEntry(fn, entry_bit);
-        for (auto& [callee, add] : effects.callee_bits) {
+        for (auto& [callee, add] : EvaluateEntry(fn, entry_bit, &found)) {
           NoteCrossFileEntry(fn, callee, add, &report);
           uint8_t& bits = contexts[callee];
           if ((bits | add) != bits) {
@@ -445,120 +488,10 @@ BlockStopReport BlockStop::Run() {
             changed = true;
           }
         }
-        for (auto& [expr, v] : effects.reported) {
-          reported.emplace(expr, std::move(v));
-        }
-        for (auto& [expr, v] : effects.silenced) {
-          silenced.emplace(expr, std::move(v));
-        }
       }
     }
   }
-  FinishReport(&report, std::move(reported), std::move(silenced));
-  return report;
-}
-
-BlockStopReport BlockStop::Run(const FunctionSharder& sharder, WorkQueue& wq) {
-  mayblock_.clear();
-  witness_.clear();
-  ComputeMayBlockSharded(sharder, wq);
-
-  // Witnesses in parallel: pure per-function work, merged in chunk order
-  // (though any order would do — each function owns its slot).
-  const std::vector<const FuncDecl*>& funcs = sharder.functions();
-  const size_t n = funcs.size();
-  using WitnessEntry = std::pair<size_t, std::string>;
-  std::vector<std::vector<WitnessEntry>> witness_chunks =
-      sharder.MapChunks<WitnessEntry>(
-          wq, n, [this, &funcs](int, size_t begin, size_t end) {
-            std::vector<WitnessEntry> out;
-            for (size_t i = begin; i < end; ++i) {
-              if (mayblock_.count(funcs[i]) != 0) {
-                out.push_back({i, WitnessOf(funcs[i])});
-              }
-            }
-            return out;
-          });
-  for (const std::vector<WitnessEntry>& chunk : witness_chunks) {
-    for (const WitnessEntry& w : chunk) {
-      witness_[funcs[w.first]] = w.second;
-    }
-  }
-
-  BlockStopReport report = ReportShell();
-
-  // Context fixpoint as a parallel BFS over (function, entry-bit) pairs.
-  // A pair's effects depend only on the function body and the frozen
-  // may-block set — never on other contexts — so each pair is evaluated
-  // exactly once, when its bit first appears. The round barrier is the
-  // global convergence barrier; merging per-chunk effects in chunk order
-  // keeps frontier construction deterministic.
-  std::vector<uint8_t> contexts(n, 1);
-  std::vector<std::pair<size_t, uint8_t>> frontier;
-  frontier.reserve(n + cg_->irq_entries().size());
-  for (size_t i = 0; i < n; ++i) {
-    frontier.push_back({i, uint8_t{1}});
-  }
-  std::set<size_t> irq_atomic;
-  for (const FuncDecl* fn : cg_->irq_entries()) {
-    if (!fn->attrs.noblock) {
-      size_t i = sharder.IndexOf(fn);
-      if (i < n) {
-        irq_atomic.insert(i);
-      }
-    }
-  }
-  for (size_t i : irq_atomic) {
-    contexts[i] |= 2;
-    frontier.push_back({i, uint8_t{2}});
-  }
-
-  std::map<const Expr*, BlockingViolation> reported;
-  std::map<const Expr*, BlockingViolation> silenced;
-  while (!frontier.empty()) {
-    ++report.context_rounds;
-    std::vector<std::vector<EntryEffects>> per_chunk = sharder.MapChunks<EntryEffects>(
-        wq, frontier.size(), [this, &frontier, &funcs](int, size_t begin, size_t end) {
-          std::vector<EntryEffects> out;
-          out.reserve(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            out.push_back(EvaluateEntry(funcs[frontier[i].first], frontier[i].second));
-          }
-          return out;
-        });
-    std::vector<std::pair<size_t, uint8_t>> next;
-    size_t pair = 0;  // chunks concatenate back to frontier order
-    for (std::vector<EntryEffects>& chunk : per_chunk) {
-      for (EntryEffects& effects : chunk) {
-        const FuncDecl* caller = funcs[frontier[pair++].first];
-        for (auto& [callee, add] : effects.callee_bits) {
-          NoteCrossFileEntry(caller, callee, add, &report);
-          size_t ci = sharder.IndexOf(callee);
-          if (ci >= n) {
-            continue;  // declared-only callee: never walked here
-          }
-          uint8_t newbits = static_cast<uint8_t>(add & ~contexts[ci]);
-          if (newbits == 0) {
-            continue;
-          }
-          contexts[ci] |= add;
-          for (uint8_t bit : {uint8_t{1}, uint8_t{2}}) {
-            if ((newbits & bit) != 0) {
-              next.push_back({ci, bit});
-            }
-          }
-        }
-        for (auto& [expr, v] : effects.reported) {
-          reported.emplace(expr, std::move(v));
-        }
-        for (auto& [expr, v] : effects.silenced) {
-          silenced.emplace(expr, std::move(v));
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  FinishReport(&report, std::move(reported), std::move(silenced));
+  FinishReport(&report, std::move(found));
   return report;
 }
 

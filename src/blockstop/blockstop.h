@@ -17,16 +17,14 @@
 //      report disappears purely due to that filter are the "false positives
 //      silenced by run-time checks" of the paper (15 in their kernel).
 //
-// Two execution strategies produce byte-identical reports:
-//   - Run(): the serial reference — Gauss-Seidel rescan rounds over every
-//     defined function.
-//   - Run(sharder, wq): the sharded kernels — may-block propagates along a
-//     caller worklist (CallGraph::CallersOf) in parallel Jacobi rounds, and
-//     the context fixpoint becomes a parallel BFS that evaluates each
-//     (function, entry-state) pair exactly once. Both fixpoints are
-//     monotone, so they converge to the same sets as the serial loop;
-//     witnesses are assigned from the *final* may-block set and every
-//     violation list is sorted by a total order, so the bytes match too.
+// One kernel runs in production, Run(): may-block propagates along a caller
+// worklist (CallGraph::CallersOf), so a function is re-examined only after
+// one of its callees turned may-block, and the context fixpoint is a
+// breadth-first search that evaluates each (function, entry-state) pair
+// exactly once, when its bit first appears. RunReference() keeps the naive
+// rescan loops as the test oracle. Both fixpoints are monotone, so the two
+// converge to the same sets; witnesses come from the *final* may-block set
+// and every violation list is sorted by a total order, so the bytes match.
 #ifndef SRC_BLOCKSTOP_BLOCKSTOP_H_
 #define SRC_BLOCKSTOP_BLOCKSTOP_H_
 
@@ -42,9 +40,6 @@
 #include "src/tool/finding.h"
 
 namespace ivy {
-
-class FunctionSharder;
-class WorkQueue;
 
 struct BlockingViolation {
   SourceLoc loc;
@@ -63,10 +58,9 @@ struct BlockStopReport {
   int64_t indirect_sites = 0;
   int64_t indirect_target_total = 0;
   int runtime_checks = 0;  // functions carrying assert_nonatomic (noblock)
-  int context_rounds = 0;  // fixpoint rounds the strategy needed
-  // Function evaluations the may-block fixpoint made: every round's rescan
-  // for the serial loop, only each round's callers worklist for the sharded
-  // kernel. Strategy-dependent observability; findings never depend on it.
+  // Function evaluations the may-block fixpoint made: the worklist's pops
+  // for Run(), every round's rescan for RunReference(). Observability only;
+  // findings never depend on it.
   int64_t mayblock_evals = 0;
   // Summary exports (AnalysisSession's link table). `mayblock_witness` is
   // the per-function witness under the final may-block set.
@@ -90,12 +84,13 @@ class BlockStop {
  public:
   BlockStop(const Program* prog, const Sema* sema, const CallGraph* cg);
 
-  // Serial reference implementation.
+  // The worklist/BFS kernel.
   BlockStopReport Run();
 
-  // Sharded kernels over `sharder` (which must partition this call graph's
-  // DefinedFuncs()) driven by `wq`. Byte-identical findings to Run().
-  BlockStopReport Run(const FunctionSharder& sharder, WorkQueue& wq);
+  // The rescan fixpoint: every round re-evaluates every defined function,
+  // then every (function, entry-state) pair, until nothing changes. The
+  // oracle Run() is tested against; no production caller.
+  BlockStopReport RunReference();
 
   // True if `fn` may (transitively) block. Valid after Run().
   bool MayBlock(const FuncDecl* fn) const { return mayblock_.count(fn) != 0; }
@@ -111,16 +106,19 @@ class BlockStop {
     }
   };
 
-  // Everything evaluating one (function, entry-state) pair yields: context
-  // bits for Mini-C callees plus the violation candidates at atomic sites.
-  // Pure given the frozen may-block set, so serial rounds, sharded rounds
-  // and the BFS all agree per pair.
-  struct EntryEffects {
-    std::vector<std::pair<const FuncDecl*, uint8_t>> callee_bits;
-    std::vector<std::pair<const Expr*, BlockingViolation>> reported;
-    std::vector<std::pair<const Expr*, BlockingViolation>> silenced;
+  // Violation candidates by call site. A site's candidate does not depend
+  // on the entry state it was found under, so the first one kept is final.
+  struct Violations {
+    std::map<const Expr*, BlockingViolation> reported;
+    std::map<const Expr*, BlockingViolation> silenced;
   };
-  EntryEffects EvaluateEntry(const FuncDecl* fn, uint8_t entry_bit) const;
+  // Evaluates one (function, entry-state) pair: returns the context bits it
+  // passes into Mini-C callees and adds the violation candidates at its
+  // atomic sites to `found`. Depends only on the function body and the
+  // frozen may-block set, so the rescan rounds and the search agree per pair.
+  std::vector<std::pair<const FuncDecl*, uint8_t>> EvaluateEntry(const FuncDecl* fn,
+                                                                 uint8_t entry_bit,
+                                                                 Violations* found) const;
 
   // True if a call to `callee` with argument exprs `args` may block.
   bool CallMayBlock(const FuncDecl* callee, const ExprList& args,
@@ -129,19 +127,19 @@ class BlockStop {
   // order), or nullptr. The shared predicate behind both propagation loops.
   const FuncDecl* BlockingCauseOf(const FuncDecl* fn) const;
   // The witness string for one may-block function under the *final* set —
-  // the single definition both the serial and sharded witness passes use,
-  // so wording changes cannot split the byte-identical contract.
+  // one definition for both fixpoints, so wording changes cannot split the
+  // byte-identical contract.
   std::string WitnessOf(const FuncDecl* fn) const;
-  void ComputeMayBlock();                                              // serial
-  void ComputeMayBlockSharded(const FunctionSharder& s, WorkQueue& wq);  // worklist
+  void ComputeMayBlock();           // caller worklist
+  void ComputeMayBlockReference();  // rescan rounds
   // Witnesses derived from the *final* may-block set: first cause in site
   // order. Strategy-independent by construction.
   void AssignWitnesses();
   BlockStopReport ReportShell() const;
-  void FinishReport(BlockStopReport* report,
-                    std::map<const Expr*, BlockingViolation> reported,
-                    std::map<const Expr*, BlockingViolation> silenced) const;
+  void FinishReport(BlockStopReport* report, Violations found) const;
   const CallSite* SiteFor(const Expr* e) const;
+  // Position of `fn` in DefinedFuncs(), or -1 for a function without a body.
+  int IndexOf(const FuncDecl* fn) const;
   void WalkExpr(const FuncDecl* fn, const Expr* e, IrqState* st, uint8_t entry_irq,
                 std::vector<std::pair<const Expr*, IrqState>>* out) const;
   void WalkStmt(const FuncDecl* fn, const Stmt* s, IrqState* st, uint8_t entry_irq,
@@ -155,6 +153,7 @@ class BlockStop {
   std::set<const FuncDecl*> mayblock_;
   std::map<const FuncDecl*, std::string> witness_;
   std::map<const Expr*, const CallSite*> site_index_;
+  std::vector<int> index_of_id_;  // FuncDecl::func_id -> DefinedFuncs() position
 };
 
 }  // namespace ivy

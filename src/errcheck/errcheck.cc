@@ -1,7 +1,5 @@
 #include "src/errcheck/errcheck.h"
 
-#include "src/tool/function_sharder.h"
-
 namespace ivy {
 
 ErrCheck::ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg)
@@ -143,66 +141,6 @@ ErrCheckReport ErrCheck::Run() {
   report.err_returning_funcs = static_cast<int>(err_funcs_.size());
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     ScanStmt(fn, fn->body, fn->body, &report);
-  }
-  return report;
-}
-
-ErrCheckReport ErrCheck::Run(const FunctionSharder& sharder, WorkQueue& wq) {
-  ErrCheckReport report;
-  const std::vector<const FuncDecl*>& funcs = sharder.functions();
-
-  // Phase 1: classify error-returning functions. Pure per function (attrs +
-  // own body), merged in shard order so the counters match the serial loop.
-  struct Classified {
-    size_t idx;
-    bool annotated;
-  };
-  std::vector<std::vector<Classified>> classified = sharder.MapChunks<Classified>(
-      wq, funcs.size(), [this, &funcs](int, size_t begin, size_t end) {
-        std::vector<Classified> out;
-        for (size_t i = begin; i < end; ++i) {
-          const FuncDecl* fn = funcs[i];
-          if (!fn->attrs.errcodes.empty()) {
-            out.push_back({i, true});
-          } else if (fn->type != nullptr && fn->type->ret != nullptr &&
-                     fn->type->ret->IsInteger() && ReturnsNegativeConstant(fn->body)) {
-            out.push_back({i, false});
-          }
-        }
-        return out;
-      });
-  for (const std::vector<Classified>& chunk : classified) {
-    for (const Classified& c : chunk) {
-      err_funcs_.insert(funcs[c.idx]);
-      if (c.annotated) {
-        ++report.annotated_funcs;
-      } else {
-        ++report.inferred_funcs;
-      }
-    }
-  }
-  for (const FuncDecl* fn : err_funcs_) {
-    report.err_funcs.insert(fn->name);
-  }
-  report.err_returning_funcs = static_cast<int>(err_funcs_.size());
-
-  // Phase 2: per-function call-site scans against the now-frozen err set
-  // (read-only from here), flattened in shard order — the serial finding
-  // order is function-declaration order, and so is this.
-  std::vector<std::vector<ErrCheckReport>> scans = sharder.MapChunks<ErrCheckReport>(
-      wq, funcs.size(), [this, &funcs](int, size_t begin, size_t end) {
-        ErrCheckReport local;
-        for (size_t i = begin; i < end; ++i) {
-          ScanStmt(funcs[i], funcs[i]->body, funcs[i]->body, &local);
-        }
-        return std::vector<ErrCheckReport>{std::move(local)};
-      });
-  for (std::vector<ErrCheckReport>& chunk : scans) {
-    for (ErrCheckReport& local : chunk) {
-      report.findings.insert(report.findings.end(), local.findings.begin(),
-                             local.findings.end());
-      report.checked_sites += local.checked_sites;
-    }
   }
   return report;
 }

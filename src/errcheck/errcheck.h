@@ -25,9 +25,6 @@
 
 namespace ivy {
 
-class FunctionSharder;
-class WorkQueue;
-
 struct ErrCheckFinding {
   SourceLoc loc;
   std::string caller;
@@ -56,14 +53,9 @@ class ErrCheck {
  public:
   ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg);
 
+  // Two phases: classify the error-returning functions, then scan every
+  // call site against that set, in DefinedFuncs() order.
   ErrCheckReport Run();
-
-  // Sharded kernels over `sharder` (which must partition this call graph's
-  // DefinedFuncs()) driven by `wq`. Two barriered phases — classify
-  // error-returning functions, then scan call sites against the frozen set —
-  // each pure per function and reduced in shard order, so findings are
-  // byte-identical to Run().
-  ErrCheckReport Run(const FunctionSharder& sharder, WorkQueue& wq);
 
  private:
   bool ReturnsNegativeConstant(const Stmt* s) const;

@@ -4,8 +4,6 @@
 #include <deque>
 #include <functional>
 
-#include "src/tool/function_sharder.h"
-
 namespace ivy {
 
 LockSafe::LockSafe(const Program* prog, const Sema* sema, const CallGraph* cg)
@@ -184,39 +182,6 @@ LockSafeReport LockSafe::Run() {
   Collector all;
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     WalkFunction(fn, &all);
-  }
-  return BuildReport(all);
-}
-
-LockSafeReport LockSafe::Run(const FunctionSharder& sharder, WorkQueue& wq) {
-  ComputeIrqReachable();
-  const std::vector<const FuncDecl*>& funcs = sharder.functions();
-  // Per-shard collectors (each deduplicates its own range first-seen), then
-  // a shard-order merge: the surviving edge sequence equals the serial
-  // walk's global first-occurrence order, byte for byte.
-  std::vector<std::vector<Collector>> chunks = sharder.MapChunks<Collector>(
-      wq, funcs.size(), [this, &funcs](int, size_t begin, size_t end) {
-        Collector local;
-        for (size_t i = begin; i < end; ++i) {
-          WalkFunction(funcs[i], &local);
-        }
-        return std::vector<Collector>{std::move(local)};
-      });
-  Collector all;
-  for (std::vector<Collector>& chunk : chunks) {
-    for (Collector& local : chunk) {
-      for (LockOrderEdge& e : local.edges) {
-        if (all.edge_set.insert({e.held, e.acquired}).second) {
-          all.edges.push_back(std::move(e));
-        }
-      }
-      for (const auto& [name, bits] : local.lock_ctx) {
-        all.lock_ctx[name] |= bits;
-      }
-      for (auto& [fn, locks] : local.locks_by_func) {
-        all.locks_by_func[fn].insert(locks.begin(), locks.end());
-      }
-    }
   }
   return BuildReport(all);
 }

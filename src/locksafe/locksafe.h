@@ -27,9 +27,6 @@
 
 namespace ivy {
 
-class FunctionSharder;
-class WorkQueue;
-
 struct LockOrderEdge {
   std::string held;
   std::string acquired;
@@ -64,14 +61,9 @@ class LockSafe {
  public:
   LockSafe(const Program* prog, const Sema* sema, const CallGraph* cg);
 
+  // Walks every defined function in DefinedFuncs() order; lock-order edges
+  // keep their first-occurrence order.
   LockSafeReport Run();
-
-  // Sharded kernels over `sharder` (which must partition this call graph's
-  // DefinedFuncs()) driven by `wq`. The per-function lock walks are pure
-  // (each collects edges and context bits privately); merging the per-shard
-  // collections in shard order reproduces the serial first-occurrence edge
-  // order, so findings are byte-identical to Run().
-  LockSafeReport Run(const FunctionSharder& sharder, WorkQueue& wq);
 
   // Validates the runtime-observed lock behaviour of a finished VM run
   // against the same two properties. Lock addresses are rendered through the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/support/scc.h"
-#include "src/tool/function_sharder.h"
 
 namespace ivy {
 
@@ -38,8 +37,7 @@ void StackCheck::Prepare() {
   }
 
   // Tarjan in DefinedFuncs() order (src/support/scc.h): SCC ids and member
-  // lists come out the same no matter who asks, which is the root of the
-  // sharding determinism contract.
+  // lists come out the same no matter who asks.
   SccCondensation scc = TarjanScc(adj);
   scc_of_ = std::move(scc.scc_of);
   scc_members_ = std::move(scc.members);
@@ -92,8 +90,8 @@ int64_t StackCheck::DepthOfScc(int scc, std::vector<int64_t>* memo) const {
   return slot;
 }
 
-std::vector<const FuncDecl*> StackCheck::ResolveRoots(
-    const std::vector<std::string>& entries) const {
+std::vector<const FuncDecl*> StackCheck::ResolveRoots(const std::vector<std::string>& entries,
+                                                      std::vector<std::string>* missing) const {
   if (entries.empty()) {
     return cg_->DefinedFuncs();
   }
@@ -106,20 +104,26 @@ std::vector<const FuncDecl*> StackCheck::ResolveRoots(
     auto it = by_name.find(name);
     if (it != by_name.end()) {
       roots.push_back(it->second);
+    } else {
+      missing->push_back(name);
     }
   }
   return roots;
 }
 
-StackCheckReport StackCheck::Reduce(const std::vector<const FuncDecl*>& roots,
-                                    const std::vector<int64_t>& root_depths) const {
+StackCheckReport StackCheck::Run(const std::vector<std::string>& entries) {
+  Prepare();
   StackCheckReport report;
   report.budget = budget_;
-  for (size_t i = 0; i < roots.size(); ++i) {
-    report.entry_depths[roots[i]->name] = root_depths[i];
-    if (root_depths[i] > report.worst_case) {
-      report.worst_case = root_depths[i];
-      report.worst_entry = roots[i]->name;
+  std::vector<const FuncDecl*> roots = ResolveRoots(entries, &report.missing_entries);
+  std::vector<int64_t> memo(scc_members_.size(), -1);
+  for (const FuncDecl* root : roots) {
+    const int64_t depth =
+        DepthOfScc(scc_of_[static_cast<size_t>(func_index_.at(root))], &memo);
+    report.entry_depths[root->name] = depth;
+    if (depth > report.worst_case) {
+      report.worst_case = depth;
+      report.worst_entry = root->name;
     }
   }
   // Recursive functions: members of cyclic SCCs reachable from any root.
@@ -155,39 +159,6 @@ StackCheckReport StackCheck::Reduce(const std::vector<const FuncDecl*>& roots,
   return report;
 }
 
-StackCheckReport StackCheck::Run(const std::vector<std::string>& entries) {
-  Prepare();
-  std::vector<const FuncDecl*> roots = ResolveRoots(entries);
-  std::vector<int64_t> memo(scc_members_.size(), -1);
-  std::vector<int64_t> depths;
-  depths.reserve(roots.size());
-  for (const FuncDecl* root : roots) {
-    int idx = func_index_.at(root);
-    depths.push_back(DepthOfScc(scc_of_[static_cast<size_t>(idx)], &memo));
-  }
-  return Reduce(roots, depths);
-}
-
-StackCheckReport StackCheck::Run(const std::vector<std::string>& entries,
-                                 const FunctionSharder& sharder, WorkQueue& wq) {
-  Prepare();
-  std::vector<const FuncDecl*> roots = ResolveRoots(entries);
-  std::vector<int64_t> depths(roots.size(), 0);
-  sharder.ParallelChunks(wq, roots.size(),
-                         [this, &roots, &depths](int, size_t begin, size_t end) {
-                           // Private memo per shard: recomputation across
-                           // shards is possible, divergence is not — DAG
-                           // depths are pure.
-                           std::vector<int64_t> memo(scc_members_.size(), -1);
-                           for (size_t i = begin; i < end; ++i) {
-                             int idx = func_index_.at(roots[i]);
-                             depths[i] =
-                                 DepthOfScc(scc_of_[static_cast<size_t>(idx)], &memo);
-                           }
-                         });
-  return Reduce(roots, depths);
-}
-
 std::string StackCheckReport::ToString() const {
   std::string out = "StackCheck: worst-case stack " + std::to_string(worst_case) +
                     " bytes via '" + worst_entry + "' (budget " + std::to_string(budget) +
@@ -211,6 +182,14 @@ std::string StackCheckReport::ToString() const {
 
 std::vector<Finding> StackCheckReport::ToFindings() const {
   std::vector<Finding> out;
+  for (const std::string& name : missing_entries) {
+    Finding f;
+    f.tool = "stackcheck";
+    f.severity = FindingSeverity::kWarning;
+    f.message = "stackcheck entry '" + name + "' is not a defined function; skipped";
+    f.witness = {name};
+    out.push_back(std::move(f));
+  }
   if (worst_case > budget) {
     Finding f;
     f.tool = "stackcheck";

@@ -12,12 +12,8 @@
 // members' frames (each cycle's frames counted once — the static bound is
 // advisory there anyway, because functions on cycles cannot be bounded
 // statically and are reported as needing the run-time check, the VM's
-// kCheckStack trap).
-//
-// The condensation is what makes the analysis shardable: per-entry depths
-// are pure functions of the DAG, so Run(entries, sharder, wq) computes them
-// in parallel shards (each with a private memo) and reduces in shard order —
-// byte-identical to the serial Run(entries).
+// kCheckStack trap). Per-entry depths are a memoized longest-path search
+// over that DAG.
 #ifndef SRC_STACKCHECK_STACKCHECK_H_
 #define SRC_STACKCHECK_STACKCHECK_H_
 
@@ -33,14 +29,14 @@
 
 namespace ivy {
 
-class FunctionSharder;
-class WorkQueue;
-
 struct StackCheckReport {
   // Worst-case stack bytes per entry point (conservative over all paths).
   std::map<std::string, int64_t> entry_depths;
   // Functions participating in recursion: need run-time checks.
   std::set<std::string> recursive;
+  // Requested entry points that name no defined function, in request order.
+  // Skipped, and reported so a typo cannot under-analyze without a trace.
+  std::vector<std::string> missing_entries;
   int64_t worst_case = 0;
   std::string worst_entry;
   int64_t budget = 8192;  // the paper's 4 or 8 kB
@@ -48,9 +44,10 @@ struct StackCheckReport {
 
   std::string ToString() const;
 
-  // Unified-pipeline view: a budget overrun is an error (witness = the worst
-  // entry point), each recursive function a warning (needs the run-time
-  // kCheckStack trap, as the paper prescribes).
+  // Unified-pipeline view: each skipped entry is a warning (witness = the
+  // name), a budget overrun is an error (witness = the worst entry point),
+  // each recursive function a warning (needs the run-time kCheckStack trap,
+  // as the paper prescribes).
   std::vector<Finding> ToFindings() const;
 };
 
@@ -60,23 +57,19 @@ class StackCheck {
 
   // Analyzes the given entry points (default: every defined function is a
   // potential kernel entry; syscalls and IRQ handlers are reported first).
+  // Names in `entries` that are not defined functions are skipped and
+  // listed in the report's missing_entries.
   StackCheckReport Run(const std::vector<std::string>& entries);
 
-  // Sharded depth search: entry points are partitioned by `sharder` and
-  // solved in parallel on `wq`, each shard with a private memo over the
-  // condensation DAG. Byte-identical report to the serial Run().
-  StackCheckReport Run(const std::vector<std::string>& entries,
-                       const FunctionSharder& sharder, WorkQueue& wq);
-
  private:
-  // Builds the SCC condensation (idempotent; called by both Run flavors).
+  // Builds the SCC condensation (idempotent).
   void Prepare();
-  // Longest path from `scc` through the condensation; memo is caller-owned
-  // so parallel shards never share mutable state.
+  // Longest path from `scc` through the condensation, memoized in `memo`.
   int64_t DepthOfScc(int scc, std::vector<int64_t>* memo) const;
-  std::vector<const FuncDecl*> ResolveRoots(const std::vector<std::string>& entries) const;
-  StackCheckReport Reduce(const std::vector<const FuncDecl*>& roots,
-                          const std::vector<int64_t>& root_depths) const;
+  // The defined functions `entries` names (all of them for an empty list);
+  // every other name goes to `missing`.
+  std::vector<const FuncDecl*> ResolveRoots(const std::vector<std::string>& entries,
+                                            std::vector<std::string>* missing) const;
 
   const CallGraph* cg_;
   const IrModule* module_;

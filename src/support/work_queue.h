@@ -1,26 +1,26 @@
-// A fixed-size thread pool with per-worker deques and work stealing — the
-// substrate under the per-function sharding layer (src/tool/function_sharder.h).
+// A fixed-size thread pool with per-worker deques and work stealing. Its
+// users: annod's relink queue (one worker, so relinks are serialized) and
+// the workload pass (one bytecode VM per workload function).
 //
 // Scope note: one mutex guards all deques. Stealing here buys scheduling
 // (idle workers drain the busiest sibling's oldest tasks, own tasks run
-// newest-first for locality), not lock-free throughput — shard-granularity
-// tasks are far too coarse for the lock to contend. If tasks ever become
-// fine-grained, split the lock per deque before anything else.
+// newest-first for locality), not lock-free throughput — the tasks are far
+// too coarse for the lock to contend. If tasks ever become fine-grained,
+// split the lock per deque before anything else.
 //
 // Determinism contract: WorkQueue never decides *what* a computation produces,
-// only *when* it runs. Kernels built on it must write into pre-partitioned,
-// index-addressed slots (one per shard) and reduce in shard order after
-// Wait() — then the merged result is byte-identical no matter how tasks
-// interleave. Exceptions follow the same rule: if several tasks throw, Wait()
-// rethrows the one with the lowest submission index, so a failing parallel
-// run reports the same error the equivalent serial loop would have hit first.
+// only *when* it runs. Callers must write into pre-partitioned,
+// index-addressed slots and reduce in index order after Wait() — then the
+// merged result is byte-identical no matter how tasks interleave. Exceptions
+// follow the same rule: if several tasks throw, Wait() rethrows the one with
+// the lowest submission index, so a failing parallel run reports the same
+// error the equivalent serial loop would have hit first.
 //
-// Sharing one pool: WorkQueue::Wait() is queue-global, so two passes waiting
-// on the same queue would see each other's tasks (and worse, each other's
-// exceptions). TaskGroup scopes submission: each group counts and waits for
-// only its own tasks and rethrows only its own lowest-index exception, so an
-// AnalysisSession can hand every pass (and every module) the same pool —
-// replacing the old one-pool-per-pass pattern — without cross-talk.
+// Sharing one pool: WorkQueue::Wait() is queue-global, so two callers
+// waiting on the same queue would see each other's tasks (and worse, each
+// other's exceptions). TaskGroup scopes submission: each group counts and
+// waits for only its own tasks and rethrows only its own lowest-index
+// exception, so independent callers can share one pool without cross-talk.
 //
 // Shutdown is clean by construction: the destructor (or Shutdown()) stops the
 // workers after their current task, discards still-queued tasks, and joins —
@@ -229,7 +229,7 @@ class WorkQueue {
 
 // A submission scope over a shared WorkQueue. Wait() blocks on — and
 // rethrows the lowest-submission-index exception of — only the tasks this
-// group submitted, so concurrent kernels on one pool cannot observe each
+// group submitted, so concurrent callers on one pool cannot observe each
 // other's completion or failures. If the queue was already shut down, the
 // task runs inline on the submitting thread (degraded, still correct).
 //

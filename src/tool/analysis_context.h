@@ -7,10 +7,6 @@
 // parallel scheduler's passes can all demand them), and hands out const
 // references. The build counters exist so tests and benches can assert the
 // compute-once property instead of trusting it.
-//
-// One pool hook rides on the context: AttachPool, a shared WorkQueue (the
-// session's, or one scoped to CompileAndRun) the sharded passes use instead
-// of constructing one pool each (TaskGroup keeps their waits isolated).
 #ifndef SRC_TOOL_ANALYSIS_CONTEXT_H_
 #define SRC_TOOL_ANALYSIS_CONTEXT_H_
 
@@ -25,7 +21,6 @@
 namespace ivy {
 
 class Machine;
-class WorkQueue;
 
 class AnalysisContext {
  public:
@@ -57,12 +52,6 @@ class AnalysisContext {
   void AttachVm(const Machine* vm) { vm_ = vm; }
   const Machine* vm() const { return vm_; }
 
-  // Optional shared worker pool for sharded pass kernels. Not owned; must
-  // outlive every pass run against this context. Null means each pass builds
-  // its own pool (the pre-session behaviour).
-  void AttachPool(WorkQueue* pool) { pool_ = pool; }
-  WorkQueue* pool() const { return pool_; }
-
   int pointsto_builds() const { return pt_builds_.load(); }
   int callgraph_builds() const { return cg_builds_.load(); }
 
@@ -70,7 +59,6 @@ class AnalysisContext {
   Compilation* comp_;
   bool field_sensitive_;
   const Machine* vm_ = nullptr;
-  WorkQueue* pool_ = nullptr;
 
   std::once_flag pt_once_;
   std::once_flag cg_once_;

@@ -9,6 +9,7 @@
 // Adding another tool is this file's pattern in ~30 lines: subclass
 // ToolPass, convert your report, add one ToolPassRegistrar. See
 // docs/ARCHITECTURE.md.
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -22,40 +23,14 @@
 #include "src/errcheck/errcheck.h"
 #include "src/locksafe/locksafe.h"
 #include "src/stackcheck/stackcheck.h"
+#include "src/support/work_queue.h"
 #include "src/tool/analysis_context.h"
-#include "src/tool/function_sharder.h"
 #include "src/tool/registry.h"
 #include "src/vm/heap.h"
 #include "src/vm/vm.h"
 
 namespace ivy {
 namespace {
-
-// The "shards" option (injected pipeline-wide by PipelineBuilder::
-// ShardFunctions, overridable per tool): 1 = serial reference kernels,
-// 0 = hardware concurrency, n = that many shards. Findings are byte-
-// identical for every value; only wall-clock changes.
-int ShardsFromOptions(const ToolOptions& options) {
-  int64_t shards = options.GetInt("shards", 1);
-  return shards < 0 ? 1 : static_cast<int>(shards);
-}
-
-// The worker pool for a sharded kernel: the shared one a pipeline run or
-// session attached to the context (TaskGroup keeps concurrent passes
-// isolated on it), else a pass-local pool as before.
-struct PoolRef {
-  WorkQueue* pool = nullptr;
-  std::unique_ptr<WorkQueue> owned;
-};
-PoolRef PoolFor(AnalysisContext& ctx, const FunctionSharder& sharder) {
-  PoolRef r;
-  r.pool = ctx.pool();
-  if (r.pool == nullptr) {
-    r.owned = std::make_unique<WorkQueue>(sharder.worker_count());
-    r.pool = r.owned.get();
-  }
-  return r;
-}
 
 // --------------------------------------------------------------------------
 // deputy: type-safety checks + static discharge (§2.1). The work happened at
@@ -157,19 +132,8 @@ class BlockStopPass : public ToolPass {
 
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
-    BlockStop bs(&ctx.prog(), &ctx.sema(), &cg);
-    int shards = ShardsFromOptions(options());
-    BlockStopReport report;
-    if (shards == 1) {
-      report = bs.Run();
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = bs.Run(sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    BlockStopReport report = BlockStop(&ctx.prog(), &ctx.sema(), &cg).Run();
     ToolResult r(name());
-    r.SetMetric("shards", shards);
     for (Finding& f : report.ToFindings()) {
       r.AddFinding(std::move(f));
     }
@@ -181,10 +145,7 @@ class BlockStopPass : public ToolPass {
     r.SetMetric("violations", static_cast<int64_t>(report.violations.size()));
     r.SetMetric("silenced", static_cast<int64_t>(report.silenced.size()));
     r.SetMetric("runtime_checks", report.runtime_checks);
-    // Strategy-dependent observability (rounds and evals differ between the
-    // serial rescan loop and the sharded worklist/BFS); findings never
-    // depend on either.
-    r.SetMetric("context_rounds", report.context_rounds);
+    // Observability only: findings never depend on it.
     r.SetMetric("mayblock_evals", report.mayblock_evals);
     r.set_summary(report.ToString());
     r.SetDetail(std::move(report));
@@ -206,19 +167,8 @@ class LockSafePass : public ToolPass {
 
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
-    LockSafe ls(&ctx.prog(), &ctx.sema(), &cg);
-    int shards = ShardsFromOptions(options());
-    LockSafeReport report;
-    if (shards == 1) {
-      report = ls.Run();
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = ls.Run(sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    LockSafeReport report = LockSafe(&ctx.prog(), &ctx.sema(), &cg).Run();
     ToolResult r(name());
-    r.SetMetric("shards", shards);
     for (Finding& f : report.ToFindings("static")) {
       r.AddFinding(std::move(f));
     }
@@ -247,7 +197,8 @@ class LockSafePass : public ToolPass {
 // --------------------------------------------------------------------------
 // stackcheck (§3.1). Options: "budget" (bytes, default 8192 — the paper's
 // 8 kB), "entries" (comma-separated entry points; default all defined
-// functions, since any of them may be a kernel entry).
+// functions, since any of them may be a kernel entry). An entry that names
+// no defined function is skipped with a warning.
 // --------------------------------------------------------------------------
 class StackCheckPass : public ToolPass {
  public:
@@ -274,19 +225,8 @@ class StackCheckPass : public ToolPass {
         }
       }
     }
-    StackCheck sc(&cg, &ctx.module(), budget);
-    int shards = ShardsFromOptions(options());
-    StackCheckReport report;
-    if (shards == 1) {
-      report = sc.Run(entries);
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = sc.Run(entries, sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    StackCheckReport report = StackCheck(&cg, &ctx.module(), budget).Run(entries);
     ToolResult r(name());
-    r.SetMetric("shards", shards);
     for (Finding& f : report.ToFindings()) {
       r.AddFinding(std::move(f));
     }
@@ -314,19 +254,8 @@ class ErrCheckPass : public ToolPass {
 
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
-    ErrCheck ec(&ctx.prog(), &ctx.sema(), &cg);
-    int shards = ShardsFromOptions(options());
-    ErrCheckReport report;
-    if (shards == 1) {
-      report = ec.Run();
-    } else {
-      FunctionSharder sharder(cg.DefinedFuncs(), shards);
-      PoolRef pool = PoolFor(ctx, sharder);
-      report = ec.Run(sharder, *pool.pool);
-      shards = sharder.shard_count();
-    }
+    ErrCheckReport report = ErrCheck(&ctx.prog(), &ctx.sema(), &cg).Run();
     ToolResult r(name());
-    r.SetMetric("shards", shards);
     for (Finding& f : report.ToFindings()) {
       r.AddFinding(std::move(f));
     }
@@ -343,8 +272,8 @@ class ErrCheckPass : public ToolPass {
 
 // --------------------------------------------------------------------------
 // workload: the dynamic stage of the pipeline. Runs VM workload functions —
-// compiled once to ivybc bytecode, executed by one BcVm per function — as a
-// scheduled pass on the shared WorkQueue, and turns what the runs observe
+// compiled once to ivybc bytecode, executed by one BcVm per function on the
+// pass's own WorkQueue — as a scheduled pass, and turns what the runs observe
 // (traps, might-sleep-in-atomic, CCount bad frees) into findings that merge
 // and persist like any static pass's. Options:
 //   "fns"       comma-separated workload specs, each "fn" or "fn:arg:arg..."
@@ -455,14 +384,11 @@ class WorkloadPass : public ToolPass {
       slot.bad_frees = vm.heap().bad_free_sites();
       slot.might_sleep_checks = vm.might_sleep_checks();
     };
-    WorkQueue* pool = ctx.pool();
-    std::unique_ptr<WorkQueue> owned;
-    if (pool == nullptr) {
-      owned = std::make_unique<WorkQueue>(0);
-      pool = owned.get();
-    }
+    // One worker per workload, capped at the hardware's concurrency.
+    WorkQueue pool(static_cast<int>(
+        std::min<size_t>(specs.size(), static_cast<size_t>(WorkQueue::ResolveHardware()))));
     {
-      TaskGroup group(*pool);
+      TaskGroup group(pool);
       for (size_t i = 0; i < specs.size(); ++i) {
         group.Submit([&run_one, i] { run_one(i); });
       }

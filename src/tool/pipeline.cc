@@ -11,7 +11,6 @@
 #include "src/mc/parser.h"
 #include "src/support/clock.h"
 #include "src/support/trace.h"
-#include "src/support/work_queue.h"
 #include "src/tool/registry.h"
 #include "src/vm/builtins.h"
 
@@ -399,13 +398,10 @@ std::unique_ptr<AnalysisContext> Pipeline::MakeContext(Compilation* comp) const 
 namespace {
 
 // Instantiates + configures the requested passes. Unknown names produce an
-// error finding instead of a pass. The pipeline-wide shard count reaches
-// every pass as the "shards" option unless the tool's own option bag
-// already set one.
+// error finding instead of a pass.
 std::vector<std::unique_ptr<ToolPass>> MakePasses(
     const std::vector<std::string>& tools,
-    const std::map<std::string, ToolOptions>& options, int shards,
-    std::vector<Finding>* errors) {
+    const std::map<std::string, ToolOptions>& options, std::vector<Finding>* errors) {
   std::vector<std::unique_ptr<ToolPass>> passes;
   for (const std::string& name : tools) {
     std::unique_ptr<ToolPass> pass = ToolRegistry::Instance().Create(name);
@@ -421,9 +417,6 @@ std::vector<std::unique_ptr<ToolPass>> MakePasses(
     auto it = options.find(name);
     if (it != options.end()) {
       opts = it->second;
-    }
-    if (!opts.Has("shards")) {
-      opts.SetInt("shards", shards);
     }
     pass->Configure(std::move(opts));
     passes.push_back(std::move(pass));
@@ -538,29 +531,7 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
 
   std::vector<Finding> config_errors;
   std::vector<std::unique_ptr<ToolPass>> passes =
-      MakePasses(tools_, options_, shards_, &config_errors);
-
-  // One worker pool for every sharded pass in this run (TaskGroup keeps
-  // their waits isolated) — unless a session already attached a longer-lived
-  // one. Sized for the help-first model: k shards need k-1 workers. The
-  // guard detaches on every exit path: a throwing pass must not leave the
-  // context pointing at a pool that dies with this frame.
-  struct RunPool {
-    AnalysisContext* ctx = nullptr;
-    std::unique_ptr<WorkQueue> pool;
-    ~RunPool() {
-      if (ctx != nullptr) {
-        ctx->AttachPool(nullptr);
-      }
-    }
-  } run_pool;
-  if (shards_ != 1 && ctx.pool() == nullptr && !passes.empty()) {
-    int workers = shards_ == 0 ? WorkQueue::ResolveHardware()
-                               : (shards_ > 1 ? shards_ - 1 : 1);
-    run_pool.pool = std::make_unique<WorkQueue>(workers);
-    run_pool.ctx = &ctx;
-    ctx.AttachPool(run_pool.pool.get());
-  }
+      MakePasses(tools_, options_, &config_errors);
 
   // Warm the shared cache serially so parallel passes only ever read it.
   bool need_pt = false;
@@ -662,26 +633,15 @@ PipelineRun Pipeline::CompileAndRun(const std::vector<SourceFile>& files) const 
     return run;
   }
   run.ctx = MakeContext(run.comp.get());
-  std::unique_ptr<WorkQueue> pool = MakePool();
-  run.ctx->AttachPool(pool.get());
   run.result = RunTools(*run.ctx);
-  run.ctx->AttachPool(nullptr);  // the pool dies with this call
   return run;
-}
-
-std::unique_ptr<WorkQueue> Pipeline::MakePool() const {
-  if (shards_ == 1) {
-    return nullptr;  // serial kernels never touch a pool
-  }
-  return std::make_unique<WorkQueue>(shards_ == 0 ? WorkQueue::ResolveHardware()
-                                                  : std::max(shards_ - 1, 1));
 }
 
 std::vector<std::string> Pipeline::Plan() const {
   std::vector<std::string> plan;
   std::vector<Finding> ignored;
   std::vector<std::unique_ptr<ToolPass>> passes =
-      MakePasses(tools_, options_, shards_, &ignored);
+      MakePasses(tools_, options_, &ignored);
   bool need_pt = false;
   bool need_cg = false;
   RequiredAnalyses(passes, &need_pt, &need_cg);
@@ -746,11 +706,6 @@ PipelineBuilder& PipelineBuilder::Parallel(bool on) {
 
 PipelineBuilder& PipelineBuilder::FieldSensitive(bool on) {
   pipeline_.field_sensitive_ = on;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::ShardFunctions(int n) {
-  pipeline_.shards_ = n < 0 ? 1 : n;
   return *this;
 }
 

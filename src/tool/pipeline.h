@@ -97,17 +97,12 @@ class Pipeline {
   // silently diverge from the context the tools actually run against.
   std::unique_ptr<AnalysisContext> MakeContext(Compilation* comp) const;
 
-  // The pool sharded passes run on: null with sharding off, else one worker
-  // per shard beyond the caller's (hardware concurrency for 0).
-  std::unique_ptr<WorkQueue> MakePool() const;
-
   // Runs every configured pass over `ctx`. Unknown tool names become
   // severity-error findings attributed to tool "pipeline".
   PipelineResult RunTools(AnalysisContext& ctx) const;
 
   // Compile + analyze in one step. If compilation fails, `result` is empty
-  // and `ctx` is null. With sharding on, the passes run on a pool that lives
-  // only for this call; the returned context holds no pool.
+  // and `ctx` is null.
   PipelineRun CompileAndRun(const std::vector<SourceFile>& files) const;
 
   // The schedule RunTools would execute: required analyses first (in
@@ -120,7 +115,10 @@ class Pipeline {
   const std::map<std::string, ToolOptions>& tool_options() const { return options_; }
   bool parallel() const { return parallel_; }
   bool field_sensitive() const { return field_sensitive_; }
-  int shard_functions() const { return shards_; }
+  // Always 1: every pass has one kernel. Kept only because
+  // ivybench/driver.cc still reads it; delete it at the next change to the
+  // benchmark.
+  int shard_functions() const { return 1; }
 
  private:
   friend class PipelineBuilder;
@@ -130,7 +128,6 @@ class Pipeline {
   std::map<std::string, ToolOptions> options_;
   bool parallel_ = true;
   bool field_sensitive_ = true;
-  int shards_ = 1;                    // per-function shards (0 = hardware)
 };
 
 class PipelineBuilder {
@@ -144,7 +141,7 @@ class PipelineBuilder {
 
   // Schedules VM workload functions as the dynamic "workload" pass: each
   // spec is "fn" or "fn:arg:arg..." and runs in its own bytecode VM (over
-  // one shared compiled image) on the pipeline's worker pool; `boot` is an
+  // one shared compiled image) on the pass's own worker pool; `boot` is an
   // optional spec executed first in every workload VM (e.g.
   // "boot_kernel:5"). Traps, might-sleep violations, and CCount bad frees
   // observed by the runs become findings — stamped with module provenance
@@ -154,15 +151,6 @@ class PipelineBuilder {
 
   PipelineBuilder& Parallel(bool on);
   PipelineBuilder& FieldSensitive(bool on);
-
-  // Per-function sharding inside the passes that support it (blockstop,
-  // stackcheck): split the intra-pass fixpoints over `n` shards driven by a
-  // work queue. `n == 0` means hardware concurrency, `n == 1` (the default)
-  // keeps the serial reference kernels. Findings are byte-identical for any
-  // value — the sharding layer merges in function-declaration order. Reaches
-  // the passes as the "shards" ToolOptions key; a per-tool option set
-  // explicitly via Tool(name, opts) wins over this pipeline-wide value.
-  PipelineBuilder& ShardFunctions(int n);
 
   // Frontend / VM knobs (the surviving ToolConfig fields).
   PipelineBuilder& Deputy(bool on);
@@ -178,8 +166,8 @@ class PipelineBuilder {
   // Corpus mode: registers named modules for BuildSession(). The session
   // then compiles every module as one program and runs the configured
   // passes over the whole corpus; the session's merged
-  // findings are byte-identical regardless of module registration order or
-  // shard count. Appends to any modules registered earlier; duplicate names
+  // findings are byte-identical regardless of module registration order.
+  // Appends to any modules registered earlier; duplicate names
   // replace the earlier sources.
   PipelineBuilder& ForEachModule(std::vector<ModuleSources> modules);
 

@@ -276,13 +276,6 @@ bool AnalysisSession::ReplaceModuleSources(const std::string& name,
   return true;
 }
 
-WorkQueue* AnalysisSession::pool() {
-  if (pool_ == nullptr) {
-    pool_ = pipeline_.MakePool();
-  }
-  return pool_.get();
-}
-
 SessionResult AnalysisSession::Collect() const {
   // The deterministic corpus merge, in sorted-module-name order.
   SessionResult out;
@@ -618,7 +611,6 @@ bool AnalysisSession::AnalyzeCorpus() {
   PipelineResult corpus;
   if (!live.empty()) {
     ctx = pipeline_.MakeContext(comp.get());
-    ctx->AttachPool(pool());
     corpus = pipeline_.RunTools(*ctx);
     if (trace::Enabled()) {
       static trace::Counter* const solve_cold = trace::GetCounter("session.solve_cold");

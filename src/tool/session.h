@@ -1,14 +1,12 @@
 // AnalysisSession: the corpus-level pipeline API (the paper's "apply sound
 // static analysis at a large scale" made long-lived).
 //
-// A session owns a corpus of named modules, one shared worker pool for every
-// sharded pass kernel, and each module's last results. RunLinked() compiles
-// every module into one program and analyzes it once, so calls between
-// modules are ordinary calls:
+// A session owns a corpus of named modules and each module's last results.
+// RunLinked() compiles every module into one program and analyzes it once,
+// so calls between modules are ordinary calls:
 //
 //   AnalysisSession session = PipelineBuilder()
 //                                 .AllTools()
-//                                 .ShardFunctions(0)
 //                                 .ForEachModule(modules)
 //                                 .BuildSession();
 //   SessionResult cold = session.RunLinked();    // analyzes the corpus
@@ -16,10 +14,9 @@
 //   SessionResult next = session.RunLinked();    // re-analyzes the corpus
 //
 // Determinism contract (extends the pipeline's): the merged findings are
-// byte-identical regardless of module registration order, shard count, pool
-// size, and whether the corpus was re-analyzed or its results reused.
-// Modules merge in sorted-name order; within a module the pipeline's
-// request-order merge applies.
+// byte-identical regardless of module registration order and whether the
+// corpus was re-analyzed or its results reused. Modules merge in sorted-name
+// order; within a module the pipeline's request-order merge applies.
 //
 // Reuse granularity: the corpus. With no module dirty, RunLinked() reuses
 // every module's cached result verbatim; any edit re-analyzes the corpus
@@ -36,7 +33,6 @@
 #include <vector>
 
 #include "src/annodb/annodb.h"
-#include "src/support/work_queue.h"
 #include "src/tool/pipeline.h"
 
 namespace ivy {
@@ -126,9 +122,8 @@ class AnalysisSession {
   // reported once.
   //
   // Determinism contract: findings are byte-identical regardless of module
-  // registration order and shard count, and render
-  // canonically equal to the merged-source program's (see
-  // tests/session_linked_test.cc and docs/ARCHITECTURE.md).
+  // registration order, and render canonically equal to the merged-source
+  // program's (see tests/session_linked_test.cc and docs/ARCHITECTURE.md).
   //
   // With no module dirty since the last link or a matching LoadStore,
   // RunLinked() analyzes nothing (module_analyses == 0); any edit re-runs
@@ -148,8 +143,7 @@ class AnalysisSession {
   bool LoadStore(const std::string& path, std::string* err);
 
   // Hash of the analysis recipe (pass plan, per-tool options, points-to
-  // precision — deliberately NOT the shard count, which cannot change
-  // results): stores carry it so facts computed under one recipe are never
+  // precision): stores carry it so facts computed under one recipe are never
   // warm-started into another.
   uint64_t CorpusDigest() const;
 
@@ -187,7 +181,6 @@ class AnalysisSession {
  private:
   struct ModuleState;  // defined in session_state.h
 
-  WorkQueue* pool();
   // RunLinked()'s merge of every module's cached result.
   SessionResult Collect() const;
   // RunLinked()'s analysis: compiles and analyzes the corpus as one program
@@ -205,7 +198,6 @@ class AnalysisSession {
   // RequestCancel() from another thread races only with the atomic load,
   // never with the pointer (which changes only under single-threaded moves).
   std::shared_ptr<std::atomic<bool>> cancel_;
-  std::unique_ptr<WorkQueue> pool_;
   // std::map: sorted iteration is what makes every merge order-independent
   // of registration order. Node stability also keeps ModuleState addresses
   // valid across inserts.

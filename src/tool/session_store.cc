@@ -55,9 +55,6 @@ uint64_t AnalysisSession::CorpusDigest() const {
   }
   for (const auto& [tool, opts] : pipeline_.tool_options()) {
     for (const auto& [key, value] : opts.entries()) {
-      if (key == "shards") {
-        continue;  // sharding cannot change results (the PR 2 contract)
-      }
       mix(tool);
       mix(key);
       mix(value);

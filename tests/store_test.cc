@@ -32,12 +32,11 @@ namespace {
 
 constexpr int64_t kHugeBudget = int64_t{1} << 40;
 
-PipelineBuilder LinkedPipeline(int shards = 1) {
+PipelineBuilder LinkedPipeline() {
   PipelineBuilder b;
   ToolOptions sc;
   sc.SetInt("budget", kHugeBudget);
   b.Tool("blockstop").Tool("stackcheck", sc).Tool("errcheck").Tool("locksafe");
-  b.ShardFunctions(shards);
   return b;
 }
 
@@ -483,10 +482,9 @@ TEST(StoreSession, StaleCorpusDigestRejected) {
   AnalysisSession mismatched = other.ForEachModule(corpus).BuildSession();
   EXPECT_FALSE(mismatched.LoadStore(path.get(), &err));
   EXPECT_NE(err.find("digest"), std::string::npos) << err;
-  // ... while the identical recipe accepts them; shard count is NOT part of
-  // the digest (it cannot change results).
-  AnalysisSession sharded = LinkedPipeline(3).ForEachModule(corpus).BuildSession();
-  EXPECT_TRUE(sharded.LoadStore(path.get(), &err)) << err;
+  // ... while the identical recipe accepts them.
+  AnalysisSession same = LinkedPipeline().ForEachModule(corpus).BuildSession();
+  EXPECT_TRUE(same.LoadStore(path.get(), &err)) << err;
 }
 
 TEST(StoreSession, CorruptAndMalformedStoresRejected) {

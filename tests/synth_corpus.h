@@ -1,9 +1,9 @@
-// Seeded Mini-C corpus generator for the sharding determinism tests and the
-// serial-vs-sharded benchmarks. Fully deterministic: the same
+// Seeded Mini-C corpus generator for the BlockStop kernel-vs-reference
+// property tests and the analysis benchmarks. Fully deterministic: the same
 // SynthCorpusOptions always produce the same source text (Rng is the
 // repo's portable xorshift64*, not <random>).
 //
-// The generated program is shaped to exercise every path the sharded
+// The generated program is shaped to exercise every path the analysis
 // kernels take:
 //   - a call-chain backbone fn_i -> fn_{i+1} plus random forward fan-out,
 //     so may-block facts propagate over long distances (many serial
@@ -47,7 +47,7 @@ struct SynthCorpusOptions {
   // 0 disables mid-chain blocking entirely, leaving only the tail leaves and
   // the two noblock wrappers as may-block seeds — the worst case for
   // rescan-everything fixpoints (longest propagation distances) and exactly
-  // the profile the serial-vs-sharded benchmark measures.
+  // the profile the kernel-vs-reference benchmark measures.
   int mid_blocking_every = 40;
   // Alternate the chain direction every `block` functions: even blocks chain
   // ascending (fn_i -> fn_{i+1}), odd blocks descending (fn_i -> fn_{i-1},

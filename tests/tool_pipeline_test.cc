@@ -154,39 +154,6 @@ TEST(ToolPipeline, ParallelAndSerialMergesAreIdentical) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ToolPipeline, ShardFunctionsKeepsFindingsByteIdentical) {
-  auto findings_with = [](int shards) {
-    Pipeline p = PipelineBuilder().AllTools().ShardFunctions(shards).Build();
-    PipelineRun run = p.CompileAndRun({SourceFile{"input.mc", kFourBugs}});
-    EXPECT_TRUE(run.comp->ok);
-    Json merged = Json::MakeArray();
-    for (const Finding& f : run.result.findings) {
-      merged.Append(f.ToJson());
-    }
-    return merged.Dump();
-  };
-  std::string serial = findings_with(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(findings_with(4), serial);
-  EXPECT_EQ(findings_with(0), serial);  // 0 = hardware concurrency
-
-  // The sharded run advertises its shard count; per-tool options still win
-  // over the pipeline-wide value.
-  Pipeline p = PipelineBuilder()
-                   .Tool("blockstop")
-                   .Tool("stackcheck", ToolOptions().SetInt("shards", 2))
-                   .ShardFunctions(4)
-                   .Build();
-  PipelineRun run = p.CompileAndRun({SourceFile{"input.mc", kFourBugs}});
-  ASSERT_TRUE(run.comp->ok);
-  const ToolResult* bs = run.result.ResultFor("blockstop");
-  ASSERT_NE(bs, nullptr);
-  EXPECT_GE(bs->Metric("shards"), 1);
-  const ToolResult* sc = run.result.ResultFor("stackcheck");
-  ASSERT_NE(sc, nullptr);
-  EXPECT_LE(sc->Metric("shards"), 2);
-}
-
 TEST(ToolPipeline, PerToolOptionBagsReachThePass) {
   // A one-byte budget forces a stackcheck error on any entry with locals.
   Pipeline p = PipelineBuilder()

@@ -1,7 +1,7 @@
-// Stress tests for the work-stealing pool under the sharding layer: many
-// tiny tasks, exception propagation (deterministic: lowest submission index
-// wins), reuse after failure, nested submission, and clean shutdown while
-// busy — the properties FunctionSharder's determinism contract leans on.
+// Stress tests for the work-stealing pool: many tiny tasks, exception
+// propagation (deterministic: lowest submission index wins), reuse after
+// failure, nested submission, and clean shutdown while busy — the properties
+// annod's relink queue and the workload pass lean on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "src/support/work_queue.h"
-#include "src/tool/function_sharder.h"
 
 namespace ivy {
 namespace {
@@ -115,24 +114,10 @@ TEST(WorkQueue, SubmitAfterShutdownIsDiscardedNotDeadlock) {
   EXPECT_EQ(counter.load(), 0);
 }
 
-TEST(FunctionSharder, PartitionIsContiguousAndBalanced) {
-  FunctionSharder sharder({}, 4);
-  auto ranges = sharder.Partition(10);
-  ASSERT_EQ(ranges.size(), 4u);
-  // 10 items over 4 shards: 3,3,2,2 — contiguous, in order, no gaps.
-  EXPECT_EQ(ranges[0], (std::pair<size_t, size_t>{0, 3}));
-  EXPECT_EQ(ranges[1], (std::pair<size_t, size_t>{3, 6}));
-  EXPECT_EQ(ranges[2], (std::pair<size_t, size_t>{6, 8}));
-  EXPECT_EQ(ranges[3], (std::pair<size_t, size_t>{8, 10}));
-  // Fewer items than shards: one chunk per item, never an empty chunk.
-  EXPECT_EQ(sharder.Partition(2).size(), 2u);
-  EXPECT_TRUE(sharder.Partition(0).empty());
-}
-
 TEST(TaskGroup, IsolatesCompletionAndErrorsPerGroup) {
   // Two groups sharing one pool: each Wait() observes only its own tasks,
   // and an exception in one group never surfaces in the other — the
-  // property that lets every pass (and every module) share a session pool.
+  // property that lets independent callers share one pool.
   WorkQueue wq(4);
   TaskGroup good(wq);
   TaskGroup bad(wq);
@@ -192,11 +177,10 @@ TEST(TaskGroup, ConcurrentGroupsStress) {
 }
 
 TEST(TaskGroup, TwoFailingKernelsRethrowLowestIndexDeterministically) {
-  // The session scenario: two pass kernels share one pool and BOTH fail.
-  // Each group must rethrow the exception its own serial loop would have
-  // hit first — the lowest submission index within that group — on every
-  // repetition, no matter how the workers interleave the two kernels'
-  // tasks.
+  // Two callers share one pool and BOTH fail. Each group must rethrow the
+  // exception its own serial loop would have hit first — the lowest
+  // submission index within that group — on every repetition, no matter how
+  // the workers interleave the two callers' tasks.
   WorkQueue wq(4);
   for (int iter = 0; iter < 200; ++iter) {
     TaskGroup kernel_a(wq);
@@ -308,27 +292,6 @@ TEST(TaskGroup, CancelOnDeadQueueSkipsInlineFallback) {
   group.Submit([&ran] { ran.fetch_add(1); });
   group.Wait();
   EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(FunctionSharder, MapChunksReducesInChunkOrder) {
-  FunctionSharder sharder({}, 3);
-  WorkQueue wq(3);
-  std::vector<std::vector<size_t>> chunks = sharder.MapChunks<size_t>(
-      wq, 100, [](int, size_t begin, size_t end) {
-        std::vector<size_t> out;
-        for (size_t i = begin; i < end; ++i) {
-          out.push_back(i);
-        }
-        return out;
-      });
-  std::vector<size_t> flat;
-  for (const auto& c : chunks) {
-    flat.insert(flat.end(), c.begin(), c.end());
-  }
-  ASSERT_EQ(flat.size(), 100u);
-  for (size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(flat[i], i);  // flattening reproduces serial order
-  }
 }
 
 }  // namespace

@@ -23,7 +23,6 @@ inline PipelineBuilder SynthServePipeline() {
   sc.SetInt("budget", int64_t{1} << 40);
   PipelineBuilder b;
   b.Tool("blockstop").Tool("stackcheck", sc).Tool("errcheck").Tool("locksafe");
-  b.ShardFunctions(1);
   return b;
 }
 
