@@ -254,6 +254,65 @@ void BM_StackCheckSynth500(benchmark::State& state) {
 BENCHMARK(BM_StackCheckSynth500);
 
 // ---------------------------------------------------------------------------
+// The call graph and BlockStop on the merged 8x400 linked corpus (seed 1),
+// the scale a cold annolink --synth 8:400:1 analyzes. The BlockStop kernel
+// is FATAL-checked against RunReference(): findings and every name-keyed
+// export view must match before a time is posted.
+// ---------------------------------------------------------------------------
+
+ivy::AnalysisContext& Linked8x400Ctx() {
+  static std::unique_ptr<ivy::Compilation> comp = [] {
+    ivy::LinkedCorpusOptions opt;
+    opt.modules = 8;
+    opt.functions = 400;
+    opt.seed = 1;
+    auto c = ivy::PipelineBuilder().Build().Compile(
+        ivy::MergedLinkedSources(ivy::GenerateLinkedCorpus(opt)));
+    if (!c->ok) {
+      std::fprintf(stderr, "FATAL: 8x400 linked corpus does not compile\n%s\n",
+                   c->Errors().c_str());
+      std::abort();
+    }
+    return c;
+  }();
+  static ivy::AnalysisContext* ctx = new ivy::AnalysisContext(comp.get());
+  ctx->callgraph();  // warm outside the timed region
+  return *ctx;
+}
+
+void BM_CallGraphLinked8x400(benchmark::State& state) {
+  ivy::AnalysisContext& ctx = Linked8x400Ctx();
+  for (auto _ : state) {
+    ivy::CallGraph cg = ivy::CallGraph::Build(ctx.prog(), ctx.sema(), ctx.pointsto());
+    benchmark::DoNotOptimize(cg.edge_count());
+  }
+}
+BENCHMARK(BM_CallGraphLinked8x400)->Unit(benchmark::kMillisecond);
+
+void BM_BlockStopLinked8x400(benchmark::State& state) {
+  ivy::AnalysisContext& ctx = Linked8x400Ctx();
+  const ivy::CallGraph& cg = ctx.callgraph();
+  {
+    ivy::BlockStopReport kernel = ivy::BlockStop(&ctx.prog(), &ctx.sema(), &cg).Run();
+    ivy::BlockStopReport reference =
+        ivy::BlockStop(&ctx.prog(), &ctx.sema(), &cg).RunReference();
+    if (FindingsDump(kernel.ToFindings()) != FindingsDump(reference.ToFindings()) ||
+        kernel.mayblock != reference.mayblock ||
+        kernel.mayblock_witness != reference.mayblock_witness ||
+        kernel.cross_file_entry_bits != reference.cross_file_entry_bits) {
+      std::fprintf(stderr, "FATAL: 8x400 blockstop kernel diverges from the reference\n");
+      std::abort();
+    }
+  }
+  // What a pass run pays: the analysis plus the findings it reports.
+  for (auto _ : state) {
+    ivy::BlockStopReport report = ivy::BlockStop(&ctx.prog(), &ctx.sema(), &cg).Run();
+    benchmark::DoNotOptimize(report.ToFindings().size());
+  }
+}
+BENCHMARK(BM_BlockStopLinked8x400)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
 // The 8x400 session corpus: the frontend measurements, the relink after a
 // one-function edit and the tracing gate all run over it (chrono timers,
 // written to BENCH_pipeline.json below — the CI perf artifact).

@@ -1,5 +1,9 @@
 #include "src/analysis/callgraph.h"
 
+#include <algorithm>
+
+#include "src/vm/builtins.h"
+
 namespace ivy {
 
 namespace {
@@ -16,120 +20,124 @@ const FuncDecl* NamedCallee(const Sema& sema, const Expr* callee) {
 
 CallGraph CallGraph::Build(const Program& /*prog*/, const Sema& sema, const PointsTo& pt) {
   CallGraph cg;
+  int max_id = -1;
   for (const auto& [name, fn] : sema.func_map()) {
-    if (fn->body == nullptr) {
-      continue;
-    }
-    cg.defined_.push_back(fn);
-    if (fn->attrs.interrupt_handler) {
-      cg.irq_entries_.insert(fn);
+    max_id = std::max(max_id, fn->func_id);
+    if (fn->body != nullptr) {
+      cg.defined_.push_back(fn);
     }
   }
   std::sort(cg.defined_.begin(), cg.defined_.end(),
             [](const FuncDecl* a, const FuncDecl* b) { return a->name < b->name; });
-  for (const FuncDecl* fn : cg.defined_) {
-    cg.Walk(fn, fn->body, sema, pt);
+  const size_t ids = static_cast<size_t>(max_id + 1);
+  cg.index_of_id_.assign(ids, -1);
+  cg.is_irq_entry_.assign(ids, 0);
+  cg.site_offsets_.push_back(0);
+  for (size_t i = 0; i < cg.defined_.size(); ++i) {
+    const FuncDecl* fn = cg.defined_[i];
+    if (fn->func_id >= 0) {
+      cg.index_of_id_[static_cast<size_t>(fn->func_id)] = static_cast<int>(i);
+      cg.is_irq_entry_[static_cast<size_t>(fn->func_id)] |= fn->attrs.interrupt_handler;
+    }
+    cg.Walk(fn->body, sema, pt);
+    cg.site_offsets_.push_back(static_cast<uint32_t>(cg.sites_.size()));
   }
-  // Reverse edges, deduplicated, callers in DefinedFuncs() order (the outer
-  // loop order) so worklist consumers stay deterministic.
-  std::set<std::pair<const FuncDecl*, const FuncDecl*>> seen;
-  for (const FuncDecl* fn : cg.defined_) {
-    for (const CallSite& site : cg.SitesOf(fn)) {
-      for (const FuncDecl* callee : site.McCallees()) {
-        if (seen.insert({callee, fn}).second) {
-          cg.callers_[callee].push_back(fn);
+  // Unique callees per caller in first-site order, each deduplicated by the
+  // last caller that recorded it; every (callee, caller) edge is counted.
+  std::vector<uint32_t> seen_by(ids, 0);  // func_id -> 1 + last caller position
+  cg.callee_offsets_.push_back(0);
+  cg.caller_offsets_.assign(ids + 1, 0);
+  for (uint32_t i = 0; i < cg.defined_.size(); ++i) {
+    for (const CallSite& site : cg.SitesOf(cg.defined_[i])) {
+      for (const FuncDecl* callee : cg.Targets(site)) {
+        if (uint32_t& seen = seen_by[static_cast<size_t>(callee->func_id)]; seen != i + 1) {
+          seen = i + 1;
+          cg.callees_.push_back(callee);
+          ++cg.caller_offsets_[static_cast<size_t>(callee->func_id) + 1];
         }
       }
+    }
+    cg.callee_offsets_.push_back(static_cast<uint32_t>(cg.callees_.size()));
+  }
+  // Callers per callee in DefinedFuncs() order: a counting sort of those
+  // edges, caller by caller.
+  for (size_t id = 0; id < ids; ++id) {
+    cg.caller_offsets_[id + 1] += cg.caller_offsets_[id];
+  }
+  std::vector<uint32_t> next(cg.caller_offsets_.begin(), cg.caller_offsets_.end() - 1);
+  cg.callers_.resize(cg.callees_.size());
+  for (const FuncDecl* fn : cg.defined_) {
+    for (const FuncDecl* callee : cg.Callees(fn)) {
+      cg.callers_[next[static_cast<size_t>(callee->func_id)]++] = fn;
+    }
+    if (fn->func_id >= 0 && cg.is_irq_entry_[static_cast<size_t>(fn->func_id)]) {
+      cg.irq_entries_.push_back(fn);
     }
   }
   return cg;
 }
 
-void CallGraph::WalkExpr(const FuncDecl* caller, const Expr* e, const Sema& sema,
-                         const PointsTo& pt) {
+void CallGraph::WalkExpr(const Expr* e, const Sema& sema, const PointsTo& pt) {
   if (e == nullptr) {
     return;
   }
   if (e->kind == ExprKind::kCall) {
     CallSite site;
     site.expr = e;
-    site.loc = e->loc;
-    site.caller = caller;
+    site.targets_begin = static_cast<uint32_t>(targets_.size());
     const FuncDecl* callee = NamedCallee(sema, e->a);
-    if (callee != nullptr) {
-      if (callee->is_builtin) {
-        site.builtin = callee;
-        if (callee->name == "trigger_irq" && !e->args.empty()) {
-          site.is_irq_dispatch = true;
-          site.indirect = pt.HandlerTargets(e->args[0]);
-          if (const FuncDecl* named = NamedCallee(sema, e->args[0])) {
-            site.indirect.push_back(named);
-          }
-          for (const FuncDecl* h : site.indirect) {
-            irq_entries_.insert(h);
-          }
-          indirect_targets_ += static_cast<int64_t>(site.indirect.size());
-        }
-      } else {
-        site.direct = callee;
-        ++edges_;
-      }
-    } else {
-      site.indirect = pt.TargetsOf(e);
+    if (callee == nullptr) {
+      const std::vector<const FuncDecl*>& cands = pt.TargetsOf(e);
+      targets_.insert(targets_.end(), cands.begin(), cands.end());
       ++indirect_sites_;
-      indirect_targets_ += static_cast<int64_t>(site.indirect.size());
-      edges_ += static_cast<int64_t>(site.indirect.size());
+      indirect_targets_ += static_cast<int64_t>(cands.size());
+      edges_ += static_cast<int64_t>(cands.size());
+    } else if (!callee->is_builtin) {
+      site.direct = callee;
+      targets_.push_back(callee);
+      ++edges_;
+    } else {
+      site.builtin = callee;
+      if (callee->builtin_id == static_cast<int>(Builtin::kTriggerIrq) && !e->args.empty()) {
+        site.is_irq_dispatch = true;
+        const std::vector<const FuncDecl*>& handlers = pt.HandlerTargets(e->args[0]);
+        targets_.insert(targets_.end(), handlers.begin(), handlers.end());
+        if (const FuncDecl* named = NamedCallee(sema, e->args[0])) {
+          targets_.push_back(named);
+        }
+        for (size_t t = site.targets_begin; t < targets_.size(); ++t) {
+          is_irq_entry_[static_cast<size_t>(targets_[t]->func_id)] = 1;
+        }
+        indirect_targets_ += static_cast<int64_t>(targets_.size() - site.targets_begin);
+      }
     }
-    sites_[caller].push_back(site);
+    site.targets_end = static_cast<uint32_t>(targets_.size());
+    sites_.push_back(site);
   }
-  WalkExpr(caller, e->a, sema, pt);
-  WalkExpr(caller, e->b, sema, pt);
-  WalkExpr(caller, e->c, sema, pt);
+  WalkExpr(e->a, sema, pt);
+  WalkExpr(e->b, sema, pt);
+  WalkExpr(e->c, sema, pt);
   for (const Expr* arg : e->args) {
-    WalkExpr(caller, arg, sema, pt);
+    WalkExpr(arg, sema, pt);
   }
 }
 
-void CallGraph::Walk(const FuncDecl* caller, const Stmt* s, const Sema& sema,
-                     const PointsTo& pt) {
+void CallGraph::Walk(const Stmt* s, const Sema& sema, const PointsTo& pt) {
   if (s == nullptr) {
     return;
   }
-  WalkExpr(caller, s->expr, sema, pt);
-  WalkExpr(caller, s->cond, sema, pt);
-  WalkExpr(caller, s->step, sema, pt);
+  WalkExpr(s->expr, sema, pt);
+  WalkExpr(s->cond, sema, pt);
+  WalkExpr(s->step, sema, pt);
   if (s->decl != nullptr) {
-    WalkExpr(caller, s->decl->init, sema, pt);
+    WalkExpr(s->decl->init, sema, pt);
   }
-  Walk(caller, s->init, sema, pt);
-  Walk(caller, s->then_stmt, sema, pt);
-  Walk(caller, s->else_stmt, sema, pt);
+  Walk(s->init, sema, pt);
+  Walk(s->then_stmt, sema, pt);
+  Walk(s->else_stmt, sema, pt);
   for (const Stmt* child : s->body) {
-    Walk(caller, child, sema, pt);
+    Walk(child, sema, pt);
   }
-}
-
-const std::vector<CallSite>& CallGraph::SitesOf(const FuncDecl* fn) const {
-  auto it = sites_.find(fn);
-  return it == sites_.end() ? empty_ : it->second;
-}
-
-const std::vector<const FuncDecl*>& CallGraph::CallersOf(const FuncDecl* fn) const {
-  auto it = callers_.find(fn);
-  return it == callers_.end() ? empty_funcs_ : it->second;
-}
-
-std::set<const FuncDecl*> CallGraph::Callees(const FuncDecl* fn) const {
-  std::set<const FuncDecl*> out;
-  for (const CallSite& site : SitesOf(fn)) {
-    if (site.direct != nullptr) {
-      out.insert(site.direct);
-    }
-    for (const FuncDecl* t : site.indirect) {
-      out.insert(t);
-    }
-  }
-  return out;
 }
 
 }  // namespace ivy

@@ -10,54 +10,96 @@ namespace ivy {
 
 namespace {
 constexpr int64_t kGfpWait = 1;
+const char* const kAnnotated = "annotated blocking";
 
-// Total order on violations: strategy-independent output bytes. The key is
-// unique per call site (locs differ at least in column), so any collection
-// order sorts to the same sequence.
-bool ViolationLess(const BlockingViolation& a, const BlockingViolation& b) {
-  return std::tie(a.caller, a.callee, a.loc.file, a.loc.line, a.loc.col, a.witness,
-                  a.via_indirect) < std::tie(b.caller, b.callee, b.loc.file, b.loc.line,
-                                             b.loc.col, b.witness, b.via_indirect);
-}
+// Compiled-body ops: an AllSites() index, or one of the state-stack ops
+// below (larger than any site index).
+constexpr uint32_t kNoSite = UINT32_MAX;
+constexpr uint32_t kPush = UINT32_MAX - 1;     // push a copy of the state
+constexpr uint32_t kSwap = UINT32_MAX - 2;     // swap the state with the top
+constexpr uint32_t kJoinPop = UINT32_MAX - 3;  // join the top into the state, pop
 
-// Records the context bits `caller` passes into a callee declared or
-// defined outside its file. An OR over every evaluated (function,
-// entry-bit) pair: both fixpoints evaluate the same pairs, so the order
-// they do it in cannot matter.
-void NoteCrossFileEntry(const FuncDecl* caller, const FuncDecl* callee, uint8_t bits,
-                        BlockStopReport* report) {
-  if (!callee->is_builtin &&
-      (callee->body == nullptr || callee->loc.file != caller->loc.file)) {
-    report->cross_file_entry_bits[{caller->loc.file, callee->name}] |= bits;
+// Compiles one body in the order the state walk visits it: operands before
+// their call; a branch or loop pushes the state after its condition, runs
+// its body (and a for's step) on a copy, and joins that copy back, an if's
+// else branch starting from the pushed state. The parser sets init, cond,
+// step and else only on these kinds.
+struct BodyCompiler {
+  const std::vector<uint32_t>& site_of_expr;  // Expr::id -> AllSites() index
+  std::vector<uint32_t>* ops;
+
+  void Expr(const ivy::Expr* e) {
+    if (e == nullptr) {
+      return;
+    }
+    Expr(e->a);
+    Expr(e->b);
+    Expr(e->c);
+    for (const ivy::Expr* arg : e->args) {
+      Expr(arg);
+    }
+    if (e->kind == ExprKind::kCall && e->id < site_of_expr.size() &&
+        site_of_expr[e->id] != kNoSite) {
+      ops->push_back(site_of_expr[e->id]);
+    }
   }
-}
+
+  void Stmt(const ivy::Stmt* s) {
+    if (s == nullptr) {
+      return;
+    }
+    const bool branch = s->kind == StmtKind::kIf || s->kind == StmtKind::kWhile ||
+                        s->kind == StmtKind::kDoWhile || s->kind == StmtKind::kFor;
+    Stmt(s->init);
+    Expr(s->expr);
+    Expr(s->decl != nullptr ? s->decl->init : nullptr);
+    Expr(s->cond);
+    if (branch) {
+      ops->push_back(kPush);
+    }
+    Stmt(s->then_stmt);
+    Expr(s->step);
+    if (s->kind == StmtKind::kIf) {
+      ops->push_back(kSwap);
+    }
+    Stmt(s->else_stmt);
+    if (branch) {
+      ops->push_back(kJoinPop);
+    }
+    for (const ivy::Stmt* child : s->body) {
+      Stmt(child);
+    }
+  }
+};
 }  // namespace
 
-BlockStop::BlockStop(const Program* prog, const Sema* sema, const CallGraph* cg)
-    : prog_(prog), sema_(sema), cg_(cg) {
-  const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
-  for (size_t i = 0; i < funcs.size(); ++i) {
-    for (const CallSite& site : cg_->SitesOf(funcs[i])) {
-      site_index_[site.expr] = &site;
-    }
-    if (funcs[i]->func_id >= 0) {
-      const size_t id = static_cast<size_t>(funcs[i]->func_id);
-      if (id >= index_of_id_.size()) {
-        index_of_id_.resize(id + 1, -1);
-      }
-      index_of_id_[id] = static_cast<int>(i);
+BlockStop::BlockStop(const Program* /*prog*/, const Sema* /*sema*/, const CallGraph* cg)
+    : cg_(cg) {
+  const std::vector<CallSite>& sites = cg_->AllSites();
+  uint32_t exprs = 0;
+  for (const CallSite& site : sites) {
+    exprs = std::max(exprs, site.expr->id + 1);
+  }
+  static const std::pair<Builtin, Effect> kEffects[] = {
+      {Builtin::kLocalIrqDisable, {2, 0}}, {Builtin::kLocalIrqSave, {2, 0}},
+      {Builtin::kLocalIrqEnable, {1, 0}},  {Builtin::kLocalIrqRestore, {3, 0}},
+      {Builtin::kSpinLockIrqsave, {2, 1}}, {Builtin::kSpinUnlockIrqrestore, {3, -1}},
+      {Builtin::kSpinLock, {0, 1}},        {Builtin::kSpinUnlock, {0, -1}}};
+  std::vector<uint32_t> site_of_expr(exprs, kNoSite);
+  effect_.resize(sites.size());
+  for (size_t s = 0; s < sites.size(); ++s) {
+    site_of_expr[sites[s].expr->id] = static_cast<uint32_t>(s);
+    const int id = sites[s].builtin != nullptr ? sites[s].builtin->builtin_id : -1;
+    for (const auto& [builtin, effect] : kEffects) {
+      effect_[s] = id == static_cast<int>(builtin) ? effect : effect_[s];
     }
   }
-}
-
-int BlockStop::IndexOf(const FuncDecl* fn) const {
-  const size_t id = static_cast<size_t>(fn->func_id);
-  return fn->func_id >= 0 && id < index_of_id_.size() ? index_of_id_[id] : -1;
-}
-
-const CallSite* BlockStop::SiteFor(const Expr* e) const {
-  auto it = site_index_.find(e);
-  return it == site_index_.end() ? nullptr : it->second;
+  BodyCompiler compiler{site_of_expr, &body_ops_};
+  body_offsets_.push_back(0);
+  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
+    compiler.Stmt(fn->body);
+    body_offsets_.push_back(static_cast<uint32_t>(body_ops_.size()));
+  }
 }
 
 bool BlockStop::CallMayBlock(const FuncDecl* callee, const ExprList& args,
@@ -91,15 +133,7 @@ bool BlockStop::CallMayBlock(const FuncDecl* callee, const ExprList& args,
     }
     return true;  // unknown flag expression: conservative
   }
-  if (!callee->is_builtin && mayblock_.count(callee) != 0) {
-    return true;
-  }
-  return false;
-}
-
-std::string BlockStop::WitnessFor(const FuncDecl* fn) const {
-  auto it = witness_.find(fn);
-  return it != witness_.end() ? it->second : "annotated blocking";
+  return !callee->is_builtin && IsMayBlock(callee);
 }
 
 const FuncDecl* BlockStop::BlockingCauseOf(const FuncDecl* fn) const {
@@ -111,15 +145,12 @@ const FuncDecl* BlockStop::BlockingCauseOf(const FuncDecl* fn) const {
     if (site.builtin != nullptr && CallMayBlock(site.builtin, args, fn)) {
       return site.builtin;
     }
-    if (site.direct != nullptr && CallMayBlock(site.direct, args, fn)) {
-      return site.direct;
-    }
-    for (const FuncDecl* t : site.indirect) {
-      // A noblock candidate carries the paper's assert_nonatomic() run-time
-      // check: the assertion that it is never actually reached on an atomic
-      // path also cuts may-block propagation through this
-      // (points-to-imprecise) edge. Direct calls still propagate normally.
-      if (t->attrs.noblock) {
+    for (const FuncDecl* t : cg_->Targets(site)) {
+      // A noblock candidate of an indirect call carries the paper's
+      // assert_nonatomic() run-time check: the assertion that it is never
+      // reached on an atomic path also cuts may-block propagation through
+      // this (points-to-imprecise) edge. Direct calls propagate normally.
+      if (site.direct == nullptr && t->attrs.noblock) {
         continue;
       }
       if (CallMayBlock(t, args, fn)) {
@@ -130,6 +161,16 @@ const FuncDecl* BlockStop::BlockingCauseOf(const FuncDecl* fn) const {
   return nullptr;
 }
 
+void BlockStop::Reset() {
+  mayblock_evals_ = 0;
+  mayblock_.assign(cg_->id_count(), 0);
+  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
+    if (fn->attrs.blocking && fn->func_id >= 0) {
+      mayblock_[static_cast<size_t>(fn->func_id)] = 1;
+    }
+  }
+}
+
 void BlockStop::ComputeMayBlock() {
   const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
   // Conditionally-blocking wrappers are decided at their call sites, so they
@@ -138,9 +179,7 @@ void BlockStop::ComputeMayBlock() {
   std::deque<size_t> work;
   std::vector<uint8_t> queued(funcs.size(), 0);
   for (size_t i = 0; i < funcs.size(); ++i) {
-    if (funcs[i]->attrs.blocking) {
-      mayblock_.insert(funcs[i]);
-    } else if (funcs[i]->attrs.blocking_if_param < 0) {
+    if (!funcs[i]->attrs.blocking && funcs[i]->attrs.blocking_if_param < 0) {
       work.push_back(i);
       queued[i] = 1;
     }
@@ -153,10 +192,10 @@ void BlockStop::ComputeMayBlock() {
     if (BlockingCauseOf(fn) == nullptr) {
       continue;
     }
-    mayblock_.insert(fn);
+    mayblock_[static_cast<size_t>(fn->func_id)] = 1;
     for (const FuncDecl* caller : cg_->CallersOf(fn)) {
-      const int c = IndexOf(caller);
-      if (c >= 0 && !queued[static_cast<size_t>(c)] && mayblock_.count(caller) == 0 &&
+      const int c = cg_->IndexOf(caller);
+      if (c >= 0 && !queued[static_cast<size_t>(c)] && !IsMayBlock(caller) &&
           caller->attrs.blocking_if_param < 0) {
         work.push_back(static_cast<size_t>(c));
         queued[static_cast<size_t>(c)] = 1;
@@ -166,208 +205,94 @@ void BlockStop::ComputeMayBlock() {
 }
 
 void BlockStop::ComputeMayBlockReference() {
-  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    if (fn->attrs.blocking) {
-      mayblock_.insert(fn);
-    }
-  }
   bool changed = true;
   while (changed) {
     changed = false;
     for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-      if (mayblock_.count(fn) != 0 || fn->attrs.blocking_if_param >= 0) {
+      if (IsMayBlock(fn) || fn->attrs.blocking_if_param >= 0) {
         continue;
       }
       ++mayblock_evals_;
       if (BlockingCauseOf(fn) != nullptr) {
-        mayblock_.insert(fn);
+        mayblock_[static_cast<size_t>(fn->func_id)] = 1;
         changed = true;
       }
     }
   }
 }
 
-std::string BlockStop::WitnessOf(const FuncDecl* fn) const {
-  if (fn->attrs.blocking) {
-    return "annotated blocking";
-  }
-  const FuncDecl* cause = BlockingCauseOf(fn);
-  return cause != nullptr ? "calls " + cause->name : "annotated blocking";
-}
-
-void BlockStop::AssignWitnesses() {
-  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    if (mayblock_.count(fn) != 0) {
-      witness_[fn] = WitnessOf(fn);
-    }
-  }
-}
-
-void BlockStop::WalkExpr(const FuncDecl* fn, const Expr* e, IrqState* st, uint8_t entry_irq,
-                         std::vector<std::pair<const Expr*, IrqState>>* out) const {
-  if (e == nullptr) {
-    return;
-  }
-  WalkExpr(fn, e->a, st, entry_irq, out);
-  WalkExpr(fn, e->b, st, entry_irq, out);
-  WalkExpr(fn, e->c, st, entry_irq, out);
-  for (const Expr* arg : e->args) {
-    WalkExpr(fn, arg, st, entry_irq, out);
-  }
-  if (e->kind != ExprKind::kCall) {
-    return;
-  }
-  out->push_back({e, *st});
-  const CallSite* site = SiteFor(e);
-  if (site == nullptr || site->builtin == nullptr) {
-    return;
-  }
-  const std::string& name = site->builtin->name;
-  if (name == "local_irq_disable" || name == "local_irq_save") {
-    st->irq = 2;
-  } else if (name == "local_irq_enable") {
-    st->irq = 1;
-  } else if (name == "local_irq_restore") {
-    st->irq = entry_irq;
-  } else if (name == "spin_lock_irqsave") {
-    st->irq = 2;
-    st->spin += 1;
-  } else if (name == "spin_unlock_irqrestore") {
-    st->irq = entry_irq;
-    st->spin = std::max(0, st->spin - 1);
-  } else if (name == "spin_lock") {
-    st->spin += 1;
-  } else if (name == "spin_unlock") {
-    st->spin = std::max(0, st->spin - 1);
-  }
-}
-
-void BlockStop::WalkStmt(const FuncDecl* fn, const Stmt* s, IrqState* st, uint8_t entry_irq,
-                         std::vector<std::pair<const Expr*, IrqState>>* out) const {
-  if (s == nullptr) {
-    return;
-  }
-  switch (s->kind) {
-    case StmtKind::kIf: {
-      WalkExpr(fn, s->cond, st, entry_irq, out);
-      IrqState then_st = *st;
-      WalkStmt(fn, s->then_stmt, &then_st, entry_irq, out);
-      IrqState else_st = *st;
-      WalkStmt(fn, s->else_stmt, &else_st, entry_irq, out);
-      *st = then_st;
-      st->Join(else_st);
-      return;
-    }
-    case StmtKind::kWhile:
-    case StmtKind::kDoWhile: {
-      WalkExpr(fn, s->cond, st, entry_irq, out);
-      IrqState body = *st;
-      WalkStmt(fn, s->then_stmt, &body, entry_irq, out);
-      st->Join(body);
-      return;
-    }
-    case StmtKind::kFor: {
-      WalkStmt(fn, s->init, st, entry_irq, out);
-      WalkExpr(fn, s->cond, st, entry_irq, out);
-      IrqState body = *st;
-      WalkStmt(fn, s->then_stmt, &body, entry_irq, out);
-      WalkExpr(fn, s->step, &body, entry_irq, out);
-      st->Join(body);
-      return;
-    }
-    default: {
-      WalkExpr(fn, s->expr, st, entry_irq, out);
-      if (s->decl != nullptr) {
-        WalkExpr(fn, s->decl->init, st, entry_irq, out);
-      }
-      WalkStmt(fn, s->init, st, entry_irq, out);
-      WalkStmt(fn, s->then_stmt, st, entry_irq, out);
-      WalkStmt(fn, s->else_stmt, st, entry_irq, out);
-      for (const Stmt* child : s->body) {
-        WalkStmt(fn, child, st, entry_irq, out);
-      }
-      return;
-    }
-  }
-}
-
-std::vector<std::pair<const FuncDecl*, uint8_t>> BlockStop::EvaluateEntry(
-    const FuncDecl* fn, uint8_t entry_bit, Violations* found) const {
-  std::vector<std::pair<const FuncDecl*, uint8_t>> out;
+void BlockStop::EvaluateEntry(size_t fn_index, uint8_t entry_bit, Found* found) {
+  const FuncDecl* fn = cg_->DefinedFuncs()[fn_index];
+  const std::vector<CallSite>& sites = cg_->AllSites();
+  const uint8_t entry_irq = entry_bit == 1 ? 1 : 2;
+  const uint64_t file_key = static_cast<uint64_t>(static_cast<uint32_t>(fn->loc.file)) << 32;
   IrqState st;
-  st.irq = entry_bit == 1 ? 1 : 2;
-  st.spin = 0;
-  uint8_t entry_irq = st.irq;
-  std::vector<std::pair<const Expr*, IrqState>> sites;
-  WalkStmt(fn, fn->body, &st, entry_irq, &sites);
-  for (auto& [expr, state] : sites) {
-    const CallSite* site = SiteFor(expr);
-    if (site == nullptr) {
+  st.irq = entry_irq;
+  stack_.clear();
+  entered_.clear();
+  for (uint32_t k = body_offsets_[fn_index]; k < body_offsets_[fn_index + 1]; ++k) {
+    const uint32_t s = body_ops_[k];
+    if (s == kPush) {
+      stack_.push_back(st);
       continue;
     }
-    bool atomic = state.Atomic();
-    // Context propagation into Mini-C callees.
-    uint8_t callee_bits = 0;
-    if ((state.irq & 1) != 0 && state.spin == 0) {
-      callee_bits |= 1;
-    }
-    if (atomic) {
-      callee_bits |= 2;
-    }
-    for (const FuncDecl* callee : site->McCallees()) {
-      uint8_t add = callee_bits;
-      if (callee->attrs.noblock) {
-        add &= 1;  // its runtime check asserts non-atomic entry
+    if (s == kSwap || s == kJoinPop) {
+      std::swap(st, stack_.back());
+      if (s == kJoinPop) {
+        st.Join(stack_.back());
+        stack_.pop_back();
       }
-      if (site->is_irq_dispatch) {
-        add |= 2;
-      }
-      if (add != 0) {
-        out.push_back({callee, add});
-      }
-    }
-    if (!atomic || site->is_irq_dispatch) {
       continue;
     }
-    // Violation detection at this atomic site.
-    const ExprList& args = expr->args;
-    std::vector<const FuncDecl*> blockers;
-    if (site->builtin != nullptr && CallMayBlock(site->builtin, args, fn)) {
-      blockers.push_back(site->builtin);
-    }
-    if (site->direct != nullptr && CallMayBlock(site->direct, args, fn)) {
-      blockers.push_back(site->direct);
-    }
-    for (const FuncDecl* t : site->indirect) {
-      if (CallMayBlock(t, args, fn)) {
-        blockers.push_back(t);
+    // A call site, seen in the state before the call.
+    const CallSite& site = sites[s];
+    const bool atomic = st.Atomic();
+    const int callee_bits = ((st.irq & 1) != 0 && st.spin == 0 ? 1 : 0) | (atomic ? 2 : 0);
+    for (const FuncDecl* callee : cg_->Targets(site)) {
+      // A noblock callee's run-time check asserts non-atomic entry.
+      const int bits = callee->attrs.noblock ? callee_bits & 1 : callee_bits;
+      const uint8_t add = static_cast<uint8_t>(bits | (site.is_irq_dispatch ? 2 : 0));
+      if (add == 0) {
+        continue;
+      }
+      entered_.push_back({callee, add});
+      if (!callee->is_builtin &&
+          (callee->body == nullptr || callee->loc.file != fn->loc.file)) {
+        auto& entry = found->cross[file_key | static_cast<uint32_t>(callee->func_id)];
+        entry = {callee, static_cast<uint8_t>(entry.second | add)};
       }
     }
-    if (blockers.empty()) {
-      continue;
-    }
-    std::vector<const FuncDecl*> surviving;
-    for (const FuncDecl* b : blockers) {
-      if (!b->attrs.noblock) {
-        surviving.push_back(b);
+    if (atomic && !site.is_irq_dispatch && found->at_site[s] == 0) {
+      // The first blocker in builtin, direct, indirect order, and the first
+      // one without a run-time check.
+      const FuncDecl* first = nullptr;
+      const FuncDecl* surviving = nullptr;
+      auto consider = [&](const FuncDecl* b) {
+        if (CallMayBlock(b, site.expr->args, fn)) {
+          first = first != nullptr ? first : b;
+          surviving = surviving != nullptr || b->attrs.noblock ? surviving : b;
+        }
+      };
+      if (site.builtin != nullptr) {
+        consider(site.builtin);
+      }
+      for (const FuncDecl* t : cg_->Targets(site)) {
+        consider(t);
+      }
+      if (first != nullptr) {
+        found->at_site[s] = 1;
+        found->candidates.push_back(
+            {s, static_cast<uint32_t>(fn_index), surviving != nullptr ? surviving : first,
+             surviving == nullptr || (site.direct == nullptr && site.builtin == nullptr),
+             surviving == nullptr});
       }
     }
-    BlockingViolation v;
-    v.loc = expr->loc;
-    v.caller = fn->name;
-    if (!surviving.empty()) {
-      v.callee = surviving[0]->name;
-      v.witness = WitnessFor(surviving[0]);
-      v.via_indirect = site->direct == nullptr && site->builtin == nullptr;
-      found->reported.emplace(expr, std::move(v));
-    } else {
-      v.callee = blockers[0]->name;
-      v.witness = WitnessFor(blockers[0]);
-      v.via_indirect = true;
-      found->silenced.emplace(expr, std::move(v));
+    const Effect e = effect_[s];
+    if (e.irq != 0) {
+      st.irq = e.irq == 3 ? entry_irq : e.irq;
     }
+    st.spin = std::max(0, st.spin + e.spin);
   }
-  return out;
 }
 
 BlockStopReport BlockStop::ReportShell() const {
@@ -377,34 +302,55 @@ BlockStopReport BlockStop::ReportShell() const {
   report.indirect_sites = cg_->indirect_site_count();
   report.indirect_target_total = cg_->indirect_target_total();
   report.mayblock_evals = mayblock_evals_;
-  for (const FuncDecl* fn : mayblock_) {
-    report.mayblock.insert(fn->name);
-    report.mayblock_witness[fn->name] = WitnessFor(fn);
-  }
+  report.witness_by_id.resize(cg_->id_count());
+  // Witnesses come from the *final* may-block set: the first cause in site
+  // order. DefinedFuncs() is sorted by name, so every insert lands at end().
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     if (fn->attrs.noblock) {
       ++report.runtime_checks;
     }
+    if (!IsMayBlock(fn)) {
+      continue;
+    }
+    const FuncDecl* cause = fn->attrs.blocking ? nullptr : BlockingCauseOf(fn);
+    std::string& witness = report.witness_by_id[static_cast<size_t>(fn->func_id)];
+    witness = cause != nullptr ? "calls " + cause->name : kAnnotated;
+    report.mayblock.emplace_hint(report.mayblock.end(), fn->name);
+    report.mayblock_witness.emplace_hint(report.mayblock_witness.end(), fn->name, witness);
   }
   return report;
 }
 
-void BlockStop::FinishReport(BlockStopReport* report, Violations found) const {
-  for (auto& [expr, v] : found.reported) {
-    report->violations.push_back(std::move(v));
+void BlockStop::FinishReport(BlockStopReport* report, Found found) const {
+  // The report's total order (caller, callee, location), on ids:
+  // DefinedFuncs() is in name order and a witness follows from its callee.
+  const std::vector<CallSite>& sites = cg_->AllSites();
+  auto key = [&sites](const Candidate& c) {
+    const SourceLoc& loc = sites[c.site].expr->loc;
+    return std::tie(c.caller, c.callee->name, loc.file, loc.line, loc.col, c.via_indirect);
+  };
+  std::sort(found.candidates.begin(), found.candidates.end(),
+            [&key](const Candidate& a, const Candidate& b) { return key(a) < key(b); });
+  for (const Candidate& c : found.candidates) {
+    BlockingViolation v;
+    v.loc = sites[c.site].expr->loc;
+    v.caller = cg_->DefinedFuncs()[c.caller]->name;
+    v.callee = c.callee->name;
+    v.witness = !c.callee->is_builtin && IsMayBlock(c.callee)
+                    ? report->witness_by_id[static_cast<size_t>(c.callee->func_id)]
+                    : kAnnotated;
+    v.via_indirect = c.via_indirect;
+    (c.silenced ? report->silenced : report->violations).push_back(std::move(v));
   }
-  for (auto& [expr, v] : found.silenced) {
-    report->silenced.push_back(std::move(v));
+  for (const auto& [key, entry] : found.cross) {
+    report->cross_file_entry_bits[{static_cast<int32_t>(key >> 32), entry.first->name}] |=
+        entry.second;
   }
-  std::sort(report->violations.begin(), report->violations.end(), ViolationLess);
-  std::sort(report->silenced.begin(), report->silenced.end(), ViolationLess);
 }
 
 BlockStopReport BlockStop::Run() {
-  mayblock_.clear();
-  witness_.clear();
+  Reset();
   ComputeMayBlock();
-  AssignWitnesses();
   BlockStopReport report = ReportShell();
 
   // Interprocedural context fixpoint as a search over (function, entry-bit)
@@ -414,27 +360,28 @@ BlockStopReport BlockStop::Run() {
   // when it is seeded or when its bit first appears. Effects apply as soon
   // as a pair is evaluated; context bits only grow and violations keep the
   // first report per site, so the order pairs are taken in cannot matter.
-  const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
-  std::vector<uint8_t> contexts(funcs.size(), 1);
+  const size_t n = cg_->DefinedFuncs().size();
+  std::vector<uint8_t> contexts(n, 1);
   std::vector<std::pair<size_t, uint8_t>> pending;
-  pending.reserve(funcs.size());
-  for (size_t i = 0; i < funcs.size(); ++i) {
+  pending.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
     pending.push_back({i, uint8_t{1}});
   }
   for (const FuncDecl* fn : cg_->irq_entries()) {
-    const int i = IndexOf(fn);
-    if (i >= 0 && !fn->attrs.noblock) {
-      contexts[static_cast<size_t>(i)] |= 2;
-      pending.push_back({static_cast<size_t>(i), uint8_t{2}});
+    if (!fn->attrs.noblock) {
+      const size_t i = static_cast<size_t>(cg_->IndexOf(fn));
+      contexts[i] |= 2;
+      pending.push_back({i, uint8_t{2}});
     }
   }
-  Violations found;
+  Found found;
+  found.at_site.assign(cg_->AllSites().size(), 0);
   while (!pending.empty()) {
     const auto [i, entry_bit] = pending.back();
     pending.pop_back();
-    for (auto& [callee, add] : EvaluateEntry(funcs[i], entry_bit, &found)) {
-      NoteCrossFileEntry(funcs[i], callee, add, &report);
-      const int c = IndexOf(callee);
+    EvaluateEntry(i, entry_bit, &found);
+    for (const auto& [callee, add] : entered_) {
+      const int c = cg_->IndexOf(callee);
       if (c < 0) {
         continue;  // declared-only callee: never walked here
       }
@@ -453,16 +400,15 @@ BlockStopReport BlockStop::Run() {
 }
 
 BlockStopReport BlockStop::RunReference() {
-  mayblock_.clear();
-  witness_.clear();
+  Reset();
   ComputeMayBlockReference();
-  AssignWitnesses();
   BlockStopReport report = ReportShell();
 
   // Re-evaluates every (function, entry-bit) pair each round until no
   // context bit grows.
+  const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
   std::map<const FuncDecl*, uint8_t> contexts;
-  for (const FuncDecl* fn : cg_->DefinedFuncs()) {
+  for (const FuncDecl* fn : funcs) {
     contexts[fn] = 1;
   }
   for (const FuncDecl* fn : cg_->irq_entries()) {
@@ -470,18 +416,19 @@ BlockStopReport BlockStop::RunReference() {
       contexts[fn] |= 2;
     }
   }
-  Violations found;
+  Found found;
+  found.at_site.assign(cg_->AllSites().size(), 0);
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-      const uint8_t entries = contexts[fn];
+    for (size_t i = 0; i < funcs.size(); ++i) {
+      const uint8_t entries = contexts[funcs[i]];
       for (uint8_t entry_bit : {uint8_t{1}, uint8_t{2}}) {
         if ((entries & entry_bit) == 0) {
           continue;
         }
-        for (auto& [callee, add] : EvaluateEntry(fn, entry_bit, &found)) {
-          NoteCrossFileEntry(fn, callee, add, &report);
+        EvaluateEntry(i, entry_bit, &found);
+        for (const auto& [callee, add] : entered_) {
           uint8_t& bits = contexts[callee];
           if ((bits | add) != bits) {
             bits |= add;

@@ -25,6 +25,9 @@
 // rescan loops as the test oracle. Both fixpoints are monotone, so the two
 // converge to the same sets; witnesses come from the *final* may-block set
 // and every violation list is sorted by a total order, so the bytes match.
+// State is dense: may-block bits by func_id, bodies compiled once to
+// site-index ops, candidates first-wins per site; names and witness strings
+// are rendered once, when the report is built.
 #ifndef SRC_BLOCKSTOP_BLOCKSTOP_H_
 #define SRC_BLOCKSTOP_BLOCKSTOP_H_
 
@@ -32,6 +35,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,14 +67,16 @@ struct BlockStopReport {
   // findings never depend on it.
   int64_t mayblock_evals = 0;
   // Summary exports (AnalysisSession's link table). `mayblock_witness` is
-  // the per-function witness under the final may-block set.
-  // `cross_file_entry_bits` are the context bits the functions of one
-  // source file pass into a callee declared or defined outside that file,
-  // keyed by (caller's file id, callee name): bit 1 = may be entered in
-  // process context with irqs on, bit 2 = may be entered atomically. The
-  // link stage ORs a module's files into its usage rows. Both are
-  // strategy-independent.
+  // the per-function witness under the final may-block set;
+  // `witness_by_id` holds the same strings by FuncDecl::func_id, "" for a
+  // function that cannot block. `cross_file_entry_bits` are the context
+  // bits the functions of one source file pass into a callee declared or
+  // defined outside that file, keyed by (caller's file id, callee name):
+  // bit 1 = may be entered in process context with irqs on, bit 2 = may be
+  // entered atomically. The link stage ORs a module's files into its usage
+  // rows. All are strategy-independent.
   std::map<std::string, std::string> mayblock_witness;
+  std::vector<std::string> witness_by_id;
   std::map<std::pair<int32_t, std::string>, uint8_t> cross_file_entry_bits;
 
   std::string ToString() const;
@@ -92,9 +98,6 @@ class BlockStop {
   // oracle Run() is tested against; no production caller.
   BlockStopReport RunReference();
 
-  // True if `fn` may (transitively) block. Valid after Run().
-  bool MayBlock(const FuncDecl* fn) const { return mayblock_.count(fn) != 0; }
-
  private:
   struct IrqState {
     uint8_t irq = 1;  // bit 1 = may-be-enabled, bit 2 = may-be-disabled
@@ -105,20 +108,32 @@ class BlockStop {
       spin = spin > o.spin ? spin : o.spin;
     }
   };
-
-  // Violation candidates by call site. A site's candidate does not depend
-  // on the entry state it was found under, so the first one kept is final.
-  struct Violations {
-    std::map<const Expr*, BlockingViolation> reported;
-    std::map<const Expr*, BlockingViolation> silenced;
+  // What a builtin call does to the state: irq 0 = keep, 1 = on, 2 = off,
+  // 3 = back to the entry state; spin is added (floored at 0).
+  struct Effect {
+    uint8_t irq = 0;
+    int8_t spin = 0;
   };
-  // Evaluates one (function, entry-state) pair: returns the context bits it
-  // passes into Mini-C callees and adds the violation candidates at its
-  // atomic sites to `found`. Depends only on the function body and the
-  // frozen may-block set, so the rescan rounds and the search agree per pair.
-  std::vector<std::pair<const FuncDecl*, uint8_t>> EvaluateEntry(const FuncDecl* fn,
-                                                                 uint8_t entry_bit,
-                                                                 Violations* found) const;
+  // The candidate at one atomic site: the first one per site is final.
+  struct Candidate {
+    uint32_t site;    // CallGraph::AllSites() index
+    uint32_t caller;  // DefinedFuncs() position
+    const FuncDecl* callee;
+    bool via_indirect;
+    bool silenced;
+  };
+  // What the context fixpoint collects across (function, entry-state) pairs.
+  struct Found {
+    std::vector<uint8_t> at_site;  // AllSites() index -> a candidate is kept
+    std::vector<Candidate> candidates;
+    // (caller's file, callee func_id) -> the callee and the bits passed in.
+    std::unordered_map<uint64_t, std::pair<const FuncDecl*, uint8_t>> cross;
+  };
+  // Runs one (function, entry-state) pair's compiled body: fills `entered_`
+  // with the context bits passed into Mini-C callees, and adds its atomic
+  // sites' candidates and its cross-file entries to `found`. Depends only on
+  // the body and the frozen may-block set, so both fixpoints agree per pair.
+  void EvaluateEntry(size_t fn_index, uint8_t entry_bit, Found* found);
 
   // True if a call to `callee` with argument exprs `args` may block.
   bool CallMayBlock(const FuncDecl* callee, const ExprList& args,
@@ -126,34 +141,27 @@ class BlockStop {
   // First blocking cause of `fn` under the current may-block set (site
   // order), or nullptr. The shared predicate behind both propagation loops.
   const FuncDecl* BlockingCauseOf(const FuncDecl* fn) const;
-  // The witness string for one may-block function under the *final* set —
-  // one definition for both fixpoints, so wording changes cannot split the
-  // byte-identical contract.
-  std::string WitnessOf(const FuncDecl* fn) const;
+  bool IsMayBlock(const FuncDecl* fn) const {
+    return fn->func_id >= 0 && mayblock_[static_cast<size_t>(fn->func_id)] != 0;
+  }
+  // Clears the may-block set back to its `blocking` seeds.
+  void Reset();
   void ComputeMayBlock();           // caller worklist
   void ComputeMayBlockReference();  // rescan rounds
-  // Witnesses derived from the *final* may-block set: first cause in site
-  // order. Strategy-independent by construction.
-  void AssignWitnesses();
+  // Counts, and the may-block views with each witness rendered once.
   BlockStopReport ReportShell() const;
-  void FinishReport(BlockStopReport* report, Violations found) const;
-  const CallSite* SiteFor(const Expr* e) const;
-  // Position of `fn` in DefinedFuncs(), or -1 for a function without a body.
-  int IndexOf(const FuncDecl* fn) const;
-  void WalkExpr(const FuncDecl* fn, const Expr* e, IrqState* st, uint8_t entry_irq,
-                std::vector<std::pair<const Expr*, IrqState>>* out) const;
-  void WalkStmt(const FuncDecl* fn, const Stmt* s, IrqState* st, uint8_t entry_irq,
-                std::vector<std::pair<const Expr*, IrqState>>* out) const;
-  std::string WitnessFor(const FuncDecl* fn) const;
+  void FinishReport(BlockStopReport* report, Found found) const;
 
-  const Program* prog_;
-  const Sema* sema_;
   const CallGraph* cg_;
   int64_t mayblock_evals_ = 0;
-  std::set<const FuncDecl*> mayblock_;
-  std::map<const FuncDecl*, std::string> witness_;
-  std::map<const Expr*, const CallSite*> site_index_;
-  std::vector<int> index_of_id_;  // FuncDecl::func_id -> DefinedFuncs() position
+  std::vector<uint8_t> mayblock_;       // by func_id
+  std::vector<Effect> effect_;          // AllSites() index -> its builtin's effect
+  // Compiled bodies: call sites in walk order plus state-stack ops.
+  std::vector<uint32_t> body_ops_;
+  std::vector<uint32_t> body_offsets_;  // by DefinedFuncs() position
+  // EvaluateEntry's reused buffers.
+  std::vector<IrqState> stack_;
+  std::vector<std::pair<const FuncDecl*, uint8_t>> entered_;
 };
 
 }  // namespace ivy

@@ -16,23 +16,18 @@ void StackCheck::Prepare() {
   prepared_ = true;
   const std::vector<const FuncDecl*>& funcs = cg_->DefinedFuncs();
   const int n = static_cast<int>(funcs.size());
-  for (int i = 0; i < n; ++i) {
-    func_index_[funcs[i]] = i;
-  }
   std::vector<std::vector<int>> adj(static_cast<size_t>(n));
   std::vector<uint8_t> self_loop(static_cast<size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
-    for (const CallSite& site : cg_->SitesOf(funcs[static_cast<size_t>(i)])) {
-      for (const FuncDecl* callee : site.McCallees()) {
-        auto it = func_index_.find(callee);
-        if (it == func_index_.end()) {
-          continue;  // declared-only callee: no body, no frame
-        }
-        if (it->second == i) {
-          self_loop[static_cast<size_t>(i)] = 1;
-        }
-        adj[static_cast<size_t>(i)].push_back(it->second);
+    for (const FuncDecl* callee : cg_->Callees(funcs[static_cast<size_t>(i)])) {
+      const int c = cg_->IndexOf(callee);
+      if (c < 0) {
+        continue;  // declared-only callee: no body, no frame
       }
+      if (c == i) {
+        self_loop[static_cast<size_t>(i)] = 1;
+      }
+      adj[static_cast<size_t>(i)].push_back(c);
     }
   }
 
@@ -118,8 +113,7 @@ StackCheckReport StackCheck::Run(const std::vector<std::string>& entries) {
   std::vector<const FuncDecl*> roots = ResolveRoots(entries, &report.missing_entries);
   std::vector<int64_t> memo(scc_members_.size(), -1);
   for (const FuncDecl* root : roots) {
-    const int64_t depth =
-        DepthOfScc(scc_of_[static_cast<size_t>(func_index_.at(root))], &memo);
+    const int64_t depth = DepthOfScc(scc_of_[static_cast<size_t>(cg_->IndexOf(root))], &memo);
     report.entry_depths[root->name] = depth;
     if (depth > report.worst_case) {
       report.worst_case = depth;
@@ -130,11 +124,11 @@ StackCheckReport StackCheck::Run(const std::vector<std::string>& entries) {
   std::vector<uint8_t> seen(scc_members_.size(), 0);
   std::vector<int> worklist;
   for (const FuncDecl* root : roots) {
-    auto it = func_index_.find(root);
-    if (it == func_index_.end()) {
+    const int i = cg_->IndexOf(root);
+    if (i < 0) {
       continue;
     }
-    int s = scc_of_[static_cast<size_t>(it->second)];
+    int s = scc_of_[static_cast<size_t>(i)];
     if (!seen[static_cast<size_t>(s)]) {
       seen[static_cast<size_t>(s)] = 1;
       worklist.push_back(s);

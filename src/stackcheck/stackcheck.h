@@ -77,8 +77,7 @@ class StackCheck {
 
   // Condensation, valid after Prepare().
   bool prepared_ = false;
-  std::map<const FuncDecl*, int> func_index_;
-  std::vector<int> scc_of_;                 // function index -> scc id
+  std::vector<int> scc_of_;                 // DefinedFuncs() position -> scc id
   std::vector<int64_t> scc_weight_;         // sum of member frame sizes
   std::vector<uint8_t> scc_cyclic_;         // size > 1 or self-loop
   std::vector<std::vector<int>> scc_succs_; // deduped, ascending

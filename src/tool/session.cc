@@ -1,6 +1,8 @@
 #include "src/tool/session.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "src/blockstop/blockstop.h"
@@ -403,7 +405,7 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
     for (const CallSite& site : cg->SitesOf(fn)) {
       // trigger_irq(h, arg) hands `arg` to the handler's first parameter.
       const size_t skip = site.is_irq_dispatch ? 1 : 0;
-      for (const FuncDecl* callee : site.McCallees()) {
+      for (const FuncDecl* callee : cg->Targets(site)) {
         if (m < 0 || (callee->body != nullptr && map.Of(callee->loc.file) == m)) {
           continue;  // a call within the module
         }
@@ -435,20 +437,18 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
       row.frame_size = static_cast<size_t>(fn->func_id) < ctx.module().funcs.size()
                            ? ctx.module().funcs[static_cast<size_t>(fn->func_id)].frame_size
                            : fn->frame_size;
-      if (bs != nullptr) {
-        row.may_block = bs->mayblock.count(fname) != 0;
-        auto w = bs->mayblock_witness.find(fname);
-        row.block_witness = w != bs->mayblock_witness.end() ? PublicNames(w->second) : "";
+      if (bs != nullptr && static_cast<size_t>(fn->func_id) < bs->witness_by_id.size()) {
+        const std::string& witness = bs->witness_by_id[static_cast<size_t>(fn->func_id)];
+        row.may_block = !witness.empty();
+        row.block_witness = PublicNames(witness);
       }
       row.returns_error = ec != nullptr && ec->err_funcs.count(fname) != 0;
       if (ls != nullptr && ls->locks_acquired.count(fname) != 0) {
         row.locks_acquired = ls->locks_acquired.at(fname);
       }
       if (cg != nullptr) {
-        for (const CallSite& site : cg->SitesOf(fn)) {
-          for (const FuncDecl* callee : site.McCallees()) {
-            row.callees.push_back(callee->name);
-          }
+        for (const FuncDecl* callee : cg->Callees(fn)) {
+          row.callees.push_back(callee->name);
         }
         row.callees = names(std::move(row.callees));
       }
@@ -481,17 +481,19 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
 }
 
 // The module a finding belongs to: its location's file, or — without a
-// location — the module that defines witness[0] (a function, else a
-// global). Anything else goes to the first module.
-int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMap& map) {
+// location — the module that defines witness[0] (a function, else the
+// first global of that name in a module's file, from `global_module`).
+// Anything else goes to the first module.
+int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMap& map,
+                    const std::unordered_map<std::string_view, int>& global_module) {
   int m = map.Of(f.loc.file);
   if (m < 0 && !f.witness.empty()) {
     auto it = ctx.sema().func_map().find(f.witness[0]);
     if (it != ctx.sema().func_map().end() && it->second->body != nullptr) {
       m = map.Of(it->second->loc.file);
     }
-    for (const VarDecl* g : ctx.prog().globals) {
-      m = m < 0 && g->name == f.witness[0] ? map.Of(g->loc.file) : m;
+    if (auto g = global_module.find(f.witness[0]); m < 0 && g != global_module.end()) {
+      m = g->second;
     }
   }
   return std::max(m, 0);
@@ -504,8 +506,15 @@ int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMa
 std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const AnalysisContext& ctx,
                                             const ModuleMap& map) {
   std::vector<PipelineResult> out(map.names.size());
+  std::unordered_map<std::string_view, int> global_module;
+  for (const VarDecl* g : ctx.prog().globals) {
+    if (const int m = map.Of(g->loc.file); m >= 0) {
+      global_module.emplace(g->name, m);
+    }
+  }
   auto module_of = [&](Finding* f) -> PipelineResult& {
-    PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(*f, ctx, map))];
+    PipelineResult& r =
+        out[static_cast<size_t>(ModuleOfFinding(*f, ctx, map, global_module))];
     f->loc.file = map.Local(f->loc.file);
     f->message = PublicNames(std::move(f->message));
     for (std::string& w : f->witness) {
