@@ -321,7 +321,9 @@ BENCHMARK(BM_BlockStopLinked8x400)->Unit(benchmark::kMillisecond);
 constexpr int kCorpusModules = 8;
 constexpr int kCorpusFunctions = 400;
 
-std::vector<ivy::ModuleSources> SessionCorpus() {
+// Unprefixed, every module defines the same 400 names, so the link makes
+// each later module's copies private: the duplicate-name path.
+std::vector<ivy::ModuleSources> SessionCorpus(bool prefixed = true) {
   std::vector<ivy::ModuleSources> out;
   for (int m = 0; m < kCorpusModules; ++m) {
     ivy::SynthCorpusOptions opt;
@@ -338,7 +340,7 @@ std::vector<ivy::ModuleSources> SessionCorpus() {
     std::snprintf(name, sizeof(name), "mod_%02d", m);
     // Per-module symbol prefixes: the modules link with no name defined
     // twice.
-    opt.prefix = std::string(name) + "_";
+    opt.prefix = prefixed ? std::string(name) + "_" : std::string();
     out.push_back({name, {ivy::SourceFile{std::string(name) + ".mc",
                                           ivy::GenerateSynthCorpus(opt)}}});
   }
@@ -1148,8 +1150,9 @@ void WriteBenchPipelineJson() {
   j["corpus"] = std::move(corpus_j);
   j["edit_rerun_session_us"] = ivy::Json::MakeInt(static_cast<int64_t>(edit_rerun_ms * 1000));
 
-  // Linked corpus: linked vs merged-source wall time, and the relink after
-  // one edit. The canonical finding sets (rendered locations, module stamps
+  // Linked corpus: linked vs merged-source wall time, the relink after one
+  // edit and an idle relink (median of 9 each; the idle relink must analyze
+  // nothing). The canonical finding sets (rendered locations, module stamps
   // stripped, sorted) must match between the link stage and the merged
   // program — a faster but diverging link stage must never post a winning
   // time. The link is one corpus run: one round that analyzes every module.
@@ -1168,7 +1171,7 @@ void WriteBenchPipelineJson() {
         linked_result = fresh.RunLinked();
         benchmark::DoNotOptimize(linked_result.findings.size());
       },
-      3);
+      9);
   linked_result = linked_session.RunLinked();
   int linked_rounds = linked_session.link_stats().rounds;
   if (linked_rounds != 1 ||
@@ -1187,7 +1190,7 @@ void WriteBenchPipelineJson() {
         merged_run = merged_p.CompileAndRun(merged_files);
         benchmark::DoNotOptimize(merged_run.result.findings.size());
       },
-      3);
+      9);
   if (merged_run.comp == nullptr || !merged_run.comp->ok) {
     std::fprintf(stderr, "FATAL: merged linked corpus failed to compile\n");
     std::abort();
@@ -1224,7 +1227,35 @@ void WriteBenchPipelineJson() {
         }
         benchmark::DoNotOptimize(linked_session.RunLinked().findings.size());
       },
-      3);
+      9);
+
+  // An idle relink: nothing changed since the last link, so it must analyze
+  // nothing and only hand back the cached results.
+  linked_session.RunLinked();
+  double idle_relink_ms = MedianMs(
+      [&linked_session] {
+        benchmark::DoNotOptimize(linked_session.RunLinked().findings.size());
+        if (linked_session.link_stats().module_analyses != 0) {
+          std::fprintf(stderr, "FATAL: idle relink analyzed %d modules (want 0)\n",
+                       linked_session.link_stats().module_analyses);
+          std::abort();
+        }
+      },
+      9);
+
+  // A cold 8x400 link with and without per-module prefixes: unprefixed,
+  // every name of modules 1..7 becomes module-private.
+  auto cold_8x400_ms = [](bool prefixed) {
+    std::vector<ivy::ModuleSources> corpus = SessionCorpus(prefixed);
+    return MedianMs([&corpus] {
+      ivy::PipelineBuilder b = SessionPipeline();
+      b.ForEachModule(corpus);
+      ivy::AnalysisSession fresh = b.BuildSession();
+      benchmark::DoNotOptimize(fresh.RunLinked().findings.size());
+    });
+  };
+  const double prefixed_ms = cold_8x400_ms(true);
+  const double unprefixed_ms = cold_8x400_ms(false);
 
   ivy::Json linked_j = ivy::Json::MakeObject();
   linked_j["modules"] = ivy::Json::MakeInt(static_cast<int64_t>(linked_corpus.size()));
@@ -1232,8 +1263,14 @@ void WriteBenchPipelineJson() {
   linked_j["linked_us"] = ivy::Json::MakeInt(static_cast<int64_t>(linked_ms * 1000));
   linked_j["merged_source_us"] = ivy::Json::MakeInt(static_cast<int64_t>(merged_ms * 1000));
   linked_j["relink_after_edit_us"] = ivy::Json::MakeInt(static_cast<int64_t>(relink_ms * 1000));
+  linked_j["idle_relink_us"] = ivy::Json::MakeInt(static_cast<int64_t>(idle_relink_ms * 1000));
   linked_j["identical_to_merged"] = ivy::Json::MakeBool(true);
   j["linked"] = std::move(linked_j);
+  ivy::Json names_j = ivy::Json::MakeObject();
+  names_j["prefixed_cold_8x400_us"] = ivy::Json::MakeInt(static_cast<int64_t>(prefixed_ms * 1000));
+  names_j["unprefixed_cold_8x400_us"] =
+      ivy::Json::MakeInt(static_cast<int64_t>(unprefixed_ms * 1000));
+  j["private_names"] = std::move(names_j);
   j["frontend"] = std::move(frontend_j);
   j["server"] = ServerBenchJson();
   j["store"] = StoreBenchJson(out_path);
@@ -1263,9 +1300,11 @@ void WriteBenchPipelineJson() {
 
   std::fprintf(stderr,
                "BENCH_pipeline.json: edit_rerun=%.1fms linked=%.1fms (%d rounds) merged=%.1fms "
-               "relink=%.1fms linked/merged=%.2f relink/merged=%.2f -> %s\n",
-               edit_rerun_ms, linked_ms, linked_rounds, merged_ms, relink_ms,
-               linked_ms / merged_ms, relink_ms / merged_ms, path.c_str());
+               "relink=%.1fms idle_relink=%.2fms linked/merged=%.2f relink/merged=%.2f "
+               "cold 8x400 prefixed=%.1fms unprefixed=%.1fms -> %s\n",
+               edit_rerun_ms, linked_ms, linked_rounds, merged_ms, relink_ms, idle_relink_ms,
+               linked_ms / merged_ms, relink_ms / merged_ms, prefixed_ms, unprefixed_ms,
+               path.c_str());
 }
 
 }  // namespace

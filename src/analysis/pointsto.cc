@@ -311,27 +311,22 @@ const std::vector<const FuncDecl*>& PointsTo::HandlerTargets(const Expr* handler
   return TargetsOf(handler_expr);
 }
 
-std::vector<std::string> PointsTo::ReturnFuncNames(const FuncDecl* fn) const {
-  std::vector<std::string> out;
-  auto it = ret_nodes_.find(fn);
-  if (it != ret_nodes_.end()) {
-    for (int fid : node_funcs_[static_cast<size_t>(it->second)]) {
-      out.push_back(funcs_by_id_[static_cast<size_t>(fid)]->name);
-    }
+void PointsTo::ReturnFuncIds(const FuncDecl* fn, std::vector<int>* out) const {
+  if (auto it = ret_nodes_.find(fn); it != ret_nodes_.end()) {
+    const std::set<int>& ids = node_funcs_[static_cast<size_t>(it->second)];
+    out->insert(out->end(), ids.begin(), ids.end());
   }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
-void PointsTo::FuncNamesOfExpr(const Expr* e, std::set<std::string>* out) const {
-  auto add = [out](const FuncDecl* fn) { out->insert(fn->name); };
-  ForEachSource(this, e, add, [&](int node) {
-    if (node >= 0) {
-      for (int fid : node_funcs_[static_cast<size_t>(node)]) {
-        add(funcs_by_id_[static_cast<size_t>(fid)]);
-      }
-    }
-  });
+void PointsTo::FuncIdsOfExpr(const Expr* e, std::vector<int>* out) const {
+  ForEachSource(
+      this, e, [out](const FuncDecl* fn) { out->push_back(fn->func_id); },
+      [&](int node) {
+        if (node >= 0) {
+          const std::set<int>& ids = node_funcs_[static_cast<size_t>(node)];
+          out->insert(out->end(), ids.begin(), ids.end());
+        }
+      });
 }
 
 }  // namespace ivy

@@ -46,11 +46,11 @@ class PointsTo {
   const std::set<const FuncDecl*>& address_taken() const { return address_taken_; }
 
   // Post-solve reads for the link table's summary rows, materializing no
-  // cell: the sorted names of the functions `fn` may return, and the names
-  // an expression's value may carry, read the way the solve flows it into a
-  // destination cell (a call argument, say).
-  std::vector<std::string> ReturnFuncNames(const FuncDecl* fn) const;
-  void FuncNamesOfExpr(const Expr* e, std::set<std::string>* out) const;
+  // cell: the func_ids of the functions `fn` may return, and of those an
+  // expression's value may carry, read the way the solve flows it into a
+  // destination cell (a call argument, say). Both append to `out`.
+  void ReturnFuncIds(const FuncDecl* fn, std::vector<int>* out) const;
+  void FuncIdsOfExpr(const Expr* e, std::vector<int>* out) const;
 
   int node_count() const { return static_cast<int>(node_funcs_.size()); }
   int64_t solve_iterations() const { return iterations_; }

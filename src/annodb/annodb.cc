@@ -4,23 +4,27 @@
 #include <set>
 #include <tuple>
 
-#include "src/ccount/layouts.h"
 #include "src/support/numbers.h"
 #include "src/tool/analysis_context.h"
 #include "src/tool/pipeline.h"
 
 namespace ivy {
 
-AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*module*/,
-                       const BlockStopReport* blockstop,
-                       const std::function<std::string(SourceLoc)>& module_of) {
+AnnoDb AnnoDb::Extract(const Compilation& comp, const BlockStopReport* blockstop,
+                       const std::function<const std::string*(SourceLoc)>& module_of) {
   AnnoDb db;
-  for (const auto& [name, fn] : sema.func_map()) {
-    if (fn->func_id < 0 || name.find(kPrivateMark) != std::string_view::npos) {
+  auto stamp = [&module_of](SourceLoc loc, std::string* module) {
+    if (const std::string* m = module_of ? module_of(loc) : nullptr) {
+      *module = *m;
+    }
+  };
+  // The canonical declaration of every name: the ones sema numbered.
+  for (const FuncDecl* fn : comp.prog.funcs) {
+    if (fn->func_id < 0 || fn->name.find(kPrivateMark) != std::string::npos) {
       continue;
     }
     FuncFacts facts;
-    facts.name = name;
+    facts.name = fn->name;
     for (const Symbol* p : fn->params) {
       facts.param_annots.push_back(TypeToString(p->type));
     }
@@ -29,15 +33,13 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
     facts.blocking_if_param = fn->attrs.blocking_if_param;
     facts.errcodes = fn->attrs.errcodes;
     facts.frame_size = fn->frame_size;
-    facts.module = module_of ? module_of(fn->loc) : "";
-    std::string key(name);
-    if (blockstop != nullptr) {
-      facts.may_block = blockstop->mayblock.count(key) != 0;
-    }
-    db.funcs_[std::move(key)] = std::move(facts);
+    stamp(fn->loc, &facts.module);
+    const size_t id = static_cast<size_t>(fn->func_id);
+    facts.may_block = blockstop != nullptr && id < blockstop->witness_by_id.size() &&
+                      !blockstop->witness_by_id[id].empty();
+    db.funcs_.emplace(fn->name, std::move(facts));
   }
-  TypeLayoutRegistry layouts = TypeLayoutRegistry::Build(prog);
-  for (const RecordDecl* rec : prog.records) {
+  for (const RecordDecl* rec : comp.prog.records) {
     if (rec->type_id < 0 || rec->name.empty() ||
         rec->name.find(kPrivateMark) != std::string::npos) {
       continue;
@@ -45,9 +47,8 @@ AnnoDb AnnoDb::Extract(const Program& prog, const Sema& sema, const IrModule& /*
     RecordFacts facts;
     facts.name = rec->name;
     facts.size = rec->size;
-    facts.module = module_of ? module_of(rec->loc) : "";
-    const TypeLayout* layout = layouts.Get(rec->type_id);
-    if (layout != nullptr) {
+    stamp(rec->loc, &facts.module);
+    if (const TypeLayout* layout = comp.layouts.Get(rec->type_id)) {
       facts.ptr_offsets = layout->ptr_offsets;
     }
     db.records_[rec->name] = std::move(facts);
@@ -62,7 +63,7 @@ AnnoDb AnnoDb::Extract(AnalysisContext& ctx, const PipelineResult* pipeline) {
       blockstop = r->DetailAs<BlockStopReport>();
     }
   }
-  AnnoDb db = Extract(ctx.prog(), ctx.sema(), ctx.module(), blockstop);
+  AnnoDb db = Extract(ctx.comp(), blockstop);
   if (pipeline != nullptr) {
     db.SetFindings(pipeline->findings, &ctx.sm());
   }
@@ -481,13 +482,9 @@ int AnnoDb::ApplyAttributes(Program* prog) const {
 }
 
 void AnnoDb::AddSummary(FuncSummary row) {
+  // Rows added in key order (a link export, a store) append in O(1).
   std::pair<std::string, std::string> key{row.module, row.function};
-  summaries_.insert_or_assign(std::move(key), std::move(row));
-}
-
-FuncSummary* AnnoDb::FindSummary(const std::string& module, const std::string& function) {
-  auto it = summaries_.find({module, function});
-  return it == summaries_.end() ? nullptr : &it->second;
+  summaries_.insert_or_assign(summaries_.end(), std::move(key), std::move(row));
 }
 
 }  // namespace ivy

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "src/blockstop/blockstop.h"
-#include "src/ir/ir.h"
+#include "src/driver/compiler.h"
 #include "src/mc/ast.h"
 #include "src/support/json.h"
 #include "src/tool/finding.h"
@@ -109,11 +109,10 @@ class AnnoDb {
   // Extracts a database from a compiled program (plus optional BlockStop
   // results for the inferred may-block facts). Module-private copies (see
   // PublicNames) are left out: the public definer's entry stands for the
-  // name. With `module_of`, every entry is stamped with the module
-  // module_of(its declaration's location) names — its provenance.
-  static AnnoDb Extract(const Program& prog, const Sema& sema, const IrModule& module,
-                        const BlockStopReport* blockstop = nullptr,
-                        const std::function<std::string(SourceLoc)>& module_of = {});
+  // name. With `module_of`, every entry is stamped with the module name
+  // module_of(its declaration's location) points to (none for null).
+  static AnnoDb Extract(const Compilation& comp, const BlockStopReport* blockstop = nullptr,
+                        const std::function<const std::string*(SourceLoc)>& module_of = {});
 
   // Pipeline-native extraction: pulls the may-block facts from the
   // pipeline's blockstop result (when that pass ran) and attaches the
@@ -152,7 +151,6 @@ class AnnoDb {
   const std::map<std::pair<std::string, std::string>, FuncSummary>& summaries() const {
     return summaries_;
   }
-  FuncSummary* FindSummary(const std::string& module, const std::string& function);
 
   const std::map<std::string, FuncFacts>& funcs() const { return funcs_; }
   const std::map<std::string, RecordFacts>& records() const { return records_; }

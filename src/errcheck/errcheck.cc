@@ -135,8 +135,9 @@ ErrCheckReport ErrCheck::Run() {
       ++report.inferred_funcs;
     }
   }
+  report.returns_error.assign(cg_->id_count(), 0);
   for (const FuncDecl* fn : err_funcs_) {
-    report.err_funcs.insert(fn->name);
+    report.returns_error[static_cast<size_t>(fn->func_id)] = 1;
   }
   report.err_returning_funcs = static_cast<int>(err_funcs_.size());
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {

@@ -38,9 +38,9 @@ struct ErrCheckReport {
   int annotated_funcs = 0;
   int inferred_funcs = 0;
   int checked_sites = 0;         // call sites that do test the result
-  // Names of the *defined* error-returning functions (annotated or
-  // inferred) — the summary rows' returns_error facts.
-  std::set<std::string> err_funcs;
+  // By FuncDecl::func_id: 1 for a *defined* error-returning function
+  // (annotated or inferred) — the summary rows' returns_error facts.
+  std::vector<uint8_t> returns_error;
 
   std::string ToString() const;
 

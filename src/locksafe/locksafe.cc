@@ -60,7 +60,7 @@ void LockSafe::WalkExpr(const FuncDecl* fn, const Expr* e, Ctx* ctx, Collector* 
       }
     }
     ctx->held.push_back(name);
-    out->locks_by_func[fn->name].insert(name);
+    out->locks_by_func[fn->func_id].insert(name);
     int& bits = out->lock_ctx[name];
     if (ctx->in_irq) {
       bits |= 1;
@@ -166,12 +166,14 @@ LockSafeReport LockSafe::BuildReport(const Collector& all) const {
       report.irq_unsafe_locks.push_back(name);
     }
   }
-  for (const auto& [fn, locks] : all.locks_by_func) {
-    report.locks_acquired[fn] = std::vector<std::string>(locks.begin(), locks.end());
+  report.locks_acquired.resize(cg_->id_count());
+  for (const auto& [id, locks] : all.locks_by_func) {
+    report.locks_acquired[static_cast<size_t>(id)].assign(locks.begin(), locks.end());
   }
+  report.irq_reachable.assign(cg_->id_count(), 0);
   for (const FuncDecl* fn : irq_reachable_) {
     if (fn->body != nullptr) {
-      report.irq_reachable.insert(fn->name);
+      report.irq_reachable[static_cast<size_t>(fn->func_id)] = 1;
     }
   }
   return report;

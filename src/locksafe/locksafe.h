@@ -41,13 +41,13 @@ struct LockSafeReport {
   // Locks acquired both in IRQ context and in process context with IRQs on.
   std::vector<std::string> irq_unsafe_locks;
   int locks_seen = 0;
-  // Summary exports (AnalysisSession's link table). `irq_reachable`: the
-  // defined functions the irq-context checks treat as reachable from an
-  // interrupt entry. `locks_acquired`: per defined function, the sorted lock
-  // names its body acquires (the summary schema's lock-delta facts;
-  // informational for the repository).
-  std::set<std::string> irq_reachable;
-  std::map<std::string, std::vector<std::string>> locks_acquired;
+  // Summary exports (AnalysisSession's link table), by FuncDecl::func_id.
+  // `irq_reachable`: 1 for the defined functions the irq-context checks
+  // treat as reachable from an interrupt entry. `locks_acquired`: per
+  // defined function, the sorted lock names its body acquires (the summary
+  // schema's lock-delta facts; informational for the repository).
+  std::vector<uint8_t> irq_reachable;
+  std::vector<std::vector<std::string>> locks_acquired;
 
   std::string ToString() const;
 
@@ -84,7 +84,7 @@ class LockSafe {
     std::vector<LockOrderEdge> edges;
     std::set<std::pair<std::string, std::string>> edge_set;
     std::map<std::string, int> lock_ctx;
-    std::map<std::string, std::set<std::string>> locks_by_func;
+    std::map<int, std::set<std::string>> locks_by_func;  // by func_id
   };
   void ComputeIrqReachable();
   void WalkFunction(const FuncDecl* fn, Collector* out) const;

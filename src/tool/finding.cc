@@ -136,23 +136,4 @@ int64_t ToolResult::Metric(const std::string& key, int64_t def) const {
   return it == metrics_.end() ? def : it->second;
 }
 
-Json ToolResult::ToJson(const SourceManager* sm) const {
-  Json j = Json::MakeObject();
-  j["tool"] = Json::MakeString(tool_);
-  if (!summary_.empty()) {
-    j["summary"] = Json::MakeString(summary_);
-  }
-  Json fs = Json::MakeArray();
-  for (const Finding& f : findings_) {
-    fs.Append(f.ToJson(sm));
-  }
-  j["findings"] = std::move(fs);
-  Json ms = Json::MakeObject();
-  for (const auto& [key, v] : metrics_) {
-    ms[key] = Json::MakeInt(v);
-  }
-  j["metrics"] = std::move(ms);
-  return j;
-}
-
 }  // namespace ivy

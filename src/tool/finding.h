@@ -83,8 +83,11 @@ class ToolResult {
   int64_t Metric(const std::string& key, int64_t def = 0) const;
   const std::map<std::string, int64_t>& metrics() const { return metrics_; }
 
-  void set_summary(std::string s) { summary_ = std::move(s); }
-  const std::string& summary() const { return summary_; }
+  void set_summary(std::string s) { summary_ = std::make_shared<const std::string>(std::move(s)); }
+  const std::string& summary() const {
+    static const std::string kNone;
+    return summary_ != nullptr ? *summary_ : kNone;
+  }
 
   // Legacy view: stores the tool's original report struct. DetailAs is
   // type-checked: asking for the wrong type (e.g. after a registered pass
@@ -102,13 +105,12 @@ class ToolResult {
     return static_cast<const T*>(detail_.get());
   }
 
-  Json ToJson(const SourceManager* sm = nullptr) const;
-
  private:
   std::string tool_;
   std::vector<Finding> findings_;
   std::map<std::string, int64_t> metrics_;
-  std::string summary_;
+  // Shared by copies: every module of a corpus run holds one of its results.
+  std::shared_ptr<const std::string> summary_;
   std::shared_ptr<const void> detail_;
   const std::type_info* detail_type_ = nullptr;
 };

@@ -32,6 +32,20 @@
 namespace ivy {
 namespace {
 
+// The comma-separated items of `list`, trimmed; blank items are dropped.
+// Trimming matters: "a, b" must mean {"a", "b"}, since a spaced name that
+// silently matched nothing would under-analyze without a trace.
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> out;
+  std::stringstream ss(list);
+  for (std::string item; std::getline(ss, item, ',');) {
+    if (const size_t first = item.find_first_not_of(" \t"); first != std::string::npos) {
+      out.push_back(item.substr(first, item.find_last_not_of(" \t") - first + 1));
+    }
+  }
+  return out;
+}
+
 // --------------------------------------------------------------------------
 // deputy: type-safety checks + static discharge (§2.1). The work happened at
 // lowering time; this pass surfaces the check statistics and the deputy
@@ -211,20 +225,7 @@ class StackCheckPass : public ToolPass {
   ToolResult Run(AnalysisContext& ctx) override {
     const CallGraph& cg = ctx.callgraph();
     int64_t budget = options().GetInt("budget", 8192);
-    std::vector<std::string> entries;
-    if (options().Has("entries")) {
-      std::stringstream ss(options().GetString("entries"));
-      std::string entry;
-      while (std::getline(ss, entry, ',')) {
-        // Trim whitespace: "a, b" must mean {"a","b"} — a spaced name that
-        // silently matches nothing would under-analyze without a trace.
-        size_t first = entry.find_first_not_of(" \t");
-        size_t last = entry.find_last_not_of(" \t");
-        if (first != std::string::npos) {
-          entries.push_back(entry.substr(first, last - first + 1));
-        }
-      }
-    }
+    const std::vector<std::string> entries = SplitList(options().GetString("entries"));
     StackCheckReport report = StackCheck(&cg, &ctx.module(), budget).Run(entries);
     ToolResult r(name());
     for (Finding& f : report.ToFindings()) {
@@ -288,15 +289,7 @@ struct WorkloadSpec {
 
 std::vector<WorkloadSpec> ParseWorkloadSpecs(const std::string& joined) {
   std::vector<WorkloadSpec> out;
-  std::stringstream ss(joined);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    size_t first = item.find_first_not_of(" \t");
-    if (first == std::string::npos) {
-      continue;
-    }
-    size_t last = item.find_last_not_of(" \t");
-    item = item.substr(first, last - first + 1);
+  for (const std::string& item : SplitList(joined)) {
     WorkloadSpec spec;
     std::stringstream parts(item);
     std::string tok;

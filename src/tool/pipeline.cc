@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <future>
 #include <map>
+#include <optional>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 
 #include "src/kernel/prelude.h"
 #include "src/mc/lexer.h"
@@ -37,34 +39,6 @@ int PipelineResult::ErrorCount() const {
     }
   }
   return n;
-}
-
-Json PipelineResult::ToJson(const SourceManager* sm) const {
-  Json j = Json::MakeObject();
-  Json tools = Json::MakeArray();
-  for (const ToolResult& r : results) {
-    tools.Append(r.ToJson(sm));
-  }
-  j["tools"] = std::move(tools);
-  // Pipeline-level findings (configuration errors such as unknown tool
-  // names) belong to no ToolResult; everything else already lives under
-  // tools[].findings, and `findings` is their concatenation — serializing
-  // it too would double every record.
-  Json config = Json::MakeArray();
-  for (const Finding& f : findings) {
-    if (f.tool == "pipeline") {
-      config.Append(f.ToJson(sm));
-    }
-  }
-  if (config.size() > 0) {
-    j["pipeline_findings"] = std::move(config);
-  }
-  j["finding_count"] = Json::MakeInt(static_cast<int64_t>(findings.size()));
-  j["error_count"] = Json::MakeInt(ErrorCount());
-  j["parallel"] = Json::MakeBool(parallel);
-  j["pointsto_builds"] = Json::MakeInt(pointsto_builds);
-  j["callgraph_builds"] = Json::MakeInt(callgraph_builds);
-  return j;
 }
 
 std::string PipelineResult::ToString(const SourceManager* sm) const {
@@ -166,8 +140,8 @@ bool TypeDefinitionAt(const std::vector<Token>& toks, size_t i, TypeDef* def) {
 // token is dropped, and a record tag or enum constant an earlier module
 // defined differently is respelled name$$m throughout the module. `earlier`
 // maps each type name of the earlier modules ("tag S", "enum C") to its
-// definition's key.
-void LinkTypes(std::vector<std::vector<Token>>* streams, int m,
+// definition's key. Returns whether it respelled anything.
+bool LinkTypes(std::vector<std::vector<Token>>* streams, int m,
                std::map<std::string, std::string>* earlier) {
   std::map<std::string, std::string> mine;
   std::set<std::string> tags;
@@ -214,47 +188,14 @@ void LinkTypes(std::vector<std::vector<Token>>* streams, int m,
       }
     }
   }
-}
-
-// Respells module m's own `name` — its declarations and every identifier in
-// its files — as the module-private name$$m.
-void MakePrivate(Program* prog, const std::vector<int>& file_module, int m,
-                 const std::string& name) {
-  const StrRef priv = prog->Intern(name + std::string(kPrivateMark) + std::to_string(m));
-  for (FuncDecl* fn : prog->funcs) {
-    if (ModuleOf(file_module, fn->loc) != m) {
-      continue;
-    }
-    if (fn->name == name) {
-      fn->name = std::string(priv.view);
-    }
-    for (Symbol* p : fn->params) {
-      if (p->name == name) {
-        p->name = std::string(priv.view);
-      }
-    }
-  }
-  for (uint32_t i = 0; i < prog->decl_count(); ++i) {
-    VarDecl* d = prog->DeclAt(DeclId{i});
-    if (d->name == name && ModuleOf(file_module, d->loc) == m) {
-      d->name = priv.view;
-      d->name_id = priv.id;
-    }
-  }
-  for (uint32_t i = 0; i < prog->expr_count(); ++i) {
-    Expr* e = prog->ExprAt(ExprId{i});
-    if (e->kind == ExprKind::kIdent && e->str_val == name &&
-        ModuleOf(file_module, e->loc) == m) {
-      e->str_val = priv.view;
-      e->str_id = priv.id;
-    }
-  }
+  return !tags.empty() || !constants.empty();
 }
 
 // The corpus link policy of Pipeline::Compile, over the parsed program.
-void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
+// Returns whether it made any name private.
+bool LinkCorpus(Program* prog, const std::vector<int>& file_module) {
   // The first module to define each name, as a function body or a global.
-  std::map<std::string, int> owner;
+  std::unordered_map<std::string_view, int> owner;
   for (const FuncDecl* fn : prog->funcs) {
     if (const int m = ModuleOf(file_module, fn->loc); fn->body != nullptr && m >= 0) {
       owner.emplace(fn->name, m);
@@ -273,7 +214,7 @@ void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
       private_names.insert({m, fn->name});
     }
   }
-  std::map<std::string_view, size_t> first;
+  std::unordered_map<std::string_view, size_t> first;
   std::vector<VarDecl*> globals;
   for (VarDecl* g : prog->globals) {
     const int m = ModuleOf(file_module, g->loc);
@@ -286,15 +227,56 @@ void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
         continue;
       }
     }
-    if (m >= 0 && owner.at(std::string(g->name)) != m) {
+    if (m >= 0 && owner.at(g->name) != m) {
       private_names.insert({m, std::string(g->name)});
     }
     globals.push_back(g);
   }
   prog->globals = std::move(globals);
-  for (const auto& [m, name] : private_names) {
-    MakePrivate(prog, file_module, m, name);
+  if (private_names.empty()) {
+    return false;
   }
+  // Module m's own `name` (its declarations and every identifier in its
+  // files) is respelled name$$m, every private name in one sweep over the
+  // program. `spelling` is keyed by (module, the written name's intern id).
+  auto key = [](int m, uint32_t id) { return uint64_t{static_cast<uint32_t>(m)} << 32 | id; };
+  std::unordered_map<uint64_t, StrRef> spelling;
+  for (const auto& [m, name] : private_names) {
+    const uint32_t id = prog->Intern(name).id;
+    spelling.emplace(key(m, id),
+                     prog->Intern(name + std::string(kPrivateMark) + std::to_string(m)));
+  }
+  auto private_of = [&](SourceLoc loc, uint32_t id) -> const StrRef* {
+    const int m = ModuleOf(file_module, loc);
+    auto it = m < 0 ? spelling.end() : spelling.find(key(m, id));
+    return it == spelling.end() ? nullptr : &it->second;
+  };
+  for (FuncDecl* fn : prog->funcs) {
+    if (const StrRef* priv = private_of(fn->loc, prog->Intern(fn->name).id)) {
+      fn->name = std::string(priv->view);
+    }
+    for (Symbol* p : fn->params) {
+      if (const StrRef* priv = private_of(fn->loc, prog->Intern(p->name).id)) {
+        p->name = std::string(priv->view);
+      }
+    }
+  }
+  for (uint32_t i = 0; i < prog->decl_count(); ++i) {
+    VarDecl* d = prog->DeclAt(DeclId{i});
+    if (const StrRef* priv = private_of(d->loc, d->name_id)) {
+      d->name = priv->view;
+      d->name_id = priv->id;
+    }
+  }
+  for (uint32_t i = 0; i < prog->expr_count(); ++i) {
+    Expr* e = prog->ExprAt(ExprId{i});
+    const StrRef* priv = e->kind == ExprKind::kIdent ? private_of(e->loc, e->str_id) : nullptr;
+    if (priv != nullptr) {
+      e->str_val = priv->view;
+      e->str_id = priv->id;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -312,6 +294,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
 
   // Lex + parse every file into one Program (whole-program merge), the
   // prelude first.
+  std::optional<trace::Span> phase(std::in_place, "fe.parse");
   if (config_.include_prelude) {
     int32_t prelude_id = comp->sm.AddFile("<prelude>", PreludeSource());
     Lexer lexer(comp->sm, prelude_id, comp->diags.get());
@@ -335,13 +318,14 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
       streams.push_back(Lexer(comp->sm, id, comp->diags.get()).Lex());
     }
     if (file_module != nullptr) {
-      LinkTypes(&streams, m, &earlier_types);
+      comp->private_names |= LinkTypes(&streams, m, &earlier_types);
     }
     for (std::vector<Token>& toks : streams) {
       Parser parser(&comp->prog, std::move(toks), comp->diags.get());
       parser.ParseTranslationUnit();
     }
   }
+  phase.reset();
   const uint64_t parse_t1 = traced ? MonotonicNowNs() : 0;
   if (traced) {
     static trace::Histogram* const parse_us = trace::GetHistogram("frontend.parse_us");
@@ -351,9 +335,11 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
     return comp;
   }
   if (file_module != nullptr) {
-    LinkCorpus(&comp->prog, *file_module);
+    trace::Span span("fe.link");
+    comp->private_names |= LinkCorpus(&comp->prog, *file_module);
   }
 
+  phase.emplace("fe.sema");
   comp->sema = std::make_unique<Sema>(&comp->prog, comp->diags.get(),
                                       [](const std::string& name) {
                                         return BuiltinIdForName(name);
@@ -365,6 +351,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
     sema_us->Record((MonotonicNowNs() - parse_t1) / 1000);
     arena_bytes->RecordMax(static_cast<int64_t>(comp->prog.arena().TotalBytes()));
   }
+  phase.reset();
   if (!sema_ok) {
     return comp;
   }
@@ -714,33 +701,8 @@ PipelineBuilder& PipelineBuilder::Deputy(bool on) {
   return *this;
 }
 
-PipelineBuilder& PipelineBuilder::Discharge(bool on) {
-  pipeline_.config_.discharge = on;
-  return *this;
-}
-
 PipelineBuilder& PipelineBuilder::CCount(bool on) {
   pipeline_.config_.ccount = on;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::Smp(bool on) {
-  pipeline_.config_.smp = on;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::TrackLocals(bool on) {
-  pipeline_.config_.track_locals = on;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::RcWidthBits(int bits) {
-  pipeline_.config_.rc_width_bits = bits;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::IncludePrelude(bool on) {
-  pipeline_.config_.include_prelude = on;
   return *this;
 }
 

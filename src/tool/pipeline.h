@@ -61,7 +61,6 @@ struct PipelineResult {
   const ToolResult* ResultFor(const std::string& tool) const;
   int ErrorCount() const;
 
-  Json ToJson(const SourceManager* sm = nullptr) const;
   std::string ToString(const SourceManager* sm = nullptr) const;
 };
 
@@ -113,7 +112,6 @@ class Pipeline {
   const ToolConfig& config() const { return config_; }
   const std::vector<std::string>& tools() const { return tools_; }
   const std::map<std::string, ToolOptions>& tool_options() const { return options_; }
-  bool parallel() const { return parallel_; }
   bool field_sensitive() const { return field_sensitive_; }
   // Always 1: every pass has one kernel. Kept only because
   // ivybench/driver.cc still reads it; delete it at the next change to the
@@ -152,14 +150,9 @@ class PipelineBuilder {
   PipelineBuilder& Parallel(bool on);
   PipelineBuilder& FieldSensitive(bool on);
 
-  // Frontend / VM knobs (the surviving ToolConfig fields).
+  // Frontend / VM knobs; FromToolConfig sets any ToolConfig field.
   PipelineBuilder& Deputy(bool on);
-  PipelineBuilder& Discharge(bool on);
   PipelineBuilder& CCount(bool on);
-  PipelineBuilder& Smp(bool on);
-  PipelineBuilder& TrackLocals(bool on);
-  PipelineBuilder& RcWidthBits(int bits);
-  PipelineBuilder& IncludePrelude(bool on);
   // Maps the legacy flat config onto a builder (the Compile() shim).
   static PipelineBuilder FromToolConfig(const ToolConfig& config);
 

@@ -229,6 +229,7 @@ bool AnalysisSession::RemoveModule(const std::string& name) {
   // The corpus changed: the next RunLinked() re-runs it, and until then the
   // table holds no rows of the departed module.
   link_table_.RetractModule(name);
+  TableChanged();
   linked_ = false;
   modules_.erase(it);
   return true;
@@ -267,19 +268,10 @@ bool AnalysisSession::ReplaceFunction(const std::string& module, const std::stri
   return false;
 }
 
-bool AnalysisSession::ReplaceModuleSources(const std::string& name,
-                                           std::vector<SourceFile> files) {
-  auto it = modules_.find(name);
-  if (it == modules_.end()) {
-    return false;
-  }
-  it->second->files = std::move(files);
-  it->second->dirty = true;
-  return true;
-}
-
 SessionResult AnalysisSession::Collect() const {
-  // The deterministic corpus merge, in sorted-module-name order.
+  // The deterministic corpus merge, in sorted-module-name order: one copy
+  // of each finding for its module's result, one stamped for the merge.
+  trace::Span span("session.collect");
   SessionResult out;
   for (const auto& [name, st] : modules_) {
     ModuleRunResult mr;
@@ -352,10 +344,115 @@ const T* DetailOf(const PipelineResult& result, const char* tool) {
   return r != nullptr ? r->DetailAs<T>() : nullptr;
 }
 
-// The summary rows of every module of one analyzed program: a definer row
-// per function a module defines, a usage row per non-builtin function it
-// declares without defining. Rows carry the names the modules wrote (see
-// PublicNames); ComputeLinkStackFacts adds the corpus stack facts.
+// The corpus's function names as its modules wrote them, ranked once: the
+// distinct written names in sorted order, and each func_id's rank among
+// them. Rows, callees and points-to sets order and deduplicate by rank, so
+// the export compares, hashes and rewrites no name after this.
+struct NameRanks {
+  std::vector<std::string> names;  // rank -> written name, sorted
+  std::vector<int> of_id;          // func_id -> rank
+
+  // `defined`: the defined functions sorted by name (the call graph's row
+  // order), or none; the rest of the canonical functions sort here.
+  NameRanks(const Program& prog, const std::vector<const FuncDecl*>& defined,
+            bool private_names)
+      : of_id(prog.funcs.size(), -1) {
+    std::vector<const FuncDecl*> rest;
+    for (const FuncDecl* fn : prog.funcs) {
+      if (fn->func_id >= 0 && (defined.empty() || fn->body == nullptr)) {
+        rest.push_back(fn);
+      }
+    }
+    auto by = [](const FuncDecl* a, const FuncDecl* b) { return a->name < b->name; };
+    std::sort(rest.begin(), rest.end(), by);
+    std::vector<const FuncDecl*> by_name(defined.size() + rest.size());
+    std::merge(defined.begin(), defined.end(), rest.begin(), rest.end(), by_name.begin(), by);
+    // A private spelling name$$m sorts right after the name it respells.
+    for (const FuncDecl* fn : by_name) {
+      std::string name = private_names ? PublicNames(fn->name) : fn->name;
+      if (names.empty() || names.back() != name) {
+        names.push_back(std::move(name));
+      }
+      of_id[static_cast<size_t>(fn->func_id)] = static_cast<int>(names.size()) - 1;
+    }
+  }
+
+  // The sorted, distinct ranks of `ids`, a list of func_ids.
+  std::vector<int> Ranks(std::vector<int> ids) const {
+    for (int& id : ids) {
+      id = of_id[static_cast<size_t>(id)];
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+  }
+  std::vector<std::string> Names(const std::vector<int>& ranks) const {
+    std::vector<std::string> out;
+    out.reserve(ranks.size());
+    for (int rank : ranks) {
+      out.push_back(names[static_cast<size_t>(rank)]);
+    }
+    return out;
+  }
+};
+
+// The corpus stack facts over the definer rows: `definer` maps each rank to
+// the row of its first (sorted-module) definer, or -1, and `callees` holds
+// every row's callee ranks. Tarjan over the ranks in name order (the
+// condensation StackCheck runs per module, src/support/scc.h; a rank with
+// no definer row has no frame and no edges), depths summed bottom-up, and
+// the members of cyclic SCCs spanning modules marked cross_recursive.
+void StackFacts(const std::vector<int>& definer, const std::vector<std::vector<int>>& callees,
+                std::vector<FuncSummary>* rows) {
+  std::vector<std::vector<int>> adj(definer.size());
+  std::vector<uint8_t> self_loop(definer.size(), 0);
+  for (size_t v = 0; v < definer.size(); ++v) {
+    if (definer[v] < 0) {
+      continue;
+    }
+    for (int w : callees[static_cast<size_t>(definer[v])]) {
+      if (definer[static_cast<size_t>(w)] >= 0) {
+        self_loop[v] |= static_cast<size_t>(w) == v ? 1 : 0;
+        adj[v].push_back(w);
+      }
+    }
+  }
+  // Components come out in reverse topological order: successors of s have
+  // smaller ids, so one ascending sweep computes the depths.
+  SccCondensation scc = TarjanScc(adj);
+  std::vector<int64_t> depth(scc.members.size(), 0);
+  for (size_t s = 0; s < scc.members.size(); ++s) {
+    const int first = definer[static_cast<size_t>(scc.members[s][0])];
+    if (first < 0) {
+      continue;  // a lone rank without a definer row
+    }
+    int64_t deepest = 0;
+    bool cyclic = scc.members[s].size() > 1;
+    bool multi_module = false;
+    for (int v : scc.members[s]) {
+      const FuncSummary& row = (*rows)[static_cast<size_t>(definer[static_cast<size_t>(v)])];
+      depth[s] += row.frame_size;
+      multi_module |= row.module != (*rows)[static_cast<size_t>(first)].module;
+      cyclic |= self_loop[static_cast<size_t>(v)] != 0;
+      for (int w : adj[static_cast<size_t>(v)]) {
+        const size_t sw = static_cast<size_t>(scc.scc_of[static_cast<size_t>(w)]);
+        deepest = sw != s ? std::max(deepest, depth[sw]) : deepest;
+      }
+    }
+    depth[s] += deepest;
+    for (int v : scc.members[s]) {
+      FuncSummary& row = (*rows)[static_cast<size_t>(definer[static_cast<size_t>(v)])];
+      row.stack_below = depth[s];
+      row.cross_recursive = cyclic && multi_module;
+    }
+  }
+}
+
+// The summary rows of every module of one analyzed program, in the table's
+// (module, function) order: a definer row per function a module defines, a
+// usage row per non-builtin function it declares without defining, each
+// under the name the module wrote (see PublicNames), definer rows with the
+// corpus stack facts. Everything is keyed by module index and func_id.
 std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineResult& result,
                                          const ModuleMap& map) {
   const BlockStopReport* bs = DetailOf<BlockStopReport>(result, "blockstop");
@@ -365,118 +462,149 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   // here (a pipeline without the consuming pass exports no such facts).
   const CallGraph* cg = ctx.callgraph_builds() > 0 ? &ctx.callgraph() : nullptr;
   const PointsTo* pt = ctx.pointsto_builds() > 0 ? &ctx.pointsto() : nullptr;
-  const auto& func_map = ctx.sema().func_map();
-  auto names = [](std::vector<std::string> v) {
-    for (std::string& name : v) {
-      name = PublicNames(std::move(name));
-    }
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-    return v;
-  };
-  // Per module: written name -> the program's function.
-  std::vector<std::map<std::string, const FuncDecl*>> defined(map.names.size());
-  std::vector<std::map<std::string, const FuncDecl*>> declared(map.names.size());
-  for (const FuncDecl* fn : ctx.prog().funcs) {
-    if (const int m = map.Of(fn->loc.file); m >= 0) {
-      (fn->body != nullptr ? defined : declared)[static_cast<size_t>(m)].emplace(
-          PublicNames(fn->name), func_map.at(fn->name));
-    }
-  }
+  static const std::vector<const FuncDecl*> kNone;
+  const std::vector<const FuncDecl*>& defined = cg != nullptr ? cg->DefinedFuncs() : kNone;
+  const bool private_names = ctx.comp().private_names;
+  const NameRanks ranks(ctx.prog(), defined, private_names);
+  auto id = [](const FuncDecl* fn) { return static_cast<size_t>(fn->func_id); };
 
-  // Usage facts keyed by (calling module, callee): atomic entry from the
+  auto flag = [](const std::vector<uint8_t>* v, size_t i) {
+    return v != nullptr && i < v->size() && (*v)[i] != 0;
+  };
+  const std::vector<uint8_t>* returns_error = ec != nullptr ? &ec->returns_error : nullptr;
+  const std::vector<uint8_t>* in_irq = ls != nullptr ? &ls->irq_reachable : nullptr;
+
+  // Usage facts keyed by (calling module, callee rank): atomic entry from the
   // context bits the module's own functions pass in, irq entry from its
   // irq-reachable functions, and the points-to sets of its arguments.
-  using Key = std::pair<int, std::string>;
-  std::set<Key> atomic;
-  std::set<Key> irq;
-  std::map<Key, std::map<int, std::set<std::string>>> args;
+  struct Usage {
+    bool atomic = false;
+    bool irq = false;
+    std::map<int, std::vector<int>> args;  // parameter -> func_ids
+  };
+  std::vector<std::map<int, Usage>> usage(map.names.size());
   if (bs != nullptr) {
-    for (const auto& [key, bits] : bs->cross_file_entry_bits) {
-      if ((bits & 2) != 0) {
-        atomic.insert({map.Of(key.first), PublicNames(key.second)});
+    for (const auto& [file_callee, bits] : bs->cross_file_entry_bits) {
+      const int m = map.Of(file_callee.first);
+      auto callee = ctx.sema().func_map().find(file_callee.second);
+      if ((bits & 2) != 0 && m >= 0 && callee != ctx.sema().func_map().end()) {
+        usage[static_cast<size_t>(m)][ranks.of_id[id(callee->second)]].atomic = true;
       }
     }
   }
-  static const std::vector<const FuncDecl*> kNone;
-  for (const FuncDecl* fn : cg != nullptr ? cg->DefinedFuncs() : kNone) {
+  for (const FuncDecl* fn : defined) {
     const int m = map.Of(fn->loc.file);
-    const bool in_irq = ls != nullptr && ls->irq_reachable.count(fn->name) != 0;
+    if (m < 0) {
+      continue;
+    }
     for (const CallSite& site : cg->SitesOf(fn)) {
       // trigger_irq(h, arg) hands `arg` to the handler's first parameter.
       const size_t skip = site.is_irq_dispatch ? 1 : 0;
       for (const FuncDecl* callee : cg->Targets(site)) {
-        if (m < 0 || (callee->body != nullptr && map.Of(callee->loc.file) == m)) {
+        if (callee->body != nullptr && map.Of(callee->loc.file) == m) {
           continue;  // a call within the module
         }
-        const Key key{m, PublicNames(callee->name)};
-        if (in_irq) {
-          irq.insert(key);
-        }
+        Usage& u = usage[static_cast<size_t>(m)][ranks.of_id[id(callee)]];
+        u.irq |= flag(in_irq, id(fn));
         for (size_t p = 0; pt != nullptr && p < callee->params.size() &&
                            p + skip < site.expr->args.size();
              ++p) {
-          pt->FuncNamesOfExpr(site.expr->args[p + skip], &args[key][static_cast<int>(p)]);
+          pt->FuncIdsOfExpr(site.expr->args[p + skip], &u.args[static_cast<int>(p)]);
         }
       }
     }
   }
 
+  // Per module, its defined and declared functions by rank, each through its
+  // canonical declaration; a definition stands for its rank, else the
+  // first declaration does.
+  struct Entry {
+    int rank;
+    bool declared;
+    const FuncDecl* fn;
+  };
+  std::vector<std::vector<Entry>> entries(map.names.size());
+  for (const FuncDecl* fn : ctx.prog().funcs) {
+    if (const int m = map.Of(fn->loc.file); m >= 0) {
+      const FuncDecl* canon = fn->func_id >= 0 ? fn : ctx.sema().func_map().at(fn->name);
+      entries[static_cast<size_t>(m)].push_back(
+          {ranks.of_id[id(canon)], fn->body == nullptr, canon});
+    }
+  }
+
   std::vector<FuncSummary> out;
+  std::vector<std::vector<int>> callees;             // per row: callee ranks
+  std::vector<int> definer(ranks.names.size(), -1);  // rank -> its first definer row
+  out.reserve(ctx.prog().funcs.size());
+  callees.reserve(ctx.prog().funcs.size());
   for (size_t m = 0; m < map.names.size(); ++m) {
-    for (const auto& [public_name, fn] : defined[m]) {
-      const std::string& fname = fn->name;
+    std::vector<Entry>& list = entries[m];
+    std::stable_sort(list.begin(), list.end(), [](const Entry& a, const Entry& b) {
+      return std::tie(a.rank, a.declared) < std::tie(b.rank, b.declared);
+    });
+    list.erase(std::unique(list.begin(), list.end(),
+                           [](const Entry& a, const Entry& b) { return a.rank == b.rank; }),
+               list.end());
+    for (const Entry& e : list) {
+      if (e.declared && e.fn->is_builtin) {
+        continue;
+      }
+      const bool is_def = !e.declared;
+      const FuncDecl* fn = e.fn;
       FuncSummary row;
       row.module = *map.names[m];
-      row.function = public_name;
-      row.defined = true;
+      row.function = ranks.names[static_cast<size_t>(e.rank)];
+      row.defined = is_def;
+      callees.emplace_back();
+      if (!is_def) {
+        if (auto it = usage[m].find(e.rank); it != usage[m].end()) {
+          row.entered_atomic = it->second.atomic;
+          row.entered_in_irq = it->second.irq;
+          for (const auto& [p, ids] : it->second.args) {
+            if (!ids.empty()) {
+              row.param_points[p] = ranks.Names(ranks.Ranks(ids));
+            }
+          }
+        }
+        out.push_back(std::move(row));
+        continue;
+      }
+      if (definer[static_cast<size_t>(e.rank)] < 0) {
+        definer[static_cast<size_t>(e.rank)] = static_cast<int>(out.size());
+      }
       row.blocking = fn->attrs.blocking;
       row.noblock = fn->attrs.noblock;
       row.blocking_if_param = fn->attrs.blocking_if_param;
       row.errcodes = fn->attrs.errcodes;
-      row.frame_size = static_cast<size_t>(fn->func_id) < ctx.module().funcs.size()
-                           ? ctx.module().funcs[static_cast<size_t>(fn->func_id)].frame_size
-                           : fn->frame_size;
-      if (bs != nullptr && static_cast<size_t>(fn->func_id) < bs->witness_by_id.size()) {
-        const std::string& witness = bs->witness_by_id[static_cast<size_t>(fn->func_id)];
+      row.frame_size = id(fn) < ctx.module().funcs.size() ? ctx.module().funcs[id(fn)].frame_size
+                                                          : fn->frame_size;
+      if (bs != nullptr && id(fn) < bs->witness_by_id.size()) {
+        const std::string& witness = bs->witness_by_id[id(fn)];
         row.may_block = !witness.empty();
-        row.block_witness = PublicNames(witness);
+        row.block_witness = private_names ? PublicNames(witness) : witness;
       }
-      row.returns_error = ec != nullptr && ec->err_funcs.count(fname) != 0;
-      if (ls != nullptr && ls->locks_acquired.count(fname) != 0) {
-        row.locks_acquired = ls->locks_acquired.at(fname);
+      row.returns_error = flag(returns_error, id(fn));
+      if (ls != nullptr && id(fn) < ls->locks_acquired.size()) {
+        row.locks_acquired = ls->locks_acquired[id(fn)];
       }
       if (cg != nullptr) {
+        std::vector<int> ids;
         for (const FuncDecl* callee : cg->Callees(fn)) {
-          row.callees.push_back(callee->name);
+          ids.push_back(callee->func_id);
         }
-        row.callees = names(std::move(row.callees));
+        callees.back() = ranks.Ranks(std::move(ids));
+        row.callees = ranks.Names(callees.back());
       }
       if (pt != nullptr) {
-        row.returns_points = names(pt->ReturnFuncNames(fn));
-      }
-      out.push_back(std::move(row));
-    }
-    for (const auto& [fname, fn] : declared[m]) {
-      if (defined[m].count(fname) != 0 || fn->is_builtin) {
-        continue;
-      }
-      FuncSummary row;
-      row.module = *map.names[m];
-      row.function = fname;
-      const Key key{static_cast<int>(m), fname};
-      row.entered_atomic = atomic.count(key) != 0;
-      row.entered_in_irq = irq.count(key) != 0;
-      if (auto a = args.find(key); a != args.end()) {
-        for (const auto& [p, points] : a->second) {
-          if (!points.empty()) {
-            row.param_points[p] = names({points.begin(), points.end()});
-          }
-        }
+        std::vector<int> ids;
+        pt->ReturnFuncIds(fn, &ids);
+        row.returns_points = ranks.Names(ranks.Ranks(std::move(ids)));
       }
       out.push_back(std::move(row));
     }
   }
+  trace::Span span("link.stack");
+  StackFacts(definer, callees, &out);
   return out;
 }
 
@@ -500,44 +628,37 @@ int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMa
 }
 
 // Splits a corpus run's result into the per-module results a module-local
-// run reports: findings in tool order with module-local file ids and the
-// names the module wrote. The modules' ToolResults share the corpus run's
-// details and metrics. `map` holds at least one module.
+// run reports: each finding moved once into its module's `findings`, in
+// the pipeline's merge order, with module-local file ids and the names the
+// module wrote. The modules' ToolResults share the corpus run's details,
+// metrics and summaries; their own finding lists stay empty, so a module
+// keeps each finding in one place. `map` holds at least one module.
 std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const AnalysisContext& ctx,
                                             const ModuleMap& map) {
   std::vector<PipelineResult> out(map.names.size());
+  const bool private_names = ctx.comp().private_names;
   std::unordered_map<std::string_view, int> global_module;
   for (const VarDecl* g : ctx.prog().globals) {
     if (const int m = map.Of(g->loc.file); m >= 0) {
       global_module.emplace(g->name, m);
     }
   }
-  auto module_of = [&](Finding* f) -> PipelineResult& {
-    PipelineResult& r =
-        out[static_cast<size_t>(ModuleOfFinding(*f, ctx, map, global_module))];
-    f->loc.file = map.Local(f->loc.file);
-    f->message = PublicNames(std::move(f->message));
-    for (std::string& w : f->witness) {
-      w = PublicNames(std::move(w));
-    }
-    return r;
-  };
-  for (ToolResult& t : corpus.results) {
-    std::vector<Finding> findings = std::move(t.findings());
-    t.findings().clear();
-    for (PipelineResult& r : out) {
-      r.results.push_back(t);
-    }
-    for (Finding& f : findings) {
-      module_of(&f).results.back().AddFinding(std::move(f));
-    }
-  }
-  // RunTools' merged list keeps its order: configuration errors, then each
-  // pass's findings.
   for (Finding& f : corpus.findings) {
-    module_of(&f).findings.push_back(std::move(f));
+    PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(f, ctx, map, global_module))];
+    f.loc.file = map.Local(f.loc.file);
+    if (private_names) {
+      f.message = PublicNames(std::move(f.message));
+      for (std::string& w : f.witness) {
+        w = PublicNames(std::move(w));
+      }
+    }
+    r.findings.push_back(std::move(f));
+  }
+  for (ToolResult& t : corpus.results) {
+    t.findings().clear();
   }
   for (PipelineResult& r : out) {
+    r.results = corpus.results;
     r.parallel = corpus.parallel;
     r.pointsto_builds = corpus.pointsto_builds;
     r.callgraph_builds = corpus.callgraph_builds;
@@ -631,19 +752,25 @@ bool AnalysisSession::AnalyzeCorpus() {
     trace::Span span("link.export");
     link_table_ = AnnoDb();
     if (ctx != nullptr) {
-      // The repository facts, each stamped with the module declaring it.
-      link_table_ = AnnoDb::Extract(ctx->prog(), ctx->sema(), ctx->module(),
-                                    DetailOf<BlockStopReport>(corpus, "blockstop"),
-                                    [&map](SourceLoc loc) {
-                                      const int m = map.Of(loc.file);
-                                      return m < 0 ? std::string() : *map.names[m];
-                                    });
-      for (FuncSummary& row : ExportSummaries(*ctx, corpus, map)) {
-        link_table_.AddSummary(std::move(row));
+      {
+        // The repository facts, each stamped with the module declaring it.
+        trace::Span extract("link.extract");
+        link_table_ = AnnoDb::Extract(*comp, DetailOf<BlockStopReport>(corpus, "blockstop"),
+                                      [&map](SourceLoc loc) -> const std::string* {
+                                        const int m = map.Of(loc.file);
+                                        return m < 0 ? nullptr : map.names[m];
+                                      });
       }
+      {
+        trace::Span summaries("link.summaries");
+        for (FuncSummary& row : ExportSummaries(*ctx, corpus, map)) {
+          link_table_.AddSummary(std::move(row));
+        }
+      }
+      trace::Span regroup("link.regroup");
       per_module = RegroupFindings(std::move(corpus), *ctx, map);
     }
-    ComputeLinkStackFacts();
+    TableChanged();
   }
 
   // Publish: every module was analyzed by this run.
@@ -668,62 +795,45 @@ bool AnalysisSession::AnalyzeCorpus() {
   return true;
 }
 
-void AnalysisSession::ComputeLinkStackFacts() {
-  link_conflicts_.clear();
-  // Definer rows only, in sorted-name order; the first (sorted-module)
-  // definer wins a conflicted name.
-  std::map<std::string, FuncSummary*> definer;
+void AnalysisSession::TableChanged() {
+  // Each written name's rows, in module order (a stable sort of the table's
+  // (module, function) order): a name with several definer rows is a
+  // conflict, and a usage row of a name other modules define makes an
+  // (importer, definer) edge with each of them.
+  struct Row {
+    std::string_view function;
+    int module;
+    bool defined;
+  };
+  std::vector<Row> rows;
+  const std::string* module = nullptr;
   for (const auto& [key, row] : link_table_.summaries()) {
-    if (row.defined &&
-        !definer.emplace(key.second, link_table_.FindSummary(key.first, key.second)).second) {
-      link_conflicts_.insert(key.second);
+    const int m = rows.empty() ? 0 : rows.back().module + (*module != key.first ? 1 : 0);
+    module = &key.first;
+    rows.push_back({key.second, m, row.defined});
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Row& a, const Row& b) { return a.function < b.function; });
+  link_conflicts_.clear();
+  std::set<std::pair<int, int>> edges;
+  std::vector<int> definers;
+  for (size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
+    definers.clear();
+    for (end = begin; end < rows.size() && rows[end].function == rows[begin].function; ++end) {
+      if (rows[end].defined) {
+        definers.push_back(rows[end].module);
+      }
     }
-  }
-  std::vector<FuncSummary*> rows;
-  std::map<std::string, int> index;
-  for (const auto& [fname, row] : definer) {
-    index[fname] = static_cast<int>(rows.size());
-    rows.push_back(row);
-  }
-  std::vector<std::vector<int>> adj(rows.size());
-  std::vector<uint8_t> self_loop(rows.size(), 0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (const std::string& callee : rows[i]->callees) {
-      auto it = index.find(callee);
-      if (it != index.end()) {  // builtins and never-defined names: no frame
-        self_loop[i] |= static_cast<size_t>(it->second) == i ? 1 : 0;
-        adj[i].push_back(it->second);
+    if (definers.size() > 1) {
+      link_conflicts_.emplace_hint(link_conflicts_.end(), rows[begin].function);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t d = 0; !rows[i].defined && d < definers.size(); ++d) {
+        edges.insert({rows[i].module, definers[d]});
       }
     }
   }
-
-  // Tarjan in sorted-name order (src/support/scc.h) — literally the same
-  // condensation code StackCheck runs per module, applied corpus-wide. It
-  // emits SCCs in reverse topological order: successors of s always have
-  // smaller ids, so one ascending sweep computes the depths.
-  SccCondensation scc = TarjanScc(adj);
-  std::vector<int64_t> depth(scc.members.size(), 0);
-  for (size_t s = 0; s < scc.members.size(); ++s) {
-    int64_t weight = 0;
-    int64_t deepest = 0;
-    bool cyclic = scc.members[s].size() > 1;
-    bool multi_module = false;
-    for (int v : scc.members[s]) {
-      weight += rows[static_cast<size_t>(v)]->frame_size;
-      multi_module |= rows[static_cast<size_t>(v)]->module !=
-                      rows[static_cast<size_t>(scc.members[s][0])]->module;
-      cyclic |= self_loop[static_cast<size_t>(v)] != 0;
-      for (int w : adj[static_cast<size_t>(v)]) {
-        const size_t sw = static_cast<size_t>(scc.scc_of[static_cast<size_t>(w)]);
-        deepest = sw != s ? std::max(deepest, depth[sw]) : deepest;
-      }
-    }
-    depth[s] = weight + deepest;
-    for (int v : scc.members[s]) {
-      rows[static_cast<size_t>(v)]->stack_below = depth[s];
-      rows[static_cast<size_t>(v)]->cross_recursive = cyclic && multi_module;
-    }
-  }
+  cross_edges_ = static_cast<int>(edges.size());
 }
 
 SessionResult AnalysisSession::RunLinked() {
@@ -748,23 +858,7 @@ SessionResult AnalysisSession::RunLinked() {
   link_stats_.converged = true;
   link_stats_.module_analyses = result.modules_analyzed;
   link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
-  // (importer, definer) module pairs: a usage row of a function another
-  // module defines.
-  std::map<std::string, std::set<std::string>> definers;
-  for (const auto& [key, row] : link_table_.summaries()) {
-    if (row.defined) {
-      definers[key.second].insert(key.first);
-    }
-  }
-  std::set<std::pair<std::string, std::string>> edges;
-  for (const auto& [key, row] : link_table_.summaries()) {
-    if (!row.defined) {
-      for (const std::string& definer : definers[key.second]) {
-        edges.insert({key.first, definer});
-      }
-    }
-  }
-  link_stats_.cross_edges = static_cast<int>(edges.size());
+  link_stats_.cross_edges = cross_edges_;
   if (trace::Enabled()) {
     static trace::Histogram* const link_round_us = trace::GetHistogram("session.link_round_us");
     link_round_us->Record((MonotonicNowNs() - t0) / 1000);

@@ -38,7 +38,10 @@
 namespace ivy {
 
 // Per-module outcome of one RunLinked(). `result` is the module's share of
-// the corpus run, with unstamped findings.
+// the corpus run: its unstamped findings, in pipeline order, are in
+// `result.findings` only; its ToolResults carry the corpus run's details,
+// metrics and summaries with empty finding lists (and a module restored by
+// LoadStore has none).
 struct ModuleRunResult {
   std::string module;
   bool ok = false;          // compiled successfully
@@ -108,9 +111,6 @@ class AnalysisSession {
   bool ReplaceFunction(const std::string& module, const std::string& function,
                        const std::string& new_definition);
 
-  // Wholesale source replacement + Invalidate (for arbitrary edits).
-  bool ReplaceModuleSources(const std::string& name, std::vector<SourceFile> files);
-
   // The link stage: every module's files compiled as one program (prelude,
   // then the modules in name order) and analyzed once, so calls between
   // modules are ordinary calls. Each finding goes to the module of its
@@ -170,7 +170,6 @@ class AnalysisSession {
   AnnoDb ExportAnnoDb();
 
   size_t module_count() const { return modules_.size(); }
-  const Pipeline& pipeline() const { return pipeline_; }
 
   // The module's view of its last analysis (null before the first): its
   // own sources and diagnostics, no AST — the corpus program has that.
@@ -188,10 +187,10 @@ class AnalysisSession {
   // nothing published) when cancelled.
   bool AnalyzeCorpus();
 
-  // Corpus-level stack facts over the current table (condensation of the
-  // exported call edges; cross-module cyclic SCC members marked recursive),
-  // and the names with more than one definer row (link_conflicts_).
-  void ComputeLinkStackFacts();
+  // Recounts what RunLinked() reports about the table, whenever it changes:
+  // the names with more than one definer row (link_conflicts_) and the
+  // (importer, definer) module pairs (cross_edges_).
+  void TableChanged();
 
   Pipeline pipeline_;
   // shared_ptr, not a member atomic: the session stays movable, and
@@ -212,6 +211,7 @@ class AnalysisSession {
   // Function names defined in more than one module; surfaced as session
   // findings by RunLinked.
   std::set<std::string> link_conflicts_;
+  int cross_edges_ = 0;
 };
 
 }  // namespace ivy

@@ -20,7 +20,7 @@ struct AnalysisSession::ModuleState {
   bool analyzed_now = false;  // analyzed during the current RunLinked()
   std::string compile_errors;
   std::unique_ptr<Compilation> comp;  // the module's view (see CompilationFor)
-  PipelineResult result;
+  PipelineResult result;  // findings in result.findings only (see ModuleRunResult)
 };
 
 }  // namespace ivy

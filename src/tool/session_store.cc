@@ -146,11 +146,11 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
     link_table_.AddSummary(std::move(s));
   }
   linked_ = sf.linked;
+  // The stack facts are part of the stored rows.
+  TableChanged();
   link_stats_ = LinkStats{};
   link_stats_.summary_rows = static_cast<int>(link_table_.summaries().size());
-  // Rebuilds link_conflicts_; idempotent on the stack facts, which are part
-  // of the stored rows.
-  ComputeLinkStackFacts();
+  link_stats_.cross_edges = cross_edges_;
   return true;
 }
 

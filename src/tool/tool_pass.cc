@@ -4,16 +4,6 @@
 
 namespace ivy {
 
-const char* AnalysisKindName(AnalysisKind k) {
-  switch (k) {
-    case AnalysisKind::kPointsTo:
-      return "pointsto";
-    case AnalysisKind::kCallGraph:
-      return "callgraph";
-  }
-  return "unknown";
-}
-
 std::string ToolOptions::GetString(const std::string& key, const std::string& def) const {
   auto it = kv_.find(key);
   return it == kv_.end() ? def : it->second;
@@ -25,14 +15,6 @@ int64_t ToolOptions::GetInt(const std::string& key, int64_t def) const {
     return def;
   }
   return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-bool ToolOptions::GetBool(const std::string& key, bool def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) {
-    return def;
-  }
-  return it->second == "1" || it->second == "true" || it->second == "on";
 }
 
 }  // namespace ivy

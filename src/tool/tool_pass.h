@@ -27,8 +27,6 @@ enum class AnalysisKind {
   kCallGraph,  // implies kPointsTo
 };
 
-const char* AnalysisKindName(AnalysisKind k);
-
 // Per-tool option bag (replaces one-flag-per-tool fields in the old flat
 // ToolConfig). Stringly-typed on purpose: options survive serialization and
 // unknown keys are ignored by passes that don't understand them.
@@ -43,14 +41,10 @@ class ToolOptions {
   ToolOptions& SetInt(const std::string& key, int64_t value) {
     return Set(key, std::to_string(value));
   }
-  ToolOptions& SetBool(const std::string& key, bool value) {
-    return Set(key, value ? "1" : "0");
-  }
 
   bool Has(const std::string& key) const { return kv_.count(key) != 0; }
   std::string GetString(const std::string& key, const std::string& def = "") const;
   int64_t GetInt(const std::string& key, int64_t def = 0) const;
-  bool GetBool(const std::string& key, bool def = false) const;
 
   const std::map<std::string, std::string>& entries() const { return kv_; }
 

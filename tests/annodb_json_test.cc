@@ -147,7 +147,7 @@ const char* kSmallKernel = R"(
 TEST(AnnoDb, ExtractCapturesAttributes) {
   auto comp = CompileOne(kSmallKernel, ToolConfig{});
   ASSERT_TRUE(comp->ok) << comp->Errors();
-  AnnoDb db = AnnoDb::Extract(comp->prog, *comp->sema, comp->module);
+  AnnoDb db = AnnoDb::Extract(*comp);
   ASSERT_EQ(db.funcs().count("reaper"), 1u);
   EXPECT_TRUE(db.funcs().at("reaper").blocking);
   ASSERT_EQ(db.funcs().count("get_item"), 1u);
@@ -159,7 +159,7 @@ TEST(AnnoDb, ExtractCapturesAttributes) {
 TEST(AnnoDb, JsonRoundTripPreservesFacts) {
   auto comp = CompileOne(kSmallKernel, ToolConfig{});
   ASSERT_TRUE(comp->ok);
-  AnnoDb db = AnnoDb::Extract(comp->prog, *comp->sema, comp->module);
+  AnnoDb db = AnnoDb::Extract(*comp);
   std::string err;
   AnnoDb back = AnnoDb::FromJson(Json::Parse(db.ToJson().Dump(), &err));
   EXPECT_TRUE(err.empty()) << err;

@@ -178,7 +178,7 @@ TEST(Integration, AnnoDbRoundTripOnCorpus) {
   AnalysisContext ctx(comp.get(), /*field_sensitive=*/false);
   BlockStop bs(&comp->prog, comp->sema.get(), &ctx.callgraph());
   BlockStopReport report = bs.Run();
-  AnnoDb db = AnnoDb::Extract(comp->prog, *comp->sema, comp->module, &report);
+  AnnoDb db = AnnoDb::Extract(*comp, &report);
   EXPECT_GT(db.funcs().size(), 100u);
   EXPECT_GT(db.records().size(), 15u);
   std::string err;

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -125,6 +126,99 @@ TEST(SessionLinked, GoldenBytesPinned) {
     }
     EXPECT_EQ(Fnv1a64Of(findings), c.findings) << c.modules << "x" << c.functions;
     EXPECT_EQ(Fnv1a64Of(summaries), c.summaries) << c.modules << "x" << c.functions;
+  }
+}
+
+// A corpus whose modules all define the same names: the linked corpus with
+// its mNN_ prefixes stripped, plus a struct tag, an enum constant and a
+// global that module 1 defines differently. Every later module's copy of a
+// function becomes module-private, and so do module 1's type and global.
+std::vector<ModuleSources> SameNamesCorpus() {
+  LinkedCorpusOptions opt;
+  opt.modules = 3;
+  opt.functions = 24;
+  opt.seed = 21;
+  std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
+  for (size_t m = 0; m < corpus.size(); ++m) {
+    std::string& text = corpus[m].files[0].text;
+    for (size_t p = 0; p < corpus.size(); ++p) {
+      const std::string prefix = LinkedModulePrefix(static_cast<int>(p));
+      for (size_t at = text.find(prefix); at != std::string::npos; at = text.find(prefix, at)) {
+        text.erase(at, prefix.size());
+      }
+    }
+    const bool other = m == 1;
+    text += std::string("struct state {\n  int count;\n") + (other ? "  char* name;\n" : "") +
+            "};\nenum { MODE = " + (other ? "2" : "1") +
+            " };\nstruct state st;\nvoid poke(int n) {\n  spin_lock(&lk_0);\n"
+            "  st.count = n + MODE;\n  msleep(st.count);\n  spin_unlock(&lk_0);\n}\n";
+  }
+  return corpus;
+}
+
+std::string SummaryBytes(const AnalysisSession& session) {
+  std::string out;
+  for (const auto& [key, row] : session.link_table().summaries()) {
+    out += row.Canonical();
+    out += '\n';
+  }
+  return out;
+}
+
+// GoldenBytesPinned for the private-name path: findings, summary rows and
+// the table's function and record facts, with names made module-private
+// and printed as the modules wrote them.
+TEST(SessionLinked, PrivateNamesGoldenBytesPinned) {
+  AnalysisSession session = SynthServePipeline().ForEachModule(SameNamesCorpus()).BuildSession();
+  SessionResult result = session.RunLinked();
+  ASSERT_EQ(result.compile_failures, 0);
+  int conflicts = 0;
+  for (const Finding& f : result.findings) {
+    conflicts += f.tool == "session" ? 1 : 0;
+    EXPECT_EQ(f.message.find(kPrivateMark), std::string::npos) << f.message;
+  }
+  EXPECT_GT(conflicts, 20);
+  const std::string summaries = SummaryBytes(session);
+  EXPECT_EQ(summaries.find(kPrivateMark), std::string::npos);
+  EXPECT_EQ(Fnv1a64Of(Dump(result.findings)), 0xa58a41139e7fd531ull);
+  EXPECT_EQ(Fnv1a64Of(summaries), 0x86d984ecd2540c2aull);
+  EXPECT_EQ(Fnv1a64Of(session.link_table().ToJson().Dump()), 0x309bfa060294e554ull);
+}
+
+// An idle relink and a warm start from the store each reproduce the cold
+// run's findings, per-module findings and link stats byte for byte,
+// without analyzing anything.
+TEST(SessionLinked, IdleRelinkAndWarmStartMatchCold) {
+  LinkedCorpusOptions opt;
+  opt.modules = 3;
+  opt.functions = 24;
+  opt.seed = 21;
+  for (const std::vector<ModuleSources>& corpus : {GenerateLinkedCorpus(opt), SameNamesCorpus()}) {
+    auto bytes = [](const AnalysisSession& session, const SessionResult& r) {
+      std::string out = Dump(r.findings);
+      for (const ModuleRunResult& mr : r.modules) {
+        out += mr.module + ":" + Dump(mr.result.findings) + "\n";
+      }
+      const LinkStats& ls = session.link_stats();
+      return out + std::to_string(ls.summary_rows) + " " + std::to_string(ls.cross_edges) +
+             " " + std::to_string(ls.rounds) + "\n" + SummaryBytes(session);
+    };
+    AnalysisSession session = SynthServePipeline().ForEachModule(corpus).BuildSession();
+    const std::string cold = bytes(session, session.RunLinked());
+    EXPECT_EQ(session.link_stats().module_analyses, 3);
+    EXPECT_GT(session.link_stats().cross_edges, 0);
+
+    EXPECT_EQ(bytes(session, session.RunLinked()), cold);
+    EXPECT_EQ(session.link_stats().module_analyses, 0);
+
+    const std::string path = ::testing::TempDir() + "ivy_session_linked_idle.store";
+    std::string err;
+    ASSERT_TRUE(session.SaveStore(path, &err)) << err;
+    AnalysisSession restarted = SynthServePipeline().ForEachModule(corpus).BuildSession();
+    ASSERT_TRUE(restarted.LoadStore(path, &err)) << err;
+    EXPECT_EQ(bytes(restarted, restarted.RunLinked()), cold);
+    EXPECT_EQ(restarted.link_stats().module_analyses, 0);
+    std::remove(path.c_str());
   }
 }
 
