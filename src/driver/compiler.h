@@ -58,8 +58,6 @@ class Compilation {
   ToolConfig config;
   CheckStats check_stats;
   bool ok = false;
-  // A corpus compile made some name module-private (see PublicNames).
-  bool private_names = false;
 
   // Renders all diagnostics (for examples and error reporting). Null-safe:
   // a default-constructed Compilation has no DiagEngine yet.

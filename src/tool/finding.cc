@@ -121,16 +121,6 @@ bool FindingQuery::Matches(const Finding& f) const {
   return f.message.find("'" + function + "'") != std::string::npos;
 }
 
-int ToolResult::CountAtLeast(FindingSeverity min) const {
-  int n = 0;
-  for (const Finding& f : findings_) {
-    if (static_cast<int>(f.severity) >= static_cast<int>(min)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 int64_t ToolResult::Metric(const std::string& key, int64_t def) const {
   auto it = metrics_.find(key);
   return it == metrics_.end() ? def : it->second;

@@ -62,7 +62,8 @@ struct FindingQuery {
   bool Matches(const Finding& f) const;
 };
 
-// What one pass returns: findings, scalar metrics (the counters the old
+// What one pass returns besides its findings (those go to the pipeline's one
+// list, PipelineResult::findings): scalar metrics (the counters the old
 // report structs carried), a one-paragraph summary, and the legacy
 // tool-specific report for callers that still want the full view.
 class ToolResult {
@@ -71,13 +72,6 @@ class ToolResult {
   explicit ToolResult(std::string tool) : tool_(std::move(tool)) {}
 
   const std::string& tool() const { return tool_; }
-
-  void AddFinding(Finding f) { findings_.push_back(std::move(f)); }
-  const std::vector<Finding>& findings() const { return findings_; }
-  std::vector<Finding>& findings() { return findings_; }
-
-  // Findings at least as severe as `min`.
-  int CountAtLeast(FindingSeverity min) const;
 
   void SetMetric(const std::string& key, int64_t v) { metrics_[key] = v; }
   int64_t Metric(const std::string& key, int64_t def = 0) const;
@@ -107,7 +101,6 @@ class ToolResult {
 
  private:
   std::string tool_;
-  std::vector<Finding> findings_;
   std::map<std::string, int64_t> metrics_;
   // Shared by copies: every module of a corpus run holds one of its results.
   std::shared_ptr<const std::string> summary_;

@@ -55,7 +55,7 @@ class DeputyPass : public ToolPass {
  public:
   std::string name() const override { return "deputy"; }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     ToolResult r(name());
     const CheckStats& cs = ctx.comp().check_stats;
     r.SetMetric("nonnull_emitted", cs.nonnull_emitted);
@@ -80,7 +80,7 @@ class DeputyPass : public ToolPass {
                                                    : FindingSeverity::kWarning;
       f.loc = d.loc;
       f.message = d.message;
-      r.AddFinding(std::move(f));
+      findings->push_back(std::move(f));
     }
     r.set_summary("Deputy: " + std::to_string(cs.TotalEmitted()) + " run-time checks, " +
                   std::to_string(cs.TotalDischarged()) + " discharged statically");
@@ -98,7 +98,7 @@ class CCountPass : public ToolPass {
  public:
   std::string name() const override { return "ccount"; }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     ToolResult r(name());
     const TypeLayoutRegistry& layouts = ctx.comp().layouts;
     r.SetMetric("layouts", layouts.count());
@@ -122,7 +122,7 @@ class CCountPass : public ToolPass {
         f.message = "bad free (" + std::to_string(site.count) + "x, " +
                     std::to_string(site.inbound_refs) +
                     " residual references) — object leaked, kernel kept running";
-        r.AddFinding(std::move(f));
+        findings->push_back(std::move(f));
       }
       summary += "; " + std::to_string(hs.frees_good) + "/" +
                  std::to_string(hs.frees_attempted) + " frees verified good";
@@ -144,12 +144,12 @@ class BlockStopPass : public ToolPass {
     return {AnalysisKind::kPointsTo, AnalysisKind::kCallGraph};
   }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     const CallGraph& cg = ctx.callgraph();
     BlockStopReport report = BlockStop(&ctx.prog(), &ctx.sema(), &cg).Run();
     ToolResult r(name());
     for (Finding& f : report.ToFindings()) {
-      r.AddFinding(std::move(f));
+      findings->push_back(std::move(f));
     }
     r.SetMetric("defined_funcs", report.num_defined_funcs);
     r.SetMetric("callgraph_edges", report.callgraph_edges);
@@ -179,12 +179,12 @@ class LockSafePass : public ToolPass {
     return {AnalysisKind::kCallGraph};
   }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     const CallGraph& cg = ctx.callgraph();
     LockSafeReport report = LockSafe(&ctx.prog(), &ctx.sema(), &cg).Run();
     ToolResult r(name());
     for (Finding& f : report.ToFindings("static")) {
-      r.AddFinding(std::move(f));
+      findings->push_back(std::move(f));
     }
     r.SetMetric("locks_seen", report.locks_seen);
     r.SetMetric("order_edges", static_cast<int64_t>(report.edges.size()));
@@ -194,7 +194,7 @@ class LockSafePass : public ToolPass {
     if (const Machine* vm = ctx.vm()) {
       LockSafeReport rt = LockSafe::ValidateRuntime(*vm, ctx.module());
       for (Finding& f : rt.ToFindings("runtime")) {
-        r.AddFinding(std::move(f));
+        findings->push_back(std::move(f));
       }
       r.SetMetric("runtime_deadlock_cycles",
                   static_cast<int64_t>(rt.deadlock_cycles.size()));
@@ -222,14 +222,14 @@ class StackCheckPass : public ToolPass {
     return {AnalysisKind::kCallGraph};
   }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     const CallGraph& cg = ctx.callgraph();
     int64_t budget = options().GetInt("budget", 8192);
     const std::vector<std::string> entries = SplitList(options().GetString("entries"));
     StackCheckReport report = StackCheck(&cg, &ctx.module(), budget).Run(entries);
     ToolResult r(name());
     for (Finding& f : report.ToFindings()) {
-      r.AddFinding(std::move(f));
+      findings->push_back(std::move(f));
     }
     r.SetMetric("worst_case", report.worst_case);
     r.SetMetric("budget", report.budget);
@@ -253,12 +253,12 @@ class ErrCheckPass : public ToolPass {
     return {AnalysisKind::kCallGraph};
   }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     const CallGraph& cg = ctx.callgraph();
     ErrCheckReport report = ErrCheck(&ctx.prog(), &ctx.sema(), &cg).Run();
     ToolResult r(name());
     for (Finding& f : report.ToFindings()) {
-      r.AddFinding(std::move(f));
+      findings->push_back(std::move(f));
     }
     r.SetMetric("err_returning_funcs", report.err_returning_funcs);
     r.SetMetric("annotated_funcs", report.annotated_funcs);
@@ -315,7 +315,7 @@ class WorkloadPass : public ToolPass {
  public:
   std::string name() const override { return "workload"; }
 
-  ToolResult Run(AnalysisContext& ctx) override {
+  ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     ToolResult r(name());
     std::vector<WorkloadSpec> specs = ParseWorkloadSpecs(options().GetString("fns"));
     if (specs.empty()) {
@@ -333,7 +333,7 @@ class WorkloadPass : public ToolPass {
       f.tool = name();
       f.severity = FindingSeverity::kError;
       f.message = "bytecode compilation failed: " + err;
-      r.AddFinding(std::move(f));
+      findings->push_back(std::move(f));
       r.set_summary("Workload: bytecode compilation failed");
       return r;
     }
@@ -402,7 +402,7 @@ class WorkloadPass : public ToolPass {
         f.severity = FindingSeverity::kWarning;
         f.message = "workload function '" + fn + "' is not defined; skipped";
         f.witness = {fn};
-        r.AddFinding(std::move(f));
+        findings->push_back(std::move(f));
         continue;
       }
       if (slot.boot_failed) {
@@ -412,7 +412,7 @@ class WorkloadPass : public ToolPass {
         f.loc = slot.boot.trap_loc;
         f.message = DescribeTrap("workload boot '" + boot->fn + "'", slot.boot);
         f.witness = {fn};
-        r.AddFinding(std::move(f));
+        findings->push_back(std::move(f));
         ++traps;
         continue;
       }
@@ -427,7 +427,7 @@ class WorkloadPass : public ToolPass {
         f.loc = slot.result.trap_loc;
         f.message = DescribeTrap("workload '" + fn + "'", slot.result);
         f.witness = {fn};
-        r.AddFinding(std::move(f));
+        findings->push_back(std::move(f));
       }
       for (const auto& [key, site] : slot.bad_frees) {
         ++bad_free_sites;
@@ -439,7 +439,7 @@ class WorkloadPass : public ToolPass {
                     std::to_string(site.inbound_refs) +
                     " residual references) — object leaked, kernel kept running";
         f.witness = {fn};
-        r.AddFinding(std::move(f));
+        findings->push_back(std::move(f));
       }
     }
     r.SetMetric("functions", static_cast<int64_t>(specs.size()));

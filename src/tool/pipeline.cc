@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -58,8 +59,10 @@ std::string PipelineResult::ToString(const SourceManager* sm) const {
         out += '\n';
       }
     }
-    for (const Finding& f : r.findings()) {
-      out += "  " + f.ToString(sm) + "\n";
+    for (const Finding& f : findings) {
+      if (f.tool == r.tool()) {
+        out += "  " + f.ToString(sm) + "\n";
+      }
     }
   }
   return out;
@@ -140,8 +143,8 @@ bool TypeDefinitionAt(const std::vector<Token>& toks, size_t i, TypeDef* def) {
 // token is dropped, and a record tag or enum constant an earlier module
 // defined differently is respelled name$$m throughout the module. `earlier`
 // maps each type name of the earlier modules ("tag S", "enum C") to its
-// definition's key. Returns whether it respelled anything.
-bool LinkTypes(std::vector<std::vector<Token>>* streams, int m,
+// definition's key.
+void LinkTypes(std::vector<std::vector<Token>>* streams, int m,
                std::map<std::string, std::string>* earlier) {
   std::map<std::string, std::string> mine;
   std::set<std::string> tags;
@@ -188,12 +191,10 @@ bool LinkTypes(std::vector<std::vector<Token>>* streams, int m,
       }
     }
   }
-  return !tags.empty() || !constants.empty();
 }
 
 // The corpus link policy of Pipeline::Compile, over the parsed program.
-// Returns whether it made any name private.
-bool LinkCorpus(Program* prog, const std::vector<int>& file_module) {
+void LinkCorpus(Program* prog, const std::vector<int>& file_module) {
   // The first module to define each name, as a function body or a global.
   std::unordered_map<std::string_view, int> owner;
   for (const FuncDecl* fn : prog->funcs) {
@@ -234,7 +235,7 @@ bool LinkCorpus(Program* prog, const std::vector<int>& file_module) {
   }
   prog->globals = std::move(globals);
   if (private_names.empty()) {
-    return false;
+    return;
   }
   // Module m's own `name` (its declarations and every identifier in its
   // files) is respelled name$$m, every private name in one sweep over the
@@ -276,7 +277,6 @@ bool LinkCorpus(Program* prog, const std::vector<int>& file_module) {
       e->str_id = priv->id;
     }
   }
-  return true;
 }
 
 }  // namespace
@@ -318,7 +318,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
       streams.push_back(Lexer(comp->sm, id, comp->diags.get()).Lex());
     }
     if (file_module != nullptr) {
-      comp->private_names |= LinkTypes(&streams, m, &earlier_types);
+      LinkTypes(&streams, m, &earlier_types);
     }
     for (std::vector<Token>& toks : streams) {
       Parser parser(&comp->prog, std::move(toks), comp->diags.get());
@@ -336,7 +336,7 @@ std::unique_ptr<Compilation> Pipeline::Compile(const std::vector<SourceFile>& fi
   }
   if (file_module != nullptr) {
     trace::Span span("fe.link");
-    comp->private_names |= LinkCorpus(&comp->prog, *file_module);
+    LinkCorpus(&comp->prog, *file_module);
   }
 
   phase.emplace("fe.sema");
@@ -538,6 +538,7 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
   std::vector<size_t> unscheduled;
   std::vector<std::vector<size_t>> waves = ScheduleWaves(passes, &unscheduled);
   std::vector<ToolResult> results(passes.size());
+  std::vector<std::vector<Finding>> found(passes.size());
   if (!unscheduled.empty()) {
     std::set<size_t> stuck(unscheduled.begin(), unscheduled.end());
     std::vector<size_t> on_cycle;
@@ -571,14 +572,15 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
   // Per-pass wall time: a "pass.<tool>" span plus a "pipeline.pass_us"
   // histogram sample per pass, observed from whichever thread runs it.
   // Disabled-path cost is the one Enabled() check.
-  auto run_pass = [&ctx](ToolPass* p) {
+  auto run_pass = [&ctx, &passes, &found](size_t i) {
+    ToolPass* p = passes[i].get();
     if (!trace::Enabled()) {
-      return p->Run(ctx);
+      return p->Run(ctx, &found[i]);
     }
     static trace::Histogram* const pass_us = trace::GetHistogram("pipeline.pass_us");
     trace::Span span("pass." + p->name());
     const uint64_t t0 = MonotonicNowNs();
-    ToolResult r = p->Run(ctx);
+    ToolResult r = p->Run(ctx, &found[i]);
     pass_us->Record((MonotonicNowNs() - t0) / 1000);
     return r;
   };
@@ -587,9 +589,8 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
       std::vector<std::future<ToolResult>> futures;
       futures.reserve(wave.size());
       for (size_t i : wave) {
-        ToolPass* p = passes[i].get();
         futures.push_back(
-            std::async(std::launch::async, [p, &run_pass] { return run_pass(p); }));
+            std::async(std::launch::async, [i, &run_pass] { return run_pass(i); }));
       }
       // Gathering by index keeps the merge order equal to the request order
       // no matter which pass finished first.
@@ -598,16 +599,16 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
       }
     } else {
       for (size_t i : wave) {
-        results[i] = run_pass(passes[i].get());
+        results[i] = run_pass(i);
       }
     }
   }
 
   out.findings = std::move(config_errors);
-  for (ToolResult& r : results) {
-    out.findings.insert(out.findings.end(), r.findings().begin(), r.findings().end());
-    out.results.push_back(std::move(r));
+  for (std::vector<Finding>& fs : found) {
+    std::move(fs.begin(), fs.end(), std::back_inserter(out.findings));
   }
+  out.results = std::move(results);
   out.pointsto_builds = ctx.pointsto_builds();
   out.callgraph_builds = ctx.callgraph_builds();
   return out;

@@ -49,8 +49,9 @@ inline constexpr std::string_view kPrivateMark = "$$";
 std::string PublicNames(std::string text);
 
 // Merged output of one RunTools call. `results` holds one entry per
-// configured pass in request order; `findings` is the concatenation of every
-// pass's findings in that same order (the deterministic merge).
+// configured pass in request order; `findings` is the one list of findings:
+// configuration errors, then every pass's findings in that same order (the
+// deterministic merge). A finding names its pass in `tool`.
 struct PipelineResult {
   std::vector<ToolResult> results;
   std::vector<Finding> findings;

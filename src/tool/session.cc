@@ -354,8 +354,7 @@ struct NameRanks {
 
   // `defined`: the defined functions sorted by name (the call graph's row
   // order), or none; the rest of the canonical functions sort here.
-  NameRanks(const Program& prog, const std::vector<const FuncDecl*>& defined,
-            bool private_names)
+  NameRanks(const Program& prog, const std::vector<const FuncDecl*>& defined)
       : of_id(prog.funcs.size(), -1) {
     std::vector<const FuncDecl*> rest;
     for (const FuncDecl* fn : prog.funcs) {
@@ -369,7 +368,7 @@ struct NameRanks {
     std::merge(defined.begin(), defined.end(), rest.begin(), rest.end(), by_name.begin(), by);
     // A private spelling name$$m sorts right after the name it respells.
     for (const FuncDecl* fn : by_name) {
-      std::string name = private_names ? PublicNames(fn->name) : fn->name;
+      std::string name = PublicNames(fn->name);
       if (names.empty() || names.back() != name) {
         names.push_back(std::move(name));
       }
@@ -464,8 +463,7 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   const PointsTo* pt = ctx.pointsto_builds() > 0 ? &ctx.pointsto() : nullptr;
   static const std::vector<const FuncDecl*> kNone;
   const std::vector<const FuncDecl*>& defined = cg != nullptr ? cg->DefinedFuncs() : kNone;
-  const bool private_names = ctx.comp().private_names;
-  const NameRanks ranks(ctx.prog(), defined, private_names);
+  const NameRanks ranks(ctx.prog(), defined);
   auto id = [](const FuncDecl* fn) { return static_cast<size_t>(fn->func_id); };
 
   auto flag = [](const std::vector<uint8_t>* v, size_t i) {
@@ -581,7 +579,7 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
       if (bs != nullptr && id(fn) < bs->witness_by_id.size()) {
         const std::string& witness = bs->witness_by_id[id(fn)];
         row.may_block = !witness.empty();
-        row.block_witness = private_names ? PublicNames(witness) : witness;
+        row.block_witness = PublicNames(witness);
       }
       row.returns_error = flag(returns_error, id(fn));
       if (ls != nullptr && id(fn) < ls->locks_acquired.size()) {
@@ -631,12 +629,10 @@ int ModuleOfFinding(const Finding& f, const AnalysisContext& ctx, const ModuleMa
 // run reports: each finding moved once into its module's `findings`, in
 // the pipeline's merge order, with module-local file ids and the names the
 // module wrote. The modules' ToolResults share the corpus run's details,
-// metrics and summaries; their own finding lists stay empty, so a module
-// keeps each finding in one place. `map` holds at least one module.
+// metrics and summaries. `map` holds at least one module.
 std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const AnalysisContext& ctx,
                                             const ModuleMap& map) {
   std::vector<PipelineResult> out(map.names.size());
-  const bool private_names = ctx.comp().private_names;
   std::unordered_map<std::string_view, int> global_module;
   for (const VarDecl* g : ctx.prog().globals) {
     if (const int m = map.Of(g->loc.file); m >= 0) {
@@ -646,16 +642,11 @@ std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const Analysi
   for (Finding& f : corpus.findings) {
     PipelineResult& r = out[static_cast<size_t>(ModuleOfFinding(f, ctx, map, global_module))];
     f.loc.file = map.Local(f.loc.file);
-    if (private_names) {
-      f.message = PublicNames(std::move(f.message));
-      for (std::string& w : f.witness) {
-        w = PublicNames(std::move(w));
-      }
+    f.message = PublicNames(std::move(f.message));
+    for (std::string& w : f.witness) {
+      w = PublicNames(std::move(w));
     }
     r.findings.push_back(std::move(f));
-  }
-  for (ToolResult& t : corpus.results) {
-    t.findings().clear();
   }
   for (PipelineResult& r : out) {
     r.results = corpus.results;

@@ -38,10 +38,9 @@
 namespace ivy {
 
 // Per-module outcome of one RunLinked(). `result` is the module's share of
-// the corpus run: its unstamped findings, in pipeline order, are in
-// `result.findings` only; its ToolResults carry the corpus run's details,
-// metrics and summaries with empty finding lists (and a module restored by
-// LoadStore has none).
+// the corpus run: its unstamped findings, in pipeline order, in
+// `result.findings`; its ToolResults (none for a module restored by
+// LoadStore) carry the corpus run's details, metrics and summaries.
 struct ModuleRunResult {
   std::string module;
   bool ok = false;          // compiled successfully

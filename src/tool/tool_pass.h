@@ -1,7 +1,7 @@
 // The uniform pass interface every tool implements. The seed gave each tool
 // a bespoke entry point (`BlockStop::Run()`, `StackCheck::Run(entries)`,
 // `LockSafe::ValidateRuntime(vm, module)`, ...); a ToolPass normalizes them
-// to name() / Requires() / Run(AnalysisContext&) -> ToolResult so the driver
+// to name() / Requires() / Run(AnalysisContext&, findings) -> ToolResult so the driver
 // can schedule any set of tools — including ones registered by code the
 // driver has never heard of — over one shared analysis cache.
 #ifndef SRC_TOOL_TOOL_PASS_H_
@@ -68,7 +68,16 @@ class ToolPass {
   // cyclic passes are skipped — never a hang.
   virtual std::vector<std::string> RunAfter() const { return {}; }
 
-  virtual ToolResult Run(AnalysisContext& ctx) = 0;
+  // Runs the pass: appends its findings to `findings` and returns the rest
+  // of its result. The pipeline keeps every pass's findings in one list,
+  // PipelineResult::findings.
+  virtual ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) = 0;
+  // Runs the pass for its metrics, summary and detail and drops its findings
+  // (ivybench/driver.cc times each pass this way).
+  ToolResult Run(AnalysisContext& ctx) {
+    std::vector<Finding> dropped;
+    return Run(ctx, &dropped);
+  }
 
   // Called by the pipeline before Run with the tool's option bag.
   void Configure(ToolOptions opts) { options_ = std::move(opts); }

@@ -32,7 +32,7 @@ class ProbePass : public ToolPass {
   std::string name() const override { return name_; }
   std::vector<std::string> RunAfter() const override { return after_; }
 
-  ToolResult Run(AnalysisContext&) override {
+  ToolResult Run(AnalysisContext&, std::vector<Finding>*) override {
     {
       std::lock_guard<std::mutex> lock(g_log_mu);
       g_run_log.push_back(name_);

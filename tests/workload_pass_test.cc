@@ -13,9 +13,10 @@
 namespace ivy {
 namespace {
 
+// The first workload finding in `fs` whose message contains `needle`.
 const Finding* FindContaining(const std::vector<Finding>& fs, const std::string& needle) {
   for (const Finding& f : fs) {
-    if (f.message.find(needle) != std::string::npos) {
+    if (f.tool == "workload" && f.message.find(needle) != std::string::npos) {
       return &f;
     }
   }
@@ -39,7 +40,7 @@ TEST(WorkloadPass, TrapsAndMissingFunctionsBecomeFindings) {
   EXPECT_EQ(r->Metric("traps"), 1);
   EXPECT_GT(r->Metric("cycles"), 0);
 
-  const Finding* trap = FindContaining(r->findings(), "workload 'trap_fn' trapped");
+  const Finding* trap = FindContaining(run.result.findings, "workload 'trap_fn' trapped");
   ASSERT_NE(trap, nullptr);
   EXPECT_EQ(trap->severity, FindingSeverity::kError);
   EXPECT_NE(trap->message.find("division by zero"), std::string::npos);
@@ -47,7 +48,7 @@ TEST(WorkloadPass, TrapsAndMissingFunctionsBecomeFindings) {
   ASSERT_FALSE(trap->witness.empty());
   EXPECT_EQ(trap->witness[0], "trap_fn");
 
-  const Finding* missing = FindContaining(r->findings(), "missing_fn");
+  const Finding* missing = FindContaining(run.result.findings, "missing_fn");
   ASSERT_NE(missing, nullptr);
   EXPECT_EQ(missing->severity, FindingSeverity::kWarning);
   EXPECT_NE(missing->message.find("not defined"), std::string::npos);
@@ -71,7 +72,7 @@ TEST(WorkloadPass, CCountBadFreesSurfaceWithWitness) {
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->Metric("traps"), 0);
   EXPECT_EQ(r->Metric("bad_free_sites"), 1);
-  const Finding* bad = FindContaining(r->findings(), "bad free");
+  const Finding* bad = FindContaining(run.result.findings, "bad free");
   ASSERT_NE(bad, nullptr);
   EXPECT_EQ(bad->severity, FindingSeverity::kWarning);
   EXPECT_NE(bad->message.find("residual references"), std::string::npos);
@@ -93,7 +94,7 @@ TEST(WorkloadPass, MightSleepInAtomicContextIsAFinding) {
   ASSERT_TRUE(run.comp->ok) << run.comp->Errors();
   const ToolResult* r = run.result.ResultFor("workload");
   ASSERT_NE(r, nullptr);
-  const Finding* f = FindContaining(r->findings(), "atomic context");
+  const Finding* f = FindContaining(run.result.findings, "atomic context");
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->severity, FindingSeverity::kError);
 }
@@ -121,7 +122,7 @@ TEST(WorkloadPass, BootSpecRunsBeforeEachWorkload) {
   PipelineRun run2 = bad_boot.CompileAndRun({SourceFile{"input.mc", src}});
   const ToolResult* r2 = run2.result.ResultFor("workload");
   ASSERT_NE(r2, nullptr);
-  const Finding* f = FindContaining(r2->findings(), "workload 'probe' trapped");
+  const Finding* f = FindContaining(run2.result.findings, "workload 'probe' trapped");
   ASSERT_NE(f, nullptr);
   EXPECT_NE(f->message.find("boot did not run"), std::string::npos);
 }
@@ -132,7 +133,7 @@ TEST(WorkloadPass, NoOpWithoutConfiguredFunctions) {
   ASSERT_TRUE(run.comp->ok) << run.comp->Errors();
   const ToolResult* r = run.result.ResultFor("workload");
   ASSERT_NE(r, nullptr);
-  EXPECT_TRUE(r->findings().empty());
+  EXPECT_EQ(FindContaining(run.result.findings, ""), nullptr);
   EXPECT_NE(r->summary().find("no workload functions"), std::string::npos);
 }
 
