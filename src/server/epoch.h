@@ -32,7 +32,7 @@
 
 namespace ivy {
 
-// One immutable published view of a corpus. Built once by the relink worker,
+// One immutable published view of a corpus. Built once by the relink thread,
 // then only ever read.
 struct EpochSnapshot {
   uint64_t id = 0;
@@ -54,7 +54,7 @@ struct EpochSnapshot {
 };
 
 // Builds a snapshot from one completed RunLinked() result. Shared by the
-// server's relink worker and annodb_query's offline --from-synth mode, so
+// server's relink thread and annodb_query's offline --from-synth mode, so
 // "what the server serves" and "what a cold batch run prints" are the same
 // bytes by construction. Returned mutable so the builder can stamp link
 // stats / apply errors before handing it to Publish (const from then on).

@@ -1,6 +1,7 @@
 #include "src/server/server.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "src/support/clock.h"
@@ -38,9 +39,9 @@ void AnnodServer::RequestShutdown() {
   stop_cv_.notify_all();
   // Unblock the acceptor.
   listener_.Close();
-  // Signal every corpus: no new epochs, abandon queued relinks, abort the
-  // in-flight link before its frontend or passes. The actual drain (Wait
-  // on the relink group) happens in Wait() — never here, because a
+  // Signal every corpus: no new epochs, no further relink, abort the
+  // in-flight link before its frontend or passes. The actual drain (the
+  // join of each relink thread) happens in Wait() — never here, because a
   // connection handler serving kShutdown calls this and must not join
   // against itself or block on analysis work.
   std::vector<std::shared_ptr<Corpus>> all;
@@ -55,7 +56,6 @@ void AnnodServer::RequestShutdown() {
       std::lock_guard<std::mutex> lock(c->mu);
       c->closing = true;
     }
-    c->relink_group.Cancel();
     c->session.RequestCancel();
     c->cv.notify_all();
   }
@@ -94,10 +94,10 @@ void AnnodServer::Wait() {
       t.join();
     }
   }
-  // Drain every corpus: cancelled queued tasks complete instantly, the
-  // in-flight relink stops at its next cancellation check and publishes
-  // nothing. Drained corpora stay in the map (closing, so mutations are
-  // rejected) — published epochs remain inspectable post-shutdown.
+  // Drain every corpus: the in-flight relink stops at its next
+  // cancellation check and publishes nothing. Drained corpora stay in the
+  // map (closing, so mutations are rejected) — published epochs remain
+  // inspectable post-shutdown.
   std::vector<std::shared_ptr<Corpus>> all;
   {
     std::lock_guard<std::mutex> lock(corpora_mu_);
@@ -112,20 +112,11 @@ void AnnodServer::Wait() {
 }
 
 void AnnodServer::DrainCorpus(const std::shared_ptr<Corpus>& c) {
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    c->closing = true;
-  }
-  c->relink_group.Cancel();
-  c->session.RequestCancel();
-  c->cv.notify_all();
-  c->relink_group.Wait(/*rethrow=*/false);
-  c->relink_queue.Shutdown();
-  // The session is quiescent now (no task can touch it), so the snapshot is
-  // single-threaded. A cancelled link published nothing, so the modules it
-  // would have analyzed save dirty and the loader re-runs them — never a
-  // wrong warm start, at worst a cold-priced one.
-  if (!c->store_path.empty()) {
+  // Once Stop() has joined the relink thread the session is quiescent, so
+  // the snapshot is single-threaded. A cancelled link published nothing, so
+  // the modules it would have analyzed save dirty and the loader re-runs
+  // them — never a wrong warm start, at worst a cold-priced one.
+  if (c->Stop() && !c->store_path.empty()) {
     std::string serr;
     c->session.SaveStore(c->store_path, &serr);
   }
@@ -146,22 +137,19 @@ bool AnnodServer::OpenCorpus(const std::string& name) {
   if (name.empty()) {
     return false;
   }
-  std::shared_ptr<Corpus> c;
   {
     std::lock_guard<std::mutex> lock(corpora_mu_);
-    auto it = corpora_.find(name);
-    if (it != corpora_.end()) {
+    if (corpora_.count(name) != 0) {
       return true;  // idempotent
     }
-    c = std::make_shared<Corpus>(opts_.pipeline, opts_.epoch_retain);
-    if (!opts_.store_dir.empty()) {
-      c->store_path = opts_.store_dir + "/" + name + ".store";
-    }
-    corpora_.emplace(name, c);
+    // Its relink thread publishes epoch 1 (whatever edits it finds, maybe
+    // none) so queries have something to pin immediately after Sync.
+    corpora_.emplace(name, std::make_shared<Corpus>(
+                               opts_.pipeline, opts_.epoch_retain,
+                               opts_.store_dir.empty()
+                                   ? std::string()
+                                   : opts_.store_dir + "/" + name + ".store"));
   }
-  // Publish epoch 1 (the empty corpus) so queries have something to pin
-  // immediately after Sync.
-  ScheduleRelink(c);
   return true;
 }
 
@@ -180,9 +168,9 @@ bool AnnodServer::CloseCorpus(const std::string& name) {
   return true;
 }
 
-bool AnnodServer::EnqueueUpsert(const std::string& corpus, ModuleSources module) {
+bool AnnodServer::Enqueue(const std::string& corpus, Edit e) {
   auto c = FindCorpus(corpus);
-  if (!c || module.name.empty()) {
+  if (!c) {
     return false;
   }
   {
@@ -190,63 +178,48 @@ bool AnnodServer::EnqueueUpsert(const std::string& corpus, ModuleSources module)
     if (c->closing) {
       return false;
     }
-    Edit e;
-    e.kind = Edit::kUpsert;
-    e.upsert = std::move(module);
     c->edits.push_back(std::move(e));
     c->edit_queue_peak = std::max(c->edit_queue_peak,
                                   static_cast<uint32_t>(c->edits.size()));
   }
-  ScheduleRelink(c);
+  c->cv.notify_all();
   return true;
+}
+
+bool AnnodServer::EnqueueUpsert(const std::string& corpus, ModuleSources module) {
+  if (module.name.empty()) {
+    return false;
+  }
+  Edit e;
+  e.kind = Edit::kUpsert;
+  e.upsert = std::move(module);
+  return Enqueue(corpus, std::move(e));
 }
 
 bool AnnodServer::EnqueueReplaceFunction(const std::string& corpus,
                                          const std::string& module,
                                          const std::string& function,
                                          const std::string& definition) {
-  auto c = FindCorpus(corpus);
-  if (!c || module.empty() || function.empty()) {
+  if (module.empty() || function.empty()) {
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    if (c->closing) {
-      return false;
-    }
-    Edit e;
-    e.kind = Edit::kReplace;
-    e.module = module;
-    e.function = function;
-    e.definition = definition;
-    c->edits.push_back(std::move(e));
-    c->edit_queue_peak = std::max(c->edit_queue_peak,
-                                  static_cast<uint32_t>(c->edits.size()));
-  }
-  ScheduleRelink(c);
-  return true;
+  Edit e;
+  e.kind = Edit::kReplace;
+  e.module = module;
+  e.function = function;
+  e.definition = definition;
+  return Enqueue(corpus, std::move(e));
 }
 
 bool AnnodServer::EnqueueRemoveModule(const std::string& corpus,
                                       const std::string& module) {
-  auto c = FindCorpus(corpus);
-  if (!c || module.empty()) {
+  if (module.empty()) {
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    if (c->closing) {
-      return false;
-    }
-    Edit e;
-    e.kind = Edit::kRemove;
-    e.module = module;
-    c->edits.push_back(std::move(e));
-    c->edit_queue_peak = std::max(c->edit_queue_peak,
-                                  static_cast<uint32_t>(c->edits.size()));
-  }
-  ScheduleRelink(c);
-  return true;
+  Edit e;
+  e.kind = Edit::kRemove;
+  e.module = module;
+  return Enqueue(corpus, std::move(e));
 }
 
 uint64_t AnnodServer::SyncEpoch(const std::string& corpus) {
@@ -257,7 +230,7 @@ uint64_t AnnodServer::SyncEpoch(const std::string& corpus) {
   {
     std::unique_lock<std::mutex> lock(c->mu);
     c->cv.wait(lock, [&c] {
-      return c->closing || (c->edits.empty() && c->pending_relinks == 0);
+      return c->closing || (c->edits.empty() && !c->relinking);
     });
     if (c->closing) {
       return 0;
@@ -287,99 +260,122 @@ std::vector<std::string> AnnodServer::CorpusNames() const {
 }
 
 // ---------------------------------------------------------------------------
-// The relink worker
+// The relink thread
 // ---------------------------------------------------------------------------
 
-void AnnodServer::ScheduleRelink(const std::shared_ptr<Corpus>& c) {
+AnnodServer::Corpus::Corpus(Pipeline pipeline, int retain, std::string store)
+    : store_path(std::move(store)),
+      session(std::move(pipeline)),
+      epochs(retain),
+      relinker([this] { RelinkLoop(); }) {}
+
+AnnodServer::Corpus::~Corpus() { Stop(); }
+
+bool AnnodServer::Corpus::Stop() {
+  std::thread thread;
   {
-    std::lock_guard<std::mutex> lock(c->mu);
-    if (c->closing) {
-      return;
-    }
-    ++c->pending_relinks;
+    std::lock_guard<std::mutex> lock(mu);
+    closing = true;
+    thread = std::move(relinker);
   }
-  c->relink_group.Submit([this, c] { RelinkTask(c); });
+  session.RequestCancel();
+  cv.notify_all();
+  if (!thread.joinable()) {
+    return false;  // another caller stopped it
+  }
+  thread.join();
+  return true;
 }
 
-void AnnodServer::RelinkTask(const std::shared_ptr<Corpus>& c) {
-  // Drain whatever accumulated; a burst of edits rides one link, and the
-  // later tasks the burst scheduled find an empty queue and skip.
-  std::deque<Edit> batch;
-  bool first = false;
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    batch.swap(c->edits);
-    first = c->relinks_done == 0;
+void AnnodServer::Corpus::RelinkLoop() {
+  for (bool first = true;; first = false) {
+    // A burst of edits rides one link: everything queued since the last one.
+    // The first pass owes epoch 1, with or without edits.
+    std::deque<Edit> batch;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [this, first] { return closing || first || !edits.empty(); });
+      if (closing) {
+        return;
+      }
+      batch.swap(edits);
+      relinking = true;
+    }
+    std::vector<std::string> errors;
+    // Declared here so that freeing the batch and the result comes after
+    // the notify below, off the path of a waiting SyncEpoch.
+    SessionResult result;
+    try {
+      result = Relink(batch, first, &errors);
+    } catch (const std::exception& ex) {
+      // Nothing is published; the failure reaches kStats with the edits'.
+      errors.push_back(std::string("relink failed: ") + ex.what());
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      relinking = false;
+      ++relinks_done;
+      for (std::string& e : errors) {
+        apply_errors.push_back(std::move(e));
+      }
+      while (apply_errors.size() > kMaxApplyErrors) {
+        apply_errors.erase(apply_errors.begin());
+      }
+    }
+    cv.notify_all();
   }
-  if (batch.empty() && !first) {
-    std::lock_guard<std::mutex> lock(c->mu);
-    --c->pending_relinks;
-    c->cv.notify_all();
-    return;
-  }
+}
 
-  std::vector<std::string> errors;
-  if (first && !c->store_path.empty()) {
+SessionResult AnnodServer::Corpus::Relink(std::deque<Edit>& batch, bool first,
+                                          std::vector<std::string>* errors) {
+  if (first && !store_path.empty()) {
     // Warm start before the seed edits apply: modules the batch re-adds with
     // byte-identical sources stay clean (AddModule's no-op contract), so an
     // unchanged corpus publishes without analysis and an edited one costs
     // one corpus run. Any load failure just means a cold run.
     std::string lerr;
-    c->session.LoadStore(c->store_path, &lerr);
+    session.LoadStore(store_path, &lerr);
   }
   for (Edit& e : batch) {
     switch (e.kind) {
       case Edit::kUpsert:
-        c->session.AddModule(std::move(e.upsert));
+        session.AddModule(std::move(e.upsert));
         break;
       case Edit::kReplace:
-        if (!c->session.ReplaceFunction(e.module, e.function, e.definition)) {
-          errors.push_back("replace_function " + e.module + ":" + e.function +
-                           ": no such module/function");
+        if (!session.ReplaceFunction(e.module, e.function, e.definition)) {
+          errors->push_back("replace_function " + e.module + ":" + e.function +
+                            ": no such module/function");
         }
         break;
       case Edit::kRemove:
-        if (!c->session.RemoveModule(e.module)) {
-          errors.push_back("remove_module " + e.module + ": no such module");
+        if (!session.RemoveModule(e.module)) {
+          errors->push_back("remove_module " + e.module + ": no such module");
         }
         break;
     }
   }
 
   trace::Span relink_span("server.relink", {"edits", static_cast<int64_t>(batch.size())});
-  SessionResult result = c->session.RunLinked();
+  SessionResult result = session.RunLinked();
 
-  // A cancelled link is incomplete by contract: publish nothing, leave
-  // the touched modules dirty. A surviving server would re-run them on the
-  // next relink; a shutting-down one just drains.
+  // A cancelled link is incomplete by contract: publish nothing, leave the
+  // touched modules dirty. Only a closing corpus cancels, and it just drains.
   if (!result.cancelled) {
     // Publish timing feeds the always-on per-corpus histogram kStats serves;
     // the span on top of it only exists when tracing is enabled.
     const uint64_t publish_t0 = MonotonicNowNs();
     trace::Span publish_span("server.publish");
-    auto snap = BuildEpochSnapshot(0, result, c->session.link_table());
-    snap->link = c->session.link_stats();
-    snap->apply_errors = errors;
+    auto snap = BuildEpochSnapshot(0, result, session.link_table());
+    snap->link = session.link_stats();
+    snap->apply_errors = *errors;
     {
-      std::lock_guard<std::mutex> lock(c->mu);
-      snap->id = c->next_epoch++;
+      std::lock_guard<std::mutex> lock(mu);
+      snap->id = next_epoch++;
     }
-    c->epochs.Publish(std::move(snap));
-    c->publish_us.Record((MonotonicNowNs() - publish_t0) / 1000);
+    epochs.Publish(std::move(snap));
+    publish_us.Record((MonotonicNowNs() - publish_t0) / 1000);
   }
-
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    --c->pending_relinks;
-    ++c->relinks_done;
-    for (std::string& e : errors) {
-      c->apply_errors.push_back(std::move(e));
-    }
-    while (c->apply_errors.size() > kMaxApplyErrors) {
-      c->apply_errors.erase(c->apply_errors.begin());
-    }
-    c->cv.notify_all();
-  }
+  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -9,28 +9,28 @@
 //              EpochSnapshot only; a query NEVER touches the session and
 //              never blocks on an in-flight link.
 //   mutations  kUpsertModule / kReplaceFunction / kRemoveModule — appended
-//              to the corpus's edit queue; a background relink task on the
-//              corpus's single-worker WorkQueue drains the queue, applies
-//              the edits to the warm session, runs RunLinked(), and
-//              publishes the next epoch.
+//              to the corpus's edit queue; the corpus's relink thread
+//              drains the queue, applies the edits to the warm session,
+//              runs RunLinked(), and publishes the next epoch.
 //   control    kOpenCorpus / kCloseCorpus / kStats / kSync / kShutdown /
 //              kPing.
 //
 // Threading model (who touches what):
-//   - the AnalysisSession of a corpus is touched ONLY by its relink tasks,
-//     which are serialized by a one-worker WorkQueue — no lock needed;
+//   - the AnalysisSession of a corpus is touched ONLY by its one relink
+//     thread (and, once that thread is joined, by the drain's SaveStore) —
+//     no lock needed;
 //   - connection handler threads read the EpochPublisher (shared_ptr pin)
 //     and the corpus's small control state (mutex mu);
 //   - Corpus::mu guards the edit queue, counters, and the sync/closing
 //     condition; it is never held across analysis work.
 //
 // Shutdown is a drain, not an abort-at-any-cost: RequestShutdown() stops the
-// acceptor, cancels queued relink tasks (TaskGroup::Cancel — payloads
-// skipped), cancels the in-flight link cooperatively
+// acceptor, sets each corpus's `closing` (the relink thread takes no further
+// batch), cancels the in-flight link cooperatively
 // (AnalysisSession::RequestCancel — stops before the next phase), and
 // unblocks every connection. A cancelled relink publishes NOTHING: epochs
 // are only ever whole completed snapshots (regression-tested by
-// ServerTest.ShutdownWhileRelinking).
+// Server.ShutdownWhileRelinkingPublishesNoPartialEpoch).
 #ifndef SRC_SERVER_SERVER_H_
 #define SRC_SERVER_SERVER_H_
 
@@ -48,7 +48,6 @@
 #include "src/server/wire.h"
 #include "src/support/socket.h"
 #include "src/support/trace.h"
-#include "src/support/work_queue.h"
 #include "src/tool/session.h"
 
 namespace ivy {
@@ -115,23 +114,35 @@ class AnnodServer {
     std::string definition;   // kReplace
   };
 
-  // Field order is the shutdown order in reverse: relink_group's destructor
-  // drains against relink_queue, which must still be alive; both go before
-  // session so no task can outlive the state it touches.
+  // One open corpus. Its relink thread starts with the Corpus and is joined
+  // by Stop(): DrainCorpus's, or the destructor's for a corpus opened after
+  // the drain.
   struct Corpus {
-    Corpus(Pipeline pipeline, int retain)
-        : session(std::move(pipeline)), epochs(retain), relink_queue(1),
-          relink_group(relink_queue) {}
+    Corpus(Pipeline pipeline, int retain, std::string store);
+    ~Corpus();
+
+    // Sets `closing`, cancels the in-flight link and joins the relink
+    // thread. True for the one caller that joined it.
+    bool Stop();
+    // The relink thread's body: waits for edits, takes the whole queue as
+    // one batch for Relink(); returns once `closing`.
+    void RelinkLoop();
+    // Applies the batch (the first one after a LoadStore when the corpus
+    // persists), runs RunLinked() and publishes the epoch unless the link
+    // was cancelled. Appends the edits that failed to apply to `errors`.
+    SessionResult Relink(std::deque<Edit>& batch, bool first, std::vector<std::string>* errors);
 
     std::mutex mu;
-    std::condition_variable cv;    // sync waiters + drain
+    std::condition_variable cv;    // edits for the relink thread, sync waiters
     std::deque<Edit> edits;
-    int pending_relinks = 0;       // scheduled or running relink tasks
+    // The relink thread owes epoch 1 or is running a relink; starts true so
+    // a SyncEpoch right after open waits for the first epoch.
+    bool relinking = true;
     int64_t relinks_done = 0;
     bool closing = false;
     uint64_t next_epoch = 1;
     std::vector<std::string> apply_errors;  // rolling window, capped
-    std::string store_path;        // empty: no persistence (set at open)
+    const std::string store_path;  // empty: no persistence
     // Deepest the edit queue has been since open (under mu). Served by
     // kStats so operators can see backlog pressure between relinks.
     uint32_t edit_queue_peak = 0;
@@ -140,15 +151,15 @@ class AnnodServer {
     // untraced daemon. Histogram::Record is two relaxed atomic adds.
     trace::Histogram publish_us;
 
-    AnalysisSession session;       // relink tasks only
+    AnalysisSession session;       // relink thread only
     EpochPublisher epochs;
-    WorkQueue relink_queue;        // 1 worker: relinks are serialized
-    TaskGroup relink_group;
+    std::thread relinker;          // last: it runs over every field above
   };
 
   std::shared_ptr<Corpus> FindCorpus(const std::string& name) const;
-  void ScheduleRelink(const std::shared_ptr<Corpus>& c);
-  void RelinkTask(const std::shared_ptr<Corpus>& c);
+  // Appends `e` to the corpus's edit queue and wakes its relink thread;
+  // false if the corpus is unknown or closing.
+  bool Enqueue(const std::string& corpus, Edit e);
   void DrainCorpus(const std::shared_ptr<Corpus>& c);
 
   void AcceptLoop();

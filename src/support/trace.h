@@ -215,7 +215,7 @@ class Histogram {
 };
 
 // Process-wide named metrics. Names are dot-separated, lowest-level unit
-// suffixed: "workqueue.steals", "session.link_round_us". The returned
+// suffixed: "session.solve_cold", "session.link_round_us". The returned
 // pointer is valid forever; call sites cache it:
 //
 //   static auto* h = ivy::trace::GetHistogram("server.request_us");

@@ -4,7 +4,7 @@
 // The seed built the points-to results and the call graph once *per tool* —
 // four times or more for a full run over the corpus. AnalysisContext owns
 // them, computes each exactly once on first request (thread-safe, so the
-// parallel scheduler's passes can all demand them), and hands out const
+// pipeline's concurrent passes can all demand them), and hands out const
 // references. The build counters exist so tests and benches can assert the
 // compute-once property instead of trusting it.
 #ifndef SRC_TOOL_ANALYSIS_CONTEXT_H_

@@ -9,9 +9,7 @@
 // Adding another tool is this file's pattern in ~30 lines: subclass
 // ToolPass, convert your report, add one ToolPassRegistrar. See
 // docs/ARCHITECTURE.md.
-#include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <sstream>
 
@@ -23,7 +21,6 @@
 #include "src/errcheck/errcheck.h"
 #include "src/locksafe/locksafe.h"
 #include "src/stackcheck/stackcheck.h"
-#include "src/support/work_queue.h"
 #include "src/tool/analysis_context.h"
 #include "src/tool/registry.h"
 #include "src/vm/heap.h"
@@ -273,8 +270,8 @@ class ErrCheckPass : public ToolPass {
 
 // --------------------------------------------------------------------------
 // workload: the dynamic stage of the pipeline. Runs VM workload functions —
-// compiled once to ivybc bytecode, executed by one BcVm per function on the
-// pass's own WorkQueue — as a scheduled pass, and turns what the runs observe
+// compiled once to ivybc bytecode, executed by one BcVm per function, in
+// spec order — as a pipeline pass, and turns what the runs observe
 // (traps, might-sleep-in-atomic, CCount bad frees) into findings that merge
 // and persist like any static pass's. Options:
 //   "fns"       comma-separated workload specs, each "fn" or "fn:arg:arg..."
@@ -344,59 +341,16 @@ class WorkloadPass : public ToolPass {
     vcfg.rc_width_bits = comp.config.rc_width_bits;
     vcfg.max_steps = options().GetInt("max_steps", vcfg.max_steps);
 
-    // One run per spec, each in its own VM over the shared bytecode module.
-    // Slots are index-addressed and merged in spec order after the barrier,
-    // so parallel and serial runs report byte-identical findings.
-    struct Slot {
-      bool missing = false;
-      bool boot_failed = false;
-      VmResult boot;
-      VmResult result;
-      HeapStats heap;
-      std::map<std::pair<int, int>, BadFreeSite> bad_frees;
-      int64_t might_sleep_checks = 0;
-    };
-    std::vector<Slot> slots(specs.size());
-    auto run_one = [&](size_t i) {
-      Slot& slot = slots[i];
-      const WorkloadSpec& spec = specs[i];
-      if (bc->FindFunc(spec.fn) < 0) {
-        slot.missing = true;
-        return;
-      }
-      BcVm vm(bc, &comp.layouts, vcfg);
-      if (boot != nullptr) {
-        slot.boot = vm.Call(boot->fn, boot->args);
-        if (!slot.boot.ok) {
-          slot.boot_failed = true;
-          return;
-        }
-      }
-      slot.result = vm.Call(spec.fn, spec.args);
-      slot.heap = vm.heap().stats();
-      slot.bad_frees = vm.heap().bad_free_sites();
-      slot.might_sleep_checks = vm.might_sleep_checks();
-    };
-    // One worker per workload, capped at the hardware's concurrency.
-    WorkQueue pool(static_cast<int>(
-        std::min<size_t>(specs.size(), static_cast<size_t>(WorkQueue::ResolveHardware()))));
-    {
-      TaskGroup group(pool);
-      for (size_t i = 0; i < specs.size(); ++i) {
-        group.Submit([&run_one, i] { run_one(i); });
-      }
-      group.Wait();
-    }
-
+    // One run per spec, in spec order, each in its own VM over the shared
+    // bytecode module.
     int64_t ran = 0;
     int64_t traps = 0;
     int64_t bad_free_sites = 0;
     int64_t cycles = 0;
     int64_t steps = 0;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const Slot& slot = slots[i];
-      const std::string& fn = specs[i].fn;
-      if (slot.missing) {
+    for (const WorkloadSpec& spec : specs) {
+      const std::string& fn = spec.fn;
+      if (bc->FindFunc(fn) < 0) {
         Finding f;
         f.tool = name();
         f.severity = FindingSeverity::kWarning;
@@ -405,31 +359,36 @@ class WorkloadPass : public ToolPass {
         findings->push_back(std::move(f));
         continue;
       }
-      if (slot.boot_failed) {
-        Finding f;
-        f.tool = name();
-        f.severity = FindingSeverity::kError;
-        f.loc = slot.boot.trap_loc;
-        f.message = DescribeTrap("workload boot '" + boot->fn + "'", slot.boot);
-        f.witness = {fn};
-        findings->push_back(std::move(f));
-        ++traps;
-        continue;
+      BcVm vm(bc, &comp.layouts, vcfg);
+      if (boot != nullptr) {
+        const VmResult booted = vm.Call(boot->fn, boot->args);
+        if (!booted.ok) {
+          Finding f;
+          f.tool = name();
+          f.severity = FindingSeverity::kError;
+          f.loc = booted.trap_loc;
+          f.message = DescribeTrap("workload boot '" + boot->fn + "'", booted);
+          f.witness = {fn};
+          findings->push_back(std::move(f));
+          ++traps;
+          continue;
+        }
       }
+      const VmResult result = vm.Call(fn, spec.args);
       ++ran;
-      cycles += slot.result.cycles;
-      steps += slot.result.steps;
-      if (!slot.result.ok) {
+      cycles += result.cycles;
+      steps += result.steps;
+      if (!result.ok) {
         ++traps;
         Finding f;
         f.tool = name();
         f.severity = FindingSeverity::kError;
-        f.loc = slot.result.trap_loc;
-        f.message = DescribeTrap("workload '" + fn + "'", slot.result);
+        f.loc = result.trap_loc;
+        f.message = DescribeTrap("workload '" + fn + "'", result);
         f.witness = {fn};
         findings->push_back(std::move(f));
       }
-      for (const auto& [key, site] : slot.bad_frees) {
+      for (const auto& [key, site] : vm.heap().bad_free_sites()) {
         ++bad_free_sites;
         Finding f;
         f.tool = name();

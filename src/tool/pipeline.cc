@@ -379,7 +379,7 @@ std::unique_ptr<AnalysisContext> Pipeline::MakeContext(Compilation* comp) const 
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline: pass scheduling
+// Pipeline: running the passes
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -411,88 +411,6 @@ std::vector<std::unique_ptr<ToolPass>> MakePasses(
   return passes;
 }
 
-// True if pass `start` can reach itself through RunAfter() edges restricted
-// to the unscheduled set — i.e. it is ON a cycle rather than merely
-// downstream of one. O(m^2) worst case over a handful of passes.
-bool OnDependencyCycle(const std::vector<std::unique_ptr<ToolPass>>& passes,
-                       const std::set<size_t>& stuck, size_t start) {
-  std::map<std::string, size_t> pos;
-  for (size_t i : stuck) {
-    pos[passes[i]->name()] = i;
-  }
-  std::vector<size_t> worklist = {start};
-  std::set<size_t> seen;
-  while (!worklist.empty()) {
-    size_t i = worklist.back();
-    worklist.pop_back();
-    for (const std::string& dep : passes[i]->RunAfter()) {
-      auto it = pos.find(dep);
-      if (it == pos.end() || it->second == i) {
-        continue;
-      }
-      if (it->second == start) {
-        return true;
-      }
-      if (seen.insert(it->second).second) {
-        worklist.push_back(it->second);
-      }
-    }
-  }
-  return false;
-}
-
-// Topological waves over the RunAfter() pass-dependency edges (Kahn's
-// algorithm, stable in request order). Passes left unscheduled sit on — or
-// behind — a dependency cycle; they are returned through `cyclic` so the
-// pipeline can report them as errors instead of spinning forever.
-std::vector<std::vector<size_t>> ScheduleWaves(
-    const std::vector<std::unique_ptr<ToolPass>>& passes, std::vector<size_t>* cyclic) {
-  const size_t m = passes.size();
-  std::map<std::string, size_t> pos;
-  for (size_t i = 0; i < m; ++i) {
-    pos[passes[i]->name()] = i;
-  }
-  std::vector<std::vector<size_t>> succ(m);
-  std::vector<int> indegree(m, 0);
-  for (size_t i = 0; i < m; ++i) {
-    for (const std::string& dep : passes[i]->RunAfter()) {
-      auto it = pos.find(dep);
-      if (it != pos.end() && it->second != i) {
-        succ[it->second].push_back(i);
-        ++indegree[i];
-      }
-    }
-  }
-  std::vector<std::vector<size_t>> waves;
-  std::vector<char> scheduled(m, 0);
-  std::vector<size_t> ready;
-  for (size_t i = 0; i < m; ++i) {
-    if (indegree[i] == 0) {
-      ready.push_back(i);
-    }
-  }
-  while (!ready.empty()) {
-    std::vector<size_t> next;
-    for (size_t i : ready) {
-      scheduled[i] = 1;
-      for (size_t s : succ[i]) {
-        if (--indegree[s] == 0) {
-          next.push_back(s);
-        }
-      }
-    }
-    std::sort(next.begin(), next.end());
-    waves.push_back(std::move(ready));
-    ready = std::move(next);
-  }
-  for (size_t i = 0; i < m; ++i) {
-    if (!scheduled[i]) {
-      cyclic->push_back(i);
-    }
-  }
-  return waves;
-}
-
 // The union of every pass's Requires(), reduced to the strongest form
 // (callgraph implies pointsto).
 void RequiredAnalyses(const std::vector<std::unique_ptr<ToolPass>>& passes,
@@ -514,13 +432,9 @@ void RequiredAnalyses(const std::vector<std::unique_ptr<ToolPass>>& passes,
 
 PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
   PipelineResult out;
-  out.parallel = parallel_;
+  std::vector<std::unique_ptr<ToolPass>> passes = MakePasses(tools_, options_, &out.findings);
 
-  std::vector<Finding> config_errors;
-  std::vector<std::unique_ptr<ToolPass>> passes =
-      MakePasses(tools_, options_, &config_errors);
-
-  // Warm the shared cache serially so parallel passes only ever read it.
+  // Warm the shared cache serially so concurrent passes only ever read it.
   bool need_pt = false;
   bool need_cg = false;
   RequiredAnalyses(passes, &need_pt, &need_cg);
@@ -530,48 +444,10 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
     ctx.pointsto();
   }
 
-  // Pass-level RunAfter() dependencies schedule in topological waves; a
-  // cycle is a configuration error. Every unscheduled pass is skipped (its
-  // result slot stays an empty ToolResult so merge order is undisturbed),
-  // but the report distinguishes actual cycle members from healthy passes
-  // that merely depend on one.
-  std::vector<size_t> unscheduled;
-  std::vector<std::vector<size_t>> waves = ScheduleWaves(passes, &unscheduled);
-  std::vector<ToolResult> results(passes.size());
-  std::vector<std::vector<Finding>> found(passes.size());
-  if (!unscheduled.empty()) {
-    std::set<size_t> stuck(unscheduled.begin(), unscheduled.end());
-    std::vector<size_t> on_cycle;
-    std::vector<size_t> blocked;
-    for (size_t i : unscheduled) {
-      if (OnDependencyCycle(passes, stuck, i)) {
-        on_cycle.push_back(i);
-      } else {
-        blocked.push_back(i);
-      }
-      results[i] = ToolResult(passes[i]->name());
-    }
-    Finding f;
-    f.tool = "pipeline";
-    f.severity = FindingSeverity::kError;
-    f.message = "tool dependency cycle involving";
-    for (size_t k = 0; k < on_cycle.size(); ++k) {
-      f.message += (k == 0 ? " '" : ", '") + passes[on_cycle[k]]->name() + "'";
-      f.witness.push_back(passes[on_cycle[k]]->name());
-    }
-    config_errors.push_back(std::move(f));
-    for (size_t i : blocked) {
-      Finding skip;
-      skip.tool = "pipeline";
-      skip.severity = FindingSeverity::kError;
-      skip.message = "tool '" + passes[i]->name() + "' not run: it depends on a cyclic tool";
-      skip.witness.push_back(passes[i]->name());
-      config_errors.push_back(std::move(skip));
-    }
-  }
   // Per-pass wall time: a "pass.<tool>" span plus a "pipeline.pass_us"
   // histogram sample per pass, observed from whichever thread runs it.
   // Disabled-path cost is the one Enabled() check.
+  std::vector<std::vector<Finding>> found(passes.size());
   auto run_pass = [&ctx, &passes, &found](size_t i) {
     ToolPass* p = passes[i].get();
     if (!trace::Enabled()) {
@@ -584,31 +460,26 @@ PipelineResult Pipeline::RunTools(AnalysisContext& ctx) const {
     pass_us->Record((MonotonicNowNs() - t0) / 1000);
     return r;
   };
-  for (const std::vector<size_t>& wave : waves) {
-    if (parallel_ && wave.size() > 1) {
-      std::vector<std::future<ToolResult>> futures;
-      futures.reserve(wave.size());
-      for (size_t i : wave) {
-        futures.push_back(
-            std::async(std::launch::async, [i, &run_pass] { return run_pass(i); }));
-      }
-      // Gathering by index keeps the merge order equal to the request order
-      // no matter which pass finished first.
-      for (size_t k = 0; k < wave.size(); ++k) {
-        results[wave[k]] = futures[k].get();
-      }
-    } else {
-      for (size_t i : wave) {
-        results[i] = run_pass(i);
-      }
+  // One thread per pass when there are several; one pass runs inline.
+  // Gathering by index keeps the merge order equal to the request order no
+  // matter which pass finishes first.
+  out.results.reserve(passes.size());
+  if (passes.size() > 1) {
+    std::vector<std::future<ToolResult>> futures;
+    futures.reserve(passes.size());
+    for (size_t i = 0; i < passes.size(); ++i) {
+      futures.push_back(std::async(std::launch::async, run_pass, i));
     }
+    for (std::future<ToolResult>& f : futures) {
+      out.results.push_back(f.get());
+    }
+  } else if (!passes.empty()) {
+    out.results.push_back(run_pass(0));
   }
 
-  out.findings = std::move(config_errors);
   for (std::vector<Finding>& fs : found) {
     std::move(fs.begin(), fs.end(), std::back_inserter(out.findings));
   }
-  out.results = std::move(results);
   out.pointsto_builds = ctx.pointsto_builds();
   out.callgraph_builds = ctx.callgraph_builds();
   return out;
@@ -685,11 +556,6 @@ PipelineBuilder& PipelineBuilder::RunWorkload(const std::vector<std::string>& fn
     opts.Set("boot", boot);
   }
   return Tool("workload", std::move(opts));
-}
-
-PipelineBuilder& PipelineBuilder::Parallel(bool on) {
-  pipeline_.parallel_ = on;
-  return *this;
 }
 
 PipelineBuilder& PipelineBuilder::FieldSensitive(bool on) {

@@ -1,10 +1,9 @@
 // The unified tool pipeline (the driver redesign): a fluent PipelineBuilder
 // configures which passes run and with what options, Pipeline::Compile runs
 // the frontend (lex/parse/sema/lower — what the old free Compile() did), and
-// Pipeline::RunTools schedules every configured pass over one shared
-// AnalysisContext. Passes that declared their analyses via Requires() run in
-// parallel (std::async) — results are still merged in request order, so
-// parallel and serial runs produce byte-identical finding lists.
+// Pipeline::RunTools runs every configured pass over one shared
+// AnalysisContext: the analyses the passes declared via Requires() first,
+// then one std::async per pass, merged in request order.
 //
 // Corpus scale lives one layer up: PipelineBuilder::ForEachModule(...) +
 // BuildSession() produce an AnalysisSession (src/tool/session.h) that
@@ -55,7 +54,6 @@ std::string PublicNames(std::string text);
 struct PipelineResult {
   std::vector<ToolResult> results;
   std::vector<Finding> findings;
-  bool parallel = false;
   int pointsto_builds = 0;   // snapshot of the context counters after the run
   int callgraph_builds = 0;
 
@@ -125,7 +123,6 @@ class Pipeline {
   ToolConfig config_;                 // frontend + VM knobs (legacy bag)
   std::vector<std::string> tools_;    // pass names, request order
   std::map<std::string, ToolOptions> options_;
-  bool parallel_ = true;
   bool field_sensitive_ = true;
 };
 
@@ -140,7 +137,7 @@ class PipelineBuilder {
 
   // Schedules VM workload functions as the dynamic "workload" pass: each
   // spec is "fn" or "fn:arg:arg..." and runs in its own bytecode VM (over
-  // one shared compiled image) on the pass's own worker pool; `boot` is an
+  // one shared compiled image), one after another in spec order; `boot` is an
   // optional spec executed first in every workload VM (e.g.
   // "boot_kernel:5"). Traps, might-sleep violations, and CCount bad frees
   // observed by the runs become findings — stamped with module provenance
@@ -148,7 +145,6 @@ class PipelineBuilder {
   PipelineBuilder& RunWorkload(const std::vector<std::string>& fns,
                                const std::string& boot = std::string());
 
-  PipelineBuilder& Parallel(bool on);
   PipelineBuilder& FieldSensitive(bool on);
 
   // Frontend / VM knobs; FromToolConfig sets any ToolConfig field.

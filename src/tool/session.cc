@@ -650,7 +650,6 @@ std::vector<PipelineResult> RegroupFindings(PipelineResult corpus, const Analysi
   }
   for (PipelineResult& r : out) {
     r.results = corpus.results;
-    r.parallel = corpus.parallel;
     r.pointsto_builds = corpus.pointsto_builds;
     r.callgraph_builds = corpus.callgraph_builds;
   }
@@ -781,6 +780,13 @@ bool AnalysisSession::AnalyzeCorpus() {
     st->compile_errors.clear();
     st->comp = ModuleView(*comp, map, static_cast<int>(m));
     st->result = std::move(per_module[m]);
+  }
+  {
+    // Freeing the corpus program and its analyses costs a few ms a round
+    // (the IR's per-instruction vectors most of all); the span shows it.
+    trace::Span teardown("link.teardown");
+    ctx.reset();
+    comp.reset();
   }
   linked_ = true;
   return true;

@@ -2,7 +2,7 @@
 // a bespoke entry point (`BlockStop::Run()`, `StackCheck::Run(entries)`,
 // `LockSafe::ValidateRuntime(vm, module)`, ...); a ToolPass normalizes them
 // to name() / Requires() / Run(AnalysisContext&, findings) -> ToolResult so the driver
-// can schedule any set of tools — including ones registered by code the
+// can run any set of tools — including ones registered by code the
 // driver has never heard of — over one shared analysis cache.
 #ifndef SRC_TOOL_TOOL_PASS_H_
 #define SRC_TOOL_TOOL_PASS_H_
@@ -18,7 +18,7 @@ namespace ivy {
 
 class AnalysisContext;
 
-// The shared analyses a pass may declare in Requires(). The scheduler
+// The shared analyses a pass may declare in Requires(). The pipeline
 // computes each required analysis exactly once (through the AnalysisContext
 // cache) before any pass runs, so passes never race on a cold cache and
 // never trigger a rebuild.
@@ -58,15 +58,8 @@ class ToolPass {
 
   virtual std::string name() const = 0;
 
-  // Shared analyses this pass consumes; drives scheduling order.
+  // Shared analyses this pass consumes; the pipeline computes them first.
   virtual std::vector<AnalysisKind> Requires() const { return {}; }
-
-  // Pass-level ordering: names of passes that must finish before this one
-  // runs (e.g. a summarizer consuming another pass's findings). Names absent
-  // from the current pipeline are ignored. The scheduler topologically sorts
-  // these edges; a cycle is reported as a pipeline error finding and the
-  // cyclic passes are skipped — never a hang.
-  virtual std::vector<std::string> RunAfter() const { return {}; }
 
   // Runs the pass: appends its findings to `findings` and returns the rest
   // of its result. The pipeline keeps every pass's findings in one list,

@@ -8,6 +8,7 @@
 //
 // This file runs under ThreadSanitizer in CI (.github/workflows/ci.yml).
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -213,6 +214,39 @@ TEST(Server, EpochRetentionEvictsBeyondRing) {
   }
   EXPECT_EQ(server.Snapshot("synth", first), nullptr) << "evicted epoch served";
   EXPECT_NE(server.Snapshot("synth"), nullptr);
+}
+
+// The warm start: a server with a store_dir saves each corpus on shutdown,
+// and a second server on the same directory loads it on its first relink.
+// Re-seeding the same sources then publishes the first server's epoch
+// without analyzing a module.
+TEST(Server, StoreDirWarmStartMatchesFirstServerWithoutAnalysis) {
+  const LinkedCorpusOptions opt = SmallCorpus(/*seed=*/5);
+  const std::string dir = ::testing::TempDir();
+  std::remove((dir + "/ivy_server_warm.store").c_str());
+  AnnodServer::Options options = ServerOptions();
+  options.store_dir = dir;
+
+  std::shared_ptr<const EpochSnapshot> first;
+  {
+    AnnodServer server(options);
+    SeedCorpus(server, "ivy_server_warm", opt);
+    first = server.Snapshot("ivy_server_warm");
+    ASSERT_NE(first, nullptr);
+    EXPECT_GT(first->link.module_analyses, 0);
+    server.RequestShutdown();
+    server.Wait();
+  }
+
+  AnnodServer server(options);
+  SeedCorpus(server, "ivy_server_warm", opt);
+  auto second = server.Snapshot("ivy_server_warm");
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->link.module_analyses, 0);
+  EXPECT_FALSE(second->findings_canon.empty());
+  EXPECT_EQ(second->findings_canon, first->findings_canon);
+  EXPECT_EQ(second->summaries_canon, first->summaries_canon);
+  std::remove((dir + "/ivy_server_warm.store").c_str());
 }
 
 // The regression test for the drain path: shutdown arrives while the initial

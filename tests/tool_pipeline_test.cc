@@ -1,14 +1,13 @@
 // Tests for the unified ToolPass pipeline API: registry lookup, Requires()
-// ordering, the shared AnalysisContext compute-once cache, deterministic
-// parallel-vs-serial finding merges, and the unified-findings JSON feeding
-// annodb.
+// ordering, the shared AnalysisContext compute-once cache, and the
+// unified-findings JSON feeding annodb. The merge order of concurrent
+// passes is tested in registry_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "src/annodb/annodb.h"
 #include "src/blockstop/blockstop.h"
-#include "src/kernel/corpus.h"
 #include "src/stackcheck/stackcheck.h"
 #include "src/tool/pipeline.h"
 #include "src/tool/registry.h"
@@ -133,25 +132,6 @@ TEST(ToolPipeline, RepeatedRunsReuseTheCache) {
   p.RunTools(ctx);  // second run over the same context: nothing rebuilt
   EXPECT_EQ(ctx.callgraph_builds(), 1);
   EXPECT_EQ(ctx.pointsto_builds(), 1);
-}
-
-TEST(ToolPipeline, ParallelAndSerialMergesAreIdentical) {
-  auto run_with = [](bool parallel) {
-    Pipeline p = PipelineBuilder().AllTools().Parallel(parallel).Build();
-    auto comp = CompileKernel(p.config());
-    EXPECT_TRUE(comp->ok);
-    AnalysisContext ctx(comp.get());
-    PipelineResult result = p.RunTools(ctx);
-    Json merged = Json::MakeArray();
-    for (const Finding& f : result.findings) {
-      merged.Append(f.ToJson());
-    }
-    return merged.Dump();
-  };
-  std::string serial = run_with(false);
-  std::string parallel = run_with(true);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ToolPipeline, PerToolOptionBagsReachThePass) {

@@ -154,7 +154,6 @@ TEST(WorkloadPass, DeterministicAcrossRuns) {
   )";
   Pipeline p = PipelineBuilder()
                    .CCount(true)
-                   .Parallel(true)
                    .RunWorkload({"churn:8", "locker:1", "divver:3"})
                    .Build();
   PipelineRun a = p.CompileAndRun({SourceFile{"input.mc", src}});

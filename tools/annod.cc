@@ -12,7 +12,7 @@
 // diffed byte for byte (the CI smoke job does exactly that).
 //
 // The daemon runs until a client sends kShutdown (annodb-query
-// --shutdown-server) — shutdown is a graceful drain: queued relinks are
+// --shutdown-server) — shutdown is a graceful drain: queued edits are
 // abandoned, the in-flight link stops before its next phase, and
 // no partial epoch is ever published.
 #include <cstdio>
