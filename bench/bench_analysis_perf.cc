@@ -276,8 +276,7 @@ void BM_BlockStopLinked8x400(benchmark::State& state) {
     ivy::BlockStopReport reference =
         ivy::BlockStop(&ctx.prog(), &ctx.sema(), &cg).RunReference();
     if (FindingsDump(kernel.ToFindings()) != FindingsDump(reference.ToFindings()) ||
-        kernel.mayblock != reference.mayblock ||
-        kernel.mayblock_witness != reference.mayblock_witness ||
+        kernel.witness_by_id != reference.witness_by_id ||
         kernel.cross_file_entry_bits != reference.cross_file_entry_bits) {
       std::fprintf(stderr, "FATAL: 8x400 blockstop kernel diverges from the reference\n");
       std::abort();

@@ -6,40 +6,24 @@
 
 namespace ivy {
 
-namespace {
-
-const FuncDecl* NamedCallee(const Sema& sema, const Expr* callee) {
-  if (callee == nullptr || callee->kind != ExprKind::kIdent || callee->sym != nullptr) {
-    return nullptr;
-  }
-  auto it = sema.func_map().find(callee->str_val);
-  return it == sema.func_map().end() ? nullptr : it->second;
-}
-
-}  // namespace
-
 CallGraph CallGraph::Build(const Program& /*prog*/, const Sema& sema, const PointsTo& pt) {
   CallGraph cg;
-  int max_id = -1;
-  for (const auto& [name, fn] : sema.func_map()) {
-    max_id = std::max(max_id, fn->func_id);
+  for (const FuncDecl* fn : sema.funcs()) {
     if (fn->body != nullptr) {
       cg.defined_.push_back(fn);
     }
   }
   std::sort(cg.defined_.begin(), cg.defined_.end(),
             [](const FuncDecl* a, const FuncDecl* b) { return a->name < b->name; });
-  const size_t ids = static_cast<size_t>(max_id + 1);
+  const size_t ids = sema.funcs().size();
   cg.index_of_id_.assign(ids, -1);
   cg.is_irq_entry_.assign(ids, 0);
   cg.site_offsets_.push_back(0);
   for (size_t i = 0; i < cg.defined_.size(); ++i) {
     const FuncDecl* fn = cg.defined_[i];
-    if (fn->func_id >= 0) {
-      cg.index_of_id_[static_cast<size_t>(fn->func_id)] = static_cast<int>(i);
-      cg.is_irq_entry_[static_cast<size_t>(fn->func_id)] |= fn->attrs.interrupt_handler;
-    }
-    cg.Walk(fn->body, sema, pt);
+    cg.index_of_id_[static_cast<size_t>(fn->func_id)] = static_cast<int>(i);
+    cg.is_irq_entry_[static_cast<size_t>(fn->func_id)] |= fn->attrs.interrupt_handler;
+    cg.Walk(fn->body, pt);
     cg.site_offsets_.push_back(static_cast<uint32_t>(cg.sites_.size()));
   }
   // Unique callees per caller in first-site order, each deduplicated by the
@@ -70,14 +54,14 @@ CallGraph CallGraph::Build(const Program& /*prog*/, const Sema& sema, const Poin
     for (const FuncDecl* callee : cg.Callees(fn)) {
       cg.callers_[next[static_cast<size_t>(callee->func_id)]++] = fn;
     }
-    if (fn->func_id >= 0 && cg.is_irq_entry_[static_cast<size_t>(fn->func_id)]) {
+    if (cg.is_irq_entry_[static_cast<size_t>(fn->func_id)]) {
       cg.irq_entries_.push_back(fn);
     }
   }
   return cg;
 }
 
-void CallGraph::WalkExpr(const Expr* e, const Sema& sema, const PointsTo& pt) {
+void CallGraph::WalkExpr(const Expr* e, const PointsTo& pt) {
   if (e == nullptr) {
     return;
   }
@@ -85,7 +69,7 @@ void CallGraph::WalkExpr(const Expr* e, const Sema& sema, const PointsTo& pt) {
     CallSite site;
     site.expr = e;
     site.targets_begin = static_cast<uint32_t>(targets_.size());
-    const FuncDecl* callee = NamedCallee(sema, e->a);
+    const FuncDecl* callee = e->a->func;
     if (callee == nullptr) {
       const std::vector<const FuncDecl*>& cands = pt.TargetsOf(e);
       targets_.insert(targets_.end(), cands.begin(), cands.end());
@@ -102,7 +86,7 @@ void CallGraph::WalkExpr(const Expr* e, const Sema& sema, const PointsTo& pt) {
         site.is_irq_dispatch = true;
         const std::vector<const FuncDecl*>& handlers = pt.HandlerTargets(e->args[0]);
         targets_.insert(targets_.end(), handlers.begin(), handlers.end());
-        if (const FuncDecl* named = NamedCallee(sema, e->args[0])) {
+        if (const FuncDecl* named = e->args[0]->func) {
           targets_.push_back(named);
         }
         for (size_t t = site.targets_begin; t < targets_.size(); ++t) {
@@ -114,29 +98,29 @@ void CallGraph::WalkExpr(const Expr* e, const Sema& sema, const PointsTo& pt) {
     site.targets_end = static_cast<uint32_t>(targets_.size());
     sites_.push_back(site);
   }
-  WalkExpr(e->a, sema, pt);
-  WalkExpr(e->b, sema, pt);
-  WalkExpr(e->c, sema, pt);
+  WalkExpr(e->a, pt);
+  WalkExpr(e->b, pt);
+  WalkExpr(e->c, pt);
   for (const Expr* arg : e->args) {
-    WalkExpr(arg, sema, pt);
+    WalkExpr(arg, pt);
   }
 }
 
-void CallGraph::Walk(const Stmt* s, const Sema& sema, const PointsTo& pt) {
+void CallGraph::Walk(const Stmt* s, const PointsTo& pt) {
   if (s == nullptr) {
     return;
   }
-  WalkExpr(s->expr, sema, pt);
-  WalkExpr(s->cond, sema, pt);
-  WalkExpr(s->step, sema, pt);
+  WalkExpr(s->expr, pt);
+  WalkExpr(s->cond, pt);
+  WalkExpr(s->step, pt);
   if (s->decl != nullptr) {
-    WalkExpr(s->decl->init, sema, pt);
+    WalkExpr(s->decl->init, pt);
   }
-  Walk(s->init, sema, pt);
-  Walk(s->then_stmt, sema, pt);
-  Walk(s->else_stmt, sema, pt);
+  Walk(s->init, pt);
+  Walk(s->then_stmt, pt);
+  Walk(s->else_stmt, pt);
   for (const Stmt* child : s->body) {
-    Walk(child, sema, pt);
+    Walk(child, pt);
   }
 }
 

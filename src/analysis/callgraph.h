@@ -92,8 +92,8 @@ class CallGraph {
     return row < 0 ? Slice<T>{}
                    : Slice<T>{flat.data() + offsets[row], flat.data() + offsets[row + 1]};
   }
-  void Walk(const Stmt* s, const Sema& sema, const PointsTo& pt);
-  void WalkExpr(const Expr* e, const Sema& sema, const PointsTo& pt);
+  void Walk(const Stmt* s, const PointsTo& pt);
+  void WalkExpr(const Expr* e, const PointsTo& pt);
 
   std::vector<const FuncDecl*> defined_;
   std::vector<int> index_of_id_;          // func_id -> DefinedFuncs() position

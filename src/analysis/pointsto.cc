@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/vm/builtins.h"
+
 namespace ivy {
 
 PointsTo::PointsTo(const Program* prog, const Sema* sema, bool field_sensitive)
@@ -36,14 +38,6 @@ int PointsTo::RetNode(const FuncDecl* fn) {
     it->second = NewNode();
   }
   return it->second;
-}
-
-const FuncDecl* PointsTo::AsFunctionName(const Expr* e) const {
-  if (e == nullptr || e->kind != ExprKind::kIdent || e->sym != nullptr) {
-    return nullptr;
-  }
-  auto it = sema_->func_map().find(e->str_val);
-  return it == sema_->func_map().end() ? nullptr : it->second;
 }
 
 int PointsTo::VarNode(const Symbol* sym) const {
@@ -85,8 +79,8 @@ void PointsTo::ForEachSource(Self* self, const Expr* e, const OnFunc& on_func,
   if (e == nullptr) {
     return;
   }
-  if (const FuncDecl* named = self->AsFunctionName(e)) {
-    on_func(named);
+  if (e->func != nullptr) {
+    on_func(e->func);
     return;
   }
   switch (e->kind) {
@@ -101,8 +95,8 @@ void PointsTo::ForEachSource(Self* self, const Expr* e, const OnFunc& on_func,
       ForEachSource(self, e->b, on_func, on_node);  // value of an assignment is its rhs
       return;
     case ExprKind::kCall:
-      if (const FuncDecl* callee = self->AsFunctionName(e->a)) {
-        on_node(self->RetNode(callee));
+      if (e->a->func != nullptr) {
+        on_node(self->RetNode(e->a->func));
       } else if (auto site = self->site_of_expr_.find(e); site != self->site_of_expr_.end()) {
         on_node(self->sites_[static_cast<size_t>(site->second)].ret_node);
       }
@@ -125,12 +119,7 @@ void PointsTo::AddFunc(int node, const FuncDecl* fn) {
   if (node < 0 || fn == nullptr || fn->func_id < 0) {
     return;
   }
-  if (static_cast<size_t>(fn->func_id) >= funcs_by_id_.size()) {
-    funcs_by_id_.resize(static_cast<size_t>(fn->func_id) + 1, nullptr);
-  }
-  funcs_by_id_[static_cast<size_t>(fn->func_id)] = fn;
   node_funcs_[static_cast<size_t>(node)].insert(fn->func_id);
-  address_taken_.insert(fn);
 }
 
 void PointsTo::FlowInto(const Expr* rhs, int dst) {
@@ -142,11 +131,11 @@ void PointsTo::FlowInto(const Expr* rhs, int dst) {
 }
 
 void PointsTo::GenCall(const Expr* e) {
-  const FuncDecl* callee = AsFunctionName(e->a);
+  const FuncDecl* callee = e->a->func;
   if (callee != nullptr) {
     // Special-case the interrupt dispatcher: its handler argument is an
     // indirect callee with one parameter.
-    if (callee->is_builtin && callee->name == "trigger_irq" && !e->args.empty()) {
+    if (callee->builtin_id == static_cast<int>(Builtin::kTriggerIrq) && !e->args.empty()) {
       IndirectSite site;
       site.call = e->args[0];
       site.callee_node = NodeOfExpr(e->args[0]);
@@ -157,7 +146,7 @@ void PointsTo::GenCall(const Expr* e) {
       site_of_expr_[e->args[0]] = static_cast<int>(sites_.size());
       sites_.push_back(site);
       // The handler reference itself may be a function name.
-      if (const FuncDecl* h = AsFunctionName(e->args[0])) {
+      if (const FuncDecl* h = e->args[0]->func) {
         int handler_node = site.callee_node;
         if (handler_node < 0) {
           handler_node = NewNode();
@@ -230,12 +219,11 @@ void PointsTo::GenStmt(const Stmt* s) {
 }
 
 void PointsTo::Solve() {
-  for (const auto& [name, fn] : sema_->func_map()) {
-    if (fn->body == nullptr || fn->func_id < 0) {
-      continue;
+  for (const FuncDecl* fn : sema_->funcs()) {
+    if (fn->body != nullptr) {
+      cur_fn_ = fn;
+      GenStmt(fn->body);
     }
-    cur_fn_ = fn;
-    GenStmt(fn->body);
   }
   cur_fn_ = nullptr;
   for (const VarDecl* g : prog_->globals) {
@@ -248,7 +236,6 @@ void PointsTo::Solve() {
   bool changed = true;
   while (changed) {
     changed = false;
-    ++iterations_;
     for (size_t n = 0; n < edges_.size(); ++n) {
       for (int d : edges_[n]) {
         const size_t dst = static_cast<size_t>(d);
@@ -273,10 +260,7 @@ void PointsTo::Solve() {
         }
         site.bound.insert(fid);
         changed = true;
-        const FuncDecl* target = funcs_by_id_[static_cast<size_t>(fid)];
-        if (target == nullptr) {
-          continue;
-        }
+        const FuncDecl* target = sema_->funcs()[static_cast<size_t>(fid)];
         for (size_t i = 0; i < site.args.size() && i < target->params.size(); ++i) {
           FlowInto(site.args[i], VarNode(target->params[i]));
         }
@@ -290,10 +274,7 @@ void PointsTo::Solve() {
     std::vector<const FuncDecl*> targets;
     if (site.callee_node >= 0) {
       for (int fid : node_funcs_[static_cast<size_t>(site.callee_node)]) {
-        const FuncDecl* f = funcs_by_id_[static_cast<size_t>(fid)];
-        if (f != nullptr) {
-          targets.push_back(f);
-        }
+        targets.push_back(sema_->funcs()[static_cast<size_t>(fid)]);
       }
     }
     std::sort(targets.begin(), targets.end(),

@@ -13,6 +13,11 @@
 // which is what produces BlockStop's false positives ("mostly due to the
 // overly-conservative points-to analysis of function pointers"); the
 // field-sensitive variant is the improvement the paper proposes (A2).
+//
+// Function names come resolved from sema (Expr::func), and a cell's facts
+// are func_ids read back through Sema::funcs(). Constraints are generated
+// in func_id order; the solution does not depend on it (id sets are
+// std::sets, target lists are sorted by name).
 #ifndef SRC_ANALYSIS_POINTSTO_H_
 #define SRC_ANALYSIS_POINTSTO_H_
 
@@ -42,9 +47,6 @@ class PointsTo {
   // Candidate handlers of trigger_irq(h, ...) sites, by the handler expr.
   const std::vector<const FuncDecl*>& HandlerTargets(const Expr* handler_expr) const;
 
-  // Functions whose address is ever taken (flow into some cell).
-  const std::set<const FuncDecl*>& address_taken() const { return address_taken_; }
-
   // Post-solve reads for the link table's summary rows, materializing no
   // cell: the func_ids of the functions `fn` may return, and of those an
   // expression's value may carry, read the way the solve flows it into a
@@ -53,7 +55,6 @@ class PointsTo {
   void FuncIdsOfExpr(const Expr* e, std::vector<int>* out) const;
 
   int node_count() const { return static_cast<int>(node_funcs_.size()); }
-  int64_t solve_iterations() const { return iterations_; }
   // Successful fact insertions along edges during the solve fixpoint; the
   // function constants the constraints state directly are not counted.
   int64_t solve_propagations() const { return propagations_; }
@@ -85,7 +86,6 @@ class PointsTo {
   void GenStmt(const Stmt* s);
   void GenExpr(const Expr* e);
   void GenCall(const Expr* e);
-  const FuncDecl* AsFunctionName(const Expr* e) const;
 
   const Program* prog_;
   const Sema* sema_;
@@ -97,7 +97,6 @@ class PointsTo {
   std::unordered_map<const FuncDecl*, int> ret_nodes_;
   std::vector<std::set<int>> node_funcs_;       // node -> set of func ids
   std::vector<std::vector<int>> edges_;         // node -> successor nodes
-  std::vector<const FuncDecl*> funcs_by_id_;
 
   struct IndirectSite {
     const Expr* call = nullptr;         // the kCall expr (or handler expr)
@@ -109,8 +108,6 @@ class PointsTo {
   std::vector<IndirectSite> sites_;
   std::map<const Expr*, int> site_of_expr_;
   std::map<const Expr*, std::vector<const FuncDecl*>> resolved_;
-  std::set<const FuncDecl*> address_taken_;
-  int64_t iterations_ = 0;
   int64_t propagations_ = 0;
   std::vector<const FuncDecl*> empty_;
 };

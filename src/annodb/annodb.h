@@ -104,6 +104,19 @@ struct FuncSummary {
   std::string Canonical() const { return ToJson().Dump(-1); }
 };
 
+// A summaries query: the rows of `function` exported by `module`; an empty
+// field matches any. The row-side twin of FindingQuery (src/tool/finding.h),
+// shared by the server's handler and every annodb-query mode.
+struct SummaryQuery {
+  std::string function;
+  std::string module;
+
+  bool Matches(const FuncSummary& row) const {
+    return (function.empty() || row.function == function) &&
+           (module.empty() || row.module == module);
+  }
+};
+
 class AnnoDb {
  public:
   // Extracts a database from a compiled program (plus optional BlockStop

@@ -225,7 +225,6 @@ void BlockStop::EvaluateEntry(size_t fn_index, uint8_t entry_bit, Found* found) 
   const FuncDecl* fn = cg_->DefinedFuncs()[fn_index];
   const std::vector<CallSite>& sites = cg_->AllSites();
   const uint8_t entry_irq = entry_bit == 1 ? 1 : 2;
-  const uint64_t file_key = static_cast<uint64_t>(static_cast<uint32_t>(fn->loc.file)) << 32;
   IrqState st;
   st.irq = entry_irq;
   stack_.clear();
@@ -258,8 +257,7 @@ void BlockStop::EvaluateEntry(size_t fn_index, uint8_t entry_bit, Found* found) 
       entered_.push_back({callee, add});
       if (!callee->is_builtin &&
           (callee->body == nullptr || callee->loc.file != fn->loc.file)) {
-        auto& entry = found->cross[file_key | static_cast<uint32_t>(callee->func_id)];
-        entry = {callee, static_cast<uint8_t>(entry.second | add)};
+        found->cross[{fn->loc.file, callee->func_id}] |= add;
       }
     }
     if (atomic && !site.is_irq_dispatch && found->at_site[s] == 0) {
@@ -304,7 +302,7 @@ BlockStopReport BlockStop::ReportShell() const {
   report.mayblock_evals = mayblock_evals_;
   report.witness_by_id.resize(cg_->id_count());
   // Witnesses come from the *final* may-block set: the first cause in site
-  // order. DefinedFuncs() is sorted by name, so every insert lands at end().
+  // order.
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     if (fn->attrs.noblock) {
       ++report.runtime_checks;
@@ -313,10 +311,8 @@ BlockStopReport BlockStop::ReportShell() const {
       continue;
     }
     const FuncDecl* cause = fn->attrs.blocking ? nullptr : BlockingCauseOf(fn);
-    std::string& witness = report.witness_by_id[static_cast<size_t>(fn->func_id)];
-    witness = cause != nullptr ? "calls " + cause->name : kAnnotated;
-    report.mayblock.emplace_hint(report.mayblock.end(), fn->name);
-    report.mayblock_witness.emplace_hint(report.mayblock_witness.end(), fn->name, witness);
+    report.witness_by_id[static_cast<size_t>(fn->func_id)] =
+        cause != nullptr ? "calls " + cause->name : kAnnotated;
   }
   return report;
 }
@@ -342,10 +338,7 @@ void BlockStop::FinishReport(BlockStopReport* report, Found found) const {
     v.via_indirect = c.via_indirect;
     (c.silenced ? report->silenced : report->violations).push_back(std::move(v));
   }
-  for (const auto& [key, entry] : found.cross) {
-    report->cross_file_entry_bits[{static_cast<int32_t>(key >> 32), entry.first->name}] |=
-        entry.second;
-  }
+  report->cross_file_entry_bits = std::move(found.cross);
 }
 
 BlockStopReport BlockStop::Run() {
@@ -442,12 +435,17 @@ BlockStopReport BlockStop::RunReference() {
   return report;
 }
 
+int64_t BlockStopReport::MayBlockCount() const {
+  return std::count_if(witness_by_id.begin(), witness_by_id.end(),
+                       [](const std::string& w) { return !w.empty(); });
+}
+
 std::string BlockStopReport::ToString() const {
   std::string out;
   out += "BlockStop: " + std::to_string(num_defined_funcs) + " functions, " +
          std::to_string(callgraph_edges) + " call edges, " + std::to_string(indirect_sites) +
          " indirect sites (" + std::to_string(indirect_target_total) + " candidate targets), " +
-         std::to_string(mayblock.size()) + " may-block functions\n";
+         std::to_string(MayBlockCount()) + " may-block functions\n";
   out += "  potential bugs (blocking call in atomic context): " +
          std::to_string(violations.size()) + "\n";
   for (const BlockingViolation& v : violations) {

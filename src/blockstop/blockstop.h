@@ -33,9 +33,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,7 +54,6 @@ struct BlockingViolation {
 struct BlockStopReport {
   std::vector<BlockingViolation> violations;  // survive noblock filtering
   std::vector<BlockingViolation> silenced;    // removed by run-time checks
-  std::set<std::string> mayblock;             // names of may-block functions
   int num_defined_funcs = 0;
   int64_t callgraph_edges = 0;
   int64_t indirect_sites = 0;
@@ -66,19 +63,20 @@ struct BlockStopReport {
   // for Run(), every round's rescan for RunReference(). Observability only;
   // findings never depend on it.
   int64_t mayblock_evals = 0;
-  // Summary exports (AnalysisSession's link table). `mayblock_witness` is
-  // the per-function witness under the final may-block set;
-  // `witness_by_id` holds the same strings by FuncDecl::func_id, "" for a
-  // function that cannot block. `cross_file_entry_bits` are the context
-  // bits the functions of one source file pass into a callee declared or
-  // defined outside that file, keyed by (caller's file id, callee name):
-  // bit 1 = may be entered in process context with irqs on, bit 2 = may be
-  // entered atomically. The link stage ORs a module's files into its usage
-  // rows. All are strategy-independent.
-  std::map<std::string, std::string> mayblock_witness;
+  // Summary exports (AnalysisSession's link table), by id. `witness_by_id`
+  // is the one may-block view: by FuncDecl::func_id, the function's witness
+  // under the final may-block set, "" if it cannot block.
+  // `cross_file_entry_bits` are the context bits the functions of one
+  // source file pass into a callee declared or defined outside that file,
+  // keyed by (caller's file id, callee func_id): bit 1 = may be entered in
+  // process context with irqs on, bit 2 = may be entered atomically. The
+  // link stage ORs a module's files into its usage rows. Both are
+  // strategy-independent.
   std::vector<std::string> witness_by_id;
-  std::map<std::pair<int32_t, std::string>, uint8_t> cross_file_entry_bits;
+  std::map<std::pair<int32_t, int>, uint8_t> cross_file_entry_bits;
 
+  // The number of may-block functions: the non-empty witnesses.
+  int64_t MayBlockCount() const;
   std::string ToString() const;
 
   // The unified-pipeline view: violations become errors, silenced false
@@ -126,8 +124,7 @@ class BlockStop {
   struct Found {
     std::vector<uint8_t> at_site;  // AllSites() index -> a candidate is kept
     std::vector<Candidate> candidates;
-    // (caller's file, callee func_id) -> the callee and the bits passed in.
-    std::unordered_map<uint64_t, std::pair<const FuncDecl*, uint8_t>> cross;
+    std::map<std::pair<int32_t, int>, uint8_t> cross;  // cross_file_entry_bits
   };
   // Runs one (function, entry-state) pair's compiled body: fills `entered_`
   // with the context bits passed into Mini-C callees, and adds its atomic
@@ -148,7 +145,7 @@ class BlockStop {
   void Reset();
   void ComputeMayBlock();           // caller worklist
   void ComputeMayBlockReference();  // rescan rounds
-  // Counts, and the may-block views with each witness rendered once.
+  // Counts, and the may-block witnesses, each rendered once.
   BlockStopReport ReportShell() const;
   void FinishReport(BlockStopReport* report, Found found) const;
 

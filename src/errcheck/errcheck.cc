@@ -71,15 +71,11 @@ void ErrCheck::ScanStmt(const FuncDecl* fn, const Stmt* s, const Stmt* func_body
   if (s == nullptr) {
     return;
   }
-  auto callee_of = [this](const Expr* e) -> const FuncDecl* {
-    if (e == nullptr || e->kind != ExprKind::kCall || e->a->kind != ExprKind::kIdent) {
-      return nullptr;
-    }
-    auto it = sema_->func_map().find(e->a->str_val);
-    if (it == sema_->func_map().end() || !IsErrFunc(it->second)) {
-      return nullptr;
-    }
-    return it->second;
+  auto callee_of = [report](const Expr* e) -> const FuncDecl* {
+    const FuncDecl* callee = e != nullptr && e->kind == ExprKind::kCall ? e->a->func : nullptr;
+    return callee != nullptr && report->returns_error[static_cast<size_t>(callee->func_id)] != 0
+               ? callee
+               : nullptr;
   };
   // Case 1: bare expression statement discarding an error-returning call.
   if (s->kind == StmtKind::kExpr) {
@@ -125,21 +121,16 @@ void ErrCheck::ScanStmt(const FuncDecl* fn, const Stmt* s, const Stmt* func_body
 
 ErrCheckReport ErrCheck::Run() {
   ErrCheckReport report;
+  report.returns_error.assign(cg_->id_count(), 0);
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    if (!fn->attrs.errcodes.empty()) {
-      err_funcs_.insert(fn);
-      ++report.annotated_funcs;
-    } else if (fn->type != nullptr && fn->type->ret != nullptr && fn->type->ret->IsInteger() &&
-               ReturnsNegativeConstant(fn->body)) {
-      err_funcs_.insert(fn);
-      ++report.inferred_funcs;
+    const bool annotated = !fn->attrs.errcodes.empty();
+    if (annotated || (fn->type != nullptr && fn->type->ret != nullptr &&
+                      fn->type->ret->IsInteger() && ReturnsNegativeConstant(fn->body))) {
+      report.returns_error[static_cast<size_t>(fn->func_id)] = 1;
+      ++(annotated ? report.annotated_funcs : report.inferred_funcs);
     }
   }
-  report.returns_error.assign(cg_->id_count(), 0);
-  for (const FuncDecl* fn : err_funcs_) {
-    report.returns_error[static_cast<size_t>(fn->func_id)] = 1;
-  }
-  report.err_returning_funcs = static_cast<int>(err_funcs_.size());
+  report.err_returning_funcs = report.annotated_funcs + report.inferred_funcs;
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
     ScanStmt(fn, fn->body, fn->body, &report);
   }

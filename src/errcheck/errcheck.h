@@ -15,7 +15,6 @@
 #ifndef SRC_ERRCHECK_ERRCHECK_H_
 #define SRC_ERRCHECK_ERRCHECK_H_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,8 @@ struct ErrCheckReport {
   int inferred_funcs = 0;
   int checked_sites = 0;         // call sites that do test the result
   // By FuncDecl::func_id: 1 for a *defined* error-returning function
-  // (annotated or inferred) — the summary rows' returns_error facts.
+  // (annotated or inferred). The one classification table: the call-site
+  // scan reads it, and the summary rows export it as returns_error.
   std::vector<uint8_t> returns_error;
 
   std::string ToString() const;
@@ -53,8 +53,9 @@ class ErrCheck {
  public:
   ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg);
 
-  // Two phases: classify the error-returning functions, then scan every
-  // call site against that set, in DefinedFuncs() order.
+  // Two phases: classify the error-returning functions into
+  // returns_error, then scan every call site (callees as sema resolved
+  // them) against it, in DefinedFuncs() order.
   ErrCheckReport Run();
 
  private:
@@ -65,12 +66,9 @@ class ErrCheck {
   void ScanStmt(const FuncDecl* fn, const Stmt* s, const Stmt* func_body,
                 ErrCheckReport* report);
 
-  bool IsErrFunc(const FuncDecl* fn) const { return err_funcs_.count(fn) != 0; }
-
   const Program* prog_;
   const Sema* sema_;
   const CallGraph* cg_;
-  std::set<const FuncDecl*> err_funcs_;
 };
 
 }  // namespace ivy

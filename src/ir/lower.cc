@@ -1,7 +1,5 @@
 #include "src/ir/lower.h"
 
-#include <algorithm>
-
 namespace ivy {
 
 namespace {
@@ -24,15 +22,10 @@ IrModule Lowerer::Lower() {
   IrModule m;
   module_ = &m;
   LayoutGlobals(&m);
-  int max_id = 0;
+  m.funcs.resize(sema_->funcs().size());
+  // Lowered in func_map() order: Deputy's diagnostics, and so the findings,
+  // come out in this order.
   for (const auto& [name, fn] : sema_->func_map()) {
-    max_id = std::max(max_id, fn->func_id + 1);
-  }
-  m.funcs.resize(static_cast<size_t>(max_id));
-  for (const auto& [name, fn] : sema_->func_map()) {
-    if (fn->func_id < 0) {
-      continue;
-    }
     IrFunc& out = m.funcs[static_cast<size_t>(fn->func_id)];
     out.decl = fn;
     if (fn->body != nullptr) {
@@ -1005,14 +998,8 @@ int Lowerer::LowerIncDec(const Expr* e) {
 }
 
 int Lowerer::LowerCall(const Expr* e) {
-  // Resolve the callee: builtin, direct, or indirect.
-  const FuncDecl* callee = nullptr;
-  if (e->a->kind == ExprKind::kIdent && e->a->sym == nullptr) {
-    auto it = sema_->func_map().find(e->a->str_val);
-    if (it != sema_->func_map().end()) {
-      callee = it->second;
-    }
-  }
+  // The callee: builtin, direct, or (null) indirect.
+  const FuncDecl* callee = e->a->func;
   const Type* fty = callee != nullptr ? callee->type
                     : (e->a->type != nullptr && e->a->type->IsFuncPointer())
                         ? e->a->type->pointee
@@ -1087,15 +1074,14 @@ int Lowerer::LowerExpr(const Expr* e) {
       if (e->is_const) {  // enum constant
         return EmitConst(e->int_val, e->loc);
       }
-      if (e->sym == nullptr) {
+      if (e->func != nullptr) {
         // Function designator -> function pointer constant.
-        auto it = sema_->func_map().find(e->str_val);
-        if (it != sema_->func_map().end()) {
-          Instr& i = Emit(Op::kFuncConst, e->loc);
-          i.dst = NewReg();
-          i.imm = it->second->func_id;
-          return i.dst;
-        }
+        Instr& i = Emit(Op::kFuncConst, e->loc);
+        i.dst = NewReg();
+        i.imm = e->func->func_id;
+        return i.dst;
+      }
+      if (e->sym == nullptr) {
         return EmitConst(0, e->loc);
       }
       LValue lv = LowerLValue(e);

@@ -93,9 +93,9 @@ void LockSafe::WalkStmt(const FuncDecl* fn, const Stmt* s, Ctx* ctx, Collector* 
   }
 }
 
-void LockSafe::WalkFunction(const FuncDecl* fn, Collector* out) const {
+void LockSafe::WalkFunction(const FuncDecl* fn, bool in_irq, Collector* out) const {
   Ctx ctx;
-  ctx.in_irq = irq_reachable_.count(fn) != 0;
+  ctx.in_irq = in_irq;
   WalkStmt(fn, fn->body, &ctx, out);
 }
 
@@ -141,23 +141,27 @@ void LockSafe::FindCycles(const std::set<std::pair<std::string, std::string>>& g
   }
 }
 
-void LockSafe::ComputeIrqReachable() {
-  // IRQ-reachable functions: BFS from interrupt entries over the call graph.
+void LockSafe::ComputeIrqReachable(std::vector<uint8_t>* reachable) const {
+  // IRQ-reachable defined functions: BFS from interrupt entries over the
+  // call graph.
+  reachable->assign(cg_->id_count(), 0);
   std::deque<const FuncDecl*> work(cg_->irq_entries().begin(), cg_->irq_entries().end());
   while (!work.empty()) {
     const FuncDecl* fn = work.front();
     work.pop_front();
-    if (!irq_reachable_.insert(fn).second) {
+    uint8_t& seen = (*reachable)[static_cast<size_t>(fn->func_id)];
+    if (fn->body == nullptr || seen != 0) {
       continue;
     }
+    seen = 1;
     for (const FuncDecl* callee : cg_->Callees(fn)) {
       work.push_back(callee);
     }
   }
 }
 
-LockSafeReport LockSafe::BuildReport(const Collector& all) const {
-  LockSafeReport report;
+void LockSafe::BuildReport(const Collector& all, LockSafeReport* out) const {
+  LockSafeReport& report = *out;
   report.edges = all.edges;
   report.locks_seen = static_cast<int>(all.lock_ctx.size());
   FindCycles(all.edge_set, &report.deadlock_cycles);
@@ -170,22 +174,17 @@ LockSafeReport LockSafe::BuildReport(const Collector& all) const {
   for (const auto& [id, locks] : all.locks_by_func) {
     report.locks_acquired[static_cast<size_t>(id)].assign(locks.begin(), locks.end());
   }
-  report.irq_reachable.assign(cg_->id_count(), 0);
-  for (const FuncDecl* fn : irq_reachable_) {
-    if (fn->body != nullptr) {
-      report.irq_reachable[static_cast<size_t>(fn->func_id)] = 1;
-    }
-  }
-  return report;
 }
 
 LockSafeReport LockSafe::Run() {
-  ComputeIrqReachable();
+  LockSafeReport report;
+  ComputeIrqReachable(&report.irq_reachable);
   Collector all;
   for (const FuncDecl* fn : cg_->DefinedFuncs()) {
-    WalkFunction(fn, &all);
+    WalkFunction(fn, report.irq_reachable[static_cast<size_t>(fn->func_id)] != 0, &all);
   }
-  return BuildReport(all);
+  BuildReport(all, &report);
+  return report;
 }
 
 LockSafeReport LockSafe::ValidateRuntime(const Machine& vm, const IrModule& module) {

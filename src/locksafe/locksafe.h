@@ -43,9 +43,9 @@ struct LockSafeReport {
   int locks_seen = 0;
   // Summary exports (AnalysisSession's link table), by FuncDecl::func_id.
   // `irq_reachable`: 1 for the defined functions the irq-context checks
-  // treat as reachable from an interrupt entry. `locks_acquired`: per
-  // defined function, the sorted lock names its body acquires (the summary
-  // schema's lock-delta facts; informational for the repository).
+  // (which read it) treat as reachable from an interrupt entry.
+  // `locks_acquired`: per defined function, the sorted lock names its body
+  // acquires (the summary schema's lock-delta facts; informational).
   std::vector<uint8_t> irq_reachable;
   std::vector<std::vector<std::string>> locks_acquired;
 
@@ -86,11 +86,11 @@ class LockSafe {
     std::map<std::string, int> lock_ctx;
     std::map<int, std::set<std::string>> locks_by_func;  // by func_id
   };
-  void ComputeIrqReachable();
-  void WalkFunction(const FuncDecl* fn, Collector* out) const;
+  void ComputeIrqReachable(std::vector<uint8_t>* reachable) const;  // by func_id
+  void WalkFunction(const FuncDecl* fn, bool in_irq, Collector* out) const;
   void WalkStmt(const FuncDecl* fn, const Stmt* s, Ctx* ctx, Collector* out) const;
   void WalkExpr(const FuncDecl* fn, const Expr* e, Ctx* ctx, Collector* out) const;
-  LockSafeReport BuildReport(const Collector& all) const;
+  void BuildReport(const Collector& all, LockSafeReport* out) const;
   static std::string LockName(const Expr* arg);
   static void FindCycles(const std::set<std::pair<std::string, std::string>>& graph,
                          std::vector<std::vector<std::string>>* cycles);
@@ -98,7 +98,6 @@ class LockSafe {
   const Program* prog_;
   const Sema* sema_;
   const CallGraph* cg_;
-  std::set<const FuncDecl*> irq_reachable_;
 };
 
 }  // namespace ivy

@@ -35,7 +35,7 @@ enum class ExprKind {
   kIntLit,   // int_val (type int or char)
   kStrLit,   // str_val; type char* nullterm
   kNull,     // null pointer constant
-  kIdent,    // str_val = name; sym set by sema
+  kIdent,    // str_val = name; sym or func set by sema
   kUnary,    // un_op a
   kBinary,   // a bin_op b
   kAssign,   // a = b, or compound a op= b (assign_op)
@@ -89,14 +89,14 @@ struct Expr {
   ExprKind kind = ExprKind::kIntLit;
   uint32_t id = kNoNode;   // own index in the Expr slab (ExprId{id})
   SourceLoc loc;
+  uint32_t str_id = kNoStr;    // str_val's interner id (packed beside loc)
   const Type* type = nullptr;  // set by sema
 
   int64_t int_val = 0;
   // Identifier spelling, string value, or member name: a view into the
-  // module's interned string bytes, plus the interner id whose content hash
-  // fingerprinting mixes in O(1).
+  // module's interned string bytes. Fingerprinting mixes the content hash
+  // of its interner id, str_id, in O(1).
   std::string_view str_val;
-  uint32_t str_id = kNoStr;
   Expr* a = nullptr;
   Expr* b = nullptr;
   Expr* c = nullptr;
@@ -113,8 +113,10 @@ struct Expr {
   bool no_refs = false;
   const Type* cast_type = nullptr;  // kCast / kSizeof(type)
 
-  // Sema results.
-  Symbol* sym = nullptr;                  // kIdent resolution
+  // Sema results. Sema is the only layer that resolves a name: later
+  // layers read `sym` or `func` and never look a spelling up again.
+  Symbol* sym = nullptr;                  // kIdent naming a variable/parameter
+  const FuncDecl* func = nullptr;         // kIdent naming a function: the canonical decl
   const RecordField* field = nullptr;     // kMember resolution
   RecordDecl* field_record = nullptr;     // record containing `field`
   bool in_trusted = false;                // lexically inside trusted code
@@ -176,14 +178,13 @@ static_assert(std::is_trivially_destructible_v<Stmt>,
 static_assert(std::is_trivially_destructible_v<VarDecl>,
               "VarDecl must stay trivially destructible (arena-allocated)");
 
-enum class SymKind { kGlobal, kLocal, kParam, kFunc, kEnumConst, kTypedefName };
+enum class SymKind { kGlobal, kLocal, kParam, kEnumConst, kTypedefName };
 
 // A named entity. Sema interns one Symbol per declaration.
 struct Symbol {
   std::string name;
   SymKind kind = SymKind::kLocal;
   const Type* type = nullptr;
-  FuncDecl* func = nullptr;  // kFunc
   VarDecl* var = nullptr;    // kGlobal / kLocal / kParam
   int64_t enum_value = 0;    // kEnumConst
   int param_index = -1;      // kParam

@@ -216,13 +216,13 @@ void Sema::CollectGlobals() {
     }
   }
   // Assign dense ids to canonical functions and resolve builtins.
-  int next_id = 0;
   for (FuncDecl* fn : prog_->funcs) {
     if (func_map_[fn->name] != fn) {
       fn->func_id = -1;
       continue;
     }
-    fn->func_id = next_id++;
+    fn->func_id = static_cast<int>(funcs_.size());
+    funcs_.push_back(fn);
     if (fn->body == nullptr) {
       int bid = builtins_ ? builtins_(fn->name) : -1;
       if (bid >= 0) {
@@ -749,6 +749,7 @@ const Type* Sema::CheckCall(Expr* e) {
     if (it != func_map_.end()) {
       e->a->type = it->second->type;
       e->a->sym = nullptr;
+      e->a->func = it->second;
       e->a->str_val = it->second->name;
       fty = it->second->type;
       MarkTrusted(e->a);
@@ -915,6 +916,7 @@ const Type* Sema::CheckExpr(Expr* e) {
       }
       auto fn = func_map_.find(e->str_val);
       if (fn != func_map_.end()) {
+        e->func = fn->second;
         t = fn->second->type;  // function designator
         break;
       }

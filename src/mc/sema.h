@@ -45,9 +45,14 @@ class Sema {
   const SemaStats& stats() const { return stats_; }
 
   // Resolved function table: name -> canonical FuncDecl (definitions win
-  // over declarations). Keys view the FuncDecl's own (pool-stable) name, so
-  // lookups from interned Expr::str_val need no temporary string.
+  // over declarations). Keys view the FuncDecl's own (pool-stable) name.
+  // Sema resolves every identifier that names a function into Expr::func,
+  // so later layers look a name up here only when it comes from elsewhere
+  // (a declaration's written name, a finding's witness).
   const std::unordered_map<std::string_view, FuncDecl*>& func_map() const { return func_map_; }
+  // The canonical functions indexed by FuncDecl::func_id: the one table
+  // every per-function fact is sized and indexed by.
+  const std::vector<FuncDecl*>& funcs() const { return funcs_; }
 
  private:
   // Layout.
@@ -95,6 +100,7 @@ class Sema {
   SemaStats stats_;
 
   std::unordered_map<std::string_view, FuncDecl*> func_map_;
+  std::vector<FuncDecl*> funcs_;  // by func_id
   std::unordered_map<std::string_view, Symbol*> global_scope_;
   std::vector<std::unordered_map<std::string_view, Symbol*>> scopes_;
   FuncDecl* cur_fn_ = nullptr;

@@ -142,6 +142,14 @@ bool AnnodServer::OpenCorpus(const std::string& name) {
     if (corpora_.count(name) != 0) {
       return true;  // idempotent
     }
+    // Under corpora_mu_, so a racing RequestShutdown either sees (and
+    // drains) the new corpus or the open is refused.
+    {
+      std::lock_guard<std::mutex> stop_lock(stop_mu_);
+      if (stopping_) {
+        return false;
+      }
+    }
     // Its relink thread publishes epoch 1 (whatever edits it finds, maybe
     // none) so queries have something to pin immediately after Sync.
     corpora_.emplace(name, std::make_shared<Corpus>(
@@ -246,17 +254,6 @@ std::shared_ptr<const EpochSnapshot> AnnodServer::Snapshot(
     return nullptr;
   }
   return epoch == 0 ? c->epochs.Current() : c->epochs.Get(epoch);
-}
-
-std::vector<std::string> AnnodServer::CorpusNames() const {
-  std::vector<std::string> names;
-  std::lock_guard<std::mutex> lock(corpora_mu_);
-  names.reserve(corpora_.size());
-  for (const auto& [name, c] : corpora_) {
-    (void)c;
-    names.push_back(name);
-  }
-  return names;
 }
 
 // ---------------------------------------------------------------------------
@@ -471,6 +468,15 @@ bool AnnodServer::Dispatch(const Frame& req, Socket& sock) {
     ok.corpus = corpus;
     return WriteFrame(sock, MsgType::kOk, ok.Encode(), &werr);
   };
+  // Why a query could not pin `epoch` of `corpus`.
+  auto reply_no_snapshot = [&](const std::string& corpus, uint64_t epoch) {
+    if (!FindCorpus(corpus)) {
+      return reply_error("unknown corpus '" + corpus + "'");
+    }
+    return reply_error(epoch == 0 ? "no published epoch yet (sync first)"
+                                  : "epoch " + std::to_string(epoch) +
+                                        " evicted from retention ring");
+  };
   auto reply_epoch = [&](uint64_t epoch) {
     EpochMsg e;
     e.epoch = epoch;
@@ -486,8 +492,11 @@ bool AnnodServer::Dispatch(const Frame& req, Socket& sock) {
       if (!m.Decode(req.payload)) {
         return reply_error("malformed open_corpus payload");
       }
-      if (!OpenCorpus(m.corpus)) {
+      if (m.corpus.empty()) {
         return reply_error("open_corpus: empty corpus name");
+      }
+      if (!OpenCorpus(m.corpus)) {
+        return reply_error("open_corpus: server shutting down");
       }
       return reply_ok(m.corpus);
     }
@@ -508,13 +517,7 @@ bool AnnodServer::Dispatch(const Frame& req, Socket& sock) {
       }
       auto snap = Snapshot(m.corpus, m.epoch);
       if (!snap) {
-        if (!FindCorpus(m.corpus)) {
-          return reply_error("unknown corpus '" + m.corpus + "'");
-        }
-        return reply_error(m.epoch == 0
-                               ? "no published epoch yet (sync first)"
-                               : "epoch " + std::to_string(m.epoch) +
-                                     " evicted from retention ring");
+        return reply_no_snapshot(m.corpus, m.epoch);
       }
       FindingQuery q;
       q.function = m.function;
@@ -537,26 +540,16 @@ bool AnnodServer::Dispatch(const Frame& req, Socket& sock) {
       }
       auto snap = Snapshot(m.corpus, m.epoch);
       if (!snap) {
-        if (!FindCorpus(m.corpus)) {
-          return reply_error("unknown corpus '" + m.corpus + "'");
-        }
-        return reply_error(m.epoch == 0
-                               ? "no published epoch yet (sync first)"
-                               : "epoch " + std::to_string(m.epoch) +
-                                     " evicted from retention ring");
+        return reply_no_snapshot(m.corpus, m.epoch);
       }
       RowsReplyMsg reply;
       reply.epoch = snap->id;
       reply.total = snap->summaries.size();
+      const SummaryQuery q{m.function, m.module};
       for (size_t i = 0; i < snap->summaries.size(); ++i) {
-        const FuncSummary& row = snap->summaries[i];
-        if (!m.function.empty() && row.function != m.function) {
-          continue;
+        if (q.Matches(snap->summaries[i])) {
+          reply.rows.push_back(snap->summaries_canon[i]);
         }
-        if (!m.module.empty() && row.module != m.module) {
-          continue;
-        }
-        reply.rows.push_back(snap->summaries_canon[i]);
       }
       return WriteFrame(sock, MsgType::kSummaries, reply.Encode(), &werr);
     }

@@ -89,6 +89,8 @@ class AnnodServer {
   // callable directly — annod's main uses it to seed corpora before
   // Start(), tests and the benchmark use it to steer without a socket.
   // ------------------------------------------------------------------
+  // False for an empty name, and once shutdown has begun: a corpus opened
+  // then would relink after the drain and never be saved.
   bool OpenCorpus(const std::string& name);
   bool CloseCorpus(const std::string& name);
   bool EnqueueUpsert(const std::string& corpus, ModuleSources module);
@@ -103,8 +105,6 @@ class AnnodServer {
   std::shared_ptr<const EpochSnapshot> Snapshot(const std::string& corpus,
                                                 uint64_t epoch = 0);
 
-  std::vector<std::string> CorpusNames() const;
-
  private:
   struct Edit {
     enum Kind { kUpsert, kReplace, kRemove } kind = kUpsert;
@@ -115,8 +115,7 @@ class AnnodServer {
   };
 
   // One open corpus. Its relink thread starts with the Corpus and is joined
-  // by Stop(): DrainCorpus's, or the destructor's for a corpus opened after
-  // the drain.
+  // by Stop(): DrainCorpus's, or else the destructor's.
   struct Corpus {
     Corpus(Pipeline pipeline, int retain, std::string store);
     ~Corpus();
@@ -187,7 +186,7 @@ class AnnodServer {
   std::vector<uint64_t> finished_;        // reaped by acceptor / Wait
   uint64_t next_conn_id_ = 1;
 
-  std::mutex stop_mu_;
+  std::mutex stop_mu_;  // OpenCorpus takes it inside corpora_mu_; never the reverse
   std::condition_variable stop_cv_;
   bool stopping_ = false;
   bool joined_ = false;

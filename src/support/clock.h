@@ -27,8 +27,6 @@ inline uint64_t MonotonicNowNs() {
           .count());
 }
 
-inline uint64_t MonotonicNowUs() { return MonotonicNowNs() / 1000; }
-
 // Elapsed milliseconds since an earlier MonotonicNowNs() sample, as a
 // double — the shape bench reporting wants.
 inline double ElapsedMsSince(uint64_t start_ns) {

@@ -152,7 +152,7 @@ class BlockStopPass : public ToolPass {
     r.SetMetric("callgraph_edges", report.callgraph_edges);
     r.SetMetric("indirect_sites", report.indirect_sites);
     r.SetMetric("indirect_target_total", report.indirect_target_total);
-    r.SetMetric("mayblock_funcs", static_cast<int64_t>(report.mayblock.size()));
+    r.SetMetric("mayblock_funcs", report.MayBlockCount());
     r.SetMetric("violations", static_cast<int64_t>(report.violations.size()));
     r.SetMetric("silenced", static_cast<int64_t>(report.silenced.size()));
     r.SetMetric("runtime_checks", report.runtime_checks);

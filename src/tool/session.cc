@@ -354,11 +354,11 @@ struct NameRanks {
 
   // `defined`: the defined functions sorted by name (the call graph's row
   // order), or none; the rest of the canonical functions sort here.
-  NameRanks(const Program& prog, const std::vector<const FuncDecl*>& defined)
-      : of_id(prog.funcs.size(), -1) {
+  NameRanks(const Sema& sema, const std::vector<const FuncDecl*>& defined)
+      : of_id(sema.funcs().size(), -1) {
     std::vector<const FuncDecl*> rest;
-    for (const FuncDecl* fn : prog.funcs) {
-      if (fn->func_id >= 0 && (defined.empty() || fn->body == nullptr)) {
+    for (const FuncDecl* fn : sema.funcs()) {
+      if (defined.empty() || fn->body == nullptr) {
         rest.push_back(fn);
       }
     }
@@ -463,7 +463,7 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   const PointsTo* pt = ctx.pointsto_builds() > 0 ? &ctx.pointsto() : nullptr;
   static const std::vector<const FuncDecl*> kNone;
   const std::vector<const FuncDecl*>& defined = cg != nullptr ? cg->DefinedFuncs() : kNone;
-  const NameRanks ranks(ctx.prog(), defined);
+  const NameRanks ranks(ctx.sema(), defined);
   auto id = [](const FuncDecl* fn) { return static_cast<size_t>(fn->func_id); };
 
   auto flag = [](const std::vector<uint8_t>* v, size_t i) {
@@ -484,9 +484,9 @@ std::vector<FuncSummary> ExportSummaries(AnalysisContext& ctx, const PipelineRes
   if (bs != nullptr) {
     for (const auto& [file_callee, bits] : bs->cross_file_entry_bits) {
       const int m = map.Of(file_callee.first);
-      auto callee = ctx.sema().func_map().find(file_callee.second);
-      if ((bits & 2) != 0 && m >= 0 && callee != ctx.sema().func_map().end()) {
-        usage[static_cast<size_t>(m)][ranks.of_id[id(callee->second)]].atomic = true;
+      if ((bits & 2) != 0 && m >= 0) {
+        const size_t callee = static_cast<size_t>(file_callee.second);
+        usage[static_cast<size_t>(m)][ranks.of_id[callee]].atomic = true;
       }
     }
   }

@@ -8,6 +8,7 @@
 #include "src/locksafe/locksafe.h"
 #include "src/stackcheck/stackcheck.h"
 #include "src/tool/analysis_context.h"
+#include "src/tool/pipeline.h"
 #include "tests/synth_corpus.h"
 
 namespace ivy {
@@ -274,6 +275,56 @@ TEST(FutureAnalyses, CorpusFindsPlantedIssues) {
 
   // All three tools shared one call graph build.
   EXPECT_EQ(ctx.callgraph_builds(), 1);
+}
+
+// FNV-1a 64 over a byte string.
+uint64_t Fnv1a64Of(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Every pass's rendered report and metrics over the kernel and three merged
+// linked corpora, pinned by digest: a refactor of the analyses' internal
+// tables must leave what they report byte for byte. `mayblock_evals` counts
+// the fixpoint's work, not a fact, so it is left out.
+TEST(FutureAnalyses, PassDigestsPinned) {
+  struct Case {
+    int modules;  // 0: the kernel corpus
+    int functions;
+    uint64_t seed;
+    uint64_t report;
+    uint64_t metrics;
+  };
+  const Case cases[] = {
+      {0, 0, 0, 0xe4d0085b2c60b906ull, 0xbd6edeca17f3a2d4ull},
+      {4, 28, 3, 0x37e80e4d3f4c534aull, 0x60da3b9f3d5a2e00ull},
+      {6, 40, 7, 0x025a16a767eeedb9ull, 0xcc61aeca214b757aull},
+      {8, 48, 11, 0x4b014352262e0879ull, 0xa20d075f2de05edeull},
+  };
+  const Pipeline p = PipelineBuilder().AllTools().Build();
+  for (const Case& c : cases) {
+    LinkedCorpusOptions opt;
+    opt.modules = c.modules;
+    opt.functions = c.functions;
+    opt.seed = c.seed;
+    PipelineRun run = p.CompileAndRun(c.modules == 0 ? KernelSources()
+                                                     : MergedLinkedSources(GenerateLinkedCorpus(opt)));
+    ASSERT_NE(run.ctx, nullptr) << c.modules;
+    std::string metrics;
+    for (const ToolResult& r : run.result.results) {
+      for (const auto& [key, value] : r.metrics()) {
+        if (key != "mayblock_evals") {
+          metrics += r.tool() + "." + key + "=" + std::to_string(value) + "\n";
+        }
+      }
+    }
+    EXPECT_EQ(Fnv1a64Of(run.result.ToString(&run.comp->sm)), c.report) << c.modules;
+    EXPECT_EQ(Fnv1a64Of(metrics), c.metrics) << c.modules;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "src/driver/compiler.h"
 #include "src/kernel/corpus.h"
 #include "src/tool/analysis_context.h"
+#include "tests/mayblock_by_name.h"
 
 namespace ivy {
 namespace {
@@ -94,8 +95,8 @@ TEST(Integration, AllToolsOnOneDriver) {
   BlockStop bs(&comp->prog, comp->sema.get(), &ctx.callgraph());
   BlockStopReport report = bs.Run();
   EXPECT_TRUE(report.violations.empty());
-  EXPECT_EQ(report.mayblock.count("ring_create"), 1u);  // GFP_KERNEL alloc
-  EXPECT_EQ(report.mayblock.count("ring_push"), 0u);    // lock-only path
+  EXPECT_TRUE(MayBlockByName(*comp->sema, report, "ring_create"));  // GFP_KERNEL alloc
+  EXPECT_FALSE(MayBlockByName(*comp->sema, report, "ring_push"));   // lock-only path
 }
 
 TEST(Integration, BuggyVariantCaughtByAllThree) {

@@ -174,6 +174,53 @@ TEST(SemaScopes, DeclThenDefMergesAttributes) {
   EXPECT_TRUE(comp->sema->func_map().at("worker")->attrs.blocking);
 }
 
+// Sema resolves every identifier that names a function, once: a callee and
+// a function designator point at the canonical definition (not the earlier
+// declaration), a local that shadows the name does not, and funcs() lists
+// the canonical functions by func_id.
+TEST(SemaScopes, FunctionNamesResolveOnceToTheCanonicalDecl) {
+  auto comp = Check(R"(
+    typedef int op_fn(int x);
+    int helper(int x);
+    int helper(int x) { return x + 1; }
+    int main(void) {
+      op_fn* opt f = helper;
+      int r = helper(1);
+      if (r > 0) {
+        int helper = 2;
+        r = r + helper;
+      }
+      return r + f(2);
+    }
+  )");
+  ASSERT_TRUE(comp->ok) << comp->Errors();
+  const FuncDecl* def = comp->sema->func_map().at("helper");
+  ASSERT_NE(def->body, nullptr);
+  int as_function = 0;
+  int as_local = 0;
+  for (uint32_t i = 0; i < comp->prog.expr_count(); ++i) {
+    const Expr* e = comp->prog.ExprAt(ExprId{i});
+    if (e->kind != ExprKind::kIdent || e->str_val != "helper") {
+      continue;
+    }
+    if (e->func != nullptr) {
+      EXPECT_EQ(e->func, def);
+      EXPECT_EQ(e->sym, nullptr);
+      ++as_function;
+    } else {
+      EXPECT_NE(e->sym, nullptr);
+      ++as_local;
+    }
+  }
+  EXPECT_EQ(as_function, 2);  // the designator and the callee
+  EXPECT_EQ(as_local, 1);
+  const std::vector<FuncDecl*>& funcs = comp->sema->funcs();
+  for (size_t id = 0; id < funcs.size(); ++id) {
+    EXPECT_EQ(funcs[id]->func_id, static_cast<int>(id));
+  }
+  EXPECT_EQ(funcs[static_cast<size_t>(def->func_id)], def);
+}
+
 TEST(SemaScopes, BreakOutsideLoopRejected) {
   auto comp = Check("int main(void) { break; return 0; }");
   EXPECT_FALSE(comp->ok);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -247,6 +248,28 @@ TEST(Server, StoreDirWarmStartMatchesFirstServerWithoutAnalysis) {
   EXPECT_EQ(second->findings_canon, first->findings_canon);
   EXPECT_EQ(second->summaries_canon, first->summaries_canon);
   std::remove((dir + "/ivy_server_warm.store").c_str());
+}
+
+// A corpus opened after shutdown would relink after the daemon reports
+// itself stopped, and its store would never be saved: the open is refused,
+// and so is everything that would touch the corpus.
+TEST(Server, OpenAfterShutdownIsRefused) {
+  const std::string dir = ::testing::TempDir();
+  const std::string store = dir + "/ivy_server_late.store";
+  std::remove(store.c_str());
+  AnnodServer::Options options = ServerOptions();
+  options.store_dir = dir;
+  {
+    AnnodServer server(options);
+    server.RequestShutdown();
+    server.Wait();
+    EXPECT_FALSE(server.OpenCorpus("ivy_server_late"));
+    EXPECT_FALSE(
+        server.EnqueueUpsert("ivy_server_late", std::move(GenerateLinkedCorpus(SmallCorpus())[0])));
+    EXPECT_EQ(server.SyncEpoch("ivy_server_late"), 0u);
+  }
+  EXPECT_FALSE(std::ifstream(store).good()) << "store saved after shutdown";
+  std::remove(store.c_str());
 }
 
 // The regression test for the drain path: shutdown arrives while the initial

@@ -33,9 +33,11 @@
 // byte-identity check CI runs.
 //
 // A finding matches --function when its witness chain mentions the function
-// or its message quotes it ('name') — FindingQuery in src/tool/finding.h,
-// shared with the server's query handler. Exit code: 0 on success (matches
-// or none), 1 on usage/parse/connection errors.
+// or its message quotes it ('name') — FindingQuery in src/tool/finding.h; a
+// summary row matches on its function and module — SummaryQuery in
+// src/annodb/annodb.h. Both are shared with the server's query handlers.
+// Exit code: 0 on success (matches or none), 1 on usage/parse/connection
+// errors.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -81,12 +83,11 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out;
 }
 
-// One summary row, one line — shared verbatim by every mode so outputs diff.
-void PrintSummaryRow(const std::string& module, const std::string& function,
-                     const ivy::FuncSummary& row) {
+// One summary row, one line.
+void PrintSummaryRow(const ivy::FuncSummary& row) {
   if (row.defined) {
-    std::printf("summary %s/%s: defined may_block=%d", module.c_str(),
-                function.c_str(), row.may_block ? 1 : 0);
+    std::printf("summary %s/%s: defined may_block=%d", row.module.c_str(),
+                row.function.c_str(), row.may_block ? 1 : 0);
     if (!row.block_witness.empty()) {
       std::printf(" witness=\"%s\"", row.block_witness.c_str());
     }
@@ -110,38 +111,13 @@ void PrintSummaryRow(const std::string& module, const std::string& function,
     std::printf("\n");
   } else {
     std::printf("summary %s/%s: used entered_atomic=%d entered_in_irq=%d",
-                module.c_str(), function.c_str(), row.entered_atomic ? 1 : 0,
+                row.module.c_str(), row.function.c_str(), row.entered_atomic ? 1 : 0,
                 row.entered_in_irq ? 1 : 0);
     for (const auto& [idx, names] : row.param_points) {
       std::printf(" param%d->{%s}", idx, JoinNames(names).c_str());
     }
     std::printf("\n");
   }
-}
-
-void PrintSummariesTrailer(int rows, size_t total) {
-  std::printf("%d summary row(s) of %zu total\n", rows, total);
-}
-
-void PrintFinding(const ivy::Finding& f) {
-  std::string line = f.module.empty() ? std::string() : "{" + f.module + "} ";
-  line += f.ToString();
-  std::printf("%s\n", line.c_str());
-}
-
-void PrintFindingsTrailer(int matches, size_t total, const std::string& function,
-                          const std::string& tool, const std::string& module) {
-  std::printf("%d finding(s)", matches);
-  if (!function.empty()) {
-    std::printf(" for --function %s", function.c_str());
-  }
-  if (!tool.empty()) {
-    std::printf(" --tool %s", tool.c_str());
-  }
-  if (!module.empty()) {
-    std::printf(" --module %s", module.c_str());
-  }
-  std::printf(" of %zu total\n", total);
 }
 
 bool ReadFileOrDie(const std::string& path, std::string* out) {
@@ -191,10 +167,77 @@ struct Args {
   }
 };
 
-// Runs the query pair (optional summaries block, then findings) against a
-// connected daemon and prints exactly what the offline modes print.
+// What a query prints, whichever mode filled it: the matching summary rows
+// (with --summaries), the repository's facts block (JSON modes), then the
+// matching findings. Every mode shares one printer, so outputs diff.
+struct QueryResult {
+  explicit QueryResult(const Args& a)
+      : row_query{a.function, a.module}, finding_query{a.function, a.tool, a.module} {}
+
+  // Counts one row or finding of the source, and keeps it if it matches.
+  void AddRow(const ivy::FuncSummary& row) {
+    ++rows_total;
+    if (row_query.Matches(row)) {
+      rows.push_back(row);
+    }
+  }
+  void AddFinding(const ivy::Finding& f) {
+    ++findings_total;
+    if (finding_query.Matches(f)) {
+      findings.push_back(f);
+    }
+  }
+
+  const ivy::SummaryQuery row_query;
+  const ivy::FindingQuery finding_query;
+  std::vector<ivy::FuncSummary> rows;
+  size_t rows_total = 0;
+  std::string facts;
+  std::vector<ivy::Finding> findings;
+  size_t findings_total = 0;
+};
+
+void PrintQuery(const Args& a, const QueryResult& r) {
+  if (a.summaries) {
+    for (const ivy::FuncSummary& row : r.rows) {
+      PrintSummaryRow(row);
+    }
+    std::printf("%zu summary row(s) of %zu total\n", r.rows.size(), r.rows_total);
+  }
+  std::fputs(r.facts.c_str(), stdout);
+  for (const ivy::Finding& f : r.findings) {
+    std::string line = f.module.empty() ? std::string() : "{" + f.module + "} ";
+    line += f.ToString();
+    std::printf("%s\n", line.c_str());
+  }
+  std::printf("%zu finding(s)", r.findings.size());
+  if (!a.function.empty()) {
+    std::printf(" for --function %s", a.function.c_str());
+  }
+  if (!a.tool.empty()) {
+    std::printf(" --tool %s", a.tool.c_str());
+  }
+  if (!a.module.empty()) {
+    std::printf(" --module %s", a.module.c_str());
+  }
+  std::printf(" of %zu total\n", r.findings_total);
+}
+
+// Runs the query pair (optional summaries, then findings) against a
+// connected daemon, which filters server-side, and prints exactly what the
+// offline modes print.
 int RunConnectedQuery(ivy::AnnodClient& client, const Args& a) {
   std::string err;
+  QueryResult out(a);
+  // Decodes one canonical reply row; false (reported) if it is malformed.
+  auto parse = [](const std::string& row, const char* what, ivy::Json* j) {
+    std::string perr;
+    *j = ivy::Json::Parse(row, &perr);
+    if (!perr.empty()) {
+      std::fprintf(stderr, "annodb-query: bad %s row: %s\n", what, perr.c_str());
+    }
+    return perr.empty();
+  };
   if (a.summaries) {
     ivy::SummariesQueryMsg q;
     q.corpus = a.corpus;
@@ -208,17 +251,13 @@ int RunConnectedQuery(ivy::AnnodClient& client, const Args& a) {
     }
     std::fprintf(stderr, "epoch %llu\n", static_cast<unsigned long long>(reply.epoch));
     for (const std::string& row : reply.rows) {
-      std::string perr;
-      ivy::Json j = ivy::Json::Parse(row, &perr);
-      if (!perr.empty()) {
-        std::fprintf(stderr, "annodb-query: bad summary row: %s\n", perr.c_str());
+      ivy::Json j;
+      if (!parse(row, "summary", &j)) {
         return 1;
       }
-      ivy::FuncSummary s = ivy::FuncSummary::FromJson(j);
-      PrintSummaryRow(s.module, s.function, s);
+      out.rows.push_back(ivy::FuncSummary::FromJson(j));
     }
-    PrintSummariesTrailer(static_cast<int>(reply.rows.size()),
-                          static_cast<size_t>(reply.total));
+    out.rows_total = static_cast<size_t>(reply.total);
   }
 
   ivy::FindingsQueryMsg q;
@@ -234,17 +273,14 @@ int RunConnectedQuery(ivy::AnnodClient& client, const Args& a) {
   }
   std::fprintf(stderr, "epoch %llu\n", static_cast<unsigned long long>(reply.epoch));
   for (const std::string& row : reply.rows) {
-    std::string perr;
-    ivy::Json j = ivy::Json::Parse(row, &perr);
-    if (!perr.empty()) {
-      std::fprintf(stderr, "annodb-query: bad finding row: %s\n", perr.c_str());
+    ivy::Json j;
+    if (!parse(row, "finding", &j)) {
       return 1;
     }
-    PrintFinding(ivy::Finding::FromJson(j));
+    out.findings.push_back(ivy::Finding::FromJson(j));
   }
-  PrintFindingsTrailer(static_cast<int>(reply.rows.size()),
-                       static_cast<size_t>(reply.total), a.function, a.tool,
-                       a.module);
+  out.findings_total = static_cast<size_t>(reply.total);
+  PrintQuery(a, out);
   return 0;
 }
 
@@ -405,35 +441,16 @@ int RunFromSynth(const Args& a) {
     return 1;
   }
   auto snap = ivy::BuildEpochSnapshot(1, result, session.link_table());
-
+  QueryResult out(a);
   if (a.summaries) {
-    int rows = 0;
     for (const ivy::FuncSummary& row : snap->summaries) {
-      if (!a.function.empty() && row.function != a.function) {
-        continue;
-      }
-      if (!a.module.empty() && row.module != a.module) {
-        continue;
-      }
-      ++rows;
-      PrintSummaryRow(row.module, row.function, row);
+      out.AddRow(row);
     }
-    PrintSummariesTrailer(rows, snap->summaries.size());
   }
-
-  ivy::FindingQuery q;
-  q.function = a.function;
-  q.tool = a.tool;
-  q.module = a.module;
-  int matches = 0;
   for (const ivy::Finding& f : snap->findings) {
-    if (!q.Matches(f)) {
-      continue;
-    }
-    ++matches;
-    PrintFinding(f);
+    out.AddFinding(f);
   }
-  PrintFindingsTrailer(matches, snap->findings.size(), a.function, a.tool, a.module);
+  PrintQuery(a, out);
   return 0;
 }
 
@@ -453,42 +470,22 @@ int RunFromStore(const Args& a) {
                static_cast<unsigned long long>(sf.corpus_digest), sf.linked ? 1 : 0,
                sf.modules.size());
 
+  QueryResult out(a);
   if (a.summaries) {
-    int rows = 0;
     for (const ivy::FuncSummary& row : sf.summaries) {
-      if (!a.function.empty() && row.function != a.function) {
-        continue;
-      }
-      if (!a.module.empty() && row.module != a.module) {
-        continue;
-      }
-      ++rows;
-      PrintSummaryRow(row.module, row.function, row);
+      out.AddRow(row);
     }
-    PrintSummariesTrailer(rows, sf.summaries.size());
   }
-
-  ivy::FindingQuery q;
-  q.function = a.function;
-  q.tool = a.tool;
-  q.module = a.module;
-  int matches = 0;
-  size_t total = 0;
   for (auto& [name, rec] : sf.modules) {
     if (!rec.analyzed || !rec.ok) {
       continue;
     }
     for (ivy::Finding& f : rec.findings) {
       f.module = name;  // store records cache unstamped findings
-      ++total;
-      if (!q.Matches(f)) {
-        continue;
-      }
-      ++matches;
-      PrintFinding(f);
+      out.AddFinding(f);
     }
   }
-  PrintFindingsTrailer(matches, total, a.function, a.tool, a.module);
+  PrintQuery(a, out);
   return 0;
 }
 
@@ -642,57 +639,39 @@ int main(int argc, char** argv) {
     db = ivy::AnnoDb::FromJson(j);
   }
 
+  QueryResult out(a);
   if (a.summaries) {
-    int rows = 0;
     for (const auto& [key, row] : db.summaries()) {
-      if (!a.function.empty() && key.second != a.function) {
-        continue;
-      }
-      if (!a.module.empty() && key.first != a.module) {
-        continue;
-      }
-      ++rows;
-      PrintSummaryRow(key.first, key.second, row);
+      out.AddRow(row);
     }
-    PrintSummariesTrailer(rows, db.summaries().size());
   }
-
   // Facts first: the repository's stored knowledge about the function.
   if (!a.function.empty()) {
     auto it = db.funcs().find(a.function);
     if (it != db.funcs().end()) {
       const ivy::FuncFacts& facts = it->second;
-      std::printf("function %s\n", a.function.c_str());
-      std::printf("  blocking=%d noblock=%d may_block=%d blocking_if_param=%d frame_size=%lld\n",
-                  facts.blocking ? 1 : 0, facts.noblock ? 1 : 0, facts.may_block ? 1 : 0,
-                  facts.blocking_if_param, static_cast<long long>(facts.frame_size));
+      out.facts = "function " + a.function + "\n  blocking=" + std::to_string(facts.blocking) +
+                  " noblock=" + std::to_string(facts.noblock) +
+                  " may_block=" + std::to_string(facts.may_block) +
+                  " blocking_if_param=" + std::to_string(facts.blocking_if_param) +
+                  " frame_size=" + std::to_string(facts.frame_size) + "\n";
       if (!facts.errcodes.empty()) {
-        std::printf("  errcodes:");
+        out.facts += "  errcodes:";
         for (int64_t code : facts.errcodes) {
-          std::printf(" %lld", static_cast<long long>(code));
+          out.facts += " " + std::to_string(code);
         }
-        std::printf("\n");
+        out.facts += "\n";
       }
       for (const std::string& p : facts.param_annots) {
-        std::printf("  param: %s\n", p.c_str());
+        out.facts += "  param: " + p + "\n";
       }
     } else {
-      std::printf("function %s: not in the database\n", a.function.c_str());
+      out.facts = "function " + a.function + ": not in the database\n";
     }
   }
-
-  ivy::FindingQuery q;
-  q.function = a.function;
-  q.tool = a.tool;
-  q.module = a.module;
-  int matches = 0;
   for (const ivy::Finding& f : db.findings()) {
-    if (!q.Matches(f)) {
-      continue;
-    }
-    ++matches;
-    PrintFinding(f);
+    out.AddFinding(f);
   }
-  PrintFindingsTrailer(matches, db.findings().size(), a.function, a.tool, a.module);
+  PrintQuery(a, out);
   return finish(0);
 }
