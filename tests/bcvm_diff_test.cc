@@ -8,6 +8,7 @@
 // VerifyBcModule instead of reaching the interpreter.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "src/bc/verify.h"
 #include "src/driver/compiler.h"
 #include "src/kernel/corpus.h"
+#include "src/store/store.h"
 #include "src/support/rng.h"
 #include "tests/synth_corpus.h"
 
@@ -385,6 +387,93 @@ TEST(BcDiff, ImageRoundTrip) {
                      "decoded " + c.fn);
   }
   ExpectSameMachine(*tree, *bvm, "decoded final state");
+}
+
+std::string KernelImage(const ToolConfig& cfg) {
+  auto comp = CompileKernel(cfg);
+  EXPECT_TRUE(comp->ok) << comp->Errors();
+  std::string err;
+  auto bc = CompileToBc(comp->module, &err);
+  EXPECT_NE(bc, nullptr) << err;
+  return bc == nullptr ? std::string() : EncodeBcImage(*bc);
+}
+
+// Pins the kernel image under the deputy and ccount configurations to its
+// exact bytes: an encoding change shows as a new size or digest. Recorded
+// before images moved onto the shared field-list codec
+// (src/support/codec.h).
+TEST(BcDiff, KernelImagesArePinned) {
+  ToolConfig ccount;  // ivybc --ccount --no-deputy
+  ccount.ccount = true;
+  ccount.deputy = false;
+  const struct {
+    ToolConfig cfg;
+    size_t size;
+    uint64_t digest;
+  } cases[] = {{ToolConfig{}, 201647, 0xebf53ad8151e44d1ull},
+               {ccount, 196131, 0xc9a2b5f9fe9a5ef4ull}};
+  for (const auto& c : cases) {
+    const std::string image = KernelImage(c.cfg);
+    const uint64_t digest = Fnv1a64(image.data(), image.size(), 14695981039346656037ull);
+    EXPECT_EQ(image.size(), c.size);
+    EXPECT_EQ(digest, c.digest);
+  }
+}
+
+// Each top-level count of a real image, set to 0xFFFFFFFF one at a time,
+// must be rejected by the decoder — never allocated for or over-read.
+TEST(BcDiff, OversizedImageCountsRejected) {
+  ToolConfig cfg;
+  cfg.ccount = true;
+  auto comp = CompileKernel(cfg);
+  ASSERT_TRUE(comp->ok) << comp->Errors();
+  std::string err;
+  auto bc = CompileToBc(comp->module, &err);
+  ASSERT_NE(bc, nullptr) << err;
+  const BcModule& m = *bc;
+  const std::string image = EncodeBcImage(m);
+
+  // A count's offset is the encoded size of everything before it: encode
+  // the module with that field and every later one emptied, then step back
+  // over the trailing empty counts (4 bytes each), globals_end (8 bytes,
+  // behind the global inits) and the count itself.
+  struct Count {
+    const char* what;
+    size_t offset;
+    size_t value;
+  };
+  std::vector<Count> counts;
+  BcModule prefix = m;
+  auto add = [&](const char* what, size_t value, int later_counts, bool globals_end_after) {
+    const size_t offset = EncodeBcImage(prefix).size() - 4 * static_cast<size_t>(later_counts) -
+                          (globals_end_after ? 8 : 0) - 4;
+    counts.push_back({what, offset, value});
+  };
+  prefix.pc_locs.clear();
+  add("pc_locs", m.pc_locs.size(), 0, false);
+  prefix.loc_pool.clear();
+  add("loc pool", m.loc_pool.size(), 1, false);
+  prefix.global_inits.clear();
+  add("global inits", m.global_inits.size(), 2, true);
+  prefix.globals.clear();
+  add("globals", m.globals.size(), 3, true);
+  prefix.string_pool.clear();
+  add("string pool", m.string_pool.size(), 4, true);
+  prefix.funcs.clear();
+  add("funcs", m.funcs.size(), 5, true);
+  prefix.code.clear();
+  add("code", m.code.size(), 6, true);
+  ASSERT_EQ(counts.back().offset, 8u) << "the code count opens the payload";
+
+  for (const Count& c : counts) {
+    uint32_t stored = 0;
+    std::memcpy(&stored, image.data() + c.offset, 4);  // little-endian host
+    ASSERT_EQ(stored, c.value) << c.what << " count not at offset " << c.offset;
+    std::string bad = image;
+    std::memset(&bad[c.offset], 0xFF, 4);
+    BcModule out;
+    EXPECT_FALSE(DecodeBcImage(bad, &out, &err)) << c.what << " count 0xFFFFFFFF accepted";
+  }
 }
 
 TEST(BcDiff, DecodeRejectsGarbage) {

@@ -206,6 +206,17 @@ TEST(StoreFormat, RoundTrip) {
   EXPECT_EQ(EncodeStore(back), bytes);
 }
 
+// Pins the sample store (an unanalyzed module, a definer row and a usage
+// row with param_points) to its exact bytes: an encoding change shows as a
+// new size or digest. Recorded before the store moved onto the shared
+// field-list codec (src/support/codec.h).
+TEST(StoreFormat, EncodingIsPinned) {
+  const std::string bytes = EncodeStore(SampleStore());
+  const uint64_t digest = Fnv1a64(bytes.data(), bytes.size(), 14695981039346656037ull);
+  EXPECT_EQ(bytes.size(), 499u);
+  EXPECT_EQ(digest, 0x18b18e50f849d0d3ull);
+}
+
 TEST(StoreFormat, EveryStrictPrefixRejected) {
   std::string bytes = EncodeStore(SampleStore());
   StoreFile out;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/server/wire.h"
+#include "src/store/store.h"
 #include "src/support/rng.h"
 #include "src/support/socket.h"
 
@@ -166,6 +167,90 @@ TEST(WireMessages, EveryMessageRoundTrips) {
     EXPECT_EQ(out.relinks, 9u);
     EXPECT_EQ(out.apply_errors, m.apply_errors);
   }
+}
+
+// Pins one fully populated instance of every message to its exact bytes:
+// an encoding change shows as a new size or digest. The constants were
+// recorded before the messages moved onto the shared field-list codec.
+template <typename Msg>
+void ExpectPinned(const Msg& m, size_t size, uint64_t digest) {
+  const std::string bytes = m.Encode();
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size(), 14695981039346656037ull), digest);
+  Msg back;
+  ASSERT_TRUE(back.Decode(bytes));
+  EXPECT_EQ(back.Encode(), bytes);
+}
+
+TEST(WireMessages, EncodingsArePinned) {
+  ExpectPinned(CorpusMsg{"kernel"}, 10, 0xfc2733e865cf881aull);
+
+  FindingsQueryMsg fq;
+  fq.corpus = "c";
+  fq.epoch = 0x0102030405060708ull;
+  fq.function = "read_chan";
+  fq.tool = "blockstop";
+  fq.module = "net";
+  ExpectPinned(fq, 46, 0x2cd7e0135a70f58dull);
+
+  SummariesQueryMsg sq;
+  sq.corpus = "c";
+  sq.epoch = 7;
+  sq.function = "f";
+  sq.module = "m";
+  ExpectPinned(sq, 23, 0x36b4495396f76e19ull);
+
+  UpsertModuleMsg up;
+  up.corpus = "c";
+  up.module = "net";
+  up.files = {{"a.mc", "void f() {}"}, {"b.mc", ""}};
+  ExpectPinned(up, 51, 0xe3d1999618d6f274ull);
+
+  ReplaceFunctionMsg rf;
+  rf.corpus = "c";
+  rf.module = "net";
+  rf.function = "udp_sendmsg";
+  rf.definition = "void udp_sendmsg(int n) { msleep(n); }";
+  ExpectPinned(rf, 69, 0x1bf1c99287594f90ull);
+
+  RemoveModuleMsg rm;
+  rm.corpus = "c";
+  rm.module = "net";
+  ExpectPinned(rm, 12, 0xde4a9a7a86f15729ull);
+
+  ErrorMsg em;
+  em.message = "unknown corpus 'x'";
+  ExpectPinned(em, 22, 0x357d061087806609ull);
+
+  EpochMsg ep;
+  ep.epoch = UINT64_MAX - 1;
+  ExpectPinned(ep, 8, 0xfc1a35225397861cull);
+
+  RowsReplyMsg rr;
+  rr.epoch = 3;
+  rr.total = 97;
+  rr.rows = {"{\"a\":1}", "", "{\"b\":2}"};
+  ExpectPinned(rr, 46, 0x07e60e886f0ba4c8ull);
+
+  StatsReplyMsg st;
+  st.epoch = 5;
+  st.modules = 8;
+  st.findings = 123;
+  st.summary_rows = 456;
+  st.link_rounds = 4;
+  st.converged = 1;
+  st.queued_edits = 2;
+  st.relinks = 9;
+  st.apply_errors = {"replace_function m:f: no such module/function", "e2"};
+  st.request_count = 10;
+  st.request_p50_us = 11;
+  st.request_p95_us = 12;
+  st.request_p99_us = 13;
+  st.publish_count = 14;
+  st.publish_p50_us = 15;
+  st.publish_p99_us = 16;
+  st.edit_queue_peak = 17;
+  ExpectPinned(st, 164, 0xc2d347e03cecce6bull);
 }
 
 // ---------------------------------------------------------------------------
