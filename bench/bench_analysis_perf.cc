@@ -98,7 +98,7 @@ void BM_FourToolsRebuildPerTool(benchmark::State& state) {
       ivy::PointsTo pt(&comp->prog, comp->sema.get(), false);
       pt.Solve();
       ivy::CallGraph cg = ivy::CallGraph::Build(comp->prog, *comp->sema, pt);
-      sink += ivy::LockSafe(&comp->prog, comp->sema.get(), &cg).Run().deadlock_cycles.size();
+      sink += ivy::LockSafe(&cg).Run().deadlock_cycles.size();
     }
     {
       ivy::PointsTo pt(&comp->prog, comp->sema.get(), false);
@@ -110,7 +110,7 @@ void BM_FourToolsRebuildPerTool(benchmark::State& state) {
       ivy::PointsTo pt(&comp->prog, comp->sema.get(), false);
       pt.Solve();
       ivy::CallGraph cg = ivy::CallGraph::Build(comp->prog, *comp->sema, pt);
-      sink += ivy::ErrCheck(&comp->prog, comp->sema.get(), &cg).Run().findings.size();
+      sink += ivy::ErrCheck(&cg).Run().findings.size();
     }
     benchmark::DoNotOptimize(sink);
   }

@@ -23,7 +23,7 @@ int main() {
   std::printf("F1: the paper's proposed future analyses, running on the corpus\n");
   std::printf("================================================================\n\n");
 
-  ivy::LockSafe locksafe(&comp->prog, comp->sema.get(), &cg);
+  ivy::LockSafe locksafe(&cg);
   ivy::LockSafeReport ls = locksafe.Run();
   std::printf("%s\n", ls.ToString().c_str());
 
@@ -33,7 +33,7 @@ int main() {
        "tcp_sendmsg", "light_use"});
   std::printf("%s\n", sc.ToString().c_str());
 
-  ivy::ErrCheck errcheck(&comp->prog, comp->sema.get(), &cg);
+  ivy::ErrCheck errcheck(&cg);
   ivy::ErrCheckReport ec = errcheck.Run();
   std::printf("%s", ec.ToString().c_str());
 

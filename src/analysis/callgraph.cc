@@ -84,7 +84,7 @@ void CallGraph::WalkExpr(const Expr* e, const PointsTo& pt) {
       site.builtin = callee;
       if (callee->builtin_id == static_cast<int>(Builtin::kTriggerIrq) && !e->args.empty()) {
         site.is_irq_dispatch = true;
-        const std::vector<const FuncDecl*>& handlers = pt.HandlerTargets(e->args[0]);
+        const std::vector<const FuncDecl*>& handlers = pt.TargetsOf(e->args[0]);
         targets_.insert(targets_.end(), handlers.begin(), handlers.end());
         if (const FuncDecl* named = e->args[0]->func) {
           targets_.push_back(named);

@@ -288,10 +288,6 @@ const std::vector<const FuncDecl*>& PointsTo::TargetsOf(const Expr* call) const 
   return it == resolved_.end() ? empty_ : it->second;
 }
 
-const std::vector<const FuncDecl*>& PointsTo::HandlerTargets(const Expr* handler_expr) const {
-  return TargetsOf(handler_expr);
-}
-
 void PointsTo::ReturnFuncIds(const FuncDecl* fn, std::vector<int>* out) const {
   if (auto it = ret_nodes_.find(fn); it != ret_nodes_.end()) {
     const std::set<int>& ids = node_funcs_[static_cast<size_t>(it->second)];

@@ -41,11 +41,10 @@ class PointsTo {
   void Solve();
 
   // Candidate callees of an indirect call expression (kCall whose callee is
-  // not a direct function name). Empty if the site was never seen.
+  // not a direct function name), or candidate handlers of a trigger_irq(h,
+  // ...) site, keyed by its handler expression `h`. Empty if the site was
+  // never seen.
   const std::vector<const FuncDecl*>& TargetsOf(const Expr* call) const;
-
-  // Candidate handlers of trigger_irq(h, ...) sites, by the handler expr.
-  const std::vector<const FuncDecl*>& HandlerTargets(const Expr* handler_expr) const;
 
   // Post-solve reads for the link table's summary rows, materializing no
   // cell: the func_ids of the functions `fn` may return, and of those an

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/server/wire.h"
+#include "src/support/codec.h"
 #include "src/vm/builtins.h"
 
 namespace ivy {
@@ -90,114 +90,47 @@ int BcModule::FindFunc(const std::string& name) const {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization
+// Serialization: one field list per record, run by the shared codec
+// (src/support/codec.h) in both directions.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void PutLoc(WireWriter& w, const SourceLoc& loc) {
-  w.PutU32(static_cast<uint32_t>(loc.file));
-  w.PutU32(static_cast<uint32_t>(loc.line));
-  w.PutU32(static_cast<uint32_t>(loc.col));
+template <typename Io>
+bool Fields(Io& io, BcFunc& f) {
+  return io(f.name) && io(f.decl_loc) && io(f.defined) && io(f.entry_pc) && io(f.code_end) &&
+         io(f.num_regs) && io(f.frame_size) && io(f.param_offsets) && io(f.param_sizes) &&
+         io(f.ptr_slots);
 }
 
-bool GetLoc(WireReader& r, SourceLoc* loc) {
-  uint32_t file = 0, line = 0, col = 0;
-  if (!r.GetU32(&file) || !r.GetU32(&line) || !r.GetU32(&col)) {
-    return false;
-  }
-  loc->file = static_cast<int32_t>(file);
-  loc->line = static_cast<int32_t>(line);
-  loc->col = static_cast<int32_t>(col);
-  return true;
+template <typename Io>
+bool Fields(Io& io, GlobalSlot& g) {
+  return io(g.addr) && io(g.size) && io(g.type_id) && io(g.ptr_offsets);
 }
 
-void PutI64Vec(WireWriter& w, const std::vector<int64_t>& v) {
-  w.PutU32(static_cast<uint32_t>(v.size()));
-  for (int64_t x : v) {
-    w.PutU64(static_cast<uint64_t>(x));
-  }
+template <typename Io>
+bool Fields(Io& io, GlobalInit& gi) {
+  return io(gi.addr) && io(gi.size) && io(gi.is_string) && io(gi.value);
 }
 
-bool GetI64Vec(WireReader& r, std::vector<int64_t>* out) {
-  uint32_t n = 0;
-  if (!r.GetU32(&n)) {
-    return false;
-  }
-  out->clear();
-  out->reserve(std::min<uint32_t>(n, 1u << 16));
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    if (!r.GetU64(&x)) {
-      return false;
-    }
-    out->push_back(static_cast<int64_t>(x));
-  }
-  return true;
+template <typename Io>
+bool Fields(Io& io, BcModule& m) {
+  return io(m.code) && io(m.funcs) && io(m.string_pool) && io(m.globals) &&
+         io(m.global_inits) && io(m.globals_end) && io(m.loc_pool) && io(m.pc_locs);
 }
-
-}  // namespace
 
 std::string EncodeBcImage(const BcModule& m) {
   WireWriter w;
-  w.PutU32(static_cast<uint32_t>(m.code.size()));
-  for (uint32_t word : m.code) {
-    w.PutU32(word);
-  }
-  w.PutU32(static_cast<uint32_t>(m.funcs.size()));
-  for (const BcFunc& f : m.funcs) {
-    w.PutStr(f.name);
-    PutLoc(w, f.decl_loc);
-    w.PutU8(f.defined);
-    w.PutU32(f.entry_pc);
-    w.PutU32(f.code_end);
-    w.PutU32(f.num_regs);
-    w.PutU64(static_cast<uint64_t>(f.frame_size));
-    PutI64Vec(w, f.param_offsets);
-    w.PutU32(static_cast<uint32_t>(f.param_sizes.size()));
-    for (uint8_t s : f.param_sizes) {
-      w.PutU8(s);
-    }
-    PutI64Vec(w, f.ptr_slots);
-  }
-  w.PutStrVec(m.string_pool);
-  w.PutU32(static_cast<uint32_t>(m.globals.size()));
-  for (const GlobalSlot& g : m.globals) {
-    w.PutU64(g.addr);
-    w.PutU64(static_cast<uint64_t>(g.size));
-    w.PutU32(static_cast<uint32_t>(g.type_id));
-    PutI64Vec(w, g.ptr_offsets);
-  }
-  w.PutU32(static_cast<uint32_t>(m.global_inits.size()));
-  for (const GlobalInit& gi : m.global_inits) {
-    w.PutU64(gi.addr);
-    w.PutU8(gi.size);
-    w.PutU8(gi.is_string);
-    w.PutU64(static_cast<uint64_t>(gi.value));
-  }
-  w.PutU64(m.globals_end);
-  w.PutU32(static_cast<uint32_t>(m.loc_pool.size()));
-  for (const SourceLoc& loc : m.loc_pool) {
-    PutLoc(w, loc);
-  }
-  w.PutU32(static_cast<uint32_t>(m.pc_locs.size()));
-  for (const auto& e : m.pc_locs) {
-    w.PutU32(e.first);
-    w.PutU32(e.second);
-  }
-
-  std::string payload = w.Take();
-  std::string image;
-  image.reserve(payload.size() + 8);
-  image.push_back(static_cast<char>(kBcMagic0));
-  image.push_back(static_cast<char>(kBcMagic1));
-  image.push_back(static_cast<char>(kBcVersion));
-  image.push_back(0);
-  uint32_t len = static_cast<uint32_t>(payload.size());
+  w.PutU8(kBcMagic0);
+  w.PutU8(kBcMagic1);
+  w.PutU8(kBcVersion);
+  w.PutU8(0);
+  w.PutU32(0);  // payload length, patched below
+  FieldWriter put(w);
+  put(m);
+  std::string image = w.Take();
+  const uint32_t len = static_cast<uint32_t>(image.size() - 8);
   for (int i = 0; i < 4; ++i) {
-    image.push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
+    image[4 + i] = static_cast<char>((len >> (8 * i)) & 0xFF);
   }
-  image += payload;
   return image;
 }
 
@@ -224,117 +157,9 @@ bool DecodeBcImage(const std::string& bytes, BcModule* out, std::string* err) {
     return fail("payload length mismatch");
   }
 
-  std::string payload = bytes.substr(8);
-  WireReader r(payload);
   BcModule m;
-
-  uint32_t n = 0;
-  if (!r.GetU32(&n)) {
-    return fail("truncated code");
-  }
-  m.code.reserve(std::min<uint32_t>(n, 1u << 20));
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t word = 0;
-    if (!r.GetU32(&word)) {
-      return fail("truncated code");
-    }
-    m.code.push_back(word);
-  }
-
-  if (!r.GetU32(&n)) {
-    return fail("truncated function table");
-  }
-  m.funcs.reserve(std::min<uint32_t>(n, 1u << 16));
-  for (uint32_t i = 0; i < n; ++i) {
-    BcFunc f;
-    uint64_t frame_size = 0;
-    uint32_t nsizes = 0;
-    if (!r.GetStr(&f.name) || !GetLoc(r, &f.decl_loc) || !r.GetU8(&f.defined) ||
-        !r.GetU32(&f.entry_pc) || !r.GetU32(&f.code_end) || !r.GetU32(&f.num_regs) ||
-        !r.GetU64(&frame_size) || !GetI64Vec(r, &f.param_offsets) || !r.GetU32(&nsizes)) {
-      return fail("truncated function entry");
-    }
-    f.frame_size = static_cast<int64_t>(frame_size);
-    f.param_sizes.reserve(std::min<uint32_t>(nsizes, 1u << 10));
-    for (uint32_t j = 0; j < nsizes; ++j) {
-      uint8_t s = 0;
-      if (!r.GetU8(&s)) {
-        return fail("truncated function entry");
-      }
-      f.param_sizes.push_back(s);
-    }
-    if (!GetI64Vec(r, &f.ptr_slots)) {
-      return fail("truncated function entry");
-    }
-    m.funcs.push_back(std::move(f));
-  }
-
-  if (!r.GetStrVec(&m.string_pool)) {
-    return fail("truncated string pool");
-  }
-
-  if (!r.GetU32(&n)) {
-    return fail("truncated globals");
-  }
-  m.globals.reserve(std::min<uint32_t>(n, 1u << 16));
-  for (uint32_t i = 0; i < n; ++i) {
-    GlobalSlot g;
-    uint64_t size = 0;
-    uint32_t type_id = 0;
-    if (!r.GetU64(&g.addr) || !r.GetU64(&size) || !r.GetU32(&type_id) ||
-        !GetI64Vec(r, &g.ptr_offsets)) {
-      return fail("truncated global entry");
-    }
-    g.size = static_cast<int64_t>(size);
-    g.type_id = static_cast<int>(type_id);
-    m.globals.push_back(std::move(g));
-  }
-
-  if (!r.GetU32(&n)) {
-    return fail("truncated global inits");
-  }
-  m.global_inits.reserve(std::min<uint32_t>(n, 1u << 16));
-  for (uint32_t i = 0; i < n; ++i) {
-    GlobalInit gi;
-    uint64_t value = 0;
-    if (!r.GetU64(&gi.addr) || !r.GetU8(&gi.size) || !r.GetU8(&gi.is_string) ||
-        !r.GetU64(&value)) {
-      return fail("truncated global init");
-    }
-    gi.value = static_cast<int64_t>(value);
-    m.global_inits.push_back(gi);
-  }
-
-  if (!r.GetU64(&m.globals_end)) {
-    return fail("truncated globals_end");
-  }
-
-  if (!r.GetU32(&n)) {
-    return fail("truncated loc pool");
-  }
-  m.loc_pool.reserve(std::min<uint32_t>(n, 1u << 20));
-  for (uint32_t i = 0; i < n; ++i) {
-    SourceLoc loc;
-    if (!GetLoc(r, &loc)) {
-      return fail("truncated loc pool");
-    }
-    m.loc_pool.push_back(loc);
-  }
-
-  if (!r.GetU32(&n)) {
-    return fail("truncated pc_locs");
-  }
-  m.pc_locs.reserve(std::min<uint32_t>(n, 1u << 20));
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t pc = 0, idx = 0;
-    if (!r.GetU32(&pc) || !r.GetU32(&idx)) {
-      return fail("truncated pc_locs");
-    }
-    m.pc_locs.push_back({pc, idx});
-  }
-
-  if (!r.Finish()) {
-    return fail("trailing bytes after payload");
+  if (!DecodeFields(bytes.substr(8), m)) {
+    return fail("truncated or malformed payload");
   }
   *out = std::move(m);
   return true;

@@ -23,9 +23,11 @@
 // kIntrinsic is the exception — it carries its loc index inline, because
 // kfree logs its call site on every execution, not just on traps.
 //
-// Images serialize with the bounds-checked LE idiom of src/server/wire.h;
-// DecodeBcImage is total on arbitrary bytes and VerifyBcModule rejects
-// anything the interpreter would have to trust (see src/bc/verify.h).
+// Images serialize through the shared field-list codec
+// (src/support/codec.h): BcFunc, GlobalSlot, GlobalInit and the module body
+// each list their fields once, in bytecode.cc. DecodeBcImage is total on
+// arbitrary bytes and VerifyBcModule rejects anything the interpreter would
+// have to trust (see src/bc/verify.h).
 #ifndef SRC_BC_BYTECODE_H_
 #define SRC_BC_BYTECODE_H_
 
@@ -147,8 +149,10 @@ struct BcModule {
 };
 
 // ---------------------------------------------------------------------------
-// Image serialization (header 0xA7 0xBC, version, then a wire.h-style
-// bounds-checked LE payload).
+// Image serialization: header 0xA7 0xBC, version, a zero byte and the u32
+// payload length, then the module body's fields in codec.h encoding
+// (code, funcs, string_pool, globals, global_inits, globals_end, loc_pool,
+// pc_locs).
 // ---------------------------------------------------------------------------
 
 inline constexpr uint8_t kBcMagic0 = 0xA7;

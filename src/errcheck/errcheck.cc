@@ -2,9 +2,6 @@
 
 namespace ivy {
 
-ErrCheck::ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg)
-    : prog_(prog), sema_(sema), cg_(cg) {}
-
 bool ErrCheck::ReturnsNegativeConstant(const Stmt* s) const {
   if (s == nullptr) {
     return false;

@@ -51,7 +51,7 @@ struct ErrCheckReport {
 
 class ErrCheck {
  public:
-  ErrCheck(const Program* prog, const Sema* sema, const CallGraph* cg);
+  explicit ErrCheck(const CallGraph* cg) : cg_(cg) {}
 
   // Two phases: classify the error-returning functions into
   // returns_error, then scan every call site (callees as sema resolved
@@ -66,8 +66,6 @@ class ErrCheck {
   void ScanStmt(const FuncDecl* fn, const Stmt* s, const Stmt* func_body,
                 ErrCheckReport* report);
 
-  const Program* prog_;
-  const Sema* sema_;
   const CallGraph* cg_;
 };
 

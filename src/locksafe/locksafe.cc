@@ -6,9 +6,6 @@
 
 namespace ivy {
 
-LockSafe::LockSafe(const Program* prog, const Sema* sema, const CallGraph* cg)
-    : prog_(prog), sema_(sema), cg_(cg) {}
-
 std::string LockSafe::LockName(const Expr* arg) {
   // spin_lock(&EXPR): name the lock by its structural path.
   const Expr* e = arg;

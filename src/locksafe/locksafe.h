@@ -59,7 +59,7 @@ struct LockSafeReport {
 
 class LockSafe {
  public:
-  LockSafe(const Program* prog, const Sema* sema, const CallGraph* cg);
+  explicit LockSafe(const CallGraph* cg) : cg_(cg) {}
 
   // Walks every defined function in DefinedFuncs() order; lock-order edges
   // keep their first-occurrence order.
@@ -95,8 +95,6 @@ class LockSafe {
   static void FindCycles(const std::set<std::pair<std::string, std::string>>& graph,
                          std::vector<std::vector<std::string>>* cycles);
 
-  const Program* prog_;
-  const Sema* sema_;
   const CallGraph* cg_;
 };
 

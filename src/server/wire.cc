@@ -1,7 +1,6 @@
 #include "src/server/wire.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace ivy {
 
@@ -43,110 +42,6 @@ const char* MsgTypeName(MsgType t) {
       return "stats_reply";
   }
   return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------------
-
-void WireWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void WireWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void WireWriter::PutStr(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  buf_.append(s);
-}
-
-void WireWriter::PutStrVec(const std::vector<std::string>& v) {
-  PutU32(static_cast<uint32_t>(v.size()));
-  for (const std::string& s : v) {
-    PutStr(s);
-  }
-}
-
-bool WireReader::GetU8(uint8_t* out) {
-  if (!ok_ || data_.size() - pos_ < 1) {
-    ok_ = false;
-    return false;
-  }
-  *out = static_cast<uint8_t>(data_[pos_++]);
-  return true;
-}
-
-bool WireReader::GetU32(uint32_t* out) {
-  if (!ok_ || data_.size() - pos_ < 4) {
-    ok_ = false;
-    return false;
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  *out = v;
-  return true;
-}
-
-bool WireReader::GetU64(uint64_t* out) {
-  if (!ok_ || data_.size() - pos_ < 8) {
-    ok_ = false;
-    return false;
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  *out = v;
-  return true;
-}
-
-bool WireReader::GetStr(std::string* out) {
-  uint32_t len = 0;
-  if (!GetU32(&len)) {
-    return false;
-  }
-  if (data_.size() - pos_ < len) {
-    ok_ = false;
-    return false;
-  }
-  out->assign(data_, pos_, len);
-  pos_ += len;
-  return true;
-}
-
-bool WireReader::GetStrVec(std::vector<std::string>* out) {
-  uint32_t count = 0;
-  if (!GetU32(&count)) {
-    return false;
-  }
-  // Each element costs at least its 4-byte length prefix, so a count beyond
-  // remaining/4 is malformed — reject before reserving anything.
-  if (count > (data_.size() - pos_) / 4) {
-    ok_ = false;
-    return false;
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string s;
-    if (!GetStr(&s)) {
-      return false;
-    }
-    out->push_back(std::move(s));
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -237,182 +132,6 @@ bool WriteFrame(Socket& sock, MsgType type, const std::string& payload,
   }
   std::string bytes = EncodeFrame(type, payload);
   return sock.WriteFull(bytes.data(), bytes.size(), err);
-}
-
-// ---------------------------------------------------------------------------
-// Messages
-// ---------------------------------------------------------------------------
-
-std::string CorpusMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(corpus);
-  return w.Take();
-}
-
-bool CorpusMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetStr(&corpus) && r.Finish();
-}
-
-std::string FindingsQueryMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(corpus);
-  w.PutU64(epoch);
-  w.PutStr(function);
-  w.PutStr(tool);
-  w.PutStr(module);
-  return w.Take();
-}
-
-bool FindingsQueryMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetStr(&corpus) && r.GetU64(&epoch) && r.GetStr(&function) &&
-         r.GetStr(&tool) && r.GetStr(&module) && r.Finish();
-}
-
-std::string SummariesQueryMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(corpus);
-  w.PutU64(epoch);
-  w.PutStr(function);
-  w.PutStr(module);
-  return w.Take();
-}
-
-bool SummariesQueryMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetStr(&corpus) && r.GetU64(&epoch) && r.GetStr(&function) &&
-         r.GetStr(&module) && r.Finish();
-}
-
-std::string UpsertModuleMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(corpus);
-  w.PutStr(module);
-  w.PutU32(static_cast<uint32_t>(files.size()));
-  for (const auto& [name, text] : files) {
-    w.PutStr(name);
-    w.PutStr(text);
-  }
-  return w.Take();
-}
-
-bool UpsertModuleMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  uint32_t count = 0;
-  if (!r.GetStr(&corpus) || !r.GetStr(&module) || !r.GetU32(&count)) {
-    return false;
-  }
-  if (count > payload.size() / 8) {  // 8 bytes minimum per (name, text) pair
-    return false;
-  }
-  files.clear();
-  files.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    std::string text;
-    if (!r.GetStr(&name) || !r.GetStr(&text)) {
-      return false;
-    }
-    files.emplace_back(std::move(name), std::move(text));
-  }
-  return r.Finish();
-}
-
-std::string ReplaceFunctionMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(corpus);
-  w.PutStr(module);
-  w.PutStr(function);
-  w.PutStr(definition);
-  return w.Take();
-}
-
-bool ReplaceFunctionMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetStr(&corpus) && r.GetStr(&module) && r.GetStr(&function) &&
-         r.GetStr(&definition) && r.Finish();
-}
-
-std::string RemoveModuleMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(corpus);
-  w.PutStr(module);
-  return w.Take();
-}
-
-bool RemoveModuleMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetStr(&corpus) && r.GetStr(&module) && r.Finish();
-}
-
-std::string ErrorMsg::Encode() const {
-  WireWriter w;
-  w.PutStr(message);
-  return w.Take();
-}
-
-bool ErrorMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetStr(&message) && r.Finish();
-}
-
-std::string EpochMsg::Encode() const {
-  WireWriter w;
-  w.PutU64(epoch);
-  return w.Take();
-}
-
-bool EpochMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetU64(&epoch) && r.Finish();
-}
-
-std::string RowsReplyMsg::Encode() const {
-  WireWriter w;
-  w.PutU64(epoch);
-  w.PutU64(total);
-  w.PutStrVec(rows);
-  return w.Take();
-}
-
-bool RowsReplyMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetU64(&epoch) && r.GetU64(&total) && r.GetStrVec(&rows) && r.Finish();
-}
-
-std::string StatsReplyMsg::Encode() const {
-  WireWriter w;
-  w.PutU64(epoch);
-  w.PutU32(modules);
-  w.PutU64(findings);
-  w.PutU64(summary_rows);
-  w.PutU32(link_rounds);
-  w.PutU8(converged);
-  w.PutU32(queued_edits);
-  w.PutU64(relinks);
-  w.PutStrVec(apply_errors);
-  // v2 metrics block (see wire.h version history).
-  w.PutU64(request_count);
-  w.PutU64(request_p50_us);
-  w.PutU64(request_p95_us);
-  w.PutU64(request_p99_us);
-  w.PutU64(publish_count);
-  w.PutU64(publish_p50_us);
-  w.PutU64(publish_p99_us);
-  w.PutU32(edit_queue_peak);
-  return w.Take();
-}
-
-bool StatsReplyMsg::Decode(const std::string& payload) {
-  WireReader r(payload);
-  return r.GetU64(&epoch) && r.GetU32(&modules) && r.GetU64(&findings) &&
-         r.GetU64(&summary_rows) && r.GetU32(&link_rounds) && r.GetU8(&converged) &&
-         r.GetU32(&queued_edits) && r.GetU64(&relinks) && r.GetStrVec(&apply_errors) &&
-         r.GetU64(&request_count) && r.GetU64(&request_p50_us) &&
-         r.GetU64(&request_p95_us) && r.GetU64(&request_p99_us) &&
-         r.GetU64(&publish_count) && r.GetU64(&publish_p50_us) &&
-         r.GetU64(&publish_p99_us) && r.GetU32(&edit_queue_peak) && r.Finish();
 }
 
 }  // namespace ivy

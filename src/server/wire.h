@@ -12,11 +12,12 @@
 //   4       4     payload length (u32 LE, <= kMaxFramePayload)
 //   8       len   payload
 //
-// Payload encoding is a flat sequence of fixed-width LE scalars and
-// u32-length-prefixed strings (WireWriter/WireReader). Decoders are
-// bounds-checked and total: any truncated, oversized, or malformed input
-// returns false — never a crash, never an over-read (property-tested in
-// tests/wire_test.cc).
+// Payload encoding: each message lists its fields once, in a
+// Fields(io, msg) function below, and the shared codec
+// (src/support/codec.h) turns that list into fixed-width LE scalars and
+// u32-length-prefixed strings and sequences. Decoders are bounds-checked
+// and total: any truncated, oversized, or malformed input returns false —
+// never a crash, never an over-read (property-tested in tests/wire_test.cc).
 //
 // Findings and summary rows travel as their *canonical JSON byte form*
 // (Finding::ToJson(nullptr).Dump(-1), FuncSummary::Canonical()) — the same
@@ -42,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/codec.h"
 #include "src/support/socket.h"
 
 namespace ivy {
@@ -82,49 +84,6 @@ struct Frame {
 };
 
 // ---------------------------------------------------------------------------
-// Payload primitives
-// ---------------------------------------------------------------------------
-
-class WireWriter {
- public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutStr(const std::string& s);
-  void PutStrVec(const std::vector<std::string>& v);
-
-  std::string Take() { return std::move(buf_); }
-  const std::string& buf() const { return buf_; }
-
- private:
-  std::string buf_;
-};
-
-// Bounds-checked reader: every Get* returns false once the payload is
-// exhausted or a length prefix overruns the remaining bytes; after the first
-// failure all further reads fail too.
-class WireReader {
- public:
-  explicit WireReader(const std::string& payload) : data_(payload) {}
-
-  bool GetU8(uint8_t* out);
-  bool GetU32(uint32_t* out);
-  bool GetU64(uint64_t* out);
-  bool GetStr(std::string* out);
-  bool GetStrVec(std::vector<std::string>* out);
-
-  // True when every payload byte was consumed and nothing failed — message
-  // decoders require exact length (trailing garbage is a malformed frame).
-  bool Finish() const { return ok_ && pos_ == data_.size(); }
-  bool ok() const { return ok_; }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
 // Frame I/O
 // ---------------------------------------------------------------------------
 
@@ -145,107 +104,132 @@ bool WriteFrame(Socket& sock, MsgType type, const std::string& payload,
                 std::string* err);
 
 // ---------------------------------------------------------------------------
-// Messages. Each struct has Encode() -> payload and Decode(payload) -> bool.
-// The corpus name rides in every request: the daemon serves one warm
-// AnalysisSession per corpus.
+// Messages. A message is its body struct plus Encode() -> payload and
+// Decode(payload) -> bool, written once here; Fields(io, body) lists the
+// body's fields in wire order. The corpus name rides in every request: the
+// daemon serves one warm AnalysisSession per corpus.
 // ---------------------------------------------------------------------------
+
+template <typename Body>
+struct WireMessage : Body {
+  std::string Encode() const { return EncodeFields<Body>(*this); }
+  bool Decode(const std::string& payload) { return DecodeFields<Body>(payload, *this); }
+};
 
 // kPing, kOpenCorpus, kCloseCorpus, kStats, kSync, kShutdown, kOk: a bare
 // corpus-name payload (empty string where no corpus applies).
-struct CorpusMsg {
+struct CorpusBody {
   std::string corpus;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, CorpusBody& m) {
+  return io(m.corpus);
+}
+using CorpusMsg = WireMessage<CorpusBody>;
 
 // kQueryFindings. `epoch` 0 pins the latest published epoch; a nonzero id
 // pins that exact epoch (error if already evicted from the retention ring).
-struct FindingsQueryMsg {
+struct FindingsQueryBody {
   std::string corpus;
   uint64_t epoch = 0;
   std::string function;  // witness/message match, as in annodb_query
   std::string tool;
   std::string module;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, FindingsQueryBody& m) {
+  return io(m.corpus) && io(m.epoch) && io(m.function) && io(m.tool) && io(m.module);
+}
+using FindingsQueryMsg = WireMessage<FindingsQueryBody>;
 
 // kQuerySummaries.
-struct SummariesQueryMsg {
+struct SummariesQueryBody {
   std::string corpus;
   uint64_t epoch = 0;
   std::string function;
   std::string module;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, SummariesQueryBody& m) {
+  return io(m.corpus) && io(m.epoch) && io(m.function) && io(m.module);
+}
+using SummariesQueryMsg = WireMessage<SummariesQueryBody>;
 
 // kUpsertModule: registers or replaces a corpus module (name + sources).
-struct UpsertModuleMsg {
+struct UpsertModuleBody {
   std::string corpus;
   std::string module;
   std::vector<std::pair<std::string, std::string>> files;  // (name, text)
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, UpsertModuleBody& m) {
+  return io(m.corpus) && io(m.module) && io(m.files);
+}
+using UpsertModuleMsg = WireMessage<UpsertModuleBody>;
 
 // kReplaceFunction: the keystroke-sized edit path.
-struct ReplaceFunctionMsg {
+struct ReplaceFunctionBody {
   std::string corpus;
   std::string module;
   std::string function;
   std::string definition;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, ReplaceFunctionBody& m) {
+  return io(m.corpus) && io(m.module) && io(m.function) && io(m.definition);
+}
+using ReplaceFunctionMsg = WireMessage<ReplaceFunctionBody>;
 
 // kRemoveModule.
-struct RemoveModuleMsg {
+struct RemoveModuleBody {
   std::string corpus;
   std::string module;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, RemoveModuleBody& m) {
+  return io(m.corpus) && io(m.module);
+}
+using RemoveModuleMsg = WireMessage<RemoveModuleBody>;
 
 // kError.
-struct ErrorMsg {
+struct ErrorBody {
   std::string message;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, ErrorBody& m) {
+  return io(m.message);
+}
+using ErrorMsg = WireMessage<ErrorBody>;
 
 // kEpoch: mutation acks (epoch current at enqueue time) and kSync replies
 // (epoch after quiescence).
-struct EpochMsg {
+struct EpochBody {
   uint64_t epoch = 0;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, EpochBody& m) {
+  return io(m.epoch);
+}
+using EpochMsg = WireMessage<EpochBody>;
 
 // kFindings / kSummaries: the pinned epoch id, the epoch's total row count
 // (so clients can render "N of M" like the offline CLI), and the matching
 // rows in canonical JSON byte form.
-struct RowsReplyMsg {
+struct RowsReplyBody {
   uint64_t epoch = 0;
   uint64_t total = 0;
   std::vector<std::string> rows;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, RowsReplyBody& m) {
+  return io(m.epoch) && io(m.total) && io(m.rows);
+}
+using RowsReplyMsg = WireMessage<RowsReplyBody>;
 
 // kStatsReply: the control-plane view of one corpus. The metrics block
 // (v2) is served from the daemon's always-on latency histograms — it is
 // live data, not a tracing artifact, so it works with tracing disabled.
-struct StatsReplyMsg {
+struct StatsReplyBody {
   uint64_t epoch = 0;
   uint32_t modules = 0;
   uint64_t findings = 0;
@@ -268,10 +252,16 @@ struct StatsReplyMsg {
   uint64_t publish_p99_us = 0;
   // ... and the deepest the corpus edit queue has been since startup.
   uint32_t edit_queue_peak = 0;
-
-  std::string Encode() const;
-  bool Decode(const std::string& payload);
 };
+template <typename Io>
+bool Fields(Io& io, StatsReplyBody& m) {
+  return io(m.epoch) && io(m.modules) && io(m.findings) && io(m.summary_rows) &&
+         io(m.link_rounds) && io(m.converged) && io(m.queued_edits) && io(m.relinks) &&
+         io(m.apply_errors) && io(m.request_count) && io(m.request_p50_us) &&
+         io(m.request_p95_us) && io(m.request_p99_us) && io(m.publish_count) &&
+         io(m.publish_p50_us) && io(m.publish_p99_us) && io(m.edit_queue_peak);
+}
+using StatsReplyMsg = WireMessage<StatsReplyBody>;
 
 }  // namespace ivy
 

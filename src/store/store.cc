@@ -9,7 +9,7 @@
 #include <fstream>
 #include <tuple>
 
-#include "src/server/wire.h"
+#include "src/support/codec.h"
 
 namespace ivy {
 
@@ -42,157 +42,47 @@ bool WriteAll(int fd, const std::string& bytes) {
   return true;
 }
 
-// One field list per record type drives both directions — Put encodes,
-// Get decodes — so the encoder and the total decoder cannot drift apart
-// (see store.h for which fields each row kind lists).
-template <typename Io, typename F>
-bool FindingFields(Io& io, F& f) {
-  return io(f.tool) && io(f.severity) && io(f.loc.file) && io(f.loc.line) && io(f.loc.col) &&
+// param_points indices lie in [0, kMaxParamIndex], the bound
+// FuncSummary::FromJson enforces on the JSON keys (the codec already
+// demands that they ascend strictly).
+bool ParamIndicesInRange(const std::map<int, std::vector<std::string>>& points) {
+  return points.empty() ||
+         (points.begin()->first >= 0 && points.rbegin()->first <= kMaxParamIndex);
+}
+
+}  // namespace
+
+// The store's field lists, run by the codec's FieldWriter and FieldReader
+// (src/support/codec.h). Beyond the codec's own checks they reject a
+// severity above kError, a stack_below below -1 and a param_points index
+// above kMaxParamIndex (see store.h for which fields each row kind lists).
+template <typename Io>
+bool Fields(Io& io, Finding& f) {
+  return io(f.tool) && io.Enum(f.severity, FindingSeverity::kError) && io(f.loc) &&
          io(f.message) && io(f.witness);
 }
 
-template <typename Io, typename S>
-bool SummaryFields(Io& io, S& s) {
+template <typename Io>
+bool Fields(Io& io, FuncSummary& s) {
   if (!io(s.module) || !io(s.function) || !io(s.defined)) {
     return false;
   }
   if (!s.defined) {
-    return io(s.entered_atomic) && io(s.entered_in_irq) && io(s.param_points);
+    return io(s.entered_atomic) && io(s.entered_in_irq) && io(s.param_points) &&
+           io.Check(ParamIndicesInRange(s.param_points));
   }
   return io(s.may_block) && io(s.block_witness) && io(s.blocking) && io(s.noblock) &&
          io(s.blocking_if_param) && io(s.returns_error) && io(s.errcodes) &&
          io(s.frame_size) && io(s.callees) && io(s.returns_points) &&
-         io(s.locks_acquired) && io(s.stack_below) && io(s.cross_recursive);
+         io(s.locks_acquired) && io(s.stack_below) && io.Check(s.stack_below >= -1) &&
+         io(s.cross_recursive);
 }
 
-template <typename Io, typename M>
-bool ModuleFields(Io& io, M& m) {
+template <typename Io>
+bool Fields(Io& io, StoreModule& m) {
   return io(m.name) && io(m.source_digest) && io(m.files) && io(m.analyzed) && io(m.ok) &&
          io(m.compile_errors) && io(m.findings);
 }
-
-// A bool is one 0/1 byte; signed fields travel as their two's-complement
-// bit pattern; a sequence is a u32 count and its elements.
-class Put {
- public:
-  explicit Put(WireWriter& w) : w_(w) {}
-
-  bool operator()(bool v) { w_.PutU8(v ? 1 : 0); return true; }
-  bool operator()(FindingSeverity v) { w_.PutU8(static_cast<uint8_t>(v)); return true; }
-  bool operator()(int32_t v) { w_.PutU32(static_cast<uint32_t>(v)); return true; }
-  bool operator()(int64_t v) { return (*this)(static_cast<uint64_t>(v)); }
-  bool operator()(uint64_t v) { w_.PutU64(v); return true; }
-  bool operator()(const std::string& v) { w_.PutStr(v); return true; }
-  bool operator()(const std::pair<std::string, std::string>& v) {
-    return (*this)(v.first) && (*this)(v.second);
-  }
-  bool operator()(const Finding& f) { return FindingFields(*this, f); }
-  bool operator()(const FuncSummary& s) { return SummaryFields(*this, s); }
-  bool operator()(const StoreModule& m) { return ModuleFields(*this, m); }
-  template <typename T>
-  bool operator()(const std::vector<T>& v) {
-    w_.PutU32(static_cast<uint32_t>(v.size()));
-    for (const T& e : v) {
-      (*this)(e);
-    }
-    return true;
-  }
-  bool operator()(const std::map<int, std::vector<std::string>>& points) {
-    w_.PutU32(static_cast<uint32_t>(points.size()));
-    for (const auto& [idx, names] : points) {
-      w_.PutU32(static_cast<uint32_t>(idx));
-      (*this)(names);
-    }
-    return true;
-  }
-
- private:
-  WireWriter& w_;
-};
-
-// Rejects every value outside its field's domain, and every count beyond
-// `limit` (the body size: each element is at least one byte long).
-class Get {
- public:
-  Get(WireReader& r, size_t limit) : r_(r), limit_(limit) {}
-
-  bool operator()(bool& v) { return Byte(v, 1); }
-  bool operator()(FindingSeverity& v) {
-    return Byte(v, static_cast<uint8_t>(FindingSeverity::kError));
-  }
-  bool operator()(int32_t& v) { return Signed(v, &WireReader::GetU32); }
-  bool operator()(int64_t& v) { return Signed(v, &WireReader::GetU64); }
-  bool operator()(uint64_t& v) { return r_.GetU64(&v); }
-  bool operator()(std::string& v) { return r_.GetStr(&v); }
-  bool operator()(std::pair<std::string, std::string>& v) {
-    return (*this)(v.first) && (*this)(v.second);
-  }
-  bool operator()(Finding& f) { return FindingFields(*this, f); }
-  bool operator()(FuncSummary& s) { return SummaryFields(*this, s) && s.stack_below >= -1; }
-  bool operator()(StoreModule& m) { return ModuleFields(*this, m); }
-  template <typename T>
-  bool operator()(std::vector<T>& v) {
-    uint32_t n = 0;
-    if (!Count(&n)) {
-      return false;
-    }
-    v.clear();
-    for (uint32_t i = 0; i < n; ++i) {
-      v.emplace_back();
-      if (!(*this)(v.back())) {
-        return false;
-      }
-    }
-    return true;
-  }
-  // Indices ascend strictly and stay within kMaxParamIndex — the bound
-  // FuncSummary::FromJson enforces on the JSON keys.
-  bool operator()(std::map<int, std::vector<std::string>>& points) {
-    uint32_t n = 0;
-    if (!Count(&n)) {
-      return false;
-    }
-    int prev = -1;
-    for (uint32_t i = 0; i < n; ++i) {
-      uint32_t idx = 0;
-      if (!r_.GetU32(&idx) || idx > static_cast<uint32_t>(kMaxParamIndex) ||
-          static_cast<int>(idx) <= prev) {
-        return false;
-      }
-      prev = static_cast<int>(idx);
-      if (!(*this)(points[prev])) {
-        return false;
-      }
-    }
-    return true;
-  }
-  bool Count(uint32_t* n) { return r_.GetU32(n) && *n <= limit_; }
-
- private:
-  template <typename T>
-  bool Byte(T& v, uint8_t max) {
-    uint8_t b = 0;
-    if (!r_.GetU8(&b) || b > max) {
-      return false;
-    }
-    v = static_cast<T>(b);
-    return true;
-  }
-  template <typename Int, typename Uint>
-  bool Signed(Int& v, bool (WireReader::*get)(Uint*)) {
-    Uint u = 0;
-    if (!(r_.*get)(&u)) {
-      return false;
-    }
-    v = static_cast<Int>(u);
-    return true;
-  }
-
-  WireReader& r_;
-  size_t limit_;
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Digests
@@ -232,8 +122,8 @@ std::string EncodeStore(const StoreFile& sf) {
   w.PutU8(kStoreMagic1);
   w.PutU8(kStoreVersion);
   w.PutU8(sf.linked ? kStoreFlagLinked : 0);
-  w.PutU64(sf.corpus_digest);
-  Put put(w);
+  FieldWriter put(w);
+  put(sf.corpus_digest);
   w.PutU32(static_cast<uint32_t>(sf.modules.size()));
   for (const auto& [name, m] : sf.modules) {
     put(m);
@@ -270,9 +160,9 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
 
   const std::string body = bytes.substr(kStoreHeaderSize);
   WireReader r(body);
-  Get get(r, body.size());
+  FieldReader get(r);
   uint32_t module_count = 0;
-  if (!r.GetU64(&out->corpus_digest) || !get.Count(&module_count)) {
+  if (!get(out->corpus_digest) || !get.Count(&module_count)) {
     SetErr(err, "truncated corpus digest or bad module count");
     return false;
   }

@@ -9,7 +9,7 @@
 //   1       1     magic1 = 0xD5        (store; the wire protocol is 0xDB)
 //   2       1     version = kStoreVersion
 //   3       1     flags (bit0 = linked; others reserved)
-//   4       ...   body: WireWriter-encoded sections (src/server/wire.h)
+//   4       ...   body: field lists in the shared codec (src/support/codec.h)
 //
 // Body encoding:
 //
@@ -29,11 +29,11 @@
 // and its usage-only fields only when it is not — the fields
 // FuncSummary::ToJson renders — so encode(decode(x)) == x byte for byte.
 // Every field of a module record is always written (zeroed when
-// !analyzed). Decoders are total in the wire.h style: counts are bounded by
-// the body size, out-of-domain values (a bool byte above 1, a severity
-// above 2, stack_below below -1, param_points indices not ascending or
-// above kMaxParamIndex, rows out of key order) are rejected, and Finish()
-// demands exact consumption. Truncated, oversized or mutated input returns
+// !analyzed). Decoders are total: the codec bounds counts by the bytes left
+// and rejects a bool byte above 1 and param_points indices that do not
+// ascend; the store's field lists add a severity above 2, stack_below
+// below -1, a param_points index above kMaxParamIndex; rows out of key
+// order are rejected, and Finish() demands exact consumption. Truncated, oversized or mutated input returns
 // false, never a crash (fuzzed in tests/store_test.cc).
 //
 // Version policy: strict. kStoreVersion bumps on any schema change and a

@@ -178,7 +178,7 @@ class LockSafePass : public ToolPass {
 
   ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     const CallGraph& cg = ctx.callgraph();
-    LockSafeReport report = LockSafe(&ctx.prog(), &ctx.sema(), &cg).Run();
+    LockSafeReport report = LockSafe(&cg).Run();
     ToolResult r(name());
     for (Finding& f : report.ToFindings("static")) {
       findings->push_back(std::move(f));
@@ -252,7 +252,7 @@ class ErrCheckPass : public ToolPass {
 
   ToolResult Run(AnalysisContext& ctx, std::vector<Finding>* findings) override {
     const CallGraph& cg = ctx.callgraph();
-    ErrCheckReport report = ErrCheck(&ctx.prog(), &ctx.sema(), &cg).Run();
+    ErrCheckReport report = ErrCheck(&cg).Run();
     ToolResult r(name());
     for (Finding& f : report.ToFindings()) {
       findings->push_back(std::move(f));

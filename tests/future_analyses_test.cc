@@ -39,7 +39,7 @@ TEST(LockSafe, DetectsAbbaInversion) {
     void path2(void) { spin_lock(&lb); spin_lock(&la); spin_unlock(&la); spin_unlock(&lb); }
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
+  LockSafe ls(a.cg);
   LockSafeReport r = ls.Run();
   ASSERT_EQ(r.deadlock_cycles.size(), 1u);
   EXPECT_EQ(r.deadlock_cycles[0].size(), 2u);
@@ -53,7 +53,7 @@ TEST(LockSafe, ConsistentOrderIsClean) {
     void path2(void) { spin_lock(&la); spin_unlock(&la); spin_lock(&lb); spin_unlock(&lb); }
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
+  LockSafe ls(a.cg);
   EXPECT_TRUE(ls.Run().deadlock_cycles.empty());
 }
 
@@ -65,7 +65,7 @@ TEST(LockSafe, IrqVsProcessInvariant) {
     void reader(void) { spin_lock(&stats); spin_unlock(&stats); }  // irqs on!
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
+  LockSafe ls(a.cg);
   LockSafeReport r = ls.Run();
   ASSERT_EQ(r.irq_unsafe_locks.size(), 1u);
   EXPECT_EQ(r.irq_unsafe_locks[0], "stats");
@@ -82,7 +82,7 @@ TEST(LockSafe, IrqsaveUsageIsSafe) {
     }
   )";
   Analyzed a = Build(src);
-  LockSafe ls(&a.comp->prog, a.comp->sema.get(), a.cg);
+  LockSafe ls(a.cg);
   EXPECT_TRUE(ls.Run().irq_unsafe_locks.empty());
 }
 
@@ -190,7 +190,7 @@ TEST(ErrCheck, DiscardedResultFlagged) {
     void careless(void) { may_fail(); }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
+  ErrCheck ec(a.cg);
   ErrCheckReport r = ec.Run();
   ASSERT_EQ(r.findings.size(), 1u);
   EXPECT_EQ(r.findings[0].kind, "discarded");
@@ -207,7 +207,7 @@ TEST(ErrCheck, TestedResultIsClean) {
     }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
+  ErrCheck ec(a.cg);
   ErrCheckReport r = ec.Run();
   EXPECT_TRUE(r.findings.empty());
   EXPECT_EQ(r.checked_sites, 1);
@@ -222,7 +222,7 @@ TEST(ErrCheck, NeverTestedAssignmentFlagged) {
     }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
+  ErrCheck ec(a.cg);
   ErrCheckReport r = ec.Run();
   ASSERT_EQ(r.findings.size(), 1u);
   EXPECT_EQ(r.findings[0].kind, "never-tested");
@@ -236,7 +236,7 @@ TEST(ErrCheck, NegativeConstantReturnsInferred) {
     void uses(void) { lookup(5); }
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
+  ErrCheck ec(a.cg);
   ErrCheckReport r = ec.Run();
   EXPECT_EQ(r.inferred_funcs, 1);
   EXPECT_EQ(r.findings.size(), 1u);
@@ -248,7 +248,7 @@ TEST(ErrCheck, PropagatedReturnIsHandled) {
     int forwards(void) { return may_fail(); }   // caller will check
   )";
   Analyzed a = Build(src);
-  ErrCheck ec(&a.comp->prog, a.comp->sema.get(), a.cg);
+  ErrCheck ec(a.cg);
   EXPECT_TRUE(ec.Run().findings.empty());
 }
 
@@ -258,7 +258,7 @@ TEST(FutureAnalyses, CorpusFindsPlantedIssues) {
   AnalysisContext ctx(comp.get(), /*field_sensitive=*/true);
   const CallGraph& cg = ctx.callgraph();
 
-  LockSafe ls(&comp->prog, comp->sema.get(), &cg);
+  LockSafe ls(&cg);
   LockSafeReport lr = ls.Run();
   EXPECT_GE(lr.deadlock_cycles.size(), 1u) << "netdev tx/stats inversion";
   EXPECT_GE(lr.irq_unsafe_locks.size(), 1u) << "stats_lock irq invariant";
@@ -268,7 +268,7 @@ TEST(FutureAnalyses, CorpusFindsPlantedIssues) {
   EXPECT_TRUE(sr.recursive.empty());
   EXPECT_LE(sr.worst_case, 8192);
 
-  ErrCheck ec(&comp->prog, comp->sema.get(), &cg);
+  ErrCheck ec(&cg);
   ErrCheckReport er = ec.Run();
   EXPECT_GT(er.err_returning_funcs, 10);
   EXPECT_GT(er.findings.size(), 5u);

@@ -28,7 +28,8 @@ TEST(WirePrimitives, ScalarAndStringRoundTrip) {
   w.PutU64(0x0123456789ABCDEFull);
   w.PutStr("hello\0world");  // embedded NUL stays within the literal prefix
   w.PutStr("");
-  w.PutStrVec({"a", "", "ccc"});
+  FieldWriter put(w);
+  put(std::vector<std::string>{"a", "", "ccc"});
   const std::string payload = w.Take();
 
   WireReader r(payload);
@@ -43,7 +44,8 @@ TEST(WirePrimitives, ScalarAndStringRoundTrip) {
   ASSERT_TRUE(r.GetU64(&u64));
   ASSERT_TRUE(r.GetStr(&s1));
   ASSERT_TRUE(r.GetStr(&s2));
-  ASSERT_TRUE(r.GetStrVec(&vec));
+  FieldReader get(r);
+  ASSERT_TRUE(get(vec));
   EXPECT_TRUE(r.Finish());
   EXPECT_EQ(u8, 0xAB);
   EXPECT_EQ(u32, 0xDEADBEEFu);
@@ -342,9 +344,9 @@ TEST(WireTotality, HeaderValidation) {
   }
 }
 
-// Adversarial length prefixes must not make GetStr/GetStrVec over-read or
-// reserve absurd memory: a count or length larger than the remaining bytes
-// fails immediately.
+// Adversarial length prefixes must not make GetStr or a vector read
+// over-read or reserve absurd memory: a count or length larger than the
+// remaining bytes fails immediately.
 TEST(WireTotality, OversizedInnerLengthsRejected) {
   {
     WireWriter w;
@@ -357,8 +359,9 @@ TEST(WireTotality, OversizedInnerLengthsRejected) {
     WireWriter w;
     w.PutU32(0x40000000u);  // a billion strings, zero bytes of content
     WireReader r(w.buf());
+    FieldReader get(r);
     std::vector<std::string> v;
-    EXPECT_FALSE(r.GetStrVec(&v));
+    EXPECT_FALSE(get(v));
   }
   {
     UpsertModuleMsg out;
