@@ -399,9 +399,9 @@ std::string KernelImage(const ToolConfig& cfg) {
 }
 
 // Pins the kernel image under the deputy and ccount configurations to its
-// exact bytes: an encoding change shows as a new size or digest. Recorded
-// before images moved onto the shared field-list codec
-// (src/support/codec.h).
+// exact bytes: an encoding change shows as a new size or digest, and must
+// come with a kBcVersion bump. (ccount alone leaves the image as it is: its
+// refcounting is a VM setting.)
 TEST(BcDiff, KernelImagesArePinned) {
   ToolConfig ccount;  // ivybc --ccount --no-deputy
   ccount.ccount = true;

@@ -208,8 +208,7 @@ TEST(StoreFormat, RoundTrip) {
 
 // Pins the sample store (an unanalyzed module, a definer row and a usage
 // row with param_points) to its exact bytes: an encoding change shows as a
-// new size or digest. Recorded before the store moved onto the shared
-// field-list codec (src/support/codec.h).
+// new size or digest, and must come with a kStoreVersion bump.
 TEST(StoreFormat, EncodingIsPinned) {
   const std::string bytes = EncodeStore(SampleStore());
   const uint64_t digest = Fnv1a64(bytes.data(), bytes.size(), 14695981039346656037ull);

@@ -172,8 +172,8 @@ TEST(WireMessages, EveryMessageRoundTrips) {
 }
 
 // Pins one fully populated instance of every message to its exact bytes:
-// an encoding change shows as a new size or digest. The constants were
-// recorded before the messages moved onto the shared field-list codec.
+// an encoding change shows as a new size or digest, and must come with a
+// kWireVersion bump.
 template <typename Msg>
 void ExpectPinned(const Msg& m, size_t size, uint64_t digest) {
   const std::string bytes = m.Encode();
