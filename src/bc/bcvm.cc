@@ -54,6 +54,7 @@ void BcVm::PushBcFrame(int func_id, const int64_t* args, size_t nargs, int32_t r
   f.base = stack_top_;
   f.delayed_at_entry = heap_->delayed_depth();
   stack_top_ += static_cast<uint64_t>(fn.frame_size);
+  stack_peak_ = std::max(stack_peak_, stack_top_);
   if (cfg_.track_locals && fn.frame_size > 0) {
     // Zero the frame so pointer-slot tracking starts from a clean state.
     mem_->ZeroRange(f.base, static_cast<uint64_t>(fn.frame_size));

@@ -208,6 +208,8 @@ LockSafeReport LockSafe::ValidateRuntime(const Machine& vm, const IrModule& modu
       report.irq_unsafe_locks.push_back(name_of(addr));
     }
   }
+  // lock_usage() is a hash map; sort so the report does not follow its order.
+  std::sort(report.irq_unsafe_locks.begin(), report.irq_unsafe_locks.end());
   report.locks_seen = static_cast<int>(vm.lock_usage().size());
   return report;
 }

@@ -2,16 +2,22 @@
 
 namespace ivy {
 
+// Little-endian by shifting, so the bytes do not depend on the host; one
+// append per integer.
 void WireWriter::PutU32(uint32_t v) {
+  char b[4];
   for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buf_.append(b, sizeof(b));
 }
 
 void WireWriter::PutU64(uint64_t v) {
+  char b[8];
   for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buf_.append(b, sizeof(b));
 }
 
 void WireWriter::PutStr(const std::string& s) {

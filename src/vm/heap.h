@@ -87,6 +87,8 @@ class Heap {
   uint8_t RcOf(uint64_t addr) const { return MaskRc(mem_->Rc(addr)); }
 
   const HeapStats& stats() const { return stats_; }
+  // The bump pointer: one past the highest byte ever allocated.
+  uint64_t top() const { return bump_; }
   const std::map<std::pair<int, int>, BadFreeSite>& bad_free_sites() const {
     return bad_free_sites_;
   }

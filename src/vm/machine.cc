@@ -68,6 +68,7 @@ void Machine::SetupMemory(uint64_t globals_end, const std::vector<std::string>& 
   mem_->stack_size = cfg_.stack_bytes;
   mem_->heap_base = mem_->stack_base + mem_->stack_size;
   stack_top_ = mem_->stack_base;
+  stack_peak_ = stack_top_;
   heap_ = std::make_unique<Heap>(mem_.get(), layouts_, cfg_.ccount, cfg_.rc_width_bits);
   // Global initializers (constants and string literals).
   for (const GlobalInit& g : inits) {

@@ -101,6 +101,11 @@ class Machine {
   bool irqs_enabled() const { return irq_enabled_; }
   int64_t context_switches() const { return ctx_switches_; }
 
+  // High-water marks of the two growing regions, in bytes from their base:
+  // the heap's bump pointer and the deepest frame push so far.
+  uint64_t heap_top_bytes() const { return heap_->top() - mem_->heap_base; }
+  uint64_t stack_peak_bytes() const { return stack_peak_ - mem_->stack_base; }
+
   // LockSafe runtime inputs.
   const std::set<std::pair<uint64_t, uint64_t>>& lock_order_edges() const {
     return lock_order_edges_;
@@ -168,6 +173,7 @@ class Machine {
   int in_irq_ = 0;
   int preempt_depth_ = 0;
   uint64_t stack_top_ = 0;
+  uint64_t stack_peak_ = 0;  // highest stack_top_ after a frame push
   int64_t ctx_switches_ = 0;
   int64_t might_sleep_checks_ = 0;
   std::vector<uint64_t> held_locks_;  // spinlocks + mutexes, in acquire order

@@ -1,5 +1,7 @@
 #include "src/vm/vm.h"
 
+#include <algorithm>
+
 namespace ivy {
 
 Vm::Vm(const IrModule* module, const TypeLayoutRegistry* layouts, VmConfig cfg)
@@ -43,6 +45,7 @@ void Vm::PushFrame(std::vector<Frame>* frames, int func_id, const std::vector<in
   f.ret_dst = ret_dst;
   f.delayed_at_entry = heap_->delayed_depth();
   stack_top_ += static_cast<uint64_t>(fn.frame_size);
+  stack_peak_ = std::max(stack_peak_, stack_top_);
   if (cfg_.track_locals && fn.frame_size > 0) {
     // Zero the frame so pointer-slot tracking starts from a clean state.
     mem_->ZeroRange(f.base, static_cast<uint64_t>(fn.frame_size));

@@ -54,6 +54,8 @@ void ExpectSameMachine(const Machine& t, const Machine& b, const std::string& wh
   EXPECT_EQ(t.context_switches(), b.context_switches()) << what;
   EXPECT_EQ(t.might_sleep_checks(), b.might_sleep_checks()) << what;
   EXPECT_EQ(t.lock_order_edges(), b.lock_order_edges()) << what;
+  EXPECT_EQ(t.heap_top_bytes(), b.heap_top_bytes()) << what;
+  EXPECT_EQ(t.stack_peak_bytes(), b.stack_peak_bytes()) << what;
 
   std::map<uint64_t, std::tuple<bool, bool, bool>> tu, bu;
   for (const auto& [addr, u] : t.lock_usage()) {

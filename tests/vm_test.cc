@@ -1,8 +1,12 @@
 // VM runtime model tests: IRQ state, spinlocks, interrupt dispatch, user
 // copies, traps, determinism, and the cost model's observability.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
 
 #include "src/driver/compiler.h"
+#include "src/kernel/corpus.h"
 
 namespace ivy {
 namespace {
@@ -251,6 +255,51 @@ TEST(VmRuntime, GlobalInitializersApplied) {
   VmResult r = RunSrc(src);
   ASSERT_TRUE(r.ok) << r.trap_msg;
   EXPECT_EQ(r.value, 44);
+}
+
+// Resident pages of this process: the second field of /proc/self/statm.
+int64_t ResidentPages() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size = 0;
+  int64_t resident = -1;
+  statm >> size >> resident;
+  return resident;
+}
+
+// Making a Memory writes none of it: a 256 MiB one (plus its 16 MiB shadow)
+// leaves the process's resident set nearly where it was, and every byte
+// still reads as zero.
+TEST(VmMemory, ConstructionTouchesNoPages) {
+  constexpr uint64_t kBytes = 256ull << 20;
+  const int64_t before = ResidentPages();
+  ASSERT_GT(before, 0);
+  Memory mem(kBytes);
+  const int64_t grown = (ResidentPages() - before) * sysconf(_SC_PAGESIZE);
+  EXPECT_LT(grown, int64_t{64} << 20);
+  for (uint64_t addr = 4096; addr + 8 <= kBytes; addr += kBytes / 97) {
+    EXPECT_EQ(mem.Read(addr, 8), 0) << addr;
+    EXPECT_EQ(mem.Rc(addr), 0) << addr;
+  }
+  EXPECT_EQ(mem.Read(kBytes - 8, 8), 0);
+  EXPECT_EQ(mem.Rc(kBytes - 1), 0);
+}
+
+// The high-water marks are machine state like cycles: the tree VM and two
+// bytecode VMs booting the same kernel report the same values.
+TEST(VmMemory, HighWaterMarksMatchAcrossInterpreters) {
+  auto comp = CompileKernel(ToolConfig{});
+  ASSERT_TRUE(comp->ok) << comp->Errors();
+  auto tree = MakeVm(*comp);
+  ASSERT_TRUE(tree->Call("boot_kernel", {5}).ok);
+  EXPECT_GT(tree->heap_top_bytes(), 0u);
+  EXPECT_GT(tree->stack_peak_bytes(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    auto bc = MakeBcVm(*comp);
+    ASSERT_NE(bc, nullptr);
+    ASSERT_TRUE(bc->Call("boot_kernel", {5}).ok);
+    EXPECT_EQ(bc->heap_top_bytes(), tree->heap_top_bytes()) << "bytecode VM " << i;
+    EXPECT_EQ(bc->stack_peak_bytes(), tree->stack_peak_bytes()) << "bytecode VM " << i;
+  }
 }
 
 }  // namespace

@@ -86,6 +86,13 @@ bool LoadImage(const std::string& path, ivy::BcModule* m, std::string* err) {
 int RunAndPrint(ivy::Machine& vm, const std::string& fn,
                 const std::vector<int64_t>& args) {
   ivy::VmResult r = vm.Call(fn, args);
+  // Set after the run, so with tracing off no lock is taken and nothing is
+  // allocated.
+  if (ivy::trace::Enabled()) {
+    ivy::trace::GetGauge("vm.heap_top_bytes")->Set(static_cast<int64_t>(vm.heap_top_bytes()));
+    ivy::trace::GetGauge("vm.stack_peak_bytes")
+        ->Set(static_cast<int64_t>(vm.stack_peak_bytes()));
+  }
   std::string arg_str;
   for (int64_t a : args) {
     arg_str += (arg_str.empty() ? "" : ", ") + std::to_string(a);
