@@ -1,6 +1,7 @@
 // Tests for the §3.2 annotation repository and its JSON substrate.
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -282,6 +283,74 @@ TEST(AnnoDb, StrictRowFailureDoesNotAbortSiblings) {
   EXPECT_EQ(db.summaries().count({"a", "ok1"}), 1u);
   EXPECT_EQ(db.summaries().count({"a", "ok2"}), 1u);
   ASSERT_EQ(errors.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The summary table's contract: one row per (module, function) key, kept in
+// key order, whatever order the rows arrive in.
+// ---------------------------------------------------------------------------
+
+// A definer row whose frame size tells apart two rows with one key.
+std::string DefinerRow(const std::string& module, const std::string& function, int frame) {
+  return R"({"module": ")" + module + R"(", "function": ")" + function +
+         R"(", "defined": true, "frame_size": )" + std::to_string(frame) + "}";
+}
+
+AnnoDb TableOf(const std::vector<std::string>& rows) {
+  std::string text = R"({"summaries": [)";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    text += (i == 0 ? "" : ", ") + rows[i];
+  }
+  std::string err;
+  Json j = Json::Parse(text + "]}", &err);
+  EXPECT_TRUE(err.empty()) << err;
+  return AnnoDb::FromJson(j);
+}
+
+// The table as the JSON export lists it: "module:function/frame" per row.
+std::vector<std::string> RowsOf(const AnnoDb& db) {
+  std::vector<std::string> out;
+  const Json j = db.ToJson();
+  if (const Json* rows = j.Find("summaries")) {
+    for (const Json& row : rows->array()) {
+      out.push_back(row.Find("module")->AsString() + ":" + row.Find("function")->AsString() +
+                    "/" + std::to_string(row.Find("frame_size")->AsInt()));
+    }
+  }
+  return out;
+}
+
+TEST(AnnoDb, JsonRowsLoadInKeyOrderAndTheLaterDuplicateWins) {
+  AnnoDb db = TableOf({DefinerRow("net", "send", 1), DefinerRow("fs", "write", 2),
+                       DefinerRow("net", "recv", 3), DefinerRow("fs", "write", 4),
+                       DefinerRow("fs", "read", 5)});
+  EXPECT_EQ(db.summaries().size(), 4u);
+  EXPECT_EQ(RowsOf(db),
+            std::vector<std::string>({"fs:read/5", "fs:write/4", "net:recv/3", "net:send/1"}));
+}
+
+TEST(AnnoDb, MergeReplacesRowsByKeyAndCountsOnlyNewKeys) {
+  AnnoDb mine = TableOf({DefinerRow("a", "f", 1), DefinerRow("b", "g", 2),
+                         DefinerRow("b", "h", 3)});
+  AnnoDb other = TableOf({DefinerRow("b", "g", 20), DefinerRow("a", "e", 10),
+                          DefinerRow("c", "k", 30), DefinerRow("a", "f", 11)});
+  EXPECT_EQ(mine.Merge(other), 2);  // a:e and c:k
+  EXPECT_EQ(RowsOf(mine), std::vector<std::string>(
+                              {"a:e/10", "a:f/11", "b:g/20", "b:h/3", "c:k/30"}));
+  // Merging the same table again adds nothing and changes nothing.
+  EXPECT_EQ(mine.Merge(other), 0);
+  EXPECT_EQ(mine.summaries().size(), 5u);
+}
+
+TEST(AnnoDb, RetractModuleRemovesExactlyOneModulesRows) {
+  AnnoDb db = TableOf({DefinerRow("a", "f", 1), DefinerRow("b", "f", 2),
+                       DefinerRow("b", "g", 3), DefinerRow("bb", "f", 4),
+                       DefinerRow("c", "a", 5)});
+  EXPECT_EQ(db.RetractModule("b"), 2);
+  EXPECT_EQ(RowsOf(db), std::vector<std::string>({"a:f/1", "bb:f/4", "c:a/5"}));
+  EXPECT_EQ(db.RetractModule("b"), 0);
+  EXPECT_EQ(db.RetractModule("zz"), 0);
+  EXPECT_EQ(db.summaries().size(), 3u);
 }
 
 TEST(AnnoDb, ApplyAttributesEnablesAnalysis) {
