@@ -23,9 +23,10 @@ IrModule Lowerer::Lower() {
   module_ = &m;
   LayoutGlobals(&m);
   m.funcs.resize(sema_->funcs().size());
-  // Lowered in func_map() order: Deputy's diagnostics, and so the findings,
-  // come out in this order.
-  for (const auto& [name, fn] : sema_->func_map()) {
+  // Lowered in func_id (declaration) order, not the name hash's: Deputy's
+  // diagnostics (and so the findings) and the string pool (and so the
+  // bytecode image) come out in this order.
+  for (const FuncDecl* fn : sema_->funcs()) {
     IrFunc& out = m.funcs[static_cast<size_t>(fn->func_id)];
     out.decl = fn;
     if (fn->body != nullptr) {

@@ -1,6 +1,9 @@
 // Deputy behaviour tests (§2.1): every check kind both passes on legal code
 // and traps on violations; static discharge removes provable checks; trusted
 // code is exempt; annotations are untrusted (a wrong annotation is caught).
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/driver/compiler.h"
@@ -332,6 +335,31 @@ TEST(Deputy, CrossRecordCastRejected) {
   )";
   auto comp = CompileOne(src, ToolConfig{});
   EXPECT_FALSE(comp->ok);
+}
+
+TEST(Deputy, DiagnosticsComeOutInDeclarationOrder) {
+  // Functions are lowered in declaration (func_id) order, so their Deputy
+  // diagnostics do not follow the standard library's hash of their names.
+  const char* src = R"(
+    char zulu(char* nullterm s) { return s[1]; }
+    char alpha(char* nullterm s) { return s[1]; }
+    char mike(char* nullterm s) { return s[1]; }
+    char bravo(char* nullterm s) { return s[1]; }
+    char yankee(char* nullterm s) { return s[1]; }
+    char delta(char* nullterm s) { return s[1]; }
+    char kilo(char* nullterm s) { return s[1]; }
+    char echo(char* nullterm s) { return s[1]; }
+    int main(void) { return 0; }
+  )";
+  auto comp = CompileOne(src, ToolConfig{});
+  ASSERT_TRUE(comp->ok) << comp->Errors();
+  std::vector<int32_t> lines;
+  for (const Diagnostic& d : comp->diags->diagnostics()) {
+    if (d.tool == "deputy") {
+      lines.push_back(d.loc.line);
+    }
+  }
+  EXPECT_EQ(lines, std::vector<int32_t>({2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(Deputy, ErasedProgramSkipsAllChecks) {
