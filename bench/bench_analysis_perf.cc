@@ -676,7 +676,7 @@ ivy::Json ServerBenchJson() {
 // The link table as canonical rows, one per line.
 std::string LinkTableCanon(const ivy::AnalysisSession& session) {
   std::string out;
-  for (const auto& [key, row] : session.link_table().summaries()) {
+  for (const ivy::FuncSummary& row : session.link_table().summaries()) {
     out += row.Canonical();
     out += '\n';
   }

@@ -1,6 +1,7 @@
 #include "src/annodb/annodb.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <tuple>
 
@@ -90,6 +91,8 @@ std::vector<std::string> StringsFromJson(const Json* j) {
   return out;
 }
 
+bool KeyLess(const FuncSummary& a, const FuncSummary& b) { return a.Key() < b.Key(); }
+
 }  // namespace
 
 Json FuncSummary::ToJson() const {
@@ -141,13 +144,6 @@ Json FuncSummary::ToJson() const {
     }
   }
   return j;
-}
-
-FuncSummary FuncSummary::FromJson(const Json& j) {
-  FuncSummary s;
-  std::string ignored;
-  FromJson(j, &s, &ignored);
-  return s;
 }
 
 bool FuncSummary::FromJson(const Json& j, FuncSummary* out, std::string* error) {
@@ -264,7 +260,7 @@ Json AnnoDb::ToJson() const {
   }
   if (!summaries_.empty()) {
     Json rows = Json::MakeArray();
-    for (const auto& [key, row] : summaries_) {
+    for (const FuncSummary& row : summaries_) {
       rows.Append(row.ToJson());
     }
     root["summaries"] = std::move(rows);
@@ -339,11 +335,20 @@ AnnoDb AnnoDb::FromJson(const Json& j, std::vector<std::string>* errors) {
       FuncSummary s;
       std::string err;
       if (FuncSummary::FromJson(row, &s, &err)) {
-        db.AddSummary(std::move(s));
+        db.summaries_.push_back(std::move(s));
       } else if (errors != nullptr) {
         errors->push_back(err);
       }
     }
+    // Key order; the stable sort keeps rows with one key in file order, and
+    // a unique pass run backwards keeps the last of them.
+    std::vector<FuncSummary>& table = db.summaries_;
+    std::stable_sort(table.begin(), table.end(), KeyLess);
+    auto kept = std::unique(table.rbegin(), table.rend(),
+                            [](const FuncSummary& a, const FuncSummary& b) {
+                              return a.Key() == b.Key();
+                            });
+    table.erase(table.begin(), kept.base());
   }
   if (const Json* fs = j.Find("findings")) {
     for (const Json& f : fs->array()) {
@@ -377,16 +382,16 @@ int AnnoDb::Merge(const AnnoDb& other) {
       ++added;
     }
   }
-  // Summary rows replace on their (module, function) key: a re-imported
-  // export overwrites byte-identical rows with themselves (idempotent), and
-  // a newer export of the same module wins outright.
-  for (const auto& [key, row] : other.summaries_) {
-    auto [it, inserted] = summaries_.insert_or_assign(key, row);
-    (void)it;
-    if (inserted) {
-      ++added;
-    }
-  }
+  // Summary rows replace on their key: a re-imported export overwrites
+  // byte-identical rows with themselves (idempotent), and a newer export of
+  // the same module wins outright. set_union takes an equal key's row from
+  // its first range, `other`.
+  std::vector<FuncSummary> table;
+  table.reserve(summaries_.size() + other.summaries_.size());
+  std::set_union(other.summaries_.begin(), other.summaries_.end(), summaries_.begin(),
+                 summaries_.end(), std::back_inserter(table), KeyLess);
+  added += static_cast<int>(table.size() - summaries_.size());
+  summaries_ = std::move(table);
   if (!other.findings_.empty()) {
     // Dedup keyed on (module, tool, loc, message) — the repository policy
     // from the ROADMAP plus per-module provenance, so RetractModule can
@@ -439,14 +444,13 @@ int AnnoDb::RetractModule(const std::string& module) {
       ++it;
     }
   }
-  for (auto it = summaries_.begin(); it != summaries_.end();) {
-    if (it->first.first == module) {
-      it = summaries_.erase(it);
-      ++retracted;
-    } else {
-      ++it;
-    }
-  }
+  // The module's summary rows are one run of the key order.
+  auto earlier = [&module](const FuncSummary& row) { return row.module < module; };
+  auto within = [&module](const FuncSummary& row) { return row.module == module; };
+  auto first = std::partition_point(summaries_.begin(), summaries_.end(), earlier);
+  auto last = std::partition_point(first, summaries_.end(), within);
+  retracted += static_cast<int>(last - first);
+  summaries_.erase(first, last);
   return retracted;
 }
 
@@ -479,12 +483,6 @@ int AnnoDb::ApplyAttributes(Program* prog) const {
     }
   }
   return updated;
-}
-
-void AnnoDb::AddSummary(FuncSummary row) {
-  // Rows added in key order (a link export, a store) append in O(1).
-  std::pair<std::string, std::string> key{row.module, row.function};
-  summaries_.insert_or_assign(summaries_.end(), std::move(key), std::move(row));
 }
 
 }  // namespace ivy

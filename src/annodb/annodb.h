@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/blockstop/blockstop.h"
@@ -57,11 +58,11 @@ struct RecordFacts {
 // the store; comfortably above any real arity.
 inline constexpr int kMaxParamIndex = 4095;
 
-// One function's cross-module summary — the link-stage fact table, keyed by
-// (module, function). A row is either a *definer* row (defined == true:
-// bottom-up facts about a function the module defines) or a *usage* row
-// (defined == false: top-down facts about how the module's own code calls a
-// function it declares extern). AnalysisSession::RunLinked derives every
+// One function's cross-module summary — a row of the link-stage fact table,
+// keyed by (module, function) (see Key()). A row is either a *definer* row
+// (defined == true: bottom-up facts about a function the module defines) or
+// a *usage* row (defined == false: top-down facts about how the module's own
+// code calls a function it declares extern). AnalysisSession::RunLinked derives every
 // row from one whole-corpus analysis; the table is an export-only view of
 // that run (the §3.2 repository), never fed back into an analysis.
 struct FuncSummary {
@@ -91,13 +92,16 @@ struct FuncSummary {
   bool entered_in_irq = false;
   std::map<int, std::vector<std::string>> param_points;  // param idx -> fn names
 
+  // The table's key, and its one row order: ascending (module, function).
+  // The store decoder, AnnoDb and the session's link bookkeeping all order
+  // and compare rows by it.
+  auto Key() const { return std::tie(module, function); }
+
   Json ToJson() const;
-  static FuncSummary FromJson(const Json& j);
-  // Strict variant: returns false (with a diagnostic in *error) for
-  // malformed rows — e.g. a param_points key that is not a canonical
-  // in-range decimal index — instead of silently aliasing garbage onto
-  // parameter 0. On failure *out holds the fields parsed so far; callers
-  // must discard it.
+  // Returns false (with a diagnostic in *error) for malformed rows — e.g. a
+  // param_points key that is not a canonical in-range decimal index —
+  // instead of silently aliasing garbage onto parameter 0. On failure *out
+  // holds the fields parsed so far; callers must discard it.
   static bool FromJson(const Json& j, FuncSummary* out, std::string* error);
   // Canonical byte form — what annolink prints and wire replies carry.
   // Json objects are sorted maps, so this is stable.
@@ -134,7 +138,8 @@ class AnnoDb {
   static AnnoDb Extract(AnalysisContext& ctx, const PipelineResult* pipeline);
 
   // Serialization round trip. Malformed summary rows are rejected (not
-  // loaded); pass `errors` to collect one diagnostic per rejected row.
+  // loaded); pass `errors` to collect one diagnostic per rejected row. Rows
+  // load in key order; of two rows with one key, the later wins.
   Json ToJson() const;
   static AnnoDb FromJson(const Json& j, std::vector<std::string>* errors = nullptr);
 
@@ -143,8 +148,8 @@ class AnnoDb {
   // deduplicated on (module, tool, loc, message) — per-module provenance
   // keeps identical findings from different modules distinct, and
   // re-merging the same export stays idempotent. Summary rows replace on
-  // their (module, function) key, so re-importing a module's summaries is
-  // idempotent too. Returns number of new entries added.
+  // their key (`other`'s row wins), so re-importing a module's summaries is
+  // idempotent too. Returns number of new entries (and new keys) added.
   int Merge(const AnnoDb& other);
 
   // Drops every finding, summary row, and stamped fact entry from `module`
@@ -158,12 +163,11 @@ class AnnoDb {
   // number of functions updated.
   int ApplyAttributes(Program* prog) const;
 
-  // The summary fact table, keyed by (module, function). AddSummary
-  // replaces any existing row with the same key.
-  void AddSummary(FuncSummary row);
-  const std::map<std::pair<std::string, std::string>, FuncSummary>& summaries() const {
-    return summaries_;
-  }
+  // The summary fact table: one row per key, in strictly ascending
+  // FuncSummary::Key() order. SetSummaries takes rows already in that order
+  // (a link export, a decoded store) and replaces the table.
+  void SetSummaries(std::vector<FuncSummary> rows) { summaries_ = std::move(rows); }
+  const std::vector<FuncSummary>& summaries() const { return summaries_; }
 
   const std::map<std::string, FuncFacts>& funcs() const { return funcs_; }
   const std::map<std::string, RecordFacts>& records() const { return records_; }
@@ -182,7 +186,7 @@ class AnnoDb {
  private:
   std::map<std::string, FuncFacts> funcs_;
   std::map<std::string, RecordFacts> records_;
-  std::map<std::pair<std::string, std::string>, FuncSummary> summaries_;
+  std::vector<FuncSummary> summaries_;
   std::vector<Finding> findings_;
   const SourceManager* findings_sm_ = nullptr;
 };

@@ -1,6 +1,5 @@
 #include "src/server/epoch.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace ivy {
@@ -15,10 +14,9 @@ std::shared_ptr<EpochSnapshot> BuildEpochSnapshot(uint64_t id,
   for (const Finding& f : snap->findings) {
     snap->findings_canon.push_back(f.ToJson(nullptr).Dump(-1));
   }
-  snap->summaries.reserve(link_table.summaries().size());
-  for (const auto& [key, row] : link_table.summaries()) {
-    (void)key;
-    snap->summaries.push_back(row);
+  snap->summaries = link_table.summaries();
+  snap->summaries_canon.reserve(snap->summaries.size());
+  for (const FuncSummary& row : snap->summaries) {
     snap->summaries_canon.push_back(row.Canonical());
   }
   snap->modules = static_cast<int>(result.modules.size());

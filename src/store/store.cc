@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <tuple>
 
 #include "src/support/codec.h"
 
@@ -183,12 +182,10 @@ bool DecodeStore(const std::string& bytes, StoreFile* out, std::string* err) {
     SetErr(err, "malformed summary rows");
     return false;
   }
-  // Strictly ascending keys: the table is a map, so rows out of order or
-  // repeated cannot have come from a session.
+  // Strictly ascending keys: the link table holds one row per key in key
+  // order, so rows out of order or repeated cannot have come from a session.
   for (size_t i = 1; i < out->summaries.size(); ++i) {
-    const FuncSummary& prev = out->summaries[i - 1];
-    const FuncSummary& row = out->summaries[i];
-    if (std::tie(prev.module, prev.function) >= std::tie(row.module, row.function)) {
+    if (out->summaries[i - 1].Key() >= out->summaries[i].Key()) {
       SetErr(err, "summary rows out of order or duplicated");
       return false;
     }

@@ -753,9 +753,7 @@ bool AnalysisSession::AnalyzeCorpus() {
       }
       {
         trace::Span summaries("link.summaries");
-        for (FuncSummary& row : ExportSummaries(*ctx, corpus, map)) {
-          link_table_.AddSummary(std::move(row));
-        }
+        link_table_.SetSummaries(ExportSummaries(*ctx, corpus, map));
       }
       trace::Span regroup("link.regroup");
       per_module = RegroupFindings(std::move(corpus), *ctx, map);
@@ -794,7 +792,7 @@ bool AnalysisSession::AnalyzeCorpus() {
 
 void AnalysisSession::TableChanged() {
   // Each written name's rows, in module order (a stable sort of the table's
-  // (module, function) order): a name with several definer rows is a
+  // FuncSummary::Key() order): a name with several definer rows is a
   // conflict, and a usage row of a name other modules define makes an
   // (importer, definer) edge with each of them.
   struct Row {
@@ -804,10 +802,10 @@ void AnalysisSession::TableChanged() {
   };
   std::vector<Row> rows;
   const std::string* module = nullptr;
-  for (const auto& [key, row] : link_table_.summaries()) {
-    const int m = rows.empty() ? 0 : rows.back().module + (*module != key.first ? 1 : 0);
-    module = &key.first;
-    rows.push_back({key.second, m, row.defined});
+  for (const FuncSummary& row : link_table_.summaries()) {
+    const int m = rows.empty() ? 0 : rows.back().module + (*module != row.module ? 1 : 0);
+    module = &row.module;
+    rows.push_back({row.function, m, row.defined});
   }
   std::stable_sort(rows.begin(), rows.end(),
                    [](const Row& a, const Row& b) { return a.function < b.function; });

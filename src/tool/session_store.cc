@@ -101,10 +101,7 @@ bool AnalysisSession::SaveStore(const std::string& path, std::string* err) const
     }
     sf.modules.emplace(name, std::move(m));
   }
-  sf.summaries.reserve(link_table_.summaries().size());
-  for (const auto& [key, row] : link_table_.summaries()) {
-    sf.summaries.push_back(row);
-  }
+  sf.summaries = link_table_.summaries();
   return WriteStoreFile(path, sf, err);
 }
 
@@ -142,9 +139,7 @@ bool AnalysisSession::LoadStore(const std::string& path, std::string* err) {
   }
 
   link_table_ = AnnoDb();
-  for (FuncSummary& s : sf.summaries) {
-    link_table_.AddSummary(std::move(s));
-  }
+  link_table_.SetSummaries(std::move(sf.summaries));
   linked_ = sf.linked;
   // The stack facts are part of the stored rows.
   TableChanged();

@@ -335,8 +335,8 @@ TEST(AnalysisSession, AnnoDbCarriesProvenanceAndRetracts) {
   for (const auto& [name, facts] : loaded.records()) {
     mod1_facts += facts.module == "mod_01" ? 1 : 0;
   }
-  for (const auto& [key, row] : loaded.summaries()) {
-    mod1_facts += key.first == "mod_01" ? 1 : 0;
+  for (const FuncSummary& row : loaded.summaries()) {
+    mod1_facts += row.module == "mod_01" ? 1 : 0;
   }
   ASSERT_GT(mod1, 0u);
   ASSERT_GT(mod1_facts, 0u);
@@ -348,8 +348,8 @@ TEST(AnalysisSession, AnnoDbCarriesProvenanceAndRetracts) {
   for (const auto& [name, facts] : loaded.funcs()) {
     EXPECT_NE(facts.module, "mod_01") << name;
   }
-  for (const auto& [key, row] : loaded.summaries()) {
-    EXPECT_NE(key.first, "mod_01");
+  for (const FuncSummary& row : loaded.summaries()) {
+    EXPECT_NE(row.module, "mod_01");
   }
 
   // After an edit, the re-exported repository reflects exactly the new

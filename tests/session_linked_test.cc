@@ -120,7 +120,7 @@ TEST(SessionLinked, GoldenBytesPinned) {
       findings += '\n';
     }
     std::string summaries;
-    for (const auto& [key, row] : session.link_table().summaries()) {
+    for (const FuncSummary& row : session.link_table().summaries()) {
       summaries += row.Canonical();
       summaries += '\n';
     }
@@ -158,7 +158,7 @@ std::vector<ModuleSources> SameNamesCorpus() {
 
 std::string SummaryBytes(const AnalysisSession& session) {
   std::string out;
-  for (const auto& [key, row] : session.link_table().summaries()) {
+  for (const FuncSummary& row : session.link_table().summaries()) {
     out += row.Canonical();
     out += '\n';
   }
@@ -423,7 +423,7 @@ TEST(SessionLinked, ConvergedFindingsDeterministic) {
   // BlockStop's per-file entry bits), which registration order must not reach.
   auto rows = [](const AnalysisSession& session) {
     std::string out;
-    for (const auto& [key, row] : session.link_table().summaries()) {
+    for (const FuncSummary& row : session.link_table().summaries()) {
       out += row.Canonical() + "\n";
     }
     return out;
@@ -506,7 +506,7 @@ TEST(SessionLinked, SummariesExportedAndRetractable) {
   bool saw_usage_atomic = false;
   bool saw_param_points = false;
   bool saw_stack = false;
-  for (const auto& [key, row] : table.summaries()) {
+  for (const FuncSummary& row : table.summaries()) {
     if (row.defined && row.may_block && !row.block_witness.empty()) {
       saw_mayblock_definer = true;
     }
@@ -536,8 +536,8 @@ TEST(SessionLinked, SummariesExportedAndRetractable) {
 
   size_t before = loaded.summaries().size();
   size_t mod1_rows = 0;
-  for (const auto& [key, row] : loaded.summaries()) {
-    mod1_rows += key.first == "mod_01" ? 1 : 0;
+  for (const FuncSummary& row : loaded.summaries()) {
+    mod1_rows += row.module == "mod_01" ? 1 : 0;
   }
   ASSERT_GT(mod1_rows, 0u);
   size_t mod1_facts = 0;
@@ -547,8 +547,8 @@ TEST(SessionLinked, SummariesExportedAndRetractable) {
   ASSERT_GT(mod1_facts, 0u);
   loaded.RetractModule("mod_01");
   EXPECT_EQ(loaded.summaries().size(), before - mod1_rows);
-  for (const auto& [key, row] : loaded.summaries()) {
-    EXPECT_NE(key.first, "mod_01");
+  for (const FuncSummary& row : loaded.summaries()) {
+    EXPECT_NE(row.module, "mod_01");
   }
   ASSERT_FALSE(loaded.funcs().empty());
   for (const auto& [name, facts] : loaded.funcs()) {
@@ -577,8 +577,8 @@ TEST(SessionLinked, RemoveModuleRetractsItsFactsFromTheTable) {
   ASSERT_TRUE(session.RemoveModule("mod_02"));
   SessionResult relinked = session.RunLinked();
   ASSERT_TRUE(session.link_stats().converged);
-  for (const auto& [key, row] : session.link_table().summaries()) {
-    EXPECT_NE(key.first, "mod_02");
+  for (const FuncSummary& row : session.link_table().summaries()) {
+    EXPECT_NE(row.module, "mod_02");
   }
 
   corpus.pop_back();
@@ -597,7 +597,7 @@ TEST(SessionLinked, CancelledLinkPublishesNothingAndResumes) {
   std::vector<ModuleSources> corpus = GenerateLinkedCorpus(opt);
   auto rows = [](const AnalysisSession& session) {
     std::string out;
-    for (const auto& [key, row] : session.link_table().summaries()) {
+    for (const FuncSummary& row : session.link_table().summaries()) {
       out += row.Canonical() + "\n";
     }
     return out;

@@ -154,7 +154,7 @@ std::string RowsCanon(const std::vector<FuncSummary>& rows) {
 
 std::string TableCanon(const AnnoDb& table) {
   std::string out;
-  for (const auto& [key, row] : table.summaries()) {
+  for (const FuncSummary& row : table.summaries()) {
     out += row.Canonical() + "\n";
   }
   return out;

@@ -252,10 +252,16 @@ int RunConnectedQuery(ivy::AnnodClient& client, const Args& a) {
     std::fprintf(stderr, "epoch %llu\n", static_cast<unsigned long long>(reply.epoch));
     for (const std::string& row : reply.rows) {
       ivy::Json j;
+      ivy::FuncSummary s;
+      std::string serr;
       if (!parse(row, "summary", &j)) {
         return 1;
       }
-      out.rows.push_back(ivy::FuncSummary::FromJson(j));
+      if (!ivy::FuncSummary::FromJson(j, &s, &serr)) {
+        std::fprintf(stderr, "annodb-query: bad summary row: %s\n", serr.c_str());
+        return 1;
+      }
+      out.rows.push_back(std::move(s));
     }
     out.rows_total = static_cast<size_t>(reply.total);
   }
@@ -641,7 +647,7 @@ int main(int argc, char** argv) {
 
   QueryResult out(a);
   if (a.summaries) {
-    for (const auto& [key, row] : db.summaries()) {
+    for (const ivy::FuncSummary& row : db.summaries()) {
       out.AddRow(row);
     }
   }

@@ -28,7 +28,7 @@ void Usage() {
 // One line per linked artifact, canonical forms — identical bytes on a
 // cold run and a warm restart, which is what CI diffs.
 void PrintResult(const ivy::AnalysisSession& session, const ivy::SessionResult& result) {
-  for (const auto& [key, row] : session.link_table().summaries()) {
+  for (const ivy::FuncSummary& row : session.link_table().summaries()) {
     std::printf("%s\n", row.Canonical().c_str());
   }
   for (const ivy::Finding& f : result.findings) {
