@@ -1,5 +1,6 @@
 #include "src/server/epoch.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ivy {

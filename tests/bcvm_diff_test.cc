@@ -402,10 +402,9 @@ std::string KernelImage(const ToolConfig& cfg) {
 
 // Pins the kernel image under the deputy and ccount configurations to its
 // exact bytes: an encoding change shows as a new size or digest, and must
-// come with a kBcVersion bump. A change to what the kernel compiles to shows
-// too, and is re-recorded here (lowering in func_id order reordered the
-// string pool: same sizes, new digests). (ccount alone leaves the image as
-// it is: its refcounting is a VM setting.)
+// come with a kBcVersion bump. A change to what the kernel compiles to, such
+// as the order of its string pool, shows too and needs no bump. (ccount
+// alone leaves the image as it is: its refcounting is a VM setting.)
 TEST(BcDiff, KernelImagesArePinned) {
   ToolConfig ccount;  // ivybc --ccount --no-deputy
   ccount.ccount = true;
