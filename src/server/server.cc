@@ -44,14 +44,7 @@ void AnnodServer::RequestShutdown() {
   // join of each relink thread) happens in Wait() — never here, because a
   // connection handler serving kShutdown calls this and must not join
   // against itself or block on analysis work.
-  std::vector<std::shared_ptr<Corpus>> all;
-  {
-    std::lock_guard<std::mutex> lock(corpora_mu_);
-    for (auto& [name, c] : corpora_) {
-      all.push_back(c);
-    }
-  }
-  for (auto& c : all) {
+  for (auto& c : Corpora()) {
     {
       std::lock_guard<std::mutex> lock(c->mu);
       c->closing = true;
@@ -62,9 +55,8 @@ void AnnodServer::RequestShutdown() {
   // Unblock every connection thread parked in recv().
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [id, fd] : live_fds_) {
-      (void)id;
-      Socket::ShutdownFd(fd);
+    for (const auto& entry : live_fds_) {
+      Socket::ShutdownFd(entry.second);
     }
   }
 }
@@ -88,25 +80,14 @@ void AnnodServer::Wait() {
     conns.swap(conns_);
     finished_.clear();
   }
-  for (auto& [id, t] : conns) {
-    (void)id;
-    if (t.joinable()) {
-      t.join();
-    }
+  for (auto& entry : conns) {
+    entry.second.join();
   }
   // Drain every corpus: the in-flight relink stops at its next
   // cancellation check and publishes nothing. Drained corpora stay in the
   // map (closing, so mutations are rejected) — published epochs remain
   // inspectable post-shutdown.
-  std::vector<std::shared_ptr<Corpus>> all;
-  {
-    std::lock_guard<std::mutex> lock(corpora_mu_);
-    for (auto& [name, c] : corpora_) {
-      (void)name;
-      all.push_back(c);
-    }
-  }
-  for (auto& c : all) {
+  for (auto& c : Corpora()) {
     DrainCorpus(c);
   }
 }
@@ -125,6 +106,15 @@ void AnnodServer::DrainCorpus(const std::shared_ptr<Corpus>& c) {
 // ---------------------------------------------------------------------------
 // Control plane (shared by wire handlers and in-process callers)
 // ---------------------------------------------------------------------------
+
+std::vector<std::shared_ptr<AnnodServer::Corpus>> AnnodServer::Corpora() const {
+  std::lock_guard<std::mutex> lock(corpora_mu_);
+  std::vector<std::shared_ptr<Corpus>> all;
+  for (const auto& entry : corpora_) {
+    all.push_back(entry.second);
+  }
+  return all;
+}
 
 std::shared_ptr<AnnodServer::Corpus> AnnodServer::FindCorpus(
     const std::string& name) const {
@@ -273,6 +263,7 @@ bool AnnodServer::Corpus::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu);
     closing = true;
+    stopped = true;
     thread = std::move(relinker);
   }
   session.RequestCancel();
@@ -293,6 +284,14 @@ void AnnodServer::Corpus::RelinkLoop() {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [this, first] { return closing || first || !edits.empty(); });
       if (closing) {
+        // Exit only when Stop() joins, which Wait() does after joining the
+        // acceptor and the connection threads, so this thread exits last.
+        // Its malloc arena holds the links' memory (tens of MB), and glibc
+        // hands the most recently released arena to the next thread that
+        // needs one: a server started next in this process gives it to its
+        // relink thread (the first of its threads to allocate), not to a
+        // connection thread that would leave it idle and resident.
+        cv.wait(lock, [this] { return stopped; });
         return;
       }
       batch.swap(edits);
@@ -427,9 +426,7 @@ void AnnodServer::ReapFinishedConnections() {
     finished_.clear();
   }
   for (std::thread& t : done) {
-    if (t.joinable()) {
-      t.join();
-    }
+    t.join();
   }
 }
 

@@ -124,7 +124,8 @@ class AnnodServer {
     // thread. True for the one caller that joined it.
     bool Stop();
     // The relink thread's body: waits for edits, takes the whole queue as
-    // one batch for Relink(); returns once `closing`.
+    // one batch for Relink(); once `closing`, takes no further batch and
+    // returns when Stop() is called.
     void RelinkLoop();
     // Applies the batch (the first one after a LoadStore when the corpus
     // persists), runs RunLinked() and publishes the epoch unless the link
@@ -139,6 +140,7 @@ class AnnodServer {
     bool relinking = true;
     int64_t relinks_done = 0;
     bool closing = false;
+    bool stopped = false;  // Stop() was called: the relink thread may exit
     uint64_t next_epoch = 1;
     std::vector<std::string> apply_errors;  // rolling window, capped
     const std::string store_path;  // empty: no persistence
@@ -155,6 +157,8 @@ class AnnodServer {
     std::thread relinker;          // last: it runs over every field above
   };
 
+  // The open corpora, copied under corpora_mu_.
+  std::vector<std::shared_ptr<Corpus>> Corpora() const;
   std::shared_ptr<Corpus> FindCorpus(const std::string& name) const;
   // Appends `e` to the corpus's edit queue and wakes its relink thread;
   // false if the corpus is unknown or closing.
