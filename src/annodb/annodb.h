@@ -108,6 +108,25 @@ struct FuncSummary {
   std::string Canonical() const { return ToJson().Dump(-1); }
 };
 
+// Member-wise equality: the epoch build matches an unchanged row by it and
+// reuses the row's canonical bytes. The structured binding names every
+// member, so a member added later without a place here stops this from
+// compiling.
+inline bool operator==(const FuncSummary& a, const FuncSummary& b) {
+  const auto& [module, function, defined, may_block, block_witness, blocking, noblock,
+               blocking_if_param, returns_error, errcodes, frame_size, callees,
+               returns_points, locks_acquired, stack_below, cross_recursive,
+               entered_atomic, entered_in_irq, param_points] = a;
+  return std::tie(module, function, defined, may_block, block_witness, blocking, noblock,
+                  blocking_if_param, returns_error, errcodes, frame_size, callees,
+                  returns_points, locks_acquired, stack_below, cross_recursive,
+                  entered_atomic, entered_in_irq, param_points) ==
+         std::tie(b.module, b.function, b.defined, b.may_block, b.block_witness, b.blocking,
+                  b.noblock, b.blocking_if_param, b.returns_error, b.errcodes, b.frame_size,
+                  b.callees, b.returns_points, b.locks_acquired, b.stack_below,
+                  b.cross_recursive, b.entered_atomic, b.entered_in_irq, b.param_points);
+}
+
 // A summaries query: the rows of `function` exported by `module`; an empty
 // field matches any. The row-side twin of FindingQuery (src/tool/finding.h),
 // shared by the server's handler and every annodb-query mode.

@@ -15,8 +15,13 @@
 //
 // Byte-identity contract: a snapshot's canonical rows (CanonicalFindings /
 // canonical summary JSON) are exactly what a cold batch RunLinked() over the
-// same sources produces — the stress test in tests/server_test.cc holds the
-// server to that at every published epoch.
+// same sources produces. A relink's snapshot renders only the rows that are
+// new since the previous epoch and copies the bytes of every row equal (by
+// the member-wise operator==) to one of the previous epoch's; rendering is a
+// pure function of the typed row, so the bytes do not depend on what the
+// previous epoch held. tests/server_test.cc compares carried-forward
+// snapshots with cold renders, edit by edit and at every epoch the stress
+// test sees.
 #ifndef SRC_SERVER_EPOCH_H_
 #define SRC_SERVER_EPOCH_H_
 
@@ -39,11 +44,16 @@ struct EpochSnapshot {
   // The session merge, module-stamped, in the session's deterministic order.
   std::vector<Finding> findings;
   // Canonical JSON per finding, index-parallel with `findings` (cached so
-  // query handlers never re-serialize under load).
+  // query handlers never re-serialize under load). A row equal to one of
+  // the previous epoch's carries that row's bytes.
   std::vector<std::string> findings_canon;
-  // The summary table in (module, function) key order.
+  // The summary table in (module, function) key order, and its canonical
+  // JSON, index-parallel and carried forward the same way.
   std::vector<FuncSummary> summaries;
   std::vector<std::string> summaries_canon;
+  // How many rows of both tables this build rendered; the others were
+  // copied from the previous epoch.
+  int rendered = 0;
   int modules = 0;
   int compile_failures = 0;
   LinkStats link;
@@ -56,18 +66,25 @@ struct EpochSnapshot {
 // Builds a snapshot from one completed RunLinked() result. Shared by the
 // server's relink thread and annodb_query's offline --from-synth mode, so
 // "what the server serves" and "what a cold batch run prints" are the same
-// bytes by construction. Returned mutable so the builder can stamp link
-// stats / apply errors before handing it to Publish (const from then on).
+// bytes by construction. With `prev` (the corpus's latest epoch), a row
+// equal to one of `prev`'s copies its canonical bytes instead of rendering
+// them; without it every row is rendered. Returned mutable so the builder
+// can stamp link stats / apply errors before handing it to Publish (const
+// from then on).
 std::shared_ptr<EpochSnapshot> BuildEpochSnapshot(uint64_t id,
                                                   const SessionResult& result,
-                                                  const AnnoDb& link_table);
+                                                  const AnnoDb& link_table,
+                                                  const EpochSnapshot* prev = nullptr);
 
 // The swap point between the relink writer and concurrent query readers.
 class EpochPublisher {
  public:
   explicit EpochPublisher(int retain = 8) : retain_(retain < 1 ? 1 : retain) {}
 
-  void Publish(std::shared_ptr<const EpochSnapshot> snap);
+  // Makes `snap` the latest epoch. Returns the snapshot that fell out of
+  // the ring (null while it is filling), so the caller can drop it outside
+  // the lock and after its waiters have been told.
+  std::shared_ptr<const EpochSnapshot> Publish(std::shared_ptr<const EpochSnapshot> snap);
 
   // The latest published snapshot (null before the first publication).
   std::shared_ptr<const EpochSnapshot> Current() const;

@@ -298,11 +298,13 @@ void AnnodServer::Corpus::RelinkLoop() {
       relinking = true;
     }
     std::vector<std::string> errors;
-    // Declared here so that freeing the batch and the result comes after
-    // the notify below, off the path of a waiting SyncEpoch.
+    // Declared here so that freeing the batch, the result and the evicted
+    // epoch comes after the notify below, off the path of a waiting
+    // SyncEpoch.
     SessionResult result;
+    std::shared_ptr<const EpochSnapshot> evicted;
     try {
-      result = Relink(batch, first, &errors);
+      result = Relink(batch, first, &errors, &evicted);
     } catch (const std::exception& ex) {
       // Nothing is published; the failure reaches kStats with the edits'.
       errors.push_back(std::string("relink failed: ") + ex.what());
@@ -323,7 +325,8 @@ void AnnodServer::Corpus::RelinkLoop() {
 }
 
 SessionResult AnnodServer::Corpus::Relink(std::deque<Edit>& batch, bool first,
-                                          std::vector<std::string>* errors) {
+                                          std::vector<std::string>* errors,
+                                          std::shared_ptr<const EpochSnapshot>* evicted) {
   if (first && !store_path.empty()) {
     // Warm start before the seed edits apply: modules the batch re-adds with
     // byte-identical sources stay clean (AddModule's no-op contract), so an
@@ -361,14 +364,17 @@ SessionResult AnnodServer::Corpus::Relink(std::deque<Edit>& batch, bool first,
     // the span on top of it only exists when tracing is enabled.
     const uint64_t publish_t0 = MonotonicNowNs();
     trace::Span publish_span("server.publish");
-    auto snap = BuildEpochSnapshot(0, result, session.link_table());
+    auto snap = BuildEpochSnapshot(0, result, session.link_table(), epochs.Current().get());
+    publish_span.AddArg(
+        {"rows", static_cast<int64_t>(snap->findings.size() + snap->summaries.size())});
+    publish_span.AddArg({"rendered", snap->rendered});
     snap->link = session.link_stats();
     snap->apply_errors = *errors;
     {
       std::lock_guard<std::mutex> lock(mu);
       snap->id = next_epoch++;
     }
-    epochs.Publish(std::move(snap));
+    *evicted = epochs.Publish(std::move(snap));
     publish_us.Record((MonotonicNowNs() - publish_t0) / 1000);
   }
   return result;

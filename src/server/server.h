@@ -129,8 +129,10 @@ class AnnodServer {
     void RelinkLoop();
     // Applies the batch (the first one after a LoadStore when the corpus
     // persists), runs RunLinked() and publishes the epoch unless the link
-    // was cancelled. Appends the edits that failed to apply to `errors`.
-    SessionResult Relink(std::deque<Edit>& batch, bool first, std::vector<std::string>* errors);
+    // was cancelled. Appends the edits that failed to apply to `errors`
+    // and hands the epoch the publish evicted, if any, to `*evicted`.
+    SessionResult Relink(std::deque<Edit>& batch, bool first, std::vector<std::string>* errors,
+                         std::shared_ptr<const EpochSnapshot>* evicted);
 
     std::mutex mu;
     std::condition_variable cv;    // edits for the relink thread, sync waiters

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace ivy {
@@ -20,6 +21,13 @@ struct SourceLoc {
 
   bool IsValid() const { return file >= 0; }
 };
+
+// Member-wise equality. The structured binding names every member, so a
+// member added later without a place here stops this from compiling.
+inline bool operator==(const SourceLoc& a, const SourceLoc& b) {
+  const auto& [file, line, col] = a;
+  return std::tie(file, line, col) == std::tie(b.file, b.line, b.col);
+}
 
 // Owns the text of all source files in a compilation (the corpus modules plus
 // any test snippets) and renders SourceLocs for diagnostics.

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <typeinfo>
 #include <vector>
 
@@ -48,6 +49,15 @@ struct Finding {
 
   std::string ToString(const SourceManager* sm = nullptr) const;
 };
+
+// Member-wise equality, as for SourceLoc: the structured binding names every
+// member, so a member added later without a place here stops this from
+// compiling.
+inline bool operator==(const Finding& a, const Finding& b) {
+  const auto& [tool, severity, loc, message, witness, module] = a;
+  return std::tie(tool, severity, loc, message, witness, module) ==
+         std::tie(b.tool, b.severity, b.loc, b.message, b.witness, b.module);
+}
 
 // One findings query, shared by the annodb_query CLI (file mode), the annod
 // server's query handler, and the client library — a single definition of

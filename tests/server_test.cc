@@ -4,7 +4,8 @@
 // epoch), and the concurrency stress test — 32 query clients against a
 // corpus receiving continuous edits, every response internally consistent
 // with its pinned epoch (same epoch => same bytes), and the final epoch
-// byte-identical to a cold RunLinked() over the same final sources.
+// byte-identical to a cold RunLinked() over the same final sources. Epochs
+// built on their predecessor are checked against cold renders too.
 //
 // This file runs under ThreadSanitizer in CI (.github/workflows/ci.yml).
 #include <atomic>
@@ -61,6 +62,39 @@ std::shared_ptr<EpochSnapshot> ColdSnapshot(
   return BuildEpochSnapshot(1, result, session.link_table());
 }
 
+// A fresh render of a snapshot's typed rows, with no previous epoch.
+void ExpectMatchesColdRender(const EpochSnapshot& snap) {
+  SessionResult rows;
+  rows.findings = snap.findings;
+  AnnoDb table;
+  table.SetSummaries(snap.summaries);
+  auto cold = BuildEpochSnapshot(snap.id, rows, table);
+  EXPECT_EQ(snap.findings_canon, cold->findings_canon) << "epoch " << snap.id;
+  EXPECT_EQ(snap.summaries_canon, cold->summaries_canon) << "epoch " << snap.id;
+}
+
+// A function some other module calls under a spinlock, as (module index,
+// name): a blocking body for it adds a BlockStop finding in the caller's
+// module, a non-blocking one removes it.
+std::pair<int, std::string> SpinlockedCallee(const std::vector<ModuleSources>& corpus) {
+  for (size_t m = 0; m < corpus.size(); ++m) {
+    const std::string& text = corpus[m].files[0].text;
+    const std::string lock =
+        "  spin_lock(&" + LinkedModulePrefix(static_cast<int>(m)) + "lk_0);\n  ";
+    for (size_t pos = text.find(lock); pos != std::string::npos; pos = text.find(lock, pos + 1)) {
+      const size_t b = pos + lock.size();
+      const std::string callee = text.substr(b, text.find('(', b) - b);
+      for (size_t t = 0; t < corpus.size(); ++t) {
+        if (t != m && corpus[t].files[0].text.find("void " + callee + "(int n) {\n") !=
+                          std::string::npos) {
+          return {static_cast<int>(t), callee};
+        }
+      }
+    }
+  }
+  return {-1, ""};
+}
+
 void SeedCorpus(AnnodServer& server, const std::string& corpus,
                 const LinkedCorpusOptions& opt) {
   ASSERT_TRUE(server.OpenCorpus(corpus));
@@ -82,6 +116,105 @@ TEST(Server, WarmSnapshotMatchesColdBatchByteForByte) {
   EXPECT_EQ(warm->findings_canon, cold->findings_canon);
   EXPECT_EQ(warm->summaries_canon, cold->summaries_canon);
   EXPECT_TRUE(warm->link.converged);
+}
+
+// annod --synth, annolink --synth and annodb_query --from-synth share this
+// parser. strtol's end pointer must point into a live string; under ASan a
+// read from a destroyed temporary fails the first spec.
+TEST(SynthSpec, AcceptsWholeNumbersOnly) {
+  LinkedCorpusOptions opt;
+  ASSERT_TRUE(ParseSynthSpec("4:24:3", &opt));
+  EXPECT_EQ(opt.modules, 4);
+  EXPECT_EQ(opt.functions, 24);
+  EXPECT_EQ(opt.seed, 3u);
+  LinkedCorpusOptions no_seed;
+  ASSERT_TRUE(ParseSynthSpec("8:400", &no_seed));
+  EXPECT_EQ(no_seed.modules, 8);
+  EXPECT_EQ(no_seed.functions, 400);
+  EXPECT_EQ(no_seed.seed, LinkedCorpusOptions().seed);
+  for (const char* bad : {"x:4", "4:", "4:24:", "1:24", "4:7", "4:24:-1", "4:24:3x"}) {
+    LinkedCorpusOptions o;
+    EXPECT_FALSE(ParseSynthSpec(bad, &o)) << bad;
+  }
+}
+
+// The epoch build reuses a row's bytes only for an equal row, so equality
+// must see every member that reaches the canonical JSON.
+TEST(EpochCarryForward, RowEqualityComparesEveryMember) {
+  Finding f;
+  f.tool = "blockstop";
+  f.severity = FindingSeverity::kError;
+  f.loc = SourceLoc{0, 12, 3};
+  f.message = "may block";
+  f.witness = {"m00_fn_0001", "calls msleep"};
+  f.module = "mod_00";
+  Finding g = f;
+  EXPECT_TRUE(f == g);
+  g.module = "mod_01";
+  EXPECT_FALSE(f == g);
+  g = f;
+  std::swap(g.witness[0], g.witness[1]);
+  EXPECT_FALSE(f == g);
+  g = f;
+  g.loc.col = 4;
+  EXPECT_FALSE(f == g);
+
+  FuncSummary row;
+  row.module = "mod_00";
+  row.function = "m01_fn_0003";
+  row.stack_below = 48;
+  row.param_points = {{0, {"m00_fn_0001"}}, {1, {"m00_fn_0002"}}};
+  FuncSummary other = row;
+  EXPECT_TRUE(row == other);
+  other.param_points[1] = {"m00_fn_0004"};
+  EXPECT_FALSE(row == other);
+  other = row;
+  other.stack_below = 56;
+  EXPECT_FALSE(row == other);
+}
+
+// Each edit's snapshot, built on the previous one, holds the bytes of a
+// snapshot built without it; a one-function flip renders only some rows.
+TEST(EpochCarryForward, CarriedSnapshotsMatchColdRenders) {
+  const std::vector<ModuleSources> corpus = GenerateLinkedCorpus(SmallCorpus());
+  const auto [target, fn] = SpinlockedCallee(corpus);
+  ASSERT_GE(target, 0) << "corpus has no cross-module spinlocked call";
+  const std::string module = corpus[static_cast<size_t>(target)].name;
+  AnalysisSession session = SynthServePipeline().ForEachModule(corpus).BuildSession();
+
+  std::shared_ptr<const EpochSnapshot> first =
+      BuildEpochSnapshot(1, session.RunLinked(), session.link_table());
+  EXPECT_EQ(static_cast<size_t>(first->rendered),
+            first->findings.size() + first->summaries.size());
+  std::shared_ptr<const EpochSnapshot> prev = first;
+  auto relink = [&](const std::string& what, bool partial) {
+    SessionResult result = session.RunLinked();
+    auto carried = BuildEpochSnapshot(prev->id + 1, result, session.link_table(), prev.get());
+    auto cold = BuildEpochSnapshot(prev->id + 1, result, session.link_table());
+    EXPECT_EQ(carried->findings_canon, cold->findings_canon) << what;
+    EXPECT_EQ(carried->summaries_canon, cold->summaries_canon) << what;
+    if (partial) {
+      EXPECT_GT(carried->rendered, 0) << what;
+      EXPECT_LT(static_cast<size_t>(carried->rendered),
+                carried->findings.size() + carried->summaries.size())
+          << what;
+    }
+    prev = carried;
+  };
+
+  for (const char* leaf : {"msleep", "udelay"}) {
+    ASSERT_TRUE(session.ReplaceFunction(
+        module, fn,
+        "void " + fn + "(int n) {\n  int pad[4]; pad[0] = n;\n  " + leaf + "(n);\n}\n"));
+    relink(leaf, /*partial=*/true);
+  }
+  ASSERT_TRUE(session.RemoveModule(module));
+  relink("remove " + module, /*partial=*/false);
+  session.AddModule(corpus[static_cast<size_t>(target)]);
+  relink("re-upsert " + module, /*partial=*/false);
+  // The original sources again: the first epoch's bytes.
+  EXPECT_EQ(prev->findings_canon, first->findings_canon);
+  EXPECT_EQ(prev->summaries_canon, first->summaries_canon);
 }
 
 TEST(Server, WireQueriesMatchInProcessSnapshotAndFilters) {
@@ -440,6 +573,15 @@ TEST(ServerStress, ThirtyTwoClientsAgainstContinuousEdits) {
   }
   EXPECT_TRUE(matched)
       << "final epoch matches no cold run of any applied edit state";
+
+  // Every epoch a client saw and the ring still holds was built on its
+  // predecessor; its bytes must equal a cold render of its own rows.
+  for (const auto& [key, digest] : seen) {
+    if (auto snap = server.Snapshot("synth", key.first)) {
+      ExpectMatchesColdRender(*snap);
+    }
+  }
+  ExpectMatchesColdRender(*final_snap);
 
   server.RequestShutdown();
   server.Wait();

@@ -26,6 +26,14 @@ inline PipelineBuilder SynthServePipeline() {
   return b;
 }
 
+// Parses a whole decimal number; false for an empty or partly numeric
+// string. `end` points into `s`, so it is read here, while `s` lives.
+inline bool ParseSynthNumber(const std::string& s, long* out) {
+  char* end = nullptr;
+  *out = std::strtol(s.c_str(), &end, 10);
+  return !s.empty() && *end == '\0';
+}
+
 // Parses "modules:functions[:seed]" (e.g. "4:40" or "8:400:7").
 inline bool ParseSynthSpec(const std::string& spec, LinkedCorpusOptions* opt) {
   size_t c1 = spec.find(':');
@@ -33,22 +41,23 @@ inline bool ParseSynthSpec(const std::string& spec, LinkedCorpusOptions* opt) {
     return false;
   }
   size_t c2 = spec.find(':', c1 + 1);
-  char* end = nullptr;
-  long mods = std::strtol(spec.substr(0, c1).c_str(), &end, 10);
-  if (*end != '\0' || mods < 2 || mods > 99) {
+  const std::string mods_s = spec.substr(0, c1);
+  long mods = 0;
+  if (!ParseSynthNumber(mods_s, &mods) || mods < 2 || mods > 99) {
     return false;
   }
   const std::string fns_s =
       c2 == std::string::npos ? spec.substr(c1 + 1) : spec.substr(c1 + 1, c2 - c1 - 1);
-  long fns = std::strtol(fns_s.c_str(), &end, 10);
-  if (*end != '\0' || fns < 8 || fns > 100000) {
+  long fns = 0;
+  if (!ParseSynthNumber(fns_s, &fns) || fns < 8 || fns > 100000) {
     return false;
   }
   opt->modules = static_cast<int>(mods);
   opt->functions = static_cast<int>(fns);
   if (c2 != std::string::npos) {
-    long seed = std::strtol(spec.substr(c2 + 1).c_str(), &end, 10);
-    if (*end != '\0' || seed < 0) {
+    const std::string seed_s = spec.substr(c2 + 1);
+    long seed = 0;
+    if (!ParseSynthNumber(seed_s, &seed) || seed < 0) {
       return false;
     }
     opt->seed = static_cast<uint64_t>(seed);
